@@ -257,13 +257,30 @@ class CalibrationReport:
     histograms: dict[str, dict] = field(default_factory=dict)
 
 
-def _histogram(values, bins: int = 20) -> dict:
-    arr = np.asarray(sorted(values), dtype=float)
-    if arr.size == 0:
-        return {"counts": [], "edges": []}
-    counts, edges = np.histogram(arr, bins=bins)
-    return {"counts": [int(c) for c in counts],
-            "edges": [float(e) for e in edges]}
+def _histograms(fits) -> dict:
+    """Histograms of fitted elasticities, their sum, strengths and errors.
+
+    fits yields (alpha, beta, strengths, average_error) per firm, with
+    strengths an iterable of that firm's fitted link strengths.
+    """
+    fits = list(fits)
+    columns = {
+        "alpha": [a for a, _, _, _ in fits],
+        "beta": [b for _, b, _, _ in fits],
+        "alpha_plus_beta": [a + b for a, b, _, _ in fits],
+        "strength": [k for _, _, ks, _ in fits for k in ks],
+        "average_error": [err for _, _, _, err in fits],
+    }
+    out = {}
+    for name, values in columns.items():
+        arr = np.asarray(sorted(values), dtype=float)
+        if arr.size == 0:
+            out[name] = {"counts": [], "edges": []}
+            continue
+        counts, edges = np.histogram(arr, bins=20)
+        out[name] = {"counts": [int(c) for c in counts],
+                     "edges": [float(e) for e in edges]}
+    return out
 
 
 def fit_all(panel: PanelSeries, network: TransactionNetwork,
@@ -285,15 +302,7 @@ def fit_all(panel: PanelSeries, network: TransactionNetwork,
                                     panel.gdp, options)
         except ValueError as exc:  # UnderdeterminedError included
             failures[fid] = str(exc)
-    histograms = {
-        "alpha": _histogram([r.alpha for r in results.values()]),
-        "beta": _histogram([r.beta for r in results.values()]),
-        "alpha_plus_beta": _histogram([r.alpha + r.beta
-                                       for r in results.values()]),
-        "strength": _histogram([k for r in results.values()
-                                for k in r.strengths.values()]),
-        "average_error": _histogram([r.average_error
-                                     for r in results.values()]),
-    }
+    histograms = _histograms((r.alpha, r.beta, r.strengths.values(),
+                              r.average_error) for r in results.values())
     return CalibrationReport(results=results, failures=failures,
                              histograms=histograms)

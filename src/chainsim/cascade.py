@@ -20,7 +20,6 @@ from .econ import (
     TransactionNetwork,
     ZERO_REVENUE,
     POLICIES,
-    REVENUE_FLOOR_FRAC,
     bankrupt_interaction,
     equity_end_of_term,
     floor_revenue,
@@ -31,7 +30,7 @@ from .econ import (
     profit,
     revenue_next,
 )
-from .game import GameConfig, PayoffContext, _firm_seed, best_response, nash_solve
+from .game import nash_solve
 
 # Why a live supplier of a dead customer did not go under.
 REASON_EQUITY = "equity-sufficient"
@@ -48,7 +47,6 @@ class CascadeConfig:
     gdp_growth: float = 1.0            # growth ratio entering the coupling terms
     policy: str = ZERO_REVENUE
     max_generations: int | None = None  # None: one per firm
-    freeze_decisions: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "trigger_firms",
@@ -86,7 +84,7 @@ class CascadeResult:
     survivors: dict[str, str]         # live firm -> stop reason
     equity_trace: dict[str, Evaluation]
     generations_run: int
-    exhausted: bool                   # True when the generation cap cut it off
+    exhausted: bool                   # True when the cap cut off a live cascade
 
     @property
     def bankrupt_set(self) -> frozenset[str]:
@@ -105,8 +103,7 @@ def _survivor_reason(ev: Evaluation) -> str:
 def evaluate_supplier(firm: str, economy: Economy,
                       network: TransactionNetwork,
                       decision: InvestmentDecision,
-                      config: CascadeConfig, generation: int,
-                      floor_frac: float = REVENUE_FLOOR_FRAC) -> Evaluation:
+                      config: CascadeConfig, generation: int) -> Evaluation:
     """Recompute one live supplier's end-of-term equity from scratch.
 
     Live customers enter through their recorded growth ratios, bankrupt
@@ -131,7 +128,7 @@ def evaluate_supplier(firm: str, economy: Economy,
 
     def term_profit(terms: float) -> float:
         raw = revenue_next(st.revenue, growth, terms)
-        rev, _ = floor_revenue(raw, st.revenue, floor_frac)
+        rev, _ = floor_revenue(raw, st.revenue)
         return profit(rev, cost, p.interest_rate, decision)
 
     shocked_profit = term_profit(shocked)
@@ -148,16 +145,13 @@ def evaluate_supplier(firm: str, economy: Economy,
 
 
 def propagate_step(economy: Economy, network: TransactionNetwork,
-                   decisions: dict[str, InvestmentDecision] | None,
-                   config: CascadeConfig, generation: int,
-                   game_config: GameConfig = GameConfig(),
-                   seed: int = 0) -> dict[str, Evaluation]:
+                   decisions: dict[str, InvestmentDecision],
+                   config: CascadeConfig,
+                   generation: int) -> dict[str, Evaluation]:
     """Evaluate every live supplier of a currently bankrupt firm.
 
     Returns the evaluations; flags are not changed here, so the caller
-    commits a whole generation at once. With decisions=None (unfrozen
-    mode) each supplier best-responds to the shocked books instead of
-    using a frozen decision.
+    commits a whole generation at once.
     """
     exposed = sorted({
         supplier
@@ -165,42 +159,24 @@ def propagate_step(economy: Economy, network: TransactionNetwork,
         for supplier, _ in network.suppliers_of(f)
         if not economy.states[supplier].bankrupt
     })
-    out = {}
-    for firm in exposed:
-        if decisions is not None:
-            decision = decisions[firm]
-        else:
-            st = economy.states[firm]
-            shocked = 0.0
-            for customer, k in network.customers_of(firm):
-                cust = economy.states[customer]
-                if cust.bankrupt:
-                    shocked += bankrupt_interaction(k, config.gdp_growth,
-                                                    config.policy)
-                else:
-                    shocked += interaction_term(k, cust.growth_ratio,
-                                                config.gdp_growth)
-            ctx = PayoffContext(st.revenue, st.capital, st.labor, shocked,
-                                economy.params[firm])
-            decision = best_response(ctx, game_config,
-                                     seed=_firm_seed(seed, firm))
-        out[firm] = evaluate_supplier(firm, economy, network, decision,
-                                      config, generation)
-    return out
+    return {firm: evaluate_supplier(firm, economy, network, decisions[firm],
+                                    config, generation)
+            for firm in exposed}
 
 
 def run_cascade(economy: Economy, network: TransactionNetwork,
                 config: CascadeConfig,
                 decisions: dict[str, InvestmentDecision] | None = None,
-                game_config: GameConfig = GameConfig(),
                 seed: int = 0) -> CascadeResult:
     """Run a full cascade scenario from the configured triggers.
 
     Decisions are frozen at the pre-shock fixed point of the investment
     game unless supplied by the caller (observed next-period inputs
-    slot in here) or freeze_decisions is off. The input economy is not
-    mutated. Terminates after at most one generation per firm: every
-    generation before the last turns at least one firm.
+    slot in here). The input economy is not mutated. Terminates after
+    at most one generation per firm: every generation before the last
+    turns at least one firm. When max_generations stops the run, the
+    next generation is evaluated once, without committing it, and
+    exhausted says whether it would have turned anyone.
     """
     for f in config.trigger_firms:
         if f not in economy.params:
@@ -208,12 +184,9 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         if economy.states[f].bankrupt:
             raise ValueError(f"trigger firm {f!r} is already bankrupt")
 
-    if decisions is None and config.freeze_decisions:
-        nash = nash_solve(economy, network, config.gdp_growth,
-                          game_config, seed=seed, policy=config.policy)
-        decisions = nash.decisions
-    elif not config.freeze_decisions:
-        decisions = None
+    if decisions is None:
+        decisions = nash_solve(economy, network, config.gdp_growth,
+                               seed=seed, policy=config.policy).decisions
 
     work = Economy(params=economy.params, states=dict(economy.states))
     bankrupt: dict[str, int] = {}
@@ -226,19 +199,21 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         cap = len(work.params)
     trace: dict[str, Evaluation] = {}
     generations_run = 0
-    exhausted = True
+    exhausted = False
     for generation in range(1, cap + 1):
         evaluations = propagate_step(work, network, decisions, config,
-                                     generation, game_config, seed)
+                                     generation)
         generations_run = generation
         trace.update(evaluations)
         newly = sorted(f for f, ev in evaluations.items() if ev.went_bankrupt)
         if not newly:
-            exhausted = False
             break
         for f in newly:
             work.mark_bankrupt(f)
             bankrupt[f] = generation
+    else:
+        ahead = propagate_step(work, network, decisions, config, cap + 1)
+        exhausted = any(ev.went_bankrupt for ev in ahead.values())
 
     survivors = {}
     for f in work.firm_ids:

@@ -17,13 +17,14 @@ import sys
 import numpy as np
 
 from . import io as cio
-from .calibration import FitOptions, fit_all, _histogram
+from .calibration import FitOptions, fit_all, _histograms
 from .cascade import CascadeConfig, run_cascade
 from .econ import MacroSeries, POLICIES, ZERO_REVENUE
 from .netgen import (
     GeneratorConfig,
     economy_from_panel,
     forward_simulate,
+    generate_gdp,
     simulate_economy,
 )
 
@@ -181,6 +182,7 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     for fmt in formats:
         if fmt not in FORMATS:
             raise CliError(f"unknown format {fmt!r}")
+    seed = _pick(args.seed, cfg, "seed", None)
     economy = economy_from_panel(panel, params)
     try:
         config = CascadeConfig(
@@ -189,7 +191,7 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
             policy=policy,
             max_generations=None if max_gen is None else int(max_gen),
         )
-        result = run_cascade(economy, network, config, seed=args.seed or 0)
+        result = run_cascade(economy, network, config, seed=seed or 0)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
@@ -203,7 +205,7 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     written = []
     if "json" in formats:
         path = os.path.join(args.out_dir, "cascade.json")
-        out.write(cio.export_cascade, path, result, echo, args.seed)
+        out.write(cio.export_cascade, path, result, echo, seed)
         written.append(path)
     if "dot" in formats:
         path = os.path.join(args.out_dir, "network.dot")
@@ -236,16 +238,12 @@ def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
     jitter = float(_pick(args.decision_jitter, cfg, "decision_jitter", 0.0))
     economy = economy_from_panel(panel, params)
 
-    rng = np.random.default_rng([seed, 7])
-    values = [macro.gdp[-1]]
-    for _ in range(horizon - 1):
-        while True:
-            nxt = values[-1] * (1.0 + growth + vol * rng.normal())
-            if nxt > 0.0:
-                break
-        values.append(nxt)
+    drawn = generate_gdp(
+        GeneratorConfig(horizon=horizon, gdp_start=macro.gdp[-1],
+                        gdp_growth=growth, gdp_volatility=vol),
+        np.random.default_rng([seed, 7]))
     start = panel.periods[-1]
-    future = MacroSeries(gdp=tuple(values),
+    future = MacroSeries(gdp=drawn.gdp,
                          periods=tuple(range(start, start + horizon)))
     result = forward_simulate(
         economy, network, future,
@@ -277,16 +275,9 @@ def _cmd_report(args: argparse.Namespace, out: _Outputs) -> int:
     firms = report.get("firms", {})
     if not firms:
         raise CliError(f"{args.fit_report} holds no firm results")
-    histograms = {
-        "alpha": _histogram([r["alpha"] for r in firms.values()]),
-        "beta": _histogram([r["beta"] for r in firms.values()]),
-        "alpha_plus_beta": _histogram([r["alpha"] + r["beta"]
-                                       for r in firms.values()]),
-        "strength": _histogram([k for r in firms.values()
-                                for k in r.get("strengths", {}).values()]),
-        "average_error": _histogram([r["average_error"]
-                                     for r in firms.values()]),
-    }
+    histograms = _histograms((r["alpha"], r["beta"],
+                              r.get("strengths", {}).values(),
+                              r["average_error"]) for r in firms.values())
     payload = {
         "config": {"fit_report": args.fit_report},
         "seed": report.get("seed"),

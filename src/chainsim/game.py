@@ -21,9 +21,6 @@ from .econ import (
     TransactionNetwork,
     ZERO_REVENUE,
     customer_terms_sum,
-    material_cost,
-    profit,
-    revenue_next,
 )
 
 
@@ -47,8 +44,6 @@ class GameConfig:
     ga_mutation_prob: float = 0.25    # per-gene mutation probability
     ga_crossover_prob: float = 0.9
     ga_elite: int = 1
-    br_tolerance: float = 1e-9
-    br_max_rounds: int = 20
 
     def __post_init__(self) -> None:
         lo, hi = self.decision_bounds
@@ -71,14 +66,23 @@ class PayoffContext:
     params: FirmParameters
 
 
+def _payoff(ctx: PayoffContext, capital, labor):
+    """Next-term profit at the given inputs, noise at zero.
+
+    Written in arithmetic operators only, so the same body prices one
+    decision (floats) and a whole GA population (numpy arrays).
+    """
+    p = ctx.params
+    growth = ((capital / ctx.capital) ** p.alpha
+              * (labor / ctx.labor) ** p.beta)
+    rev = ctx.revenue * (growth + ctx.customer_terms)
+    cost = p.cost_coeff * capital ** p.alpha * labor ** p.beta
+    return rev - cost - p.interest_rate * capital - labor
+
+
 def expected_payoff(ctx: PayoffContext, decision: InvestmentDecision) -> float:
     """Next-term profit of a candidate decision, noise at zero."""
-    p = ctx.params
-    growth = ((decision.capital / ctx.capital) ** p.alpha
-              * (decision.labor / ctx.labor) ** p.beta)
-    rev = revenue_next(ctx.revenue, growth, ctx.customer_terms)
-    cost = material_cost(p.cost_coeff, decision, p.alpha, p.beta)
-    return profit(rev, cost, p.interest_rate, decision)
+    return _payoff(ctx, decision.capital, decision.labor)
 
 
 def _net_output_coeff(ctx: PayoffContext) -> float:
@@ -181,20 +185,10 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     if k_lo == k_hi and l_lo == l_hi:
         return InvestmentDecision(k_lo, l_lo)
     rng = np.random.default_rng(seed)
-    p = ctx.params
     lo = np.log([k_lo, l_lo])
     hi = np.log([k_hi, l_hi])
     width = hi - lo
     sigma = config.ga_mutation_scale * width
-
-    def payoff_of(pop: np.ndarray) -> np.ndarray:
-        cap = np.exp(pop[:, 0])
-        lab = np.exp(pop[:, 1])
-        growth = ((cap / ctx.capital) ** p.alpha
-                  * (lab / ctx.labor) ** p.beta)
-        rev = ctx.revenue * (growth + ctx.customer_terms)
-        cost = p.cost_coeff * cap ** p.alpha * lab ** p.beta
-        return rev - cost - p.interest_rate * cap - lab
 
     n = config.ga_population
     pop = lo + rng.random((n, 2)) * width
@@ -204,7 +198,7 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     best_genome = None
     best_pay = -np.inf
     for _ in range(config.ga_generations + 1):
-        pay = payoff_of(pop)
+        pay = _payoff(ctx, np.exp(pop[:, 0]), np.exp(pop[:, 1]))
         # rank with deterministic tie-break: payoff desc, then K, then L
         order = np.lexsort((pop[:, 1], pop[:, 0], -pay))
         top = order[0]
@@ -248,11 +242,14 @@ def best_response(ctx: PayoffContext, config: GameConfig = GameConfig(),
 
 @dataclass(frozen=True)
 class NashResult:
-    """Joint decisions plus how the iteration ended."""
+    """Joint decisions of the investment game.
+
+    converged is true by construction: payoffs read only the books on
+    record, so one best-response pass is already the fixed point.
+    """
 
     decisions: dict[str, InvestmentDecision]
     converged: bool
-    rounds: int
 
 
 def _firm_seed(seed: int, firm: str) -> int:
@@ -263,39 +260,20 @@ def _firm_seed(seed: int, firm: str) -> int:
 def nash_solve(economy: Economy, network: TransactionNetwork,
                gdp_growth: float, config: GameConfig = GameConfig(),
                seed: int = 0, policy: str = ZERO_REVENUE) -> NashResult:
-    """Simultaneous best responses iterated to a fixed point.
+    """Joint best responses of every firm: the game's fixed point.
 
     Each firm's payoff depends on the others only through revenues
-    already on the books, so the game decouples: one round finds the
-    fixed point and the next confirms it. The loop still guards with a
-    tolerance and round cap. Result is independent of firm ordering.
+    already on the books, so the game decouples and one best-response
+    pass per firm, each with its own GA stream, is the fixed point.
+    Result is independent of firm ordering.
     """
-    firms = economy.firm_ids
-    for f in firms:
-        if economy.states[f].bankrupt:
-            raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")
-    contexts = {}
-    for f in firms:
+    decisions = {}
+    for f in economy.firm_ids:
         st = economy.states[f]
+        if st.bankrupt:
+            raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")
         cts = customer_terms_sum(f, network, economy.states, gdp_growth, policy)
-        contexts[f] = PayoffContext(st.revenue, st.capital, st.labor,
-                                    cts, economy.params[f])
-    decisions = {f: InvestmentDecision(economy.states[f].capital,
-                                       economy.states[f].labor)
-                 for f in firms}
-    converged = False
-    rounds = 0
-    for rounds in range(1, config.br_max_rounds + 1):
-        fresh = {f: best_response(contexts[f], config, seed=_firm_seed(seed, f))
-                 for f in firms}
-        delta = 0.0
-        for f in firms:
-            old, new = decisions[f], fresh[f]
-            delta = max(delta,
-                        abs(new.capital - old.capital) / old.capital,
-                        abs(new.labor - old.labor) / old.labor)
-        decisions = fresh
-        if delta <= config.br_tolerance:
-            converged = True
-            break
-    return NashResult(decisions=decisions, converged=converged, rounds=rounds)
+        ctx = PayoffContext(st.revenue, st.capital, st.labor,
+                            cts, economy.params[f])
+        decisions[f] = best_response(ctx, config, seed=_firm_seed(seed, f))
+    return NashResult(decisions=decisions, converged=True)

@@ -30,7 +30,6 @@ from .econ import (
     MacroSeries,
     TransactionNetwork,
     ZERO_REVENUE,
-    REVENUE_FLOOR_FRAC,
     customer_terms_sum,
     equity_end_of_term,
     floor_revenue,
@@ -39,7 +38,7 @@ from .econ import (
     profit,
     revenue_next,
 )
-from .game import GameConfig, PayoffContext, _firm_seed, best_response
+from .game import PayoffContext, _firm_seed, best_response
 
 EDGE_MODELS = ("random", "scale-free")
 
@@ -235,12 +234,10 @@ class SimulationResult:
 
 def forward_simulate(economy: Economy, network: TransactionNetwork,
                      macro: MacroSeries, *,
-                     game_config: GameConfig = GameConfig(),
                      noise_on: bool = True,
                      decision_jitter: float = 0.0,
                      seed: int = 0,
-                     policy: str = ZERO_REVENUE,
-                     floor_frac: float = REVENUE_FLOOR_FRAC) -> SimulationResult:
+                     policy: str = ZERO_REVENUE) -> SimulationResult:
     """Roll the economy forward over the macro series' horizon.
 
     Each period every firm best-responds to the books on record, the
@@ -283,7 +280,7 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             p = economy.params[f]
             cts = customer_terms_sum(f, network, states, g_lag, policy)
             ctx = PayoffContext(st.revenue, st.capital, st.labor, cts, p)
-            dec = best_response(ctx, game_config, seed=_firm_seed(seed, f))
+            dec = best_response(ctx, seed=_firm_seed(seed, f))
             applied = InvestmentDecision(
                 dec.capital * math.exp(decision_jitter * jit[idx, 0]),
                 dec.labor * math.exp(decision_jitter * jit[idx, 1]),
@@ -291,7 +288,7 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             growth = production_ratio(applied, st, p.alpha, p.beta)
             raw = revenue_next(st.revenue, growth, cts,
                                p.noise_sigma * shocks[idx])
-            rev, floored = floor_revenue(raw, st.revenue, floor_frac)
+            rev, floored = floor_revenue(raw, st.revenue)
             if floored:
                 floor_events.append((f, t + 1))
             cost = material_cost(p.cost_coeff, applied, p.alpha, p.beta)
@@ -321,15 +318,13 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
                             final_states=states)
 
 
-def simulate_economy(config: GeneratorConfig, *, noise_on: bool = True,
-                     game_config: GameConfig = GameConfig()
+def simulate_economy(config: GeneratorConfig, *, noise_on: bool = True
                      ) -> tuple[Economy, TransactionNetwork, MacroSeries,
                                 SimulationResult]:
     """Generate an economy and simulate it over its horizon."""
     economy, network, macro = generate_economy(config)
     result = forward_simulate(
         economy, network, macro,
-        game_config=game_config,
         noise_on=noise_on,
         decision_jitter=config.decision_jitter,
         seed=config.seed,

@@ -156,6 +156,20 @@ class TestHandTracedChain:
         assert res.exhausted
         assert res.generations_run == 1
 
+    def test_cap_on_a_finished_cascade_is_not_exhaustion(self, chain):
+        # uncapped, generation 2 turns nobody: the cap cut off nothing
+        eco, net, decisions = chain
+        res = run_cascade(eco, net,
+                          CascadeConfig(trigger_firms=("C",),
+                                        max_generations=1),
+                          decisions=decisions)
+        assert res.bankrupt == {"C": 0, "B": 1}
+        assert not res.exhausted
+        assert res.generations_run == 1
+        # the look-ahead commits nothing
+        assert set(res.equity_trace) == {"B"}
+        assert res.survivors == {"A": REASON_NOT_REACHED}
+
     def test_pure_loss_policy_shrinks_the_shock(self, chain):
         eco, net, decisions = chain
         # -k instead of -k*gdp_ratio; identical here (ratio 1) so push

@@ -87,6 +87,8 @@ class TestCalibrate:
         assert set(doc["histograms"]) == {"alpha", "beta", "alpha_plus_beta",
                                           "strength", "average_error"}
         assert doc["n_firms"] > 0
+        fitted = json.loads((fit / "fit_report.json").read_text())
+        assert doc["histograms"] == fitted["histograms"]
 
     def test_report_refuses_empty_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -157,6 +159,21 @@ class TestCascade:
         paths = steady_chain_csvs(tmp_path)
         assert run(self.base_args(paths, tmp_path / "x")) == 2
         assert "--trigger" in capsys.readouterr().err
+
+    def test_seed_from_config_file(self, tmp_path):
+        paths = steady_chain_csvs(tmp_path)
+        cfg = tmp_path / "cascade_cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        by_flag, by_cfg, unset = (tmp_path / n for n in ("flag", "cfg", "unset"))
+        assert run(self.base_args(paths, by_flag)
+                   + ["--trigger", "C", "--seed", "5"]) == 0
+        assert run(self.base_args(paths, by_cfg)
+                   + ["--trigger", "C", "--config", str(cfg)]) == 0
+        assert run(self.base_args(paths, unset) + ["--trigger", "C"]) == 0
+        written = (by_cfg / "cascade.json").read_bytes()
+        assert written == (by_flag / "cascade.json").read_bytes()
+        assert json.loads(written)["seed"] == 5
+        assert json.loads((unset / "cascade.json").read_text())["seed"] is None
 
     def test_multiple_triggers_union(self, tmp_path):
         paths = steady_chain_csvs(tmp_path, equity_a=1000.0)

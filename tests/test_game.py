@@ -273,6 +273,26 @@ class TestNash:
         b = nash_solve(eco, net, 1.02, seed=4)
         assert a.decisions == b.decisions
 
+    def test_one_best_response_pass_with_ga_fallback(self):
+        eco, net = interior_chain()
+        eco.params["B"] = FirmParameters(alpha=0.6, beta=0.5, cost_coeff=0.2,
+                                         interest_rate=0.05, noise_sigma=0.0)
+        from chainsim import customer_terms_sum
+        contexts = {}
+        for f in eco.firm_ids:
+            st = eco.states[f]
+            contexts[f] = PayoffContext(
+                revenue=st.revenue, capital=st.capital, labor=st.labor,
+                customer_terms=customer_terms_sum(f, net, eco.states, 1.02),
+                params=eco.params[f])
+        with pytest.raises(NoConcaveOptimum):
+            best_response_closed_form(contexts["B"])
+        res = nash_solve(eco, net, 1.02, seed=6)
+        assert res.converged
+        assert res.decisions == {
+            f: best_response(ctx, seed=_firm_seed(6, f))
+            for f, ctx in contexts.items()}
+
     def test_refuses_bankrupt_firm(self):
         eco, net = interior_chain()
         eco.mark_bankrupt("B")

@@ -1,18 +1,28 @@
 """Chain-bankruptcy propagation over the transaction network.
 
 A trigger firm is set bankrupt exogenously. Within one accounting
-term, every live supplier of a bankrupt firm re-evaluates its
-end-of-term equity with bankrupt customers contributing through the
-chosen policy; a capital deficit marks the supplier bankrupt in the
-next generation. Generations advance on a barrier until a round turns
-nobody, so the result is independent of firm iteration order.
-Beginning equity and decisions stay frozen for the whole cascade; the
-term never rolls over.
+term, a live supplier of a bankrupt firm re-evaluates its end-of-term
+equity with bankrupt customers contributing through the chosen policy;
+a capital deficit marks the supplier bankrupt in the next generation.
+Generations advance on a barrier until a round turns nobody, so the
+result is independent of firm iteration order. Beginning equity and
+decisions stay frozen for the whole cascade; the term never rolls over.
+
+Frozen books make a supplier's evaluation a function of its customers'
+bankrupt flags alone, so the cascade is driven by a frontier:
+generation 1 evaluates the live suppliers of every firm already
+bankrupt (the triggers and any firm flagged before the run), and each
+later generation only the live suppliers of the firms that fell in the
+one before. A supplier none of whose customers changed would get the
+same numbers again. In the equity trace a firm that fell keeps the
+generation in which it fell; a survivor carries generations_run, since
+its last evaluation holds for every generation after it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Container, Iterable
+from dataclasses import dataclass, replace
 
 from .econ import (
     Economy,
@@ -103,24 +113,25 @@ def _survivor_reason(ev: Evaluation) -> str:
 def evaluate_supplier(firm: str, economy: Economy,
                       network: TransactionNetwork,
                       decision: InvestmentDecision,
-                      config: CascadeConfig, generation: int) -> Evaluation:
+                      config: CascadeConfig, generation: int,
+                      bankrupt: Container[str]) -> Evaluation:
     """Recompute one live supplier's end-of-term equity from scratch.
 
-    Live customers enter through their recorded growth ratios, bankrupt
-    ones through the policy. Idempotent: depends only on the current
-    bankrupt flags, the frozen decision and the frozen beginning
-    equity.
+    Customers in bankrupt enter through the policy, the others through
+    their recorded growth ratios; the economy's own bankrupt flags are
+    not read. Idempotent: depends only on bankrupt, the frozen decision
+    and the frozen beginning equity.
     """
     st = economy.states[firm]
     p = economy.params[firm]
     shocked = 0.0
     baseline = 0.0
     for customer, k in network.customers_of(firm):
-        cust = economy.states[customer]
-        if cust.bankrupt:
+        if customer in bankrupt:
             shocked += bankrupt_interaction(k, config.gdp_growth, config.policy)
         else:
-            term = interaction_term(k, cust.growth_ratio, config.gdp_growth)
+            term = interaction_term(k, economy.states[customer].growth_ratio,
+                                    config.gdp_growth)
             shocked += term
             baseline += term
     growth = production_ratio(decision, st, p.alpha, p.beta)
@@ -146,21 +157,24 @@ def evaluate_supplier(firm: str, economy: Economy,
 
 def propagate_step(economy: Economy, network: TransactionNetwork,
                    decisions: dict[str, InvestmentDecision],
-                   config: CascadeConfig,
-                   generation: int) -> dict[str, Evaluation]:
-    """Evaluate every live supplier of a currently bankrupt firm.
+                   config: CascadeConfig, generation: int,
+                   frontier: Iterable[str],
+                   bankrupt: Container[str]) -> dict[str, Evaluation]:
+    """Evaluate every live supplier of a firm in the frontier.
 
-    Returns the evaluations; flags are not changed here, so the caller
-    commits a whole generation at once.
+    frontier holds the firms whose flags changed since the last
+    generation; bankrupt holds every firm dead so far, frontier
+    included. Returns the evaluations in firm order; bankrupt is not
+    changed here, so the caller commits a whole generation at once.
     """
     exposed = sorted({
         supplier
-        for f, st in economy.states.items() if st.bankrupt
+        for f in frontier
         for supplier, _ in network.suppliers_of(f)
-        if not economy.states[supplier].bankrupt
+        if supplier not in bankrupt
     })
     return {firm: evaluate_supplier(firm, economy, network, decisions[firm],
-                                    config, generation)
+                                    config, generation, bankrupt)
             for firm in exposed}
 
 
@@ -172,11 +186,16 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     Decisions are frozen at the pre-shock fixed point of the investment
     game unless supplied by the caller (observed next-period inputs
-    slot in here). The input economy is not mutated. Terminates after
-    at most one generation per firm: every generation before the last
-    turns at least one firm. When max_generations stops the run, the
-    next generation is evaluated once, without committing it, and
-    exhausted says whether it would have turned anyone.
+    slot in here). The input economy is not mutated: the flags of the
+    run live in a local set seeded with the triggers and the firms
+    flagged before it. Generation 1 evaluates the live suppliers of all
+    of those, each later generation the live suppliers of the firms
+    that fell in the one before. Terminates after at most one
+    generation per firm: every generation before the last turns at
+    least one firm. When max_generations stops the run, the next
+    generation is evaluated once, without committing it, and exhausted
+    says whether it would have turned anyone. A survivor's trace entry
+    carries generations_run; a fallen firm's, the generation it fell in.
     """
     for f in config.trigger_firms:
         if f not in economy.params:
@@ -188,41 +207,44 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         decisions = nash_solve(economy, network, config.gdp_growth,
                                seed=seed, policy=config.policy).decisions
 
-    work = Economy(params=economy.params, states=dict(economy.states))
-    bankrupt: dict[str, int] = {}
-    for f in config.trigger_firms:
-        work.mark_bankrupt(f)
-        bankrupt[f] = 0
+    bankrupt = {f: 0 for f in config.trigger_firms}
+    frontier = {f for f, st in economy.states.items() if st.bankrupt}
+    frontier.update(bankrupt)
+    dead = set(frontier)
 
     cap = config.max_generations
     if cap is None:
-        cap = len(work.params)
+        cap = len(economy.params)
     trace: dict[str, Evaluation] = {}
     generations_run = 0
     exhausted = False
     for generation in range(1, cap + 1):
-        evaluations = propagate_step(work, network, decisions, config,
-                                     generation)
+        evaluations = propagate_step(economy, network, decisions, config,
+                                     generation, frontier, dead)
         generations_run = generation
         trace.update(evaluations)
-        newly = sorted(f for f, ev in evaluations.items() if ev.went_bankrupt)
-        if not newly:
+        frontier = [f for f, ev in evaluations.items() if ev.went_bankrupt]
+        if not frontier:
             break
-        for f in newly:
-            work.mark_bankrupt(f)
+        dead.update(frontier)
+        for f in frontier:
             bankrupt[f] = generation
     else:
-        ahead = propagate_step(work, network, decisions, config, cap + 1)
+        ahead = propagate_step(economy, network, decisions, config, cap + 1,
+                               frontier, dead)
         exhausted = any(ev.went_bankrupt for ev in ahead.values())
 
     survivors = {}
-    for f in work.firm_ids:
+    for f in economy.firm_ids:
         if f in bankrupt:
             continue
-        if f in trace:
-            survivors[f] = _survivor_reason(trace[f])
-        else:
+        ev = trace.get(f)
+        if ev is None:
             survivors[f] = REASON_NOT_REACHED
+            continue
+        survivors[f] = _survivor_reason(ev)
+        if ev.generation != generations_run:
+            trace[f] = replace(ev, generation=generations_run)
     return CascadeResult(bankrupt=bankrupt, survivors=survivors,
                          equity_trace=trace, generations_run=generations_run,
                          exhausted=exhausted)

@@ -129,6 +129,7 @@ def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config)
     tol = float(_pick(args.tol, cfg, "tol", FitOptions.tol))
     max_iter = int(_pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter))
+    seed = _pick(args.seed, cfg, "seed", None)
     panel, _, network = _load_panel_bundle(args)
     options = FitOptions(tol=tol, max_iter=max_iter)
     report = fit_all(panel, network, options)
@@ -136,7 +137,7 @@ def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
             "tol": tol, "max_iter": max_iter}
     _ensure_out_dir(args.out_dir)
     path = os.path.join(args.out_dir, "fit_report.json")
-    out.write(cio.export_fit_report, path, report, echo, args.seed)
+    out.write(cio.export_fit_report, path, report, echo, seed)
     n_bad = len(report.failures)
     print(f"calibrated {len(report.results)} firms "
           f"({n_bad} failures) -> {path}")

@@ -102,7 +102,7 @@ class TransactionNetwork:
         self._firms = tuple(sorted(set(firms)))
         known = set(self._firms)
         self._out: dict[str, dict[str, float]] = {f: {} for f in self._firms}
-        self._in: dict[str, dict[str, float]] = {f: {} for f in self._firms}
+        into: dict[str, dict[str, float]] = {f: {} for f in self._firms}
         for supplier, customer, k in edges:
             if supplier not in known or customer not in known:
                 raise ValueError(f"edge ({supplier!r}, {customer!r}) references unknown firm")
@@ -113,7 +113,12 @@ class TransactionNetwork:
             if not math.isfinite(k):
                 raise ValueError(f"edge ({supplier!r}, {customer!r}) has non-finite k")
             self._out[supplier][customer] = float(k)
-            self._in[customer][supplier] = float(k)
+            into[customer][supplier] = float(k)
+        # Sorted once: the cascade reads these on every evaluation.
+        self._customers = {f: tuple(sorted(d.items()))
+                           for f, d in self._out.items()}
+        self._suppliers = {f: tuple(sorted(d.items()))
+                           for f, d in into.items()}
 
     @property
     def firms(self) -> tuple[str, ...]:
@@ -128,16 +133,16 @@ class TransactionNetwork:
     def edges(self):
         """Yield (supplier, customer, k) in sorted order."""
         for supplier in self._firms:
-            for customer in sorted(self._out[supplier]):
-                yield supplier, customer, self._out[supplier][customer]
+            for customer, k in self._customers[supplier]:
+                yield supplier, customer, k
 
     def customers_of(self, firm: str) -> tuple[tuple[str, float], ...]:
         """(customer, k) pairs for a supplier, sorted by customer id."""
-        return tuple(sorted(self._out[firm].items()))
+        return self._customers[firm]
 
     def suppliers_of(self, firm: str) -> tuple[tuple[str, float], ...]:
         """(supplier, k) pairs for a customer, sorted by supplier id."""
-        return tuple(sorted(self._in[firm].items()))
+        return self._suppliers[firm]
 
     def strength(self, supplier: str, customer: str) -> float:
         return self._out[supplier][customer]
@@ -262,16 +267,15 @@ def revenue_next(revenue: float, production_growth: float,
     return revenue * (production_growth + customer_terms + noise)
 
 
-def floor_revenue(value: float, revenue: float,
-                  floor_frac: float = REVENUE_FLOOR_FRAC) -> tuple[float, bool]:
-    """Clamp a non-positive revenue outcome to a small positive floor.
+def floor_revenue(value: float, revenue: float) -> tuple[float, bool]:
+    """Clamp a non-positive revenue outcome to REVENUE_FLOOR_FRAC of revenue.
 
     Returns (possibly clamped value, whether the floor fired). Keeps
     later growth ratios well defined.
     """
     if value > 0.0:
         return value, False
-    return floor_frac * revenue, True
+    return REVENUE_FLOOR_FRAC * revenue, True
 
 
 def material_cost(cost_coeff: float, decision: InvestmentDecision,

@@ -4,10 +4,19 @@ The oracle re-derives end-of-term equity by hand-inlining the revenue,
 cost and profit arithmetic (no calls into the engine) and iterates over
 ALL firms until the dead set stabilizes. On baseline-solvent fixtures
 that fixed point has to equal run_cascade's output exactly.
+
+A second reference, full_rescan_cascade, is the generation loop the
+engine had before it became frontier-driven: every generation
+re-evaluates every live supplier of every dead firm. Written over plain
+dicts, it has to equal run_cascade field by field on drawn economies.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsim import (
     PURE_LOSS,
@@ -60,6 +69,122 @@ def brute_force_dead(eco, net, triggers, decisions, gdp_ratio=1.0,
         if not (new - dead):
             return dead
         dead |= new
+
+
+def full_rescan_cascade(eco, net, triggers, decisions, gdp_ratio,
+                        policy, max_generations):
+    """Every live supplier of every dead firm, re-evaluated each generation.
+
+    Returns plain dicts: bankrupt, survivors, the trace as field tuples
+    (generation, equity_begin, term_profit, equity_end, baseline_profit,
+    went_bankrupt), generations_run and exhausted.
+    """
+    customers = {f: [] for f in eco.params}
+    suppliers = {f: [] for f in eco.params}
+    for s, c, k in net.edges():
+        customers[s].append((c, k))
+        suppliers[c].append(s)
+
+    def evaluate(f, dead, generation):
+        st, p, dec = eco.states[f], eco.params[f], decisions[f]
+        shocked = baseline = 0.0
+        for c, k in customers[f]:
+            if c in dead:
+                shocked += (k * (0.0 - gdp_ratio) if policy == ZERO_REVENUE
+                            else -k)
+            else:
+                cst = eco.states[c]
+                term = k * (cst.revenue / cst.prev_revenue - gdp_ratio)
+                shocked += term
+                baseline += term
+        growth = ((dec.capital / st.capital) ** p.alpha
+                  * (dec.labor / st.labor) ** p.beta)
+        cost = p.cost_coeff * dec.capital ** p.alpha * dec.labor ** p.beta
+
+        def term_profit(terms):
+            rev = st.revenue * (growth + terms)
+            if rev <= 0.0:
+                rev = 1e-6 * st.revenue
+            return rev - cost - p.interest_rate * dec.capital - dec.labor
+
+        pi = term_profit(shocked)
+        end = st.equity + pi
+        return (generation, st.equity, pi, end, term_profit(baseline),
+                end < 0.0)
+
+    def step(dead, generation):
+        exposed = sorted({s for f in dead for s in suppliers[f]} - dead)
+        return {f: evaluate(f, dead, generation) for f in exposed}
+
+    dead = {f for f, st in eco.states.items() if st.bankrupt} | set(triggers)
+    bankrupt = {f: 0 for f in triggers}
+    cap = len(eco.params) if max_generations is None else max_generations
+    trace, generations_run, exhausted = {}, 0, False
+    for generation in range(1, cap + 1):
+        evaluations = step(dead, generation)
+        generations_run = generation
+        trace.update(evaluations)
+        newly = [f for f, ev in evaluations.items() if ev[-1]]
+        if not newly:
+            break
+        dead.update(newly)
+        bankrupt.update({f: generation for f in newly})
+    else:
+        exhausted = any(ev[-1] for ev in step(dead, cap + 1).values())
+
+    survivors = {}
+    for f in sorted(eco.params):
+        if f in bankrupt:
+            continue
+        if f not in trace:
+            survivors[f] = "not-reached"
+        elif trace[f][2] < 0.0 <= trace[f][4]:
+            survivors[f] = "equity-sufficient"
+        else:
+            survivors[f] = "link-too-weak"
+    return bankrupt, survivors, trace, generations_run, exhausted
+
+
+@st.composite
+def drawn_scenarios(draw):
+    """At most 12 firms with mixed outcomes, triggers, flags and a cap."""
+    n = draw(st.integers(2, 12))
+    ids = tuple(f"F{i:02d}" for i in range(n))
+    unit = st.floats(0.0, 1.0)
+    params, states, decisions = {}, {}, {}
+    for f in ids:
+        params[f] = FirmParameters(alpha=draw(unit) * 0.5,
+                                   beta=draw(unit) * 0.5,
+                                   cost_coeff=draw(unit) * 0.2,
+                                   interest_rate=draw(unit) * 0.05)
+        # labor eats most of the revenue, so thin equity and a lost
+        # customer decide solvency
+        revenue = draw(st.floats(50.0, 150.0))
+        states[f] = FirmState(
+            revenue=revenue,
+            prev_revenue=revenue / draw(st.floats(0.85, 1.15)),
+            capital=draw(st.floats(10.0, 100.0)),
+            labor=revenue * draw(st.floats(0.5, 0.95)),
+            equity=draw(st.floats(-5.0, 40.0)))
+        decisions[f] = InvestmentDecision(
+            capital=states[f].capital * draw(st.floats(0.9, 1.1)),
+            labor=states[f].labor * draw(st.floats(0.9, 1.1)))
+    net = TransactionNetwork(firms=ids, edges=[
+        (s, c, draw(unit)) for s in ids for c in ids
+        if s != c and draw(st.booleans())])
+    triggers = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=3,
+                             unique=True))
+    others = [f for f in ids if f not in triggers]
+    flagged = draw(st.lists(st.sampled_from(others), unique=True,
+                            max_size=2)) if others else []
+    for f in flagged:
+        states[f] = replace(states[f], bankrupt=True)
+    config = CascadeConfig(
+        trigger_firms=tuple(triggers),
+        gdp_growth=draw(st.floats(0.9, 1.2)),
+        policy=draw(st.sampled_from((ZERO_REVENUE, PURE_LOSS))),
+        max_generations=draw(st.none() | st.integers(0, 4)))
+    return Economy(params=params, states=states), net, decisions, config
 
 
 def random_fixture(seed, n=None):
@@ -220,6 +345,66 @@ class TestConfigValidation:
     def test_gdp_growth_positive(self):
         with pytest.raises(ValueError):
             CascadeConfig(trigger_firms=("A",), gdp_growth=0.0)
+
+
+class TestFrontier:
+    def test_survivor_of_an_early_failure_carries_the_last_generation(self):
+        # line L0 -> L1 -> L2 -> L3 plus S supplying L2; L3 is the trigger.
+        # L2 falls in generation 1 and S is evaluated once, in generation
+        # 2, yet its trace entry reads generations_run.
+        ids = ("L0", "L1", "L2", "L3", "S")
+        params = {f: FirmParameters(alpha=0.0, beta=0.0, cost_coeff=0.0,
+                                    interest_rate=0.0) for f in ids}
+        states = {f: FirmState(revenue=100.0, prev_revenue=100.0,
+                               capital=50.0, labor=95.0,
+                               equity=1000.0 if f == "S" else 40.0)
+                  for f in ids}
+        edges = [("L0", "L1", 0.5), ("L1", "L2", 0.5), ("L2", "L3", 0.5),
+                 ("S", "L2", 0.5)]
+        net = TransactionNetwork(firms=ids, edges=edges)
+        decisions = {f: InvestmentDecision(capital=50.0, labor=95.0)
+                     for f in ids}
+        res = run_cascade(Economy(params=params, states=states), net,
+                          CascadeConfig(trigger_firms=("L3",)),
+                          decisions=decisions)
+        assert res.bankrupt == {"L3": 0, "L2": 1, "L1": 2, "L0": 3}
+        assert res.generations_run == 4
+        assert res.survivors == {"S": REASON_EQUITY}
+        assert res.equity_trace["S"].generation == res.generations_run
+        assert res.equity_trace["S"].equity_end == pytest.approx(955.0)
+        for f, g in res.bankrupt.items():
+            if g:
+                assert res.equity_trace[f].generation == g
+
+    def test_supplier_of_a_flagged_firm_is_evaluated_in_generation_one(self):
+        # B was bankrupt before the run and is no trigger; its supplier A
+        # is evaluated (and falls) in generation 1 of a cascade from C
+        eco, net, decisions = make_chain(equity_a=30.0)
+        eco.mark_bankrupt("B")
+        res = run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
+                          decisions=decisions)
+        assert res.bankrupt == {"C": 0, "A": 1}
+        assert res.equity_trace["A"].generation == 1
+        assert res.equity_trace["A"].equity_end == pytest.approx(-15.0)
+        assert "B" not in res.equity_trace
+
+    @given(drawn_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_full_rescan_reference(self, scenario):
+        eco, net, decisions, config = scenario
+        res = run_cascade(eco, net, config, decisions=decisions)
+        bankrupt, survivors, trace, generations_run, exhausted = (
+            full_rescan_cascade(eco, net, config.trigger_firms, decisions,
+                                config.gdp_growth, config.policy,
+                                config.max_generations))
+        assert res.bankrupt == bankrupt
+        assert res.survivors == survivors
+        assert res.generations_run == generations_run
+        assert res.exhausted == exhausted
+        assert {f: (ev.generation, ev.equity_begin, ev.term_profit,
+                    ev.equity_end, ev.baseline_profit, ev.went_bankrupt)
+                for f, ev in res.equity_trace.items()} == trace
+        assert all(ev.firm == f for f, ev in res.equity_trace.items())
 
 
 class TestOracleEquivalence:

@@ -90,6 +90,22 @@ class TestCalibrate:
         fitted = json.loads((fit / "fit_report.json").read_text())
         assert doc["histograms"] == fitted["histograms"]
 
+    def test_seed_from_config_file(self, tmp_path):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "calibrate_cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
+        files = ["--panel", str(data / "panel.csv"),
+                 "--edges", str(data / "edges.csv"),
+                 "--gdp", str(data / "gdp.csv")]
+        by_flag, by_cfg = tmp_path / "flag", tmp_path / "cfg"
+        assert run(["calibrate", *files, "--out-dir", str(by_flag),
+                    "--seed", "5"]) == 0
+        assert run(["calibrate", *files, "--out-dir", str(by_cfg),
+                    "--config", str(cfg)]) == 0
+        written = (by_cfg / "fit_report.json").read_bytes()
+        assert written == (by_flag / "fit_report.json").read_bytes()
+        assert json.loads(written)["seed"] == 5
+
     def test_report_refuses_empty_input(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text(json.dumps({"firms": {}}))

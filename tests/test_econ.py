@@ -90,6 +90,24 @@ class TestNetwork:
         assert net.strength("B", "C") == 0.2
         assert net.n_edges() == 2
 
+    def test_adjacency_is_sorted_and_stable_across_calls(self):
+        # edges given out of order: the sorted views are built once
+        edges = (("D", "A", 0.4), ("B", "D", 0.3), ("B", "A", 0.1),
+                 ("C", "A", 0.2), ("B", "C", 0.5))
+        net = TransactionNetwork(firms=("D", "C", "B", "A"), edges=edges)
+        first = {f: (net.customers_of(f), net.suppliers_of(f))
+                 for f in net.firms}
+        for f in net.firms:
+            assert net.customers_of(f) == first[f][0]
+            assert net.suppliers_of(f) == first[f][1]
+        assert net.customers_of("B") == (("A", 0.1), ("C", 0.5), ("D", 0.3))
+        assert net.suppliers_of("A") == (("B", 0.1), ("C", 0.2), ("D", 0.4))
+        assert net.customers_of("A") == ()
+        listed = [("B", "A", 0.1), ("B", "C", 0.5), ("B", "D", 0.3),
+                  ("C", "A", 0.2), ("D", "A", 0.4)]
+        assert list(net.edges()) == listed
+        assert list(net.edges()) == listed
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
             TransactionNetwork(firms=("A",), edges=(("A", "A", 0.1),))

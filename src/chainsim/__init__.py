@@ -1,6 +1,5 @@
 """Chain-bankruptcy simulation and calibration for firm transaction networks."""
 
-from .bfgs import MinimizeResult, central_diff_grad, minimize_bounded
 from .calibration import (
     CalibrationReport,
     FirmSeries,

@@ -14,12 +14,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bfgs import minimize_bounded
 from .econ import TransactionNetwork
 
 # A residual at position t needs periods t-1, t and t+1, so a panel of
 # T periods yields T-2 usable residuals, at positions 1 .. T-2.
 MIN_PERIODS = 3
+
+# Search box and starting point of every fit.
+ELASTICITY_BOUNDS = (0.0, 2.0)
+STRENGTH_BOUNDS = (-2.0, 2.0)
+INIT_ELASTICITY = 0.3
+INIT_STRENGTH = 0.0
+
+# Levenberg-Marquardt damping: start, floor and ceiling of lambda, and
+# the floor under diag(J^T J) that keeps a flat column from zeroing it.
+LM_LAMBDA_START = 1e-3
+LM_LAMBDA_MIN = 1e-12
+LM_LAMBDA_MAX = 1e12
+LM_DIAG_FLOOR = 1e-12
 
 
 class UnderdeterminedError(ValueError):
@@ -158,15 +170,87 @@ def average_error(residuals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer settings for one firm's fit."""
+    """Solver settings for one firm's fit.
+
+    A fit is converged when the max-abs projected gradient of its
+    residual sum of squares is below tol, or when the undamped
+    Gauss-Newton step over the coordinates not held at a bound moves
+    every coordinate by less than tol. max_iter caps the accepted steps.
+    """
 
     tol: float = 1e-8
     max_iter: int = 500
-    fd_step: float = 1e-6
-    elasticity_bounds: tuple[float, float] = (0.0, 2.0)
-    strength_bounds: tuple[float, float] = (-2.0, 2.0)
-    init_elasticity: float = 0.3
-    init_strength: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, int)):
+            raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
+
+
+@dataclass(frozen=True)
+class MinimizeResult:
+    x: np.ndarray
+    iterations: int       # accepted steps
+    converged: bool
+    n_evals: int          # residual+Jacobian evaluations
+
+
+def minimize_bounded(fun, x0, bounds, tol: float = 1e-8,
+                     max_iter: int = 500) -> MinimizeResult:
+    """Minimize sum(r**2) over a box by projected Levenberg-Marquardt.
+
+    fun(x) returns the residual vector r and its Jacobian J. A bound
+    coordinate whose gradient points out of the box is held for the
+    step; the rest take the step solving (J^T J + lambda diag(J^T J)) d
+    = -J^T r, and the trial point is clipped to the box. A step is
+    accepted only if it strictly lowers the sum of squares. converged
+    follows the rule stated on FitOptions, checked before every step
+    and again at the max_iter cap; damping never makes a step count as
+    small.
+    """
+    lo = np.asarray(bounds[0], dtype=float)
+    hi = np.asarray(bounds[1], dtype=float)
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r, J = fun(x)
+    n_evals = 1
+    sse = float(r @ r)
+    lam = LM_LAMBDA_START
+    iterations = 0
+    while True:
+        g = J.T @ r  # half the gradient of the sum of squares
+        converged = bool(np.all(np.abs(x - np.clip(x - 2.0 * g, lo, hi)) < tol))
+        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
+        A = (J.T @ J)[np.ix_(free, free)]
+        xf, gf, lof, hif = x[free], g[free], lo[free], hi[free]
+        if not converged:
+            try:
+                step = np.clip(xf - np.linalg.solve(A, gf), lof, hif) - xf
+                converged = bool(np.all(np.abs(step) < tol))
+            except np.linalg.LinAlgError:
+                pass  # singular J^T J has no Gauss-Newton step
+        if converged or iterations >= max_iter:
+            break
+        damp = np.diag(np.maximum(np.diag(A), LM_DIAG_FLOOR))
+        while lam <= LM_LAMBDA_MAX:
+            xn = x.copy()
+            xn[free] = np.clip(xf - np.linalg.solve(A + lam * damp, gf),
+                               lof, hif)
+            rn, Jn = fun(xn)
+            n_evals += 1
+            if float(rn @ rn) < sse:
+                break
+            lam *= 10.0
+        else:
+            break  # no damping left that lowers the sum of squares
+        x, r, J, sse = xn, rn, Jn, float(rn @ rn)
+        lam = max(lam / 10.0, LM_LAMBDA_MIN)
+        iterations += 1
+    return MinimizeResult(x=x, iterations=iterations, converged=converged,
+                          n_evals=n_evals)
 
 
 @dataclass(frozen=True)
@@ -188,9 +272,12 @@ def fit_firm(firm: FirmSeries, customers: dict[str, FirmSeries],
              gdp: np.ndarray, options: FitOptions = FitOptions()) -> FitResult:
     """Least-squares fit of (alpha, beta, k_per_customer) for one firm.
 
-    Starts from neutral values, walks the residual sum of squares down
-    with the projected quasi-Newton minimizer, then backs the noise
-    scale out of the residuals at the optimum. A flat objective (e.g. a
+    Starts from neutral values and walks the residual sum of squares
+    down with projected Levenberg-Marquardt on the exact Jacobian (the
+    residual is linear in the strengths), then backs the noise scale
+    out of the residuals at the optimum. converged follows the rule
+    stated on FitOptions: the projected gradient or the undamped
+    Gauss-Newton step is below options.tol. A flat objective (e.g. a
     perfectly constant panel) converges at the starting point and is
     flagged degenerate.
     """
@@ -211,25 +298,26 @@ def fit_firm(firm: FirmSeries, customers: dict[str, FirmSeries],
     rev_ratio = r[2:] / r[1:-1]
     ln_kr = np.log(k[2:] / k[1:-1])
     ln_lr = np.log(l[2:] / l[1:-1])
+    jac0 = np.zeros((n_resid, n_params))
     if ids:
         _, gap = growth_gap_matrix(dict(customers), gdp)
-    else:
-        gap = None
+        jac0[:, 2:] = -gap.T
 
-    def objective(x: np.ndarray) -> float:
-        eps = rev_ratio - np.exp(x[0] * ln_kr + x[1] * ln_lr)
-        if gap is not None:
+    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        prod = np.exp(x[0] * ln_kr + x[1] * ln_lr)
+        eps = rev_ratio - prod
+        if ids:
             eps = eps - x[2:] @ gap
-        return float(eps @ eps)
+        jac = jac0.copy()
+        jac[:, 0] = -prod * ln_kr
+        jac[:, 1] = -prod * ln_lr
+        return eps, jac
 
-    lo = np.array([options.elasticity_bounds[0]] * 2
-                  + [options.strength_bounds[0]] * len(ids))
-    hi = np.array([options.elasticity_bounds[1]] * 2
-                  + [options.strength_bounds[1]] * len(ids))
-    x0 = np.array([options.init_elasticity] * 2
-                  + [options.init_strength] * len(ids))
-    res = minimize_bounded(objective, x0, (lo, hi), tol=options.tol,
-                           max_iter=options.max_iter, fd_step=options.fd_step)
+    lo = np.array([ELASTICITY_BOUNDS[0]] * 2 + [STRENGTH_BOUNDS[0]] * len(ids))
+    hi = np.array([ELASTICITY_BOUNDS[1]] * 2 + [STRENGTH_BOUNDS[1]] * len(ids))
+    x0 = np.array([INIT_ELASTICITY] * 2 + [INIT_STRENGTH] * len(ids))
+    res = minimize_bounded(residual, x0, (lo, hi), tol=options.tol,
+                           max_iter=options.max_iter)
 
     strengths = {cid: float(res.x[2 + i]) for i, cid in enumerate(ids)}
     eps = residual_series(firm, dict(customers), gdp,

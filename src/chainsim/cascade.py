@@ -90,7 +90,8 @@ class Evaluation:
 class CascadeResult:
     """Outcome of a cascade scenario."""
 
-    bankrupt: dict[str, int]          # firm -> generation (triggers at 0)
+    # firms flagged before the run appear in neither bankrupt nor survivors
+    bankrupt: dict[str, int]          # felled firm -> generation (triggers at 0)
     survivors: dict[str, str]         # live firm -> stop reason
     equity_trace: dict[str, Evaluation]
     generations_run: int
@@ -236,7 +237,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     survivors = {}
     for f in economy.firm_ids:
-        if f in bankrupt:
+        if f in dead:
             continue
         ev = trace.get(f)
         if ev is None:

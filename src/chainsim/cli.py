@@ -128,19 +128,20 @@ def _load_panel_bundle(args) -> tuple:
 def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config)
     tol = float(_pick(args.tol, cfg, "tol", FitOptions.tol))
-    max_iter = int(_pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter))
+    max_iter = _pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter)
     seed = _pick(args.seed, cfg, "seed", None)
-    panel, _, network = _load_panel_bundle(args)
     options = FitOptions(tol=tol, max_iter=max_iter)
+    panel, _, network = _load_panel_bundle(args)
     report = fit_all(panel, network, options)
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
             "tol": tol, "max_iter": max_iter}
     _ensure_out_dir(args.out_dir)
     path = os.path.join(args.out_dir, "fit_report.json")
     out.write(cio.export_fit_report, path, report, echo, seed)
-    n_bad = len(report.failures)
+    n_stuck = sum(not r.converged for r in report.results.values())
     print(f"calibrated {len(report.results)} firms "
-          f"({n_bad} failures) -> {path}")
+          f"({len(report.failures)} failures, {n_stuck} not converged) "
+          f"-> {path}")
     return 0
 
 

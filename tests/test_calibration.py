@@ -13,19 +13,22 @@ from chainsim import (
     FirmParameters,
     FirmSeries,
     FirmState,
+    GeneratorConfig,
     MacroSeries,
     PanelSeries,
     TransactionNetwork,
     UnderdeterminedError,
     average_error,
+    calibration,
     fit_all,
     fit_firm,
     forward_simulate,
     neg_log_likelihood_core,
     residual_series,
+    simulate_economy,
     steady_state_inputs,
 )
-from chainsim.bfgs import central_diff_grad
+from chainsim.calibration import minimize_bounded
 
 IDS = ("S", "X", "Y")
 TRUE = {
@@ -175,25 +178,50 @@ class TestFitFirm:
                        dict(reversed(list(custs.items()))), panel.gdp)
         assert fwd == rev
 
-    def test_objective_gradient_consistent_at_two_steps(self):
+    def test_exact_jacobian_matches_central_difference(self, monkeypatch):
         _, net, panel = simulated_panel(noise_on=True, seed=7)
         custs = {c: panel.firm(c) for c, _ in net.customers_of("S")}
         ids = tuple(sorted(custs))
+        captured = []
+        real = calibration.minimize_bounded
 
-        def sse_at(x):
+        def capture(fun, *args, **kwargs):
+            captured.append(fun)
+            return real(fun, *args, **kwargs)
+
+        monkeypatch.setattr(calibration, "minimize_bounded", capture)
+        fit_firm(panel.firm("S"), custs, panel.gdp)
+        (fun,) = captured
+
+        def resid(x):
             ks = {c: float(x[2 + i]) for i, c in enumerate(ids)}
-            eps = residual_series(panel.firm("S"), custs, panel.gdp,
-                                  float(x[0]), float(x[1]), ks)
-            return float(eps @ eps)
+            return residual_series(panel.firm("S"), custs, panel.gdp,
+                                   float(x[0]), float(x[1]), ks)
 
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = np.concatenate([rng.uniform(0.05, 0.8, 2),
                                 rng.uniform(-0.5, 0.5, len(ids))])
-            g1 = central_diff_grad(sse_at, x, step=1e-6)
-            g2 = central_diff_grad(sse_at, x, step=1e-5)
-            denom = np.maximum(1.0, np.abs(g1))
-            assert np.max(np.abs(g1 - g2) / denom) < 1e-5
+            r, jac = fun(x)
+            assert r == pytest.approx(resid(x), abs=1e-12)
+            h = 1e-6
+            for j in range(x.size):
+                e = np.zeros_like(x)
+                e[j] = h
+                fd = (resid(x + e) - resid(x - e)) / (2.0 * h)
+                assert jac[:, j] == pytest.approx(fd, abs=1e-8)
+
+    def test_round_off_optimum_reports_converged(self):
+        # the optimum is reached to round-off, where no trial point lowers
+        # the SSE any more; the fit must still read as converged
+        _, net, _, sim = simulate_economy(
+            GeneratorConfig(n_firms=100, horizon=11, seed=0), noise_on=True)
+        panel = sim.panel
+        custs = {c: panel.firm(c) for c, _ in net.customers_of("F0000")
+                 if c in panel.firms}
+        fit = fit_firm(panel.firm("F0000"), custs, panel.gdp)
+        assert fit.converged
+        assert fit.sse == pytest.approx(0.0015099206195656, rel=1e-12)
 
     def test_noisy_recovery_rate(self):
         # sigma 0.02, horizon 11, two customers: the fitted elasticities
@@ -206,6 +234,96 @@ class TestFitFirm:
             hits += (abs(fit.alpha - TRUE["S"].alpha) <= 0.05
                      and abs(fit.beta - TRUE["S"].beta) <= 0.05)
         assert hits >= 90
+
+
+WIDE = (np.full(2, -1e6), np.full(2, 1e6))
+BOX = (np.full(2, -2.0), np.full(2, 2.0))
+
+
+def quadratic(z):
+    """Residuals of (z0 - 3)^2 + 10 (z1 + 1)^2 and their Jacobian."""
+    s = np.sqrt(10.0)
+    return (np.array([z[0] - 3.0, s * (z[1] + 1.0)]),
+            np.array([[1.0, 0.0], [0.0, s]]))
+
+
+def rosenbrock(z):
+    return (np.array([1.0 - z[0], 10.0 * (z[1] - z[0] ** 2)]),
+            np.array([[-1.0, 0.0], [-20.0 * z[0], 10.0]]))
+
+
+class TestMinimizeBounded:
+    def test_quadratic_interior_minimum(self):
+        res = minimize_bounded(quadratic, np.zeros(2), WIDE)
+        assert res.converged
+        assert res.x == pytest.approx([3.0, -1.0], abs=1e-8)
+
+    def test_rosenbrock_valley(self):
+        res = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX)
+        assert res.converged
+        assert res.x == pytest.approx([1.0, 1.0], abs=1e-6)
+
+    def test_minimum_on_box_edge(self):
+        # unconstrained optimum at (-3, 0); the box stops x0 at -2
+        res = minimize_bounded(
+            lambda z: (np.array([z[0] + 3.0, z[1]]), np.eye(2)),
+            np.zeros(2), BOX)
+        assert res.converged
+        assert res.x[0] == -2.0
+        assert res.x[1] == pytest.approx(0.0, abs=1e-8)
+
+    def test_badly_scaled_optimum_converges_on_the_gauss_newton_step(self):
+        # at the optimum's round-off the gradient is still of order 1,
+        # but the undamped Gauss-Newton step is below tol
+        res = minimize_bounded(
+            lambda z: (1e8 * np.array([z[0] - 0.1, z[0] - 0.4]),
+                       np.array([[1e8], [1e8]])),
+            np.zeros(1), (np.full(1, -1.0), np.full(1, 1.0)))
+        assert res.converged
+        assert res.x == pytest.approx([0.25], abs=1e-12)
+
+    def test_start_at_optimum_converges_in_zero_iterations(self):
+        res = minimize_bounded(quadratic, np.array([3.0, -1.0]), WIDE)
+        assert res.converged
+        assert res.iterations == 0
+        assert res.n_evals == 1
+
+    def test_start_outside_box_is_clipped_first(self):
+        box = (np.zeros(2), np.ones(2))
+        res = minimize_bounded(quadratic, np.array([50.0, -50.0]), box)
+        assert res.converged
+        assert res.x == pytest.approx([1.0, 0.0], abs=1e-8)
+
+    def test_accepted_steps_strictly_lower_the_sum_of_squares(self):
+        seen = []
+
+        def traced(z):
+            r, jac = rosenbrock(z)
+            seen.append(float(r @ r))
+            return r, jac
+
+        res = minimize_bounded(traced, np.array([-1.2, 1.0]), BOX)
+        final = float(rosenbrock(res.x)[0] @ rosenbrock(res.x)[0])
+        assert final == min(seen)
+        assert final < seen[0]
+
+    def test_iteration_cap_reports_not_converged(self):
+        res = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX,
+                               max_iter=3)
+        assert res.iterations == 3
+        assert not res.converged
+
+    def test_convergence_is_checked_again_at_the_cap(self):
+        free_run = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX)
+        capped = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX,
+                                  max_iter=free_run.iterations)
+        assert capped.converged
+        assert capped.iterations == free_run.iterations
+
+    def test_evaluations_count_the_start_and_every_step(self):
+        res = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX)
+        assert res.iterations > 0
+        assert res.n_evals >= res.iterations + 1
 
 
 class TestFitAll:

@@ -134,7 +134,7 @@ def full_rescan_cascade(eco, net, triggers, decisions, gdp_ratio,
 
     survivors = {}
     for f in sorted(eco.params):
-        if f in bankrupt:
+        if f in dead:
             continue
         if f not in trace:
             survivors[f] = "not-reached"
@@ -387,6 +387,7 @@ class TestFrontier:
         assert res.equity_trace["A"].generation == 1
         assert res.equity_trace["A"].equity_end == pytest.approx(-15.0)
         assert "B" not in res.equity_trace
+        assert "B" not in res.survivors
 
     @given(drawn_scenarios())
     @settings(max_examples=300, deadline=None)

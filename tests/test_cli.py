@@ -72,6 +72,35 @@ class TestCalibrate:
         assert doc["firms"]
         for rec in doc["firms"].values():
             assert rec["average_error"] < 1e-6
+        assert (f"calibrated {len(doc['firms'])} firms "
+                f"({len(doc['failures'])} failures, 0 not converged) -> "
+                in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"], ["--tol", "inf"],
+        ["--max-iter", "-1"]])
+    def test_out_of_range_solver_setting_fails_clean(self, tmp_path, capsys,
+                                                      flags):
+        data = gen_dir(tmp_path)
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out), *flags]) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
+    def test_fractional_max_iter_in_config_fails_clean(self, tmp_path, capsys):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "calibrate_cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 2.5}))
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert "max_iter" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
 
     def test_histograms_regenerate_from_report(self, tmp_path):
         data = gen_dir(tmp_path)

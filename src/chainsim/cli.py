@@ -74,6 +74,14 @@ def _pick(cli_value, cfg: dict, key: str, default):
     return default
 
 
+def _number(kind, value, key: str):
+    """kind(value), or a CliError when a flag or config value is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise CliError(f"{key} must be a number, got {value!r}") from None
+
+
 def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
@@ -127,7 +135,7 @@ def _load_panel_bundle(args) -> tuple:
 
 def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config)
-    tol = float(_pick(args.tol, cfg, "tol", FitOptions.tol))
+    tol = _number(float, _pick(args.tol, cfg, "tol", FitOptions.tol), "tol")
     max_iter = _pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter)
     seed = _pick(args.seed, cfg, "seed", None)
     options = FitOptions(tol=tol, max_iter=max_iter)
@@ -178,8 +186,8 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
         raise CliError("no trigger firms given (use --trigger)")
     policy = _pick(args.policy, cfg, "policy", ZERO_REVENUE)
     max_gen = _pick(args.max_generations, cfg, "max_generations", None)
-    gdp_growth = _pick(args.gdp_ratio, cfg, "gdp_ratio",
-                       macro.ratio(len(macro) - 1))
+    gdp_growth = _number(float, _pick(args.gdp_ratio, cfg, "gdp_ratio",
+                                      macro.ratio(len(macro) - 1)), "gdp_ratio")
     formats = tuple(args.format or cfg.get("format") or FORMATS)
     for fmt in formats:
         if fmt not in FORMATS:
@@ -189,9 +197,10 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     try:
         config = CascadeConfig(
             trigger_firms=tuple(triggers),
-            gdp_growth=float(gdp_growth),
+            gdp_growth=gdp_growth,
             policy=policy,
-            max_generations=None if max_gen is None else int(max_gen),
+            max_generations=(None if max_gen is None
+                             else _number(int, max_gen, "max_generations")),
         )
         result = run_cascade(economy, network, config, seed=seed or 0)
     except ValueError as exc:
@@ -199,7 +208,7 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
             "params": args.params, "fit_report": args.fit_report,
             "trigger": sorted(triggers), "policy": policy,
-            "gdp_ratio": float(gdp_growth),
+            "gdp_ratio": gdp_growth,
             "max_generations": max_gen,
             "money_flow": not args.product_flow}
     _ensure_out_dir(args.out_dir)
@@ -224,20 +233,23 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config)
+    horizon = _number(int, _pick(args.horizon, cfg, "horizon", 11), "horizon")
+    if horizon < 3:
+        raise CliError("horizon must be >= 3")
+    seed = _number(int, _pick(args.seed, cfg, "seed", 0), "seed")
+    jitter = _number(float, _pick(args.decision_jitter, cfg,
+                                  "decision_jitter", 0.0), "decision_jitter")
     panel, macro, network = _load_panel_bundle(args)
     params = cio.load_params(args.params)
     if args.fit_report:
         params, network = _apply_fit_report(args.fit_report, params, network)
-    horizon = int(_pick(args.horizon, cfg, "horizon", 11))
-    if horizon < 3:
-        raise CliError("horizon must be >= 3")
-    seed = int(_pick(args.seed, cfg, "seed", 0))
     ratios = [macro.ratio(t) for t in range(1, len(macro))]
-    growth = _pick(args.gdp_growth, cfg, "gdp_growth",
-                   float(np.mean(ratios) - 1.0) if ratios else 0.02)
-    vol = _pick(args.gdp_volatility, cfg, "gdp_volatility",
-                float(np.std(ratios)) if ratios else 0.0)
-    jitter = float(_pick(args.decision_jitter, cfg, "decision_jitter", 0.0))
+    growth = _number(float, _pick(args.gdp_growth, cfg, "gdp_growth",
+                                  np.mean(ratios) - 1.0 if ratios else 0.02),
+                     "gdp_growth")
+    vol = _number(float, _pick(args.gdp_volatility, cfg, "gdp_volatility",
+                               np.std(ratios) if ratios else 0.0),
+                  "gdp_volatility")
     economy = economy_from_panel(panel, params)
 
     drawn = generate_gdp(
@@ -255,8 +267,8 @@ def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
     )
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
             "params": args.params, "fit_report": args.fit_report,
-            "horizon": horizon, "gdp_growth": float(growth),
-            "gdp_volatility": float(vol), "decision_jitter": jitter,
+            "horizon": horizon, "gdp_growth": growth,
+            "gdp_volatility": vol, "decision_jitter": jitter,
             "noise_on": not args.no_noise}
     _ensure_out_dir(args.out_dir)
     panel_path = os.path.join(args.out_dir, "panel_sim.csv")

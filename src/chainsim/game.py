@@ -1,10 +1,17 @@
 """Investment game: each firm picks next-term capital and labor to
 maximize next-term profit, holding everyone else's books fixed.
 
-The payoff is next-term profit with the noise term at zero. Decisions
-are searched inside a multiplicative box around the firm's current
-inputs. A closed form solves the concave case; a seeded genetic
-algorithm covers the rest.
+The payoff is next-term profit with the noise term at zero,
+B*K^a*L^b - r*K - L + const, where B is the net output coefficient.
+Decisions are searched inside a multiplicative box around the firm's
+current inputs. The surface falls into three regions:
+
+- B <= 0 (cost-dominated): the payoff does not rise in either input,
+  so the lower corner of the box is the exact answer, whatever a + b.
+- a + b < 1 and B > 0 (concave): the first-order conditions give the
+  interior optimum, or the best of the box edges when it lies outside.
+- a + b >= 1 and B > 0 (non-concave): no closed form; a seeded genetic
+  algorithm searches the box.
 """
 
 from __future__ import annotations
@@ -25,7 +32,11 @@ from .econ import (
 
 
 class NoConcaveOptimum(Exception):
-    """Raised when the profit surface has no concave interior optimum."""
+    """Raised for a non-concave surface: a + b >= 1 with B > 0.
+
+    Cost-dominated firms (B <= 0) never raise; their lower corner is
+    exact. best_response catches this and falls back to the GA.
+    """
 
 
 @dataclass(frozen=True)
@@ -104,20 +115,26 @@ def best_response_closed_form(ctx: PayoffContext,
                               config: GameConfig = GameConfig()) -> InvestmentDecision:
     """Exact argmax of the payoff over the decision box.
 
-    Requires alpha + beta < 1 and positive net output coefficient, else
-    the surface has no concave interior optimum and NoConcaveOptimum is
-    raised (callers fall back to the GA). The first-order conditions
-    give the interior point; when it falls outside the box the best of
-    the four edge-restricted optima is returned instead. Ties break
-    toward smaller capital, then smaller labor.
+    Net output coefficient B <= 0: the payoff is non-increasing in
+    capital and strictly decreasing in labor (the wage bill), so the
+    lower corner of the box is returned, for any alpha + beta; where
+    capital leaves the payoff flat the tie-break below picks it too.
+    alpha + beta < 1 and B > 0: the first-order conditions give the
+    interior point; when it falls outside the box the best of the four
+    edge-restricted optima is returned instead. alpha + beta >= 1 and
+    B > 0: the surface is not concave and NoConcaveOptimum is raised
+    (best_response falls back to the GA). Ties break toward smaller
+    capital, then smaller labor.
     """
     p = ctx.params
     a, b, r = p.alpha, p.beta, p.interest_rate
     B = _net_output_coeff(ctx)
-    if a + b >= 1.0 or B <= 0.0:
+    k_lo, k_hi, l_lo, l_hi = _box(ctx, config)
+    if B <= 0.0:
+        return InvestmentDecision(k_lo, l_lo)
+    if a + b >= 1.0:
         raise NoConcaveOptimum(
             f"alpha+beta={a + b:g}, net output coeff={B:g}")
-    k_lo, k_hi, l_lo, l_hi = _box(ctx, config)
     if k_lo == k_hi and l_lo == l_hi:
         return InvestmentDecision(k_lo, l_lo)
 
@@ -227,13 +244,15 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
         np.clip(children, lo, hi, out=children)
         pop = np.vstack([elite, children])
 
-    return InvestmentDecision(float(np.exp(best_genome[0])),
-                              float(np.exp(best_genome[1])))
+    # exp(log(x)) can land an ulp outside the box; clamp it back in
+    capital = min(max(float(np.exp(best_genome[0])), k_lo), k_hi)
+    labor = min(max(float(np.exp(best_genome[1])), l_lo), l_hi)
+    return InvestmentDecision(capital, labor)
 
 
 def best_response(ctx: PayoffContext, config: GameConfig = GameConfig(),
                   seed: int = 0) -> InvestmentDecision:
-    """Closed form when the surface is concave, GA otherwise."""
+    """Closed form unless the surface is non-concave, GA there."""
     try:
         return best_response_closed_form(ctx, config)
     except NoConcaveOptimum:

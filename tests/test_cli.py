@@ -102,6 +102,19 @@ class TestCalibrate:
         assert "max_iter" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 
+    @pytest.mark.parametrize("tol", [None, [1e-8], {"v": 1e-8}])
+    def test_config_tol_of_wrong_type_fails_clean(self, tmp_path, capsys, tol):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "calibrate_cfg.json"
+        cfg.write_text(json.dumps({"tol": tol}))
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert "tol" in capsys.readouterr().err
+        assert not (out / "fit_report.json").exists()
+
     def test_histograms_regenerate_from_report(self, tmp_path):
         data = gen_dir(tmp_path)
         fit = tmp_path / "fit"
@@ -205,6 +218,21 @@ class TestCascade:
         assert run(self.base_args(paths, tmp_path / "x")) == 2
         assert "--trigger" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("gdp_ratio", None), ("gdp_ratio", [1.0]),
+        ("max_generations", {"n": 2}), ("max_generations", [2]),
+    ])
+    def test_config_value_of_wrong_type_fails_clean(self, tmp_path, capsys,
+                                                    key, value):
+        paths = steady_chain_csvs(tmp_path)
+        cfg = tmp_path / "cascade_cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "cascade"
+        assert run(self.base_args(paths, out)
+                   + ["--trigger", "C", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_seed_from_config_file(self, tmp_path):
         paths = steady_chain_csvs(tmp_path)
         cfg = tmp_path / "cascade_cfg.json"
@@ -258,6 +286,26 @@ class TestSimulate:
                     "--horizon", "2",
                     "--out-dir", str(tmp_path / "x")]) == 2
         assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("horizon", None), ("horizon", [5]),
+        ("seed", None), ("seed", {"s": 3}),
+        ("decision_jitter", None), ("decision_jitter", [0.1]),
+        ("gdp_growth", None), ("gdp_volatility", [0.01]),
+    ])
+    def test_config_value_of_wrong_type_fails_clean(self, tmp_path, capsys,
+                                                    key, value):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "simulate_cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestEndToEnd:

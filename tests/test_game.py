@@ -9,7 +9,10 @@ drift apart.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import chainsim.game
 from chainsim import (
     Economy,
     FirmParameters,
@@ -61,6 +64,30 @@ def grid_argmax(ctx, config, n=400):
     return K[i], L[j], pay[i, j], np.log(K[1] / K[0]), np.log(L[1] / L[0])
 
 
+@st.composite
+def cost_dominated_contexts(draw):
+    """A context with net output coefficient B <= 0, and a decision box.
+
+    alpha + beta reaches 2, past the concave region, and r and the
+    margin of cost over the firm's revenue level both include zero.
+    """
+    zero_or = lambda hi: st.one_of(st.just(0.0), st.floats(0.0, hi))
+    alpha = draw(zero_or(2.0))
+    beta = draw(zero_or(2.0))
+    capital = draw(st.floats(0.5, 50.0))
+    labor = draw(st.floats(0.5, 50.0))
+    revenue = draw(st.floats(1.0, 200.0))
+    level = capital ** alpha * labor ** beta
+    ctx = ctx_of(revenue=revenue, capital=capital, labor=labor,
+                 customer_terms=draw(st.floats(-0.05, 0.05)),
+                 alpha=alpha, beta=beta,
+                 cost_coeff=revenue / level + draw(zero_or(1.0)),
+                 interest_rate=draw(zero_or(0.2)))
+    config = GameConfig(decision_bounds=(draw(st.floats(0.1, 1.0)),
+                                         draw(st.floats(1.0, 10.0))))
+    return ctx, config
+
+
 class TestExpectedPayoff:
     def test_hold_current_inputs(self):
         ctx = ctx_of()
@@ -106,10 +133,23 @@ class TestClosedForm:
         with pytest.raises(NoConcaveOptimum):
             best_response_closed_form(ctx_of(alpha=0.6, beta=0.5))
 
-    def test_rejects_cost_dominated_firm(self):
-        # cost coefficient above the firm's revenue level: B <= 0
-        with pytest.raises(NoConcaveOptimum):
-            best_response_closed_form(ctx_of(revenue=0.4, cost_coeff=0.5))
+    @given(cost_dominated_contexts())
+    @settings(max_examples=60, deadline=None)
+    def test_cost_dominated_firm_takes_lower_corner(self, drawn):
+        ctx, config = drawn
+        lo = config.decision_bounds[0]
+        dec = best_response_closed_form(ctx, config)
+        assert (dec.capital, dec.labor) == (lo * ctx.capital, lo * ctx.labor)
+        pay = expected_payoff(ctx, dec)
+        tol = 1e-9 * max(1.0, abs(pay))  # round-off of two payoff formulas
+        assert pay >= grid_argmax(ctx, config)[2] - tol
+        ga = best_response_ga(ctx, config, seed=0)
+        assert pay >= expected_payoff(ctx, ga) - tol
+        with pytest.MonkeyPatch.context() as mp:
+            def no_ga(*args, **kwargs):
+                raise AssertionError("GA called on a cost-dominated firm")
+            mp.setattr(chainsim.game, "best_response_ga", no_ga)
+            assert best_response(ctx, config, seed=0) == dec
 
     def test_interior_matches_grid(self):
         rng = np.random.default_rng(7)
@@ -181,6 +221,25 @@ class TestGeneticSearch:
             hold = InvestmentDecision(capital=ctx.capital, labor=ctx.labor)
             ga = best_response_ga(ctx, seed=trial)
             assert expected_payoff(ctx, ga) >= expected_payoff(ctx, hold) - 1e-12
+
+    def test_decisions_stay_inside_the_box(self):
+        rng = np.random.default_rng(33)
+        config = GameConfig()
+        lo, hi = config.decision_bounds
+        for trial in range(8):
+            # increasing returns and B > 0: the optimum sits on the edges
+            revenue, capital, labor = rng.uniform(0.5, 300, size=3)
+            alpha, beta = rng.uniform(0.5, 1.0, size=2)
+            level = capital ** alpha * labor ** beta
+            ctx = ctx_of(revenue=revenue, capital=capital, labor=labor,
+                         alpha=alpha, beta=beta,
+                         cost_coeff=rng.uniform(0.0, 0.9) * revenue / level,
+                         interest_rate=rng.uniform(0.0, 0.2))
+            with pytest.raises(NoConcaveOptimum):
+                best_response_closed_form(ctx, config)
+            ga = best_response_ga(ctx, config, seed=trial)
+            assert lo * ctx.capital <= ga.capital <= hi * ctx.capital
+            assert lo * ctx.labor <= ga.labor <= hi * ctx.labor
 
     def test_degenerate_box(self):
         pin = GameConfig(decision_bounds=(1.0, 1.0))

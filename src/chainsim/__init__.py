@@ -35,14 +35,9 @@ from .econ import (
     ZERO_REVENUE,
     bankrupt_interaction,
     customer_terms_sum,
-    equity_end_of_term,
-    floor_revenue,
     interaction_term,
     is_bankrupt,
-    material_cost,
-    production_ratio,
-    profit,
-    revenue_next,
+    term_books,
 )
 from .game import (
     GameConfig,

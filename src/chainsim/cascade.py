@@ -21,6 +21,7 @@ its last evaluation holds for every generation after it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, replace
 
@@ -31,14 +32,9 @@ from .econ import (
     ZERO_REVENUE,
     POLICIES,
     bankrupt_interaction,
-    equity_end_of_term,
-    floor_revenue,
     interaction_term,
     is_bankrupt,
-    material_cost,
-    production_ratio,
-    profit,
-    revenue_next,
+    term_books,
 )
 from .game import nash_solve
 
@@ -65,8 +61,13 @@ class CascadeConfig:
             raise ValueError("need at least one trigger firm")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if self.gdp_growth <= 0.0:
-            raise ValueError("gdp_growth must be > 0")
+        if not (math.isfinite(self.gdp_growth) and self.gdp_growth > 0.0):
+            raise ValueError(
+                f"gdp_growth must be finite and > 0, got {self.gdp_growth!r}")
+        cap = self.max_generations
+        if cap is not None and (type(cap) is not int or cap < 0):  # no bools
+            raise ValueError(
+                f"max_generations must be None or an int >= 0, got {cap!r}")
 
 
 @dataclass(frozen=True)
@@ -135,23 +136,16 @@ def evaluate_supplier(firm: str, economy: Economy,
                                     config.gdp_growth)
             shocked += term
             baseline += term
-    growth = production_ratio(decision, st, p.alpha, p.beta)
-    cost = material_cost(p.cost_coeff, decision, p.alpha, p.beta)
-
-    def term_profit(terms: float) -> float:
-        raw = revenue_next(st.revenue, growth, terms)
-        rev, _ = floor_revenue(raw, st.revenue)
-        return profit(rev, cost, p.interest_rate, decision)
-
-    shocked_profit = term_profit(shocked)
-    equity_end = equity_end_of_term(st.equity, shocked_profit)
+    _, shocked_profit, _ = term_books(st, p, decision, shocked)
+    _, baseline_profit, _ = term_books(st, p, decision, baseline)
+    equity_end = st.equity + shocked_profit
     return Evaluation(
         firm=firm,
         generation=generation,
         equity_begin=st.equity,
         term_profit=shocked_profit,
         equity_end=equity_end,
-        baseline_profit=term_profit(baseline),
+        baseline_profit=baseline_profit,
         went_bankrupt=is_bankrupt(equity_end),
     )
 
@@ -206,7 +200,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     if decisions is None:
         decisions = nash_solve(economy, network, config.gdp_growth,
-                               seed=seed, policy=config.policy).decisions
+                               seed=seed).decisions
 
     bankrupt = {f: 0 for f in config.trigger_firms}
     frontier = {f for f, st in economy.states.items() if st.bankrupt}

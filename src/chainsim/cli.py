@@ -74,12 +74,19 @@ def _pick(cli_value, cfg: dict, key: str, default):
     return default
 
 
-def _number(kind, value, key: str):
-    """kind(value), or a CliError when a flag or config value is not a number."""
+def _number(value, key: str) -> float:
+    """float(value), or a CliError when a flag or config value is not a number."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
         raise CliError(f"{key} must be a number, got {value!r}") from None
+
+
+def _integer(value, key: str) -> int:
+    """value itself, or a CliError unless it is an int (bools refused)."""
+    if type(value) is not int:
+        raise CliError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _ensure_out_dir(path: str) -> None:
@@ -100,6 +107,9 @@ def _cmd_generate(args: argparse.Namespace, out: _Outputs) -> int:
                            ("seed", args.seed)):
         if cli_value is not None:
             values[key] = cli_value
+    for key in ("n_firms", "horizon", "seed"):
+        if key in values:
+            _integer(values[key], key)
     for key in ("alpha_range", "beta_range", "strength_range",
                 "cost_coeff_range", "revenue_range", "equity_frac_range"):
         if key in values:
@@ -135,9 +145,11 @@ def _load_panel_bundle(args) -> tuple:
 
 def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config)
-    tol = _number(float, _pick(args.tol, cfg, "tol", FitOptions.tol), "tol")
+    tol = _number(_pick(args.tol, cfg, "tol", FitOptions.tol), "tol")
     max_iter = _pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter)
     seed = _pick(args.seed, cfg, "seed", None)
+    if seed is not None:
+        _integer(seed, "seed")
     options = FitOptions(tol=tol, max_iter=max_iter)
     panel, _, network = _load_panel_bundle(args)
     report = fit_all(panel, network, options)
@@ -153,17 +165,40 @@ def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
     return 0
 
 
-def _apply_fit_report(path: str, params: dict, network):
-    """Overlay fitted elasticities and strengths onto truth inputs."""
+def _read_fit_report(path: str) -> dict:
+    """The fit report at path, with what the commands read of it checked.
+
+    firms and failures must be objects. Each firm record needs numeric
+    alpha, beta and average_error, and numeric strengths if it has any;
+    anything else is a CliError.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read fit report {path}: {exc}") from None
-    firms = report.get("firms", {})
+    firms = report.get("firms") if isinstance(report, dict) else None
+    if not (isinstance(firms, dict)
+            and isinstance(report.get("failures", {}), dict)):
+        raise CliError(f"fit report {path} must hold an object of firms "
+                       "and, if any, of failures")
+    for fid, rec in firms.items():
+        strengths = rec.get("strengths", {}) if isinstance(rec, dict) else None
+        if not (isinstance(strengths, dict)
+                and all(type(v) in (int, float)  # bools are not numbers here
+                        for v in (rec.get("alpha"), rec.get("beta"),
+                                  rec.get("average_error"),
+                                  *strengths.values()))):
+            raise CliError(f"fit report {path}: firm {fid!r} needs numeric "
+                           "alpha, beta, average_error and strengths")
+    return report
+
+
+def _apply_fit_report(path: str, params: dict, network):
+    """Overlay fitted elasticities and strengths onto truth inputs."""
     new_params = dict(params)
     overrides = {}
-    for fid, rec in firms.items():
+    for fid, rec in _read_fit_report(path)["firms"].items():
         if fid in new_params:
             base = new_params[fid]
             new_params[fid] = dataclasses.replace(
@@ -186,21 +221,22 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
         raise CliError("no trigger firms given (use --trigger)")
     policy = _pick(args.policy, cfg, "policy", ZERO_REVENUE)
     max_gen = _pick(args.max_generations, cfg, "max_generations", None)
-    gdp_growth = _number(float, _pick(args.gdp_ratio, cfg, "gdp_ratio",
-                                      macro.ratio(len(macro) - 1)), "gdp_ratio")
+    gdp_growth = _number(_pick(args.gdp_ratio, cfg, "gdp_ratio",
+                               macro.ratio(len(macro) - 1)), "gdp_ratio")
     formats = tuple(args.format or cfg.get("format") or FORMATS)
     for fmt in formats:
         if fmt not in FORMATS:
             raise CliError(f"unknown format {fmt!r}")
     seed = _pick(args.seed, cfg, "seed", None)
+    if seed is not None:
+        _integer(seed, "seed")
     economy = economy_from_panel(panel, params)
     try:
         config = CascadeConfig(
             trigger_firms=tuple(triggers),
             gdp_growth=gdp_growth,
             policy=policy,
-            max_generations=(None if max_gen is None
-                             else _number(int, max_gen, "max_generations")),
+            max_generations=max_gen,
         )
         result = run_cascade(economy, network, config, seed=seed or 0)
     except ValueError as exc:
@@ -233,22 +269,22 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config)
-    horizon = _number(int, _pick(args.horizon, cfg, "horizon", 11), "horizon")
+    horizon = _integer(_pick(args.horizon, cfg, "horizon", 11), "horizon")
     if horizon < 3:
         raise CliError("horizon must be >= 3")
-    seed = _number(int, _pick(args.seed, cfg, "seed", 0), "seed")
-    jitter = _number(float, _pick(args.decision_jitter, cfg,
-                                  "decision_jitter", 0.0), "decision_jitter")
+    seed = _integer(_pick(args.seed, cfg, "seed", 0), "seed")
+    jitter = _number(_pick(args.decision_jitter, cfg, "decision_jitter", 0.0),
+                     "decision_jitter")
     panel, macro, network = _load_panel_bundle(args)
     params = cio.load_params(args.params)
     if args.fit_report:
         params, network = _apply_fit_report(args.fit_report, params, network)
     ratios = [macro.ratio(t) for t in range(1, len(macro))]
-    growth = _number(float, _pick(args.gdp_growth, cfg, "gdp_growth",
-                                  np.mean(ratios) - 1.0 if ratios else 0.02),
+    growth = _number(_pick(args.gdp_growth, cfg, "gdp_growth",
+                           np.mean(ratios) - 1.0 if ratios else 0.02),
                      "gdp_growth")
-    vol = _number(float, _pick(args.gdp_volatility, cfg, "gdp_volatility",
-                               np.std(ratios) if ratios else 0.0),
+    vol = _number(_pick(args.gdp_volatility, cfg, "gdp_volatility",
+                        np.std(ratios) if ratios else 0.0),
                   "gdp_volatility")
     economy = economy_from_panel(panel, params)
 
@@ -281,12 +317,8 @@ def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, out: _Outputs) -> int:
-    try:
-        with open(args.fit_report, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read fit report {args.fit_report}: {exc}") from None
-    firms = report.get("firms", {})
+    report = _read_fit_report(args.fit_report)
+    firms = report["firms"]
     if not firms:
         raise CliError(f"{args.fit_report} holds no firm results")
     histograms = _histograms((r["alpha"], r["beta"],

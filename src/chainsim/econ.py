@@ -1,9 +1,18 @@
-"""Core firm-level accounting: revenue growth, costs, profit, and solvency.
+"""Core firm-level accounting: the term rule, the network and solvency.
 
 Firms sell to downstream customers over a directed transaction network.
-A firm's revenue growth tracks its own production growth plus a coupling
-term per customer (customer revenue growth measured against GDP growth).
-End-of-term equity below zero means bankruptcy.
+One term of a firm's books, given its next-term capital K' and labor
+L' (term_books):
+
+    revenue' = revenue * ((K'/K)^alpha * (L'/L)^beta + sum_c terms_c + shock)
+    profit   = revenue' - cost_coeff * K'^alpha * L'^beta
+               - interest_rate * K' - L'
+    equity'  = equity + profit
+
+with one coupling term k * (customer growth - GDP growth) per customer
+c. A revenue' at or below zero is floored to REVENUE_FLOOR_FRAC of the
+current revenue, which keeps later growth ratios defined. End-of-term
+equity below zero is bankruptcy.
 """
 
 from __future__ import annotations
@@ -124,9 +133,6 @@ class TransactionNetwork:
     def firms(self) -> tuple[str, ...]:
         return self._firms
 
-    def __contains__(self, firm: str) -> bool:
-        return firm in self._out
-
     def n_edges(self) -> int:
         return sum(len(d) for d in self._out.values())
 
@@ -204,16 +210,6 @@ class Economy:
         self.states[firm] = replace(self.states[firm], bankrupt=True)
 
 
-def production_ratio(decision: InvestmentDecision, state: FirmState,
-                     alpha: float, beta: float) -> float:
-    """Output growth factor implied by next-term capital and labor.
-
-    (K_next/K)^alpha * (L_next/L)^beta; equals 1 when inputs are held.
-    """
-    return ((decision.capital / state.capital) ** alpha
-            * (decision.labor / state.labor) ** beta)
-
-
 def interaction_term(strength: float, customer_growth: float,
                      gdp_growth: float) -> float:
     """Coupling contribution of one customer to a supplier's revenue growth.
@@ -256,46 +252,26 @@ def customer_terms_sum(firm: str, network: TransactionNetwork,
     return total
 
 
-def revenue_next(revenue: float, production_growth: float,
-                 customer_terms: float, noise: float = 0.0) -> float:
-    """Next-term revenue before any floor is applied.
+def term_books(state: FirmState, params: FirmParameters,
+               decision: InvestmentDecision, customer_terms: float,
+               noise: float = 0.0) -> tuple[float, float, bool]:
+    """One term of a firm's books under the rule in the module docstring.
 
-    Current revenue scaled by production growth plus customer coupling
-    plus an idiosyncratic shock. May come out non-positive under a
-    severe shock; see floor_revenue.
+    Returns (revenue, profit, floored): next-term revenue after the
+    floor, the term's profit, and whether the floor fired. The caller
+    rolls profit into equity.
     """
-    return revenue * (production_growth + customer_terms + noise)
-
-
-def floor_revenue(value: float, revenue: float) -> tuple[float, bool]:
-    """Clamp a non-positive revenue outcome to REVENUE_FLOOR_FRAC of revenue.
-
-    Returns (possibly clamped value, whether the floor fired). Keeps
-    later growth ratios well defined.
-    """
-    if value > 0.0:
-        return value, False
-    return REVENUE_FLOOR_FRAC * revenue, True
-
-
-def material_cost(cost_coeff: float, decision: InvestmentDecision,
-                  alpha: float, beta: float) -> float:
-    """Material cost of running next-term production."""
-    return cost_coeff * decision.capital ** alpha * decision.labor ** beta
-
-
-def profit(revenue: float, cost: float, interest_rate: float,
-           decision: InvestmentDecision) -> float:
-    """Operating result: revenue less material cost, capital charge, wages.
-
-    Wages carry a unit coefficient, so labor enters at face value.
-    """
-    return revenue - cost - interest_rate * decision.capital - decision.labor
-
-
-def equity_end_of_term(equity_begin: float, term_profit: float) -> float:
-    """End-of-term equity: beginning equity plus the term's profit."""
-    return equity_begin + term_profit
+    growth = ((decision.capital / state.capital) ** params.alpha
+              * (decision.labor / state.labor) ** params.beta)
+    revenue = state.revenue * (growth + customer_terms + noise)
+    floored = not revenue > 0.0
+    if floored:
+        revenue = REVENUE_FLOOR_FRAC * state.revenue
+    cost = (params.cost_coeff * decision.capital ** params.alpha
+            * decision.labor ** params.beta)
+    profit = (revenue - cost - params.interest_rate * decision.capital
+              - decision.labor)
+    return revenue, profit, floored
 
 
 def is_bankrupt(equity_end: float) -> bool:

@@ -26,9 +26,17 @@ from .econ import (
     FirmParameters,
     InvestmentDecision,
     TransactionNetwork,
-    ZERO_REVENUE,
     customer_terms_sum,
 )
+
+# Genetic search settings, used only for non-concave surfaces.
+GA_POPULATION = 64
+GA_GENERATIONS = 200
+GA_TOURNAMENT = 4
+GA_MUTATION_SCALE = 0.05   # fraction of the log box width
+GA_MUTATION_PROB = 0.25    # per-gene mutation probability
+GA_CROSSOVER_PROB = 0.9
+GA_ELITE = 1
 
 
 class NoConcaveOptimum(Exception):
@@ -41,20 +49,13 @@ class NoConcaveOptimum(Exception):
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Knobs for the best-response search.
+    """The decision box of the best-response search.
 
     decision_bounds are multiplicative: a firm with capital K may pick
     next-term capital in [lower * K, upper * K], same for labor.
     """
 
     decision_bounds: tuple[float, float] = (0.25, 4.0)
-    ga_population: int = 64
-    ga_generations: int = 200
-    ga_tournament: int = 4
-    ga_mutation_scale: float = 0.05   # fraction of the log box width
-    ga_mutation_prob: float = 0.25    # per-gene mutation probability
-    ga_crossover_prob: float = 0.9
-    ga_elite: int = 1
 
     def __post_init__(self) -> None:
         lo, hi = self.decision_bounds
@@ -205,16 +206,16 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     lo = np.log([k_lo, l_lo])
     hi = np.log([k_hi, l_hi])
     width = hi - lo
-    sigma = config.ga_mutation_scale * width
+    sigma = GA_MUTATION_SCALE * width
 
-    n = config.ga_population
+    n = GA_POPULATION
     pop = lo + rng.random((n, 2)) * width
     pop[0] = np.log([ctx.capital, ctx.labor])  # incumbent
     np.clip(pop, lo, hi, out=pop)
 
     best_genome = None
     best_pay = -np.inf
-    for _ in range(config.ga_generations + 1):
+    for _ in range(GA_GENERATIONS + 1):
         pay = _payoff(ctx, np.exp(pop[:, 0]), np.exp(pop[:, 1]))
         # rank with deterministic tie-break: payoff desc, then K, then L
         order = np.lexsort((pop[:, 1], pop[:, 0], -pay))
@@ -224,22 +225,22 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
                     and tuple(pop[top]) < tuple(best_genome))):
             best_pay = float(pay[top])
             best_genome = pop[top].copy()
-        elite = pop[order[: config.ga_elite]]
+        elite = pop[order[:GA_ELITE]]
 
         # tournament parents for the rest of the next generation
-        n_children = n - config.ga_elite
-        picks = rng.integers(0, n, size=(2 * n_children, config.ga_tournament))
+        n_children = n - GA_ELITE
+        picks = rng.integers(0, n, size=(2 * n_children, GA_TOURNAMENT))
         winners = picks[np.arange(2 * n_children),
                         np.argmax(pay[picks], axis=1)]
         p1 = pop[winners[:n_children]]
         p2 = pop[winners[n_children:]]
         u = rng.random((n_children, 2))
         children = np.where(
-            rng.random((n_children, 1)) < config.ga_crossover_prob,
+            rng.random((n_children, 1)) < GA_CROSSOVER_PROB,
             u * p1 + (1.0 - u) * p2,
             p1,
         )
-        mutate = rng.random((n_children, 2)) < config.ga_mutation_prob
+        mutate = rng.random((n_children, 2)) < GA_MUTATION_PROB
         children = children + mutate * rng.normal(0.0, 1.0, (n_children, 2)) * sigma
         np.clip(children, lo, hi, out=children)
         pop = np.vstack([elite, children])
@@ -277,22 +278,22 @@ def _firm_seed(seed: int, firm: str) -> int:
 
 
 def nash_solve(economy: Economy, network: TransactionNetwork,
-               gdp_growth: float, config: GameConfig = GameConfig(),
-               seed: int = 0, policy: str = ZERO_REVENUE) -> NashResult:
+               gdp_growth: float, seed: int = 0) -> NashResult:
     """Joint best responses of every firm: the game's fixed point.
 
     Each firm's payoff depends on the others only through revenues
     already on the books, so the game decouples and one best-response
     pass per firm, each with its own GA stream, is the fixed point.
-    Result is independent of firm ordering.
+    Result is independent of firm ordering. A bankrupt firm is refused,
+    so every customer term reads a live customer's growth ratio.
     """
     decisions = {}
     for f in economy.firm_ids:
         st = economy.states[f]
         if st.bankrupt:
             raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")
-        cts = customer_terms_sum(f, network, economy.states, gdp_growth, policy)
+        cts = customer_terms_sum(f, network, economy.states, gdp_growth)
         ctx = PayoffContext(st.revenue, st.capital, st.labor,
                             cts, economy.params[f])
-        decisions[f] = best_response(ctx, config, seed=_firm_seed(seed, f))
+        decisions[f] = best_response(ctx, seed=_firm_seed(seed, f))
     return NashResult(decisions=decisions, converged=True)

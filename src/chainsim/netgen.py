@@ -29,14 +29,8 @@ from .econ import (
     InvestmentDecision,
     MacroSeries,
     TransactionNetwork,
-    ZERO_REVENUE,
     customer_terms_sum,
-    equity_end_of_term,
-    floor_revenue,
-    material_cost,
-    production_ratio,
-    profit,
-    revenue_next,
+    term_books,
 )
 from .game import PayoffContext, _firm_seed, best_response
 
@@ -76,6 +70,15 @@ class GeneratorConfig:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
         if self.gdp_start <= 0.0:
             raise ValueError("gdp_start must be > 0")
+        # generate_gdp redraws until GDP stays positive; outside these
+        # ranges a draw may never succeed
+        if not (math.isfinite(self.gdp_growth) and self.gdp_growth > -1.0):
+            raise ValueError(
+                f"gdp_growth must be finite and > -1, got {self.gdp_growth!r}")
+        if not (math.isfinite(self.gdp_volatility)
+                and self.gdp_volatility >= 0.0):
+            raise ValueError("gdp_volatility must be finite and >= 0, "
+                             f"got {self.gdp_volatility!r}")
 
 
 def firm_ids(n: int) -> tuple[str, ...]:
@@ -236,15 +239,14 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
                      macro: MacroSeries, *,
                      noise_on: bool = True,
                      decision_jitter: float = 0.0,
-                     seed: int = 0,
-                     policy: str = ZERO_REVENUE) -> SimulationResult:
+                     seed: int = 0) -> SimulationResult:
     """Roll the economy forward over the macro series' horizon.
 
     Each period every firm best-responds to the books on record, the
-    applied inputs get optional lognormal jitter, revenue follows the
-    growth identity (with the idiosyncratic shock when noise_on), and
-    equity rolls by the term's profit. All firms advance on a period
-    barrier, so the result does not depend on firm iteration order.
+    applied inputs get optional lognormal jitter, and econ.term_books
+    gives the term's revenue (with the idiosyncratic shock when
+    noise_on) and profit, which rolls into equity. All firms advance on
+    a period barrier, so the result does not depend on firm order.
     A revenue outcome at or below zero is floored and flagged.
     """
     T = len(macro)
@@ -278,27 +280,23 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
         for idx, f in enumerate(ids):
             st = states[f]
             p = economy.params[f]
-            cts = customer_terms_sum(f, network, states, g_lag, policy)
+            cts = customer_terms_sum(f, network, states, g_lag)
             ctx = PayoffContext(st.revenue, st.capital, st.labor, cts, p)
             dec = best_response(ctx, seed=_firm_seed(seed, f))
             applied = InvestmentDecision(
                 dec.capital * math.exp(decision_jitter * jit[idx, 0]),
                 dec.labor * math.exp(decision_jitter * jit[idx, 1]),
             )
-            growth = production_ratio(applied, st, p.alpha, p.beta)
-            raw = revenue_next(st.revenue, growth, cts,
-                               p.noise_sigma * shocks[idx])
-            rev, floored = floor_revenue(raw, st.revenue)
+            rev, term_profit, floored = term_books(
+                st, p, applied, cts, p.noise_sigma * shocks[idx])
             if floored:
                 floor_events.append((f, t + 1))
-            cost = material_cost(p.cost_coeff, applied, p.alpha, p.beta)
-            term_profit = profit(rev, cost, p.interest_rate, applied)
             fresh[f] = FirmState(
                 revenue=rev,
                 prev_revenue=st.revenue,
                 capital=applied.capital,
                 labor=applied.labor,
-                equity=equity_end_of_term(st.equity, term_profit),
+                equity=st.equity + term_profit,
             )
         states = fresh
 

@@ -11,6 +11,7 @@ re-evaluates every live supplier of every dead firm. Written over plain
 dicts, it has to equal run_cascade field by field on drawn economies.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -345,6 +346,21 @@ class TestConfigValidation:
     def test_gdp_growth_positive(self):
         with pytest.raises(ValueError):
             CascadeConfig(trigger_firms=("A",), gdp_growth=0.0)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    def test_gdp_growth_finite(self, g):
+        with pytest.raises(ValueError, match="gdp_growth"):
+            CascadeConfig(trigger_firms=("A",), gdp_growth=g)
+
+    @pytest.mark.parametrize("cap", [-1, -2, 1.7, 2.0, True, "3"])
+    def test_max_generations_is_none_or_a_count(self, cap):
+        with pytest.raises(ValueError, match="max_generations"):
+            CascadeConfig(trigger_firms=("A",), max_generations=cap)
+
+    @pytest.mark.parametrize("cap", [None, 0, 3])
+    def test_max_generations_accepted(self, cap):
+        assert CascadeConfig(trigger_firms=("A",),
+                             max_generations=cap).max_generations == cap
 
 
 class TestFrontier:

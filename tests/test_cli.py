@@ -54,6 +54,19 @@ class TestGenerate:
         assert "firmz" in capsys.readouterr().err
         assert not (out / "panel.csv").exists()
 
+    @pytest.mark.parametrize("cfg", [
+        {"seed": 1.5}, {"seed": True}, {"n_firms": 7.9}, {"horizon": 5.9},
+        {"gdp_growth": -1.5}, {"gdp_growth": -1.0}, {"gdp_volatility": -0.01},
+    ])
+    def test_bad_config_value_fails_clean(self, tmp_path, capsys, cfg):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"n_firms": 3, **cfg}))
+        out = tmp_path / "out"
+        assert run(["generate", "--out-dir", str(out),
+                    "--config", str(path)]) == 2
+        assert next(iter(cfg)) in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_missing_required_flag_exits_via_parser(self):
         with pytest.raises(SystemExit):
             run(["generate"])  # no --out-dir
@@ -221,6 +234,8 @@ class TestCascade:
     @pytest.mark.parametrize("key,value", [
         ("gdp_ratio", None), ("gdp_ratio", [1.0]),
         ("max_generations", {"n": 2}), ("max_generations", [2]),
+        ("max_generations", 1.7), ("max_generations", True),
+        ("seed", 1.5), ("seed", "7"),
     ])
     def test_config_value_of_wrong_type_fails_clean(self, tmp_path, capsys,
                                                     key, value):
@@ -231,6 +246,19 @@ class TestCascade:
         assert run(self.base_args(paths, out)
                    + ["--trigger", "C", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--gdp-ratio", "nan"], "gdp_growth must be finite"),
+        (["--gdp-ratio", "inf"], "gdp_growth must be finite"),
+        (["--max-generations", "-2"], "max_generations must be None or"),
+    ])
+    def test_out_of_range_setting_fails_clean(self, tmp_path, capsys, flags,
+                                              message):
+        paths = steady_chain_csvs(tmp_path)
+        out = tmp_path / "cascade"
+        assert run(self.base_args(paths, out) + ["--trigger", "C", *flags]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     def test_seed_from_config_file(self, tmp_path):
@@ -292,6 +320,7 @@ class TestSimulate:
         ("seed", None), ("seed", {"s": 3}),
         ("decision_jitter", None), ("decision_jitter", [0.1]),
         ("gdp_growth", None), ("gdp_volatility", [0.01]),
+        ("horizon", 5.9), ("seed", 2.5), ("seed", False),
     ])
     def test_config_value_of_wrong_type_fails_clean(self, tmp_path, capsys,
                                                     key, value):
@@ -306,6 +335,78 @@ class TestSimulate:
                     "--out-dir", str(out), "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--gdp-growth", "-2"], ["--gdp-growth", "nan"],
+        ["--gdp-volatility", "-0.5"], ["--gdp-volatility", "inf"],
+    ])
+    def test_gdp_path_that_cannot_stay_positive_fails_clean(self, tmp_path,
+                                                             capsys, flags):
+        data = gen_dir(tmp_path)
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--out-dir", str(out), *flags]) == 2
+        assert flags[0][2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+MALFORMED_FIT_REPORTS = [
+    {"firms": {"A": {"beta": 0.3}}},
+    [1, 2],
+    {"firms": [1, 2]},
+    {"nothing": {}},
+    {"firms": {"A": 0.3}},
+    {"firms": {"A": {"alpha": "0.3", "beta": 0.3, "average_error": 0.1}}},
+    {"firms": {"A": {"alpha": 0.3, "beta": None, "average_error": 0.1}}},
+    {"firms": {"A": {"alpha": 0.3, "beta": 0.3}}},
+    {"firms": {"A": {"alpha": 0.3, "beta": 0.3, "average_error": 0.1,
+                     "strengths": [0.5]}}},
+    {"firms": {"A": {"alpha": 0.3, "beta": 0.3, "average_error": 0.1,
+                     "strengths": {"B": "0.5"}}}},
+    {"firms": {"A": {"alpha": 0.3, "beta": 0.3, "average_error": 0.1}},
+     "failures": 5},
+    {"firms": {"A": {"alpha": True, "beta": 0.3, "average_error": 0.1}}},
+]
+
+
+class TestFitReportShape:
+    """cascade, simulate and report refuse a malformed fit report alike."""
+
+    def command(self, name, paths, report, out):
+        if name == "report":
+            return ["report", "--fit-report", report, "--out-dir", str(out)]
+        extra = ["--trigger", "C"] if name == "cascade" else []
+        return [name, "--panel", paths["panel.csv"],
+                "--edges", paths["edges.csv"], "--gdp", paths["gdp.csv"],
+                "--params", paths["params.csv"], "--fit-report", report,
+                "--out-dir", str(out), *extra]
+
+    @pytest.mark.parametrize("doc", MALFORMED_FIT_REPORTS)
+    @pytest.mark.parametrize("name", ["cascade", "simulate", "report"])
+    def test_malformed_report_fails_clean(self, tmp_path, capsys, name, doc):
+        paths = steady_chain_csvs(tmp_path)
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(self.command(name, paths, str(report), out)) == 2
+        assert "fit report" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("name", ["cascade", "simulate", "report"])
+    def test_well_formed_report_is_read(self, tmp_path, name):
+        paths = steady_chain_csvs(tmp_path)
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps({"firms": {
+            "A": {"alpha": 0.3, "beta": 0.35, "average_error": 0.0},
+            "B": {"alpha": 0.3, "beta": 0.35, "average_error": 0,
+                  "strengths": {"C": 0.5}},
+        }}))
+        out = tmp_path / "out"
+        assert run(self.command(name, paths, str(report), out)) == 0
+        assert any(out.iterdir())
 
 
 class TestEndToEnd:

@@ -1,4 +1,4 @@
-"""Domain types and the firm-level bookkeeping functions."""
+"""Domain types and the firm-level bookkeeping: term_books and solvency."""
 
 import math
 
@@ -17,14 +17,9 @@ from chainsim import (
     TransactionNetwork,
     bankrupt_interaction,
     customer_terms_sum,
-    equity_end_of_term,
-    floor_revenue,
     interaction_term,
     is_bankrupt,
-    material_cost,
-    production_ratio,
-    profit,
-    revenue_next,
+    term_books,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -35,6 +30,15 @@ elasticity = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 def live_state(revenue=100.0, prev=100.0, capital=1.0, labor=1.0, equity=0.0):
     return FirmState(revenue=revenue, prev_revenue=prev, capital=capital,
                      labor=labor, equity=equity)
+
+
+def params(alpha=0.0, beta=0.0, cost_coeff=0.0, interest_rate=0.0):
+    return FirmParameters(alpha=alpha, beta=beta, cost_coeff=cost_coeff,
+                          interest_rate=interest_rate)
+
+
+def books(state, decision, customer_terms=0.0, noise=0.0, **kwargs):
+    return term_books(state, params(**kwargs), decision, customer_terms, noise)
 
 
 class TestParameterValidation:
@@ -163,27 +167,34 @@ class TestEconomy:
 
 
 class TestProductionRatio:
+    """The growth factor (K'/K)^alpha (L'/L)^beta inside term_books."""
+
     def test_unchanged_inputs_give_one(self):
         st_ = live_state(capital=3.0, labor=7.0)
         dec = InvestmentDecision(capital=3.0, labor=7.0)
-        assert production_ratio(dec, st_, 0.37, 0.41) == 1.0
+        revenue, _, _ = books(st_, dec, alpha=0.37, beta=0.41)
+        assert revenue == 100.0
 
     def test_linear_in_capital(self):
         st_ = live_state(capital=1.0, labor=1.0)
         dec = InvestmentDecision(capital=2.0, labor=1.0)
-        assert production_ratio(dec, st_, 1.0, 0.0) == pytest.approx(2.0)
+        revenue, _, _ = books(st_, dec, alpha=1.0, beta=0.0)
+        assert revenue == pytest.approx(200.0)
 
     def test_square_root_case(self):
         st_ = live_state(capital=1.0, labor=1.0)
         dec = InvestmentDecision(capital=4.0, labor=1.0)
-        assert production_ratio(dec, st_, 0.5, 0.5) == pytest.approx(2.0)
+        revenue, _, _ = books(st_, dec, alpha=0.5, beta=0.5)
+        assert revenue == pytest.approx(200.0)
 
     @given(k=money, l=money, a=elasticity, b=elasticity)
     @settings(max_examples=50, deadline=None)
     def test_identity_for_any_elasticities(self, k, l, a, b):
         st_ = live_state(capital=k, labor=l)
         dec = InvestmentDecision(capital=k, labor=l)
-        assert production_ratio(dec, st_, a, b) == 1.0
+        revenue, _, floored = books(st_, dec, alpha=a, beta=b)
+        assert revenue == 100.0
+        assert not floored
 
 
 class TestInteractionTerm:
@@ -213,30 +224,46 @@ class TestInteractionTerm:
             c * interaction_term(k, cust, g), abs=1e-12)
 
 
+HOLD = InvestmentDecision(capital=1.0, labor=1.0)
+
+
 class TestRevenueNext:
+    """Next-term revenue: revenue * (growth + customer terms + shock)."""
+
     def test_identity_with_no_customers(self):
-        assert revenue_next(100.0, 1.0, 0.0) == 100.0
+        assert books(live_state(), HOLD)[0] == 100.0
 
     def test_hand_value_growth(self):
-        assert revenue_next(100.0, 1.02, 0.025) == pytest.approx(104.5)
+        # capital 1 -> 1.02 at alpha 1 is a growth factor of exactly 1.02
+        dec = InvestmentDecision(capital=1.02, labor=1.0)
+        revenue, _, _ = books(live_state(), dec, 0.025, alpha=1.0)
+        assert revenue == pytest.approx(104.5)
 
     def test_hand_value_dead_customer(self):
-        assert revenue_next(100.0, 1.0, -0.204) == pytest.approx(79.6)
+        assert books(live_state(), HOLD, -0.204)[0] == pytest.approx(79.6)
 
     def test_noise_term_scales_in(self):
-        assert revenue_next(100.0, 1.0, 0.0, noise=0.03) == pytest.approx(103.0)
+        assert books(live_state(), HOLD, noise=0.03)[0] == pytest.approx(103.0)
 
     def test_floor_catches_wipeout(self):
-        raw = revenue_next(100.0, 1.0, -1.5)
-        assert raw < 0
-        floored, fired = floor_revenue(raw, 100.0)
-        assert fired
-        assert floored == pytest.approx(1e-4)
+        revenue, _, floored = books(live_state(), HOLD, -1.5)
+        assert floored
+        assert revenue == pytest.approx(1e-4)
 
     def test_floor_leaves_positive_alone(self):
-        floored, fired = floor_revenue(104.5, 100.0)
-        assert not fired
-        assert floored == 104.5
+        revenue, _, floored = books(live_state(), HOLD, 0.045)
+        assert not floored
+        assert revenue == pytest.approx(104.5)
+
+    def test_exactly_zero_revenue_is_floored(self):
+        revenue, _, floored = books(live_state(), HOLD, -1.0)
+        assert floored
+        assert revenue == 100.0 * 1e-6
+
+    def test_floored_revenue_enters_profit(self):
+        # wiped out: profit is the floor less wages, not the raw revenue
+        _, profit, _ = books(live_state(), HOLD, -1.5)
+        assert profit == 100.0 * 1e-6 - 1.0
 
 
 class TestCustomerTerms:
@@ -261,35 +288,51 @@ class TestCustomerTerms:
 
 
 class TestCostProfitEquity:
+    """profit = revenue - cost_coeff K'^alpha L'^beta - r K' - L'."""
+
     def test_cost_zero_coeff(self):
-        assert material_cost(0.0, InvestmentDecision(5.0, 5.0), 0.5, 0.5) == 0.0
+        dec = InvestmentDecision(5.0, 5.0)
+        st_ = live_state(capital=5.0, labor=5.0)
+        _, profit, _ = books(st_, dec, alpha=0.5, beta=0.5)
+        assert profit == 100.0 - 5.0
 
     def test_cost_unit_inputs(self):
-        assert material_cost(0.37, InvestmentDecision(1.0, 1.0), 0.5, 0.3) == pytest.approx(0.37)
+        _, profit, _ = books(live_state(), HOLD, alpha=0.5, beta=0.3,
+                             cost_coeff=0.37)
+        assert profit == pytest.approx(100.0 - 0.37 - 1.0)
 
     def test_cost_hand_value(self):
-        assert material_cost(0.5, InvestmentDecision(16.0, 1.0), 0.5, 0.3) == pytest.approx(2.0)
+        dec = InvestmentDecision(16.0, 1.0)
+        st_ = live_state(capital=16.0)
+        _, profit, _ = books(st_, dec, alpha=0.5, beta=0.3, cost_coeff=0.5)
+        assert profit == pytest.approx(100.0 - 2.0 - 1.0)
 
     def test_profit_cancellation(self):
         dec = InvestmentDecision(capital=10.0, labor=1e-9)
-        assert profit(40.0, 40.0, 0.0, dec) == pytest.approx(-1e-9)
+        st_ = live_state(revenue=40.0, capital=10.0, labor=1e-9)
+        _, profit, _ = books(st_, dec, cost_coeff=40.0)
+        assert profit == pytest.approx(-1e-9)
 
     def test_profit_hand_value(self):
         dec = InvestmentDecision(capital=200.0, labor=30.0)
-        assert profit(104.5, 40.0, 0.05, dec) == pytest.approx(24.5)
+        st_ = live_state(capital=200.0, labor=30.0)
+        revenue, profit, _ = books(st_, dec, 0.045, cost_coeff=40.0,
+                                   interest_rate=0.05)
+        assert revenue == pytest.approx(104.5)
+        assert profit == pytest.approx(24.5)
 
     def test_equity_roll(self):
-        assert equity_end_of_term(50.0, -80.0) == -30.0
-        assert equity_end_of_term(7.0, 0.0) == 7.0
-        assert equity_end_of_term(0.0, 0.0) == 0.0
-
-    @given(e=finite.filter(lambda v: abs(v) < 1e12),
-           p1=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-           p2=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-    @settings(max_examples=50, deadline=None)
-    def test_equity_additive(self, e, p1, p2):
-        stacked = equity_end_of_term(equity_end_of_term(e, p1), p2)
-        assert stacked == pytest.approx(equity_end_of_term(e, p1 + p2), rel=1e-12, abs=1e-9)
+        # the caller rolls profit into equity: 50 + (-80) is a deficit
+        dec = InvestmentDecision(capital=1.0, labor=180.0)
+        st_ = live_state(labor=180.0, equity=50.0)
+        _, profit, _ = books(st_, dec)
+        assert profit == -80.0
+        assert st_.equity + profit == -30.0
+        assert is_bankrupt(st_.equity + profit)
+        _, profit, _ = books(live_state(labor=100.0, equity=7.0),
+                             InvestmentDecision(capital=1.0, labor=100.0))
+        assert profit == 0.0
+        assert not is_bankrupt(7.0 + profit)
 
 
 class TestBankruptPredicate:

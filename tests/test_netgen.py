@@ -1,5 +1,7 @@
 """Synthetic economy generator and the forward simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from chainsim import (
     simulate_economy,
     steady_state_inputs,
 )
+from chainsim.econ import customer_terms_sum
+from chainsim.game import PayoffContext, _firm_seed, best_response
 from chainsim.netgen import firm_ids
 
 
@@ -36,10 +40,21 @@ class TestConfigValidation:
         {"horizon": 2},
         {"edge_model": "smallworld"},
         {"gdp_start": 0.0},
+        # generate_gdp would redraw forever on any of these
+        {"gdp_growth": -1.0}, {"gdp_growth": -1.5}, {"gdp_growth": -2.0},
+        {"gdp_growth": math.nan}, {"gdp_growth": math.inf},
+        {"gdp_growth": -math.inf},
+        {"gdp_volatility": -0.01}, {"gdp_volatility": math.nan},
+        {"gdp_volatility": math.inf},
     ])
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             GeneratorConfig(**kwargs)
+
+    def test_steep_but_feasible_gdp_path_accepted(self):
+        cfg = GeneratorConfig(horizon=6, gdp_growth=-0.9, gdp_volatility=0.0)
+        macro = generate_gdp(cfg, np.random.default_rng(0))
+        assert all(g > 0.0 for g in macro.gdp)
 
     def test_firm_id_shape(self):
         ids = firm_ids(3)
@@ -240,6 +255,67 @@ class TestForwardSimulate:
         res = forward_simulate(eco, net, macro, noise_on=False)
         assert any(f == "S" for f, _ in res.floor_events)
         assert np.all(res.panel.firm("S").revenue > 0)
+
+    def test_replay_matches_bit_for_bit(self):
+        # noise, jitter and a forced floor event, replayed by an inline
+        # recursion that borrows only the decision and the customer sum
+        eco, net, _ = generate_economy(GeneratorConfig(n_firms=12, seed=5))
+        ids = eco.firm_ids
+        weak, customer, _ = next(iter(net.edges()))
+        net = net.with_strengths({(weak, customer): 6.0})
+        # GDP growing 1.5x in one term wipes out the revenue of the
+        # supplier on the strong link in the term that reads that growth
+        macro = MacroSeries(gdp=(100.0, 101.0, 102.0, 153.0, 154.0, 156.0,
+                                 157.0, 159.0))
+        seed, jitter = 8, 0.3
+        res = forward_simulate(eco, net, macro, noise_on=True,
+                               decision_jitter=jitter, seed=seed)
+
+        noise_rng = np.random.default_rng([seed, 101])
+        jitter_rng = np.random.default_rng([seed, 102])
+        states = dict(eco.states)
+        rows = {f: [] for f in ids}
+        floors = []
+        for t in range(len(macro.gdp) - 1):
+            for f in ids:
+                st = states[f]
+                rows[f].append((st.revenue, st.capital, st.labor, st.equity))
+            g = macro.gdp[max(t, 1)] / macro.gdp[max(t, 1) - 1]
+            shocks = noise_rng.normal(size=len(ids))
+            jit = jitter_rng.normal(size=(len(ids), 2))
+            fresh = {}
+            for i, f in enumerate(ids):
+                st, q = states[f], eco.params[f]
+                cts = customer_terms_sum(f, net, states, g)
+                dec = best_response(
+                    PayoffContext(st.revenue, st.capital, st.labor, cts, q),
+                    seed=_firm_seed(seed, f))
+                cap = dec.capital * math.exp(jitter * jit[i, 0])
+                lab = dec.labor * math.exp(jitter * jit[i, 1])
+                growth = (cap / st.capital) ** q.alpha * (lab / st.labor) ** q.beta
+                rev = st.revenue * (growth + cts + q.noise_sigma * shocks[i])
+                if not rev > 0.0:
+                    rev = 1e-6 * st.revenue
+                    floors.append((f, t + 1))
+                cost = q.cost_coeff * cap ** q.alpha * lab ** q.beta
+                pi = rev - cost - q.interest_rate * cap - lab
+                fresh[f] = FirmState(revenue=rev, prev_revenue=st.revenue,
+                                     capital=cap, labor=lab,
+                                     equity=st.equity + pi)
+            states = fresh
+        for f in ids:
+            st = states[f]
+            rows[f].append((st.revenue, st.capital, st.labor, st.equity))
+
+        assert (weak, 4) in floors
+        assert list(res.floor_events) == floors
+        for f in ids:
+            got = res.panel.firm(f)
+            revenue, capital, labor, equity = (list(c) for c in zip(*rows[f]))
+            assert got.revenue.tolist() == revenue
+            assert got.capital.tolist() == capital
+            assert got.labor.tolist() == labor
+            assert res.panel.equity[f].tolist() == equity
 
     def test_horizon_matches_macro(self):
         cfg = GeneratorConfig(n_firms=4, horizon=7, seed=2)

@@ -191,6 +191,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     generation is evaluated once, without committing it, and exhausted
     says whether it would have turned anyone. A survivor's trace entry
     carries generations_run; a fallen firm's, the generation it fell in.
+    seed changes no result; it stays for callers that pass one.
     """
     for f in config.trigger_firms:
         if f not in economy.params:
@@ -199,8 +200,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
             raise ValueError(f"trigger firm {f!r} is already bankrupt")
 
     if decisions is None:
-        decisions = nash_solve(economy, network, config.gdp_growth,
-                               seed=seed).decisions
+        decisions = nash_solve(economy, network, config.gdp_growth).decisions
 
     bankrupt = {f: 0 for f in config.trigger_firms}
     frontier = {f for f, st in economy.states.items() if st.bankrupt}

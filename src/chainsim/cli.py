@@ -217,6 +217,10 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     if args.fit_report:
         params, network = _apply_fit_report(args.fit_report, params, network)
     triggers = args.trigger or cfg.get("trigger") or []
+    if isinstance(triggers, str):
+        triggers = [triggers]
+    if not (isinstance(triggers, list) and all(isinstance(t, str) for t in triggers)):
+        raise CliError(f"trigger must be a firm id or a list of ids, got {triggers!r}")
     if not triggers:
         raise CliError("no trigger firms given (use --trigger)")
     policy = _pick(args.policy, cfg, "policy", ZERO_REVENUE)
@@ -238,7 +242,7 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
             policy=policy,
             max_generations=max_gen,
         )
-        result = run_cascade(economy, network, config, seed=seed or 0)
+        result = run_cascade(economy, network, config)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
@@ -381,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--product-flow", action="store_true",
                    help="orient exports along product flow instead of money flow")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="echoed into cascade.json; changes no result")
     p.add_argument("--config")
     p.set_defaults(func=_cmd_cascade)
 

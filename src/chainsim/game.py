@@ -4,18 +4,19 @@ maximize next-term profit, holding everyone else's books fixed.
 The payoff is next-term profit with the noise term at zero,
 B*K^a*L^b - r*K - L + const, where B is the net output coefficient.
 Decisions are searched inside a multiplicative box around the firm's
-current inputs. The surface falls into three regions:
+current inputs. best_response_closed_form is exact everywhere:
 
 - B <= 0 (cost-dominated): the payoff does not rise in either input,
-  so the lower corner of the box is the exact answer, whatever a + b.
-- a + b < 1 and B > 0 (concave): the first-order conditions give the
-  interior optimum, or the best of the box edges when it lies outside.
-- a + b >= 1 and B > 0 (non-concave): no closed form; a seeded genetic
-  algorithm searches the box.
+  so the lower corner of the box is the answer, whatever a + b.
+- B > 0: the interior stationary point when a + b < 1 and it lies in
+  the box; otherwise the best candidate on the box boundary.
+
+The seeded genetic algorithm best_response_ga is only a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .econ import (
     customer_terms_sum,
 )
 
-# Genetic search settings, used only for non-concave surfaces.
+# Genetic search settings of the test oracle best_response_ga.
 GA_POPULATION = 64
 GA_GENERATIONS = 200
 GA_TOURNAMENT = 4
@@ -40,11 +41,7 @@ GA_ELITE = 1
 
 
 class NoConcaveOptimum(Exception):
-    """Raised for a non-concave surface: a + b >= 1 with B > 0.
-
-    Cost-dominated firms (B <= 0) never raise; their lower corner is
-    exact. best_response catches this and falls back to the GA.
-    """
+    """Never raised any more; kept because the acceptance tests import it."""
 
 
 @dataclass(frozen=True)
@@ -112,20 +109,39 @@ def _box(ctx: PayoffContext, config: GameConfig):
     return (lo * ctx.capital, hi * ctx.capital, lo * ctx.labor, hi * ctx.labor)
 
 
+def _edge_candidates(gamma: float, B: float, other: float, w: float,
+                     lo: float, hi: float) -> tuple[float, ...]:
+    """Where B*other*x^gamma - w*x peaks over lo <= x <= hi, B, other > 0.
+
+    gamma = 0: the low end; w = 0: the high end; 0 < gamma < 1
+    (concave): the clipped first-order point, the high end if it
+    overflows; gamma >= 1 (convex): both endpoints.
+    """
+    if gamma == 0.0:
+        return (lo,)
+    if w == 0.0:
+        return (hi,)
+    if gamma >= 1.0:
+        return (lo, hi)
+    try:
+        x = math.pow(gamma * B * other / w, 1.0 / (1.0 - gamma))
+    except OverflowError:
+        return (hi,)
+    return (min(max(x, lo), hi),)
+
+
 def best_response_closed_form(ctx: PayoffContext,
                               config: GameConfig = GameConfig()) -> InvestmentDecision:
-    """Exact argmax of the payoff over the decision box.
+    """Exact argmax of the payoff over the decision box, in every region.
 
-    Net output coefficient B <= 0: the payoff is non-increasing in
-    capital and strictly decreasing in labor (the wage bill), so the
-    lower corner of the box is returned, for any alpha + beta; where
-    capital leaves the payoff flat the tie-break below picks it too.
-    alpha + beta < 1 and B > 0: the first-order conditions give the
-    interior point; when it falls outside the box the best of the four
-    edge-restricted optima is returned instead. alpha + beta >= 1 and
-    B > 0: the surface is not concave and NoConcaveOptimum is raised
-    (best_response falls back to the GA). Ties break toward smaller
-    capital, then smaller labor.
+    B <= 0: the payoff is non-increasing in capital and strictly
+    decreasing in labor, so the lower corner, for any alpha + beta.
+    alpha, beta, r > 0 and alpha + beta < 1: the interior first-order
+    point when it lies in the box. Otherwise the peak is on the box
+    boundary (for alpha + beta >= 1 the payoff is convex along every
+    ray from the origin), where each edge's payoff is
+    B*other*x^gamma - w*x + const: the best of at most eight edge
+    candidates. Ties break toward smaller capital, then smaller labor.
     """
     p = ctx.params
     a, b, r = p.alpha, p.beta, p.interest_rate
@@ -133,65 +149,30 @@ def best_response_closed_form(ctx: PayoffContext,
     k_lo, k_hi, l_lo, l_hi = _box(ctx, config)
     if B <= 0.0:
         return InvestmentDecision(k_lo, l_lo)
-    if a + b >= 1.0:
-        raise NoConcaveOptimum(
-            f"alpha+beta={a + b:g}, net output coeff={B:g}")
-    if k_lo == k_hi and l_lo == l_hi:
-        return InvestmentDecision(k_lo, l_lo)
-
-    # Unconstrained stationary point; None marks "grows without bound"
-    # in that coordinate (zero marginal cost), handled by the box edges.
-    interior = None
-    if a > 0.0 and b > 0.0 and r > 0.0:
+    if a > 0.0 and b > 0.0 and r > 0.0 and a + b < 1.0:
         c = b * r / a
-        k_star = (a * B * c ** b / r) ** (1.0 / (1.0 - a - b))
-        interior = (k_star, c * k_star)
-    elif a > 0.0 and b == 0.0 and r > 0.0:
-        interior = ((a * B / r) ** (1.0 / (1.0 - a)), l_lo)
-    elif a == 0.0 and b > 0.0:
-        # payoff flat (r=0) or decreasing in K, so K sits at the floor
-        interior = (k_lo, (b * B) ** (1.0 / (1.0 - b)))
-    elif a == 0.0 and b == 0.0:
-        interior = (k_lo, l_lo)
-
-    if interior is not None:
-        k_star, l_star = interior
+        # near a + b = 1 the point can pass float range, and every box;
+        # math.pow raises there for numpy scalars too, where ** warns
+        try:
+            k_star = math.pow(a * B * c ** b / r, 1.0 / (1.0 - a - b))
+        except OverflowError:
+            k_star = math.inf
+        l_star = c * k_star
         if k_lo <= k_star <= k_hi and l_lo <= l_star <= l_hi:
             return InvestmentDecision(k_star, l_star)
 
-    def best_labor_given(k: float) -> float:
-        if b == 0.0:
-            return l_lo  # wages only drag the payoff down
-        l = (b * B * k ** a) ** (1.0 / (1.0 - b))
-        return min(max(l, l_lo), l_hi)
-
-    def best_capital_given(l: float) -> float:
-        if a == 0.0:
-            return k_lo
-        if r == 0.0:
-            return k_hi  # free capital, payoff increasing in K
-        k = (a * B * l ** b / r) ** (1.0 / (1.0 - a))
-        return min(max(k, k_lo), k_hi)
-
-    candidates = []
-    for k in (k_lo, k_hi):
-        candidates.append((k, best_labor_given(k)))
-    for l in (l_lo, l_hi):
-        candidates.append((best_capital_given(l), l))
-    best = None
-    best_key = None
-    for k, l in candidates:
-        pay = expected_payoff(ctx, InvestmentDecision(k, l))
-        key = (-pay, k, l)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (k, l)
+    candidates = [(k, l) for k in (k_lo, k_hi)
+                  for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
+    candidates += [(k, l) for l in (l_lo, l_hi)
+                   for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
+    best = min(candidates,
+               key=lambda kl: (-_payoff(ctx, kl[0], kl[1]), kl[0], kl[1]))
     return InvestmentDecision(*best)
 
 
 def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
                      seed: int = 0) -> InvestmentDecision:
-    """Genetic-algorithm best response over the decision box.
+    """Genetic-algorithm best response over the box; a test oracle only.
 
     Real-valued encoding of (log K, log L); tournament selection, blend
     crossover, Gaussian mutation scaled to the box width, elitism. The
@@ -253,11 +234,8 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
 
 def best_response(ctx: PayoffContext, config: GameConfig = GameConfig(),
                   seed: int = 0) -> InvestmentDecision:
-    """Closed form unless the surface is non-concave, GA there."""
-    try:
-        return best_response_closed_form(ctx, config)
-    except NoConcaveOptimum:
-        return best_response_ga(ctx, config, seed=seed)
+    """best_response_closed_form; seed is unused, kept for its callers."""
+    return best_response_closed_form(ctx, config)
 
 
 @dataclass(frozen=True)
@@ -273,17 +251,17 @@ class NashResult:
 
 
 def _firm_seed(seed: int, firm: str) -> int:
-    # stable per-firm GA stream, independent of iteration order
+    # stable per-firm GA stream for the test oracle, order independent
     return (seed * 0x1_0000_0000 + zlib.crc32(firm.encode())) % (2 ** 63)
 
 
 def nash_solve(economy: Economy, network: TransactionNetwork,
-               gdp_growth: float, seed: int = 0) -> NashResult:
+               gdp_growth: float) -> NashResult:
     """Joint best responses of every firm: the game's fixed point.
 
     Each firm's payoff depends on the others only through revenues
     already on the books, so the game decouples and one best-response
-    pass per firm, each with its own GA stream, is the fixed point.
+    pass per firm is the fixed point.
     Result is independent of firm ordering. A bankrupt firm is refused,
     so every customer term reads a live customer's growth ratio.
     """
@@ -295,5 +273,5 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
         cts = customer_terms_sum(f, network, economy.states, gdp_growth)
         ctx = PayoffContext(st.revenue, st.capital, st.labor,
                             cts, economy.params[f])
-        decisions[f] = best_response(ctx, seed=_firm_seed(seed, f))
+        decisions[f] = best_response(ctx)
     return NashResult(decisions=decisions, converged=True)

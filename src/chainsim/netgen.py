@@ -32,7 +32,7 @@ from .econ import (
     customer_terms_sum,
     term_books,
 )
-from .game import PayoffContext, _firm_seed, best_response
+from .game import PayoffContext, best_response
 
 EDGE_MODELS = ("random", "scale-free")
 
@@ -70,6 +70,13 @@ class GeneratorConfig:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
         if self.gdp_start <= 0.0:
             raise ValueError("gdp_start must be > 0")
+        if not (math.isfinite(self.mean_out_degree) and self.mean_out_degree >= 0.0):
+            raise ValueError("mean_out_degree must be finite and >= 0, "
+                             f"got {self.mean_out_degree!r}")
+        # _draw_elasticities redraws until alpha + beta is below the cap
+        if not self.elasticity_sum_max > self.alpha_range[0] + self.beta_range[0]:
+            raise ValueError("elasticity_sum_max must exceed the smallest alpha + beta, "
+                             f"got {self.elasticity_sum_max!r}")
         # generate_gdp redraws until GDP stays positive; outside these
         # ranges a draw may never succeed
         if not (math.isfinite(self.gdp_growth) and self.gdp_growth > -1.0):
@@ -247,7 +254,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     gives the term's revenue (with the idiosyncratic shock when
     noise_on) and profit, which rolls into equity. All firms advance on
     a period barrier, so the result does not depend on firm order.
-    A revenue outcome at or below zero is floored and flagged.
+    A revenue outcome at or below zero is floored and flagged. seed
+    drives the noise and jitter streams.
     """
     T = len(macro)
     ids = economy.firm_ids
@@ -282,7 +290,7 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             p = economy.params[f]
             cts = customer_terms_sum(f, network, states, g_lag)
             ctx = PayoffContext(st.revenue, st.capital, st.labor, cts, p)
-            dec = best_response(ctx, seed=_firm_seed(seed, f))
+            dec = best_response(ctx)
             applied = InvestmentDecision(
                 dec.capital * math.exp(decision_jitter * jit[idx, 0]),
                 dec.labor * math.exp(decision_jitter * jit[idx, 1]),
@@ -331,18 +339,15 @@ def simulate_economy(config: GeneratorConfig, *, noise_on: bool = True
 
 
 def economy_from_panel(panel: PanelSeries,
-                       params: dict[str, FirmParameters],
-                       position: int = -1) -> Economy:
-    """Firm states read off a panel row, ready for a cascade.
+                       params: dict[str, FirmParameters]) -> Economy:
+    """Firm states read off the panel's last row, ready for a cascade.
 
-    position indexes the panel periods (negative counts from the end)
-    and must leave one earlier period for the growth ratio. The panel
-    must carry equity.
+    The row before it gives the growth ratio. The panel must carry
+    equity.
     """
-    T = panel.n_periods
-    pos = position % T
+    pos = panel.n_periods - 1
     if pos < 1:
-        raise ValueError("position must leave a previous period for ratios")
+        raise ValueError("panel needs two periods for the growth ratio")
     if panel.equity is None:
         raise ValueError("panel carries no equity; cascade needs beginning equity")
     missing = [f for f in panel.firm_ids if f not in params]

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, files written, error exits."""
 
 import json
+import math
 
 import pytest
 
@@ -57,6 +58,8 @@ class TestGenerate:
     @pytest.mark.parametrize("cfg", [
         {"seed": 1.5}, {"seed": True}, {"n_firms": 7.9}, {"horizon": 5.9},
         {"gdp_growth": -1.5}, {"gdp_growth": -1.0}, {"gdp_volatility": -0.01},
+        {"mean_out_degree": math.nan}, {"mean_out_degree": -1.0},
+        {"elasticity_sum_max": 0.2},
     ])
     def test_bad_config_value_fails_clean(self, tmp_path, capsys, cfg):
         path = tmp_path / "gen.json"
@@ -275,6 +278,48 @@ class TestCascade:
         assert written == (by_flag / "cascade.json").read_bytes()
         assert json.loads(written)["seed"] == 5
         assert json.loads((unset / "cascade.json").read_text())["seed"] is None
+
+    def test_string_trigger_from_config_is_one_firm(self, tmp_path):
+        data = gen_dir(tmp_path)
+        paths = {n: str(data / n) for n in
+                 ("panel.csv", "edges.csv", "gdp.csv", "params.csv")}
+        cfg = tmp_path / "cascade_cfg.json"
+        cfg.write_text(json.dumps({"trigger": "F0001"}))
+        by_flag, by_cfg = tmp_path / "flag", tmp_path / "cfg"
+        assert run(self.base_args(paths, by_flag)
+                   + ["--trigger", "F0001"]) == 0
+        assert run(self.base_args(paths, by_cfg)
+                   + ["--config", str(cfg)]) == 0
+        assert ((by_cfg / "cascade.json").read_bytes()
+                == (by_flag / "cascade.json").read_bytes())
+
+    @pytest.mark.parametrize("trigger", [5, {"C": 1}, ["C", 2], [["C"]]])
+    def test_trigger_of_wrong_type_fails_clean(self, tmp_path, capsys,
+                                               trigger):
+        paths = steady_chain_csvs(tmp_path)
+        cfg = tmp_path / "cascade_cfg.json"
+        cfg.write_text(json.dumps({"trigger": trigger}))
+        out = tmp_path / "cascade"
+        assert run(self.base_args(paths, out) + ["--config", str(cfg)]) == 2
+        assert "trigger" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["cascade", "simulate"])
+    def test_fitted_elasticities_summing_near_one_run(self, tmp_path, command):
+        # F0000's interior point (..)**(1/(1-alpha-beta)) passes float range
+        data = tmp_path / "data"
+        assert run(["generate", "--out-dir", str(data), "--firms", "12",
+                    "--seed", "19"]) == 0
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps({"firms": {
+            "F0000": {"alpha": 0.5, "beta": 0.499, "average_error": 0.0}}}))
+        args = [command, "--fit-report", str(report),
+                "--out-dir", str(tmp_path / "out")]
+        for name in ("panel", "edges", "gdp", "params"):
+            args += [f"--{name}", str(data / f"{name}.csv")]
+        if command == "cascade":
+            args += ["--trigger", "F0003"]
+        assert run(args) == 0
 
     def test_multiple_triggers_union(self, tmp_path):
         paths = steady_chain_csvs(tmp_path, equity_a=1000.0)

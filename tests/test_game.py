@@ -9,7 +9,7 @@ drift apart.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chainsim.game
@@ -19,7 +19,6 @@ from chainsim import (
     FirmState,
     GameConfig,
     InvestmentDecision,
-    NoConcaveOptimum,
     PayoffContext,
     TransactionNetwork,
     best_response,
@@ -88,6 +87,37 @@ def cost_dominated_contexts(draw):
     return ctx, config
 
 
+@st.composite
+def nonconcave_contexts(draw):
+    """A context with alpha + beta in [1, 2], B > 0, and a decision box.
+
+    Either elasticity may be 0 (the other carries the whole sum), and
+    r and the material cost both include zero.
+    """
+    total = draw(st.floats(1.0, 2.0))
+    share = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)))
+    alpha = share * total
+    beta = total - alpha
+    capital = draw(st.floats(0.5, 50.0))
+    labor = draw(st.floats(0.5, 50.0))
+    revenue = draw(st.floats(1.0, 200.0))
+    level = capital ** alpha * labor ** beta
+    cost_frac = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99)))
+    ctx = ctx_of(revenue=revenue, capital=capital, labor=labor,
+                 customer_terms=draw(st.floats(-0.05, 0.05)),
+                 alpha=alpha, beta=beta,
+                 cost_coeff=cost_frac * revenue / level,
+                 interest_rate=draw(st.one_of(st.just(0.0),
+                                              st.floats(0.0, 0.2))))
+    config = GameConfig(decision_bounds=(draw(st.floats(0.1, 1.0)),
+                                         draw(st.floats(1.0, 10.0))))
+    return ctx, config
+
+
+def no_ga(*args, **kwargs):
+    raise AssertionError("best_response called the GA")
+
+
 class TestExpectedPayoff:
     def test_hold_current_inputs(self):
         ctx = ctx_of()
@@ -129,9 +159,40 @@ class TestClosedForm:
         assert dec.labor == pytest.approx(0.25, rel=1e-9)
         assert dec.capital == pytest.approx(1e-4)
 
-    def test_rejects_nonconcave_elasticities(self):
-        with pytest.raises(NoConcaveOptimum):
-            best_response_closed_form(ctx_of(alpha=0.6, beta=0.5))
+    @given(nonconcave_contexts())
+    # alpha = beta = 1: every edge is convex, so only corners remain
+    @example((ctx_of(alpha=1.0, beta=1.0), GameConfig()))
+    @settings(max_examples=60, deadline=None)
+    def test_nonconcave_firm_takes_best_boundary_candidate(self, drawn):
+        ctx, config = drawn
+        lo, hi = config.decision_bounds
+        dec = best_response_closed_form(ctx, config)
+        assert lo * ctx.capital <= dec.capital <= hi * ctx.capital
+        assert lo * ctx.labor <= dec.labor <= hi * ctx.labor
+        pay = expected_payoff(ctx, dec)
+        tol = 1e-9 * max(1.0, abs(pay))  # round-off of two payoff formulas
+        assert pay >= grid_argmax(ctx, config)[2] - tol
+        ga = best_response_ga(ctx, config, seed=0)
+        assert pay >= expected_payoff(ctx, ga) - tol
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chainsim.game, "best_response_ga", no_ga)
+            assert best_response(ctx, config, seed=0) == dec
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.5, 0.499), (0.3, 0.699), (0.995, 0.0),
+        # alpha + beta one ulp below 1, and rounding to 1
+        (0.5, 0.49999999999999989), (0.5, 0.49999999999999994),
+    ])
+    def test_elasticities_summing_near_one_do_not_overflow(self, alpha, beta):
+        # the first-order point (..)**(1/(1-alpha-beta)) passes float range
+        ctx = ctx_of(alpha=alpha, beta=beta)
+        config = GameConfig()
+        dec = best_response(ctx, config)
+        pay = expected_payoff(ctx, dec)
+        assert pay >= grid_argmax(ctx, config)[2] - 1e-9 * abs(pay)
+        lo, hi = config.decision_bounds
+        assert lo * ctx.capital <= dec.capital <= hi * ctx.capital
+        assert lo * ctx.labor <= dec.labor <= hi * ctx.labor
 
     @given(cost_dominated_contexts())
     @settings(max_examples=60, deadline=None)
@@ -146,8 +207,6 @@ class TestClosedForm:
         ga = best_response_ga(ctx, config, seed=0)
         assert pay >= expected_payoff(ctx, ga) - tol
         with pytest.MonkeyPatch.context() as mp:
-            def no_ga(*args, **kwargs):
-                raise AssertionError("GA called on a cost-dominated firm")
             mp.setattr(chainsim.game, "best_response_ga", no_ga)
             assert best_response(ctx, config, seed=0) == dec
 
@@ -210,7 +269,7 @@ class TestGeneticSearch:
     def test_never_worse_than_incumbent(self):
         rng = np.random.default_rng(21)
         for trial in range(6):
-            # includes increasing-returns instances the closed form rejects
+            # includes increasing-returns instances
             ctx = ctx_of(revenue=rng.uniform(1, 200),
                          capital=rng.uniform(0.5, 300),
                          labor=rng.uniform(0.5, 300),
@@ -235,8 +294,6 @@ class TestGeneticSearch:
                          alpha=alpha, beta=beta,
                          cost_coeff=rng.uniform(0.0, 0.9) * revenue / level,
                          interest_rate=rng.uniform(0.0, 0.2))
-            with pytest.raises(NoConcaveOptimum):
-                best_response_closed_form(ctx, config)
             ga = best_response_ga(ctx, config, seed=trial)
             assert lo * ctx.capital <= ga.capital <= hi * ctx.capital
             assert lo * ctx.labor <= ga.labor <= hi * ctx.labor
@@ -247,12 +304,14 @@ class TestGeneticSearch:
         assert (dec.capital, dec.labor) == (3.0, 2.0)
 
     def test_dispatcher_prefers_closed_form_but_survives_fallback(self):
+        # the closed form answers concave and non-concave surfaces alike
         concave = ctx_of(revenue=120.0, capital=80.0, labor=40.0)
-        assert best_response(concave, seed=1) == best_response_closed_form(
-            concave, GameConfig())
-        spiky = ctx_of(alpha=0.7, beta=0.6)  # closed form refuses
-        dec = best_response(spiky, seed=1)
-        assert dec.capital > 0 and dec.labor > 0
+        spiky = ctx_of(alpha=0.7, beta=0.6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chainsim.game, "best_response_ga", no_ga)
+            for ctx in (concave, spiky):
+                assert best_response(ctx, seed=1) == best_response_closed_form(
+                    ctx, GameConfig())
 
 
 def interior_chain():
@@ -283,7 +342,7 @@ class TestNash:
         ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                             labor=st.labor, customer_terms=0.0,
                             params=one.params["A"])
-        expect = best_response(ctx, seed=_firm_seed(0, "A"))
+        expect = best_response(ctx)
         assert res.converged
         assert res.decisions["A"] == expect
 
@@ -296,7 +355,7 @@ class TestNash:
             ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                                 labor=st.labor, customer_terms=0.0,
                                 params=eco.params[f])
-            assert res.decisions[f] == best_response(ctx, seed=_firm_seed(0, f))
+            assert res.decisions[f] == best_response(ctx)
 
     def test_fixed_point_self_consistent(self):
         eco, net = interior_chain()
@@ -310,7 +369,7 @@ class TestNash:
             ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                                 labor=st.labor, customer_terms=cts,
                                 params=eco.params[f])
-            again = best_response(ctx, seed=_firm_seed(0, f))
+            again = best_response(ctx)
             assert again.capital == pytest.approx(res.decisions[f].capital,
                                                   rel=1e-9)
             assert again.labor == pytest.approx(res.decisions[f].labor,
@@ -328,11 +387,11 @@ class TestNash:
 
     def test_repeat_runs_identical(self):
         eco, net = interior_chain()
-        a = nash_solve(eco, net, 1.02, seed=4)
-        b = nash_solve(eco, net, 1.02, seed=4)
+        a = nash_solve(eco, net, 1.02)
+        b = nash_solve(eco, net, 1.02)
         assert a.decisions == b.decisions
 
-    def test_one_best_response_pass_with_ga_fallback(self):
+    def test_nonconcave_firm_gets_one_closed_form_response(self):
         eco, net = interior_chain()
         eco.params["B"] = FirmParameters(alpha=0.6, beta=0.5, cost_coeff=0.2,
                                          interest_rate=0.05, noise_sigma=0.0)
@@ -344,13 +403,12 @@ class TestNash:
                 revenue=st.revenue, capital=st.capital, labor=st.labor,
                 customer_terms=customer_terms_sum(f, net, eco.states, 1.02),
                 params=eco.params[f])
-        with pytest.raises(NoConcaveOptimum):
-            best_response_closed_form(contexts["B"])
-        res = nash_solve(eco, net, 1.02, seed=6)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chainsim.game, "best_response_ga", no_ga)
+            res = nash_solve(eco, net, 1.02)
         assert res.converged
         assert res.decisions == {
-            f: best_response(ctx, seed=_firm_seed(6, f))
-            for f, ctx in contexts.items()}
+            f: best_response_closed_form(ctx) for f, ctx in contexts.items()}
 
     def test_refuses_bankrupt_firm(self):
         eco, net = interior_chain()

@@ -26,7 +26,7 @@ from chainsim import (
     steady_state_inputs,
 )
 from chainsim.econ import customer_terms_sum
-from chainsim.game import PayoffContext, _firm_seed, best_response
+from chainsim.game import PayoffContext, best_response
 from chainsim.netgen import firm_ids
 
 
@@ -46,6 +46,12 @@ class TestConfigValidation:
         {"gdp_growth": -math.inf},
         {"gdp_volatility": -0.01}, {"gdp_volatility": math.nan},
         {"gdp_volatility": math.inf},
+        # a NaN degree wired the complete graph
+        {"mean_out_degree": math.nan}, {"mean_out_degree": math.inf},
+        {"mean_out_degree": -1.0},
+        # _draw_elasticities would redraw forever on these
+        {"elasticity_sum_max": 0.2}, {"elasticity_sum_max": 0.1},
+        {"elasticity_sum_max": math.nan},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -288,8 +294,7 @@ class TestForwardSimulate:
                 st, q = states[f], eco.params[f]
                 cts = customer_terms_sum(f, net, states, g)
                 dec = best_response(
-                    PayoffContext(st.revenue, st.capital, st.labor, cts, q),
-                    seed=_firm_seed(seed, f))
+                    PayoffContext(st.revenue, st.capital, st.labor, cts, q))
                 cap = dec.capital * math.exp(jitter * jit[i, 0])
                 lab = dec.labor * math.exp(jitter * jit[i, 1])
                 growth = (cap / st.capital) ** q.alpha * (lab / st.labor) ** q.beta
@@ -335,12 +340,6 @@ class TestEconomyFromPanel:
             assert got.capital == pytest.approx(st.capital)
             assert got.labor == pytest.approx(st.labor)
             assert got.equity == pytest.approx(st.equity)
-
-    def test_position_zero_rejected(self):
-        cfg = GeneratorConfig(n_firms=3, seed=1)
-        _, _, _, res = simulate_economy(cfg)
-        with pytest.raises(ValueError):
-            economy_from_panel(res.panel, {}, position=0)
 
     def test_missing_params_rejected(self):
         cfg = GeneratorConfig(n_firms=3, seed=1)

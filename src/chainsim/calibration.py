@@ -116,14 +116,10 @@ def growth_gap_matrix(customers: dict[str, FirmSeries],
     revenue identity wants them).
     """
     gdp = np.asarray(gdp, dtype=float)
-    n_use = gdp.size - 2
     ids = tuple(sorted(customers))
-    gap = np.empty((len(ids), n_use))
-    g_ratio = gdp[1:-1] / gdp[:-2]
-    for row, cid in enumerate(ids):
-        r = customers[cid].revenue
-        gap[row] = r[1:-1] / r[:-2] - g_ratio
-    return ids, gap
+    rev = np.array([customers[cid].revenue for cid in ids]).reshape(
+        len(ids), gdp.size)
+    return ids, rev[:, 1:-1] / rev[:, :-2] - gdp[1:-1] / gdp[:-2]
 
 
 def residual_series(firm: FirmSeries, customers: dict[str, FirmSeries],
@@ -170,12 +166,13 @@ def average_error(residuals: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Solver settings for one firm's fit.
+    """Solver settings for a batch of firm fits.
 
-    A fit is converged when the max-abs projected gradient of its
+    A firm's fit is converged when the max-abs projected gradient of its
     residual sum of squares is below tol, or when the undamped
     Gauss-Newton step over the coordinates not held at a bound moves
-    every coordinate by less than tol. max_iter caps the accepted steps.
+    every coordinate by less than tol. max_iter caps each firm's
+    accepted steps. Every firm of a batch is judged on its own.
     """
 
     tol: float = 1e-8
@@ -193,62 +190,111 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    x: np.ndarray
-    iterations: int       # accepted steps
-    converged: bool
-    n_evals: int          # residual+Jacobian evaluations
+    x: np.ndarray           # (n, P) optimum of every problem
+    iterations: np.ndarray  # (n,) accepted steps per problem
+    converged: np.ndarray   # (n,) bool per problem
+    n_evals: int            # residual+Jacobian evaluations, summed over problems
+
+
+def _solve_each(mat: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve mat[i] @ s[i] = rhs[i] for every i; ok is False where mat[i] is singular.
+
+    One stacked solve; only when it raises is the stack solved system by
+    system, so a singular system costs no other system its answer.
+    """
+    try:
+        return (np.linalg.solve(mat, rhs[:, :, None])[:, :, 0],
+                np.ones(len(rhs), dtype=bool))
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(rhs)
+        ok = np.ones(len(rhs), dtype=bool)
+        for i in range(len(rhs)):
+            try:
+                out[i] = np.linalg.solve(mat[i], rhs[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return out, ok
 
 
 def minimize_bounded(fun, x0, bounds, tol: float = 1e-8,
                      max_iter: int = 500) -> MinimizeResult:
-    """Minimize sum(r**2) over a box by projected Levenberg-Marquardt.
+    """Minimize each row's sum(r**2) over its box by projected Levenberg-Marquardt.
 
-    fun(x) returns the residual vector r and its Jacobian J. A bound
+    The n problems of the batch are rows of x0 (n, P) and of the bounds
+    lo, hi (each (n, P)). fun(x, rows) evaluates the problems whose
+    indices are rows at the points x (len(rows), P) and returns their
+    residuals r (len(rows), M) and Jacobians J (len(rows), M, P). A
+    coordinate with lo == hi (such as padding) is never free. A bound
     coordinate whose gradient points out of the box is held for the
     step; the rest take the step solving (J^T J + lambda diag(J^T J)) d
-    = -J^T r, and the trial point is clipped to the box. A step is
-    accepted only if it strictly lowers the sum of squares. converged
-    follows the rule stated on FitOptions, checked before every step
-    and again at the max_iter cap; damping never makes a step count as
-    small.
+    = -J^T r, and the trial point is clipped to the box.
+
+    Each sweep checks every unfinished problem for convergence (the rule
+    stated on FitOptions, checked before every step and again at the
+    max_iter cap; damping never makes a step count as small), then makes
+    one damped trial per problem, all in one stacked solve. A trial is
+    accepted only if it strictly lowers that problem's sum of squares;
+    then its lambda falls tenfold, else it rises tenfold and the problem
+    tries again next sweep. So each problem runs the same sequence of
+    trials as it would alone. A problem stops when it converges, at
+    max_iter accepted steps, when its lambda passes LM_LAMBDA_MAX, or
+    when its damped system is singular. n_evals sums the evaluations
+    of all problems.
     """
     lo = np.asarray(bounds[0], dtype=float)
     hi = np.asarray(bounds[1], dtype=float)
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r, J = fun(x)
-    n_evals = 1
-    sse = float(r @ r)
-    lam = LM_LAMBDA_START
-    iterations = 0
-    while True:
-        g = J.T @ r  # half the gradient of the sum of squares
-        converged = bool(np.all(np.abs(x - np.clip(x - 2.0 * g, lo, hi)) < tol))
-        free = ~(((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0)))
-        A = (J.T @ J)[np.ix_(free, free)]
-        xf, gf, lof, hif = x[free], g[free], lo[free], hi[free]
-        if not converged:
-            try:
-                step = np.clip(xf - np.linalg.solve(A, gf), lof, hif) - xf
-                converged = bool(np.all(np.abs(step) < tol))
-            except np.linalg.LinAlgError:
-                pass  # singular J^T J has no Gauss-Newton step
-        if converged or iterations >= max_iter:
-            break
-        damp = np.diag(np.maximum(np.diag(A), LM_DIAG_FLOOR))
-        while lam <= LM_LAMBDA_MAX:
-            xn = x.copy()
-            xn[free] = np.clip(xf - np.linalg.solve(A + lam * damp, gf),
-                               lof, hif)
-            rn, Jn = fun(xn)
-            n_evals += 1
-            if float(rn @ rn) < sse:
-                break
-            lam *= 10.0
-        else:
-            break  # no damping left that lowers the sum of squares
-        x, r, J, sse = xn, rn, Jn, float(rn @ rn)
-        lam = max(lam / 10.0, LM_LAMBDA_MIN)
-        iterations += 1
+    n, n_par = x.shape
+    pinned = lo >= hi
+    eye = np.eye(n_par, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    converged = np.zeros(n, dtype=bool)
+    lam = np.full(n, LM_LAMBDA_START)
+    active = np.arange(n)
+    n_evals = 0
+    if n:
+        r, J = fun(x, active)
+        n_evals = n
+        sse = np.einsum("nm,nm->n", r, r)
+    while active.size:
+        xa, ra, Ja, la, ha = (v[active] for v in (x, r, J, lo, hi))
+        g = (ra[:, None, :] @ Ja)[:, 0]  # half the gradient of the sum of squares
+        A = Ja.transpose(0, 2, 1) @ Ja
+        conv = np.all(np.abs(xa - np.clip(xa - 2.0 * g, la, ha)) < tol, axis=1)
+        free = ~(((xa <= la) & (g > 0.0)) | ((xa >= ha) & (g < 0.0))
+                 | pinned[active])
+        # held coordinates become identity rows and columns with a zero
+        # right-hand side, so they stay put and decouple from the rest
+        mat = np.where(free[:, :, None] & free[:, None, :], A, eye)
+        rhs = np.where(free, g, 0.0)
+        test = np.flatnonzero(~conv)
+        # ok is False where J^T J is singular: then there is no Gauss-Newton step
+        step, ok = _solve_each(mat[test], rhs[test])
+        moved = np.clip(xa[test] - step, la[test], ha[test]) - xa[test]
+        conv[test] = ok & np.all(np.abs(moved) < tol, axis=1)
+        converged[active] = conv
+
+        go = np.flatnonzero(~conv & (iterations[active] < max_iter))
+        damp = np.where(free, np.maximum(A.diagonal(axis1=1, axis2=2),
+                                         LM_DIAG_FLOOR), 0.0)
+        step, ok = _solve_each(
+            mat[go] + (lam[active[go], None] * damp[go])[:, :, None] * eye,
+            rhs[go])
+        go, step = go[ok], step[ok]  # a singular damped system stops its problem
+        rows = active[go]
+        xn = np.where(free[go], np.clip(xa[go] - step, la[go], ha[go]), xa[go])
+        if rows.size:
+            rn, Jn = fun(xn, rows)
+            n_evals += rows.size
+            sse_n = np.einsum("nm,nm->n", rn, rn)
+            better = sse_n < sse[rows]
+            won = rows[better]
+            x[won], r[won], J[won], sse[won] = (xn[better], rn[better],
+                                                Jn[better], sse_n[better])
+            lam[won] = np.maximum(lam[won] / 10.0, LM_LAMBDA_MIN)
+            iterations[won] += 1
+            lam[rows[~better]] *= 10.0
+        active = rows[lam[rows] <= LM_LAMBDA_MAX]
     return MinimizeResult(x=x, iterations=iterations, converged=converged,
                           n_evals=n_evals)
 
@@ -268,6 +314,80 @@ class FitResult:
     degenerate: bool = False
 
 
+def _check_identified(n_periods: int, n_customers: int) -> None:
+    """Raise unless a firm with n_customers customers can be fitted."""
+    if n_periods < MIN_PERIODS:
+        raise ValueError(f"need at least {MIN_PERIODS} periods, got {n_periods}")
+    n_params, n_resid = 2 + n_customers, n_periods - 2
+    if n_params >= n_resid:
+        raise UnderdeterminedError(
+            f"{n_params} parameters vs {n_resid} usable residuals")
+
+
+def _fit_stacked(firms: list[FirmSeries], customer_ids: list[tuple[str, ...]],
+                 growth: np.ndarray, row: dict[str, int],
+                 options: FitOptions) -> list[FitResult]:
+    """Fit firms[i] against its customers customer_ids[i], all in one solve.
+
+    growth holds each customer's growth gap (growth_gap_matrix) at row
+    row[customer]. Every firm's parameters (alpha, beta, k_1 .. k_C) are
+    padded to the largest customer count C; a padded strength is pinned
+    at 0 and its growth gap is 0.
+    """
+    n = len(firms)
+    n_use = growth.shape[1]
+    n_cust = max(map(len, customer_ids), default=0)
+    real = np.arange(n_cust) < np.array(
+        [len(ids) for ids in customer_ids], dtype=int).reshape(n, 1)
+    gap = np.zeros((n, n_cust, n_use))
+    gap[real] = growth[[row[cid] for ids in customer_ids for cid in ids]]
+    jac_k = -gap.transpose(0, 2, 1)
+    stack = lambda name: np.array(
+        [getattr(f, name) for f in firms]).reshape(n, n_use + 2)
+    revenue, capital, labor = stack("revenue"), stack("capital"), stack("labor")
+    rev_ratio = revenue[:, 2:] / revenue[:, 1:-1]
+    ln_kr = np.log(capital[:, 2:] / capital[:, 1:-1])
+    ln_lr = np.log(labor[:, 2:] / labor[:, 1:-1])
+
+    def residual(x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lk, ll = ln_kr[rows], ln_lr[rows]
+        prod = np.exp(x[:, :1] * lk + x[:, 1:2] * ll)
+        eps = rev_ratio[rows] - prod - (x[:, None, 2:] @ gap[rows])[:, 0]
+        jac = np.empty(lk.shape + (2 + n_cust,))
+        jac[:, :, 0] = -prod * lk
+        jac[:, :, 1] = -prod * ll
+        jac[:, :, 2:] = jac_k[rows]
+        return eps, jac
+
+    def per_firm(elasticity: float, strength: float) -> np.ndarray:
+        return np.hstack([np.full((n, 2), elasticity),
+                          np.where(real, strength, 0.0)])
+
+    res = minimize_bounded(
+        residual, per_firm(INIT_ELASTICITY, INIT_STRENGTH),
+        (per_firm(ELASTICITY_BOUNDS[0], STRENGTH_BOUNDS[0]),
+         per_firm(ELASTICITY_BOUNDS[1], STRENGTH_BOUNDS[1])),
+        tol=options.tol, max_iter=options.max_iter)
+    eps, _ = residual(res.x, np.arange(n))
+    fits = []
+    for i, ids in enumerate(customer_ids):
+        avg = average_error(eps[i])
+        converged = bool(res.converged[i])
+        iterations = int(res.iterations[i])
+        fits.append(FitResult(
+            alpha=float(res.x[i, 0]),
+            beta=float(res.x[i, 1]),
+            strengths={cid: float(res.x[i, 2 + j]) for j, cid in enumerate(ids)},
+            sigma=avg,
+            sse=float(eps[i] @ eps[i]),
+            average_error=avg,
+            iterations=iterations,
+            converged=converged,
+            degenerate=converged and iterations == 0,
+        ))
+    return fits
+
+
 def fit_firm(firm: FirmSeries, customers: dict[str, FirmSeries],
              gdp: np.ndarray, options: FitOptions = FitOptions()) -> FitResult:
     """Least-squares fit of (alpha, beta, k_per_customer) for one firm.
@@ -279,61 +399,16 @@ def fit_firm(firm: FirmSeries, customers: dict[str, FirmSeries],
     stated on FitOptions: the projected gradient or the undamped
     Gauss-Newton step is below options.tol. A flat objective (e.g. a
     perfectly constant panel) converges at the starting point and is
-    flagged degenerate.
+    flagged degenerate. This is fit_all's batched fit on a batch of one.
     """
     gdp = np.asarray(gdp, dtype=float)
-    T = len(firm)
-    if T < MIN_PERIODS:
-        raise ValueError(f"need at least {MIN_PERIODS} periods, got {T}")
-    if gdp.size != T:
+    if gdp.size != len(firm):
         raise ValueError("gdp length differs from firm series")
-    n_resid = T - 2
-    ids = tuple(sorted(customers))
-    n_params = 2 + len(ids)
-    if n_params >= n_resid:
-        raise UnderdeterminedError(
-            f"{n_params} parameters vs {n_resid} usable residuals")
-
-    r, k, l = firm.revenue, firm.capital, firm.labor
-    rev_ratio = r[2:] / r[1:-1]
-    ln_kr = np.log(k[2:] / k[1:-1])
-    ln_lr = np.log(l[2:] / l[1:-1])
-    jac0 = np.zeros((n_resid, n_params))
-    if ids:
-        _, gap = growth_gap_matrix(dict(customers), gdp)
-        jac0[:, 2:] = -gap.T
-
-    def residual(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        prod = np.exp(x[0] * ln_kr + x[1] * ln_lr)
-        eps = rev_ratio - prod
-        if ids:
-            eps = eps - x[2:] @ gap
-        jac = jac0.copy()
-        jac[:, 0] = -prod * ln_kr
-        jac[:, 1] = -prod * ln_lr
-        return eps, jac
-
-    lo = np.array([ELASTICITY_BOUNDS[0]] * 2 + [STRENGTH_BOUNDS[0]] * len(ids))
-    hi = np.array([ELASTICITY_BOUNDS[1]] * 2 + [STRENGTH_BOUNDS[1]] * len(ids))
-    x0 = np.array([INIT_ELASTICITY] * 2 + [INIT_STRENGTH] * len(ids))
-    res = minimize_bounded(residual, x0, (lo, hi), tol=options.tol,
-                           max_iter=options.max_iter)
-
-    strengths = {cid: float(res.x[2 + i]) for i, cid in enumerate(ids)}
-    eps = residual_series(firm, dict(customers), gdp,
-                          float(res.x[0]), float(res.x[1]), strengths)
-    avg = average_error(eps)
-    return FitResult(
-        alpha=float(res.x[0]),
-        beta=float(res.x[1]),
-        strengths=strengths,
-        sigma=avg,
-        sse=float(eps @ eps),
-        average_error=avg,
-        iterations=res.iterations,
-        converged=res.converged,
-        degenerate=res.converged and res.iterations == 0,
-    )
+    _check_identified(len(firm), len(customers))
+    ids, growth = growth_gap_matrix(dict(customers), gdp)
+    (fit,) = _fit_stacked([firm], [ids], growth,
+                          {cid: i for i, cid in enumerate(ids)}, options)
+    return fit
 
 
 @dataclass(frozen=True)
@@ -376,20 +451,28 @@ def fit_all(panel: PanelSeries, network: TransactionNetwork,
     """Fit every firm in the panel against its customers in the network.
 
     Per-firm failures (short series, underdetermined) are collected
-    rather than raised. Histograms summarize the fitted elasticities,
-    their sum, all fitted strengths, and the per-firm average errors.
+    rather than raised; every other firm is fitted in one batched solve,
+    padded to the largest customer count. Histograms summarize the
+    fitted elasticities, their sum, all fitted strengths, and the
+    per-firm average errors.
     """
-    results: dict[str, FitResult] = {}
+    ids, growth = growth_gap_matrix(panel.firms, panel.gdp)
     failures: dict[str, str] = {}
-    for fid in panel.firm_ids:
-        customers = {cid: panel.firm(cid)
-                     for cid, _ in network.customers_of(fid)
-                     if cid in panel.firms}
+    fitted: list[str] = []
+    customer_ids: list[tuple[str, ...]] = []
+    for fid in ids:
+        custs = tuple(sorted(cid for cid, _ in network.customers_of(fid)
+                             if cid in panel.firms))
         try:
-            results[fid] = fit_firm(panel.firm(fid), customers,
-                                    panel.gdp, options)
+            _check_identified(panel.n_periods, len(custs))
         except ValueError as exc:  # UnderdeterminedError included
             failures[fid] = str(exc)
+            continue
+        fitted.append(fid)
+        customer_ids.append(custs)
+    fits = _fit_stacked([panel.firm(fid) for fid in fitted], customer_ids,
+                        growth, {fid: i for i, fid in enumerate(ids)}, options)
+    results = dict(zip(fitted, fits))
     histograms = _histograms((r.alpha, r.beta, r.strengths.values(),
                               r.average_error) for r in results.values())
     return CalibrationReport(results=results, failures=failures,

@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
 from . import io as cio
-from .calibration import FitOptions, fit_all, _histograms
+from .calibration import ELASTICITY_BOUNDS, FitOptions, fit_all, _histograms
 from .cascade import CascadeConfig, run_cascade
 from .econ import MacroSeries, POLICIES, ZERO_REVENUE
 from .netgen import (
+    RANGES,
     GeneratorConfig,
     economy_from_panel,
     forward_simulate,
@@ -110,9 +112,8 @@ def _cmd_generate(args: argparse.Namespace, out: _Outputs) -> int:
     for key in ("n_firms", "horizon", "seed"):
         if key in values:
             _integer(values[key], key)
-    for key in ("alpha_range", "beta_range", "strength_range",
-                "cost_coeff_range", "revenue_range", "equity_frac_range"):
-        if key in values:
+    for key in RANGES:
+        if isinstance(values.get(key), list):
             values[key] = tuple(values[key])
     try:
         gen = GeneratorConfig(**values)
@@ -168,9 +169,10 @@ def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
 def _read_fit_report(path: str) -> dict:
     """The fit report at path, with what the commands read of it checked.
 
-    firms and failures must be objects. Each firm record needs numeric
-    alpha, beta and average_error, and numeric strengths if it has any;
-    anything else is a CliError.
+    firms and failures must be objects. Each firm record needs finite
+    numeric alpha, beta and average_error, and finite numeric strengths
+    if it has any; alpha and beta must lie in calibration's
+    ELASTICITY_BOUNDS. Anything else is a CliError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -191,6 +193,15 @@ def _read_fit_report(path: str) -> dict:
                                   *strengths.values()))):
             raise CliError(f"fit report {path}: firm {fid!r} needs numeric "
                            "alpha, beta, average_error and strengths")
+        if not all(math.isfinite(v) for v in (rec["alpha"], rec["beta"],
+                                              rec["average_error"],
+                                              *strengths.values())):
+            raise CliError(f"fit report {path}: firm {fid!r} has a "
+                           "non-finite value")
+        lo, hi = ELASTICITY_BOUNDS
+        if not (lo <= rec["alpha"] <= hi and lo <= rec["beta"] <= hi):
+            raise CliError(f"fit report {path}: firm {fid!r} has alpha or "
+                           f"beta outside calibration's bounds [{lo}, {hi}]")
     return report
 
 

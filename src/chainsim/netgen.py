@@ -35,6 +35,9 @@ from .econ import (
 from .game import PayoffContext, best_response
 
 EDGE_MODELS = ("random", "scale-free")
+# GeneratorConfig fields that are (low, high) ranges of a uniform draw
+RANGES = ("alpha_range", "beta_range", "strength_range", "cost_coeff_range",
+          "revenue_range", "equity_frac_range")
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,16 @@ class GeneratorConfig:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
         if self.gdp_start <= 0.0:
             raise ValueError("gdp_start must be > 0")
+        # rng.uniform overflows on a non-finite range
+        for name in RANGES:
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
+                    and all(isinstance(v, (int, float))
+                            and not isinstance(v, bool) and math.isfinite(v)
+                            for v in bounds)
+                    and bounds[0] <= bounds[1]):
+                raise ValueError(f"{name} must be two finite numbers, low <= high, "
+                                 f"got {bounds!r}")
         if not (math.isfinite(self.mean_out_degree) and self.mean_out_degree >= 0.0):
             raise ValueError("mean_out_degree must be finite and >= 0, "
                              f"got {self.mean_out_degree!r}")

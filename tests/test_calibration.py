@@ -5,8 +5,12 @@ rolled out under known parameters and the fit has to find them again,
 exactly when the idiosyncratic shock is off, within tolerance when on.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsim import (
     Economy,
@@ -28,7 +32,7 @@ from chainsim import (
     simulate_economy,
     steady_state_inputs,
 )
-from chainsim.calibration import minimize_bounded
+from chainsim.calibration import MinimizeResult, minimize_bounded
 
 IDS = ("S", "X", "Y")
 TRUE = {
@@ -202,7 +206,7 @@ class TestFitFirm:
         for _ in range(10):
             x = np.concatenate([rng.uniform(0.05, 0.8, 2),
                                 rng.uniform(-0.5, 0.5, len(ids))])
-            r, jac = fun(x)
+            r, jac = (out[0] for out in fun(x[None], np.arange(1)))
             assert r == pytest.approx(resid(x), abs=1e-12)
             h = 1e-6
             for j in range(x.size):
@@ -252,20 +256,30 @@ def rosenbrock(z):
             np.array([[-1.0, 0.0], [-20.0 * z[0], 10.0]]))
 
 
+def solo(fun, x0, bounds, **kwargs):
+    """minimize_bounded on one problem, passed as a batch of one."""
+    res = minimize_bounded(lambda x, rows: tuple(a[None] for a in fun(x[0])),
+                           np.asarray(x0)[None],
+                           (bounds[0][None], bounds[1][None]), **kwargs)
+    return MinimizeResult(x=res.x[0], iterations=int(res.iterations[0]),
+                          converged=bool(res.converged[0]),
+                          n_evals=res.n_evals)
+
+
 class TestMinimizeBounded:
     def test_quadratic_interior_minimum(self):
-        res = minimize_bounded(quadratic, np.zeros(2), WIDE)
+        res = solo(quadratic, np.zeros(2), WIDE)
         assert res.converged
         assert res.x == pytest.approx([3.0, -1.0], abs=1e-8)
 
     def test_rosenbrock_valley(self):
-        res = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX)
+        res = solo(rosenbrock, np.array([-1.2, 1.0]), BOX)
         assert res.converged
         assert res.x == pytest.approx([1.0, 1.0], abs=1e-6)
 
     def test_minimum_on_box_edge(self):
         # unconstrained optimum at (-3, 0); the box stops x0 at -2
-        res = minimize_bounded(
+        res = solo(
             lambda z: (np.array([z[0] + 3.0, z[1]]), np.eye(2)),
             np.zeros(2), BOX)
         assert res.converged
@@ -275,7 +289,7 @@ class TestMinimizeBounded:
     def test_badly_scaled_optimum_converges_on_the_gauss_newton_step(self):
         # at the optimum's round-off the gradient is still of order 1,
         # but the undamped Gauss-Newton step is below tol
-        res = minimize_bounded(
+        res = solo(
             lambda z: (1e8 * np.array([z[0] - 0.1, z[0] - 0.4]),
                        np.array([[1e8], [1e8]])),
             np.zeros(1), (np.full(1, -1.0), np.full(1, 1.0)))
@@ -283,14 +297,14 @@ class TestMinimizeBounded:
         assert res.x == pytest.approx([0.25], abs=1e-12)
 
     def test_start_at_optimum_converges_in_zero_iterations(self):
-        res = minimize_bounded(quadratic, np.array([3.0, -1.0]), WIDE)
+        res = solo(quadratic, np.array([3.0, -1.0]), WIDE)
         assert res.converged
         assert res.iterations == 0
         assert res.n_evals == 1
 
     def test_start_outside_box_is_clipped_first(self):
         box = (np.zeros(2), np.ones(2))
-        res = minimize_bounded(quadratic, np.array([50.0, -50.0]), box)
+        res = solo(quadratic, np.array([50.0, -50.0]), box)
         assert res.converged
         assert res.x == pytest.approx([1.0, 0.0], abs=1e-8)
 
@@ -302,28 +316,71 @@ class TestMinimizeBounded:
             seen.append(float(r @ r))
             return r, jac
 
-        res = minimize_bounded(traced, np.array([-1.2, 1.0]), BOX)
+        res = solo(traced, np.array([-1.2, 1.0]), BOX)
         final = float(rosenbrock(res.x)[0] @ rosenbrock(res.x)[0])
         assert final == min(seen)
         assert final < seen[0]
 
     def test_iteration_cap_reports_not_converged(self):
-        res = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX,
+        res = solo(rosenbrock, np.array([-1.2, 1.0]), BOX,
                                max_iter=3)
         assert res.iterations == 3
         assert not res.converged
 
     def test_convergence_is_checked_again_at_the_cap(self):
-        free_run = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX)
-        capped = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX,
+        free_run = solo(rosenbrock, np.array([-1.2, 1.0]), BOX)
+        capped = solo(rosenbrock, np.array([-1.2, 1.0]), BOX,
                                   max_iter=free_run.iterations)
         assert capped.converged
         assert capped.iterations == free_run.iterations
 
     def test_evaluations_count_the_start_and_every_step(self):
-        res = minimize_bounded(rosenbrock, np.array([-1.2, 1.0]), BOX)
+        res = solo(rosenbrock, np.array([-1.2, 1.0]), BOX)
         assert res.iterations > 0
         assert res.n_evals >= res.iterations + 1
+
+
+    def test_stacked_problems_match_their_solo_runs(self):
+        def shifted(z):
+            # unconstrained optimum at (-3, 0); the box stops x0 at -2
+            return np.array([z[0] + 3.0, z[1]]), np.eye(2)
+
+        problems = [(quadratic, np.zeros(2), WIDE),
+                    (rosenbrock, np.array([-1.2, 1.0]), BOX),
+                    (shifted, np.zeros(2), BOX)]
+
+        def stacked(x, rows):
+            outs = [problems[i][0](z) for z, i in zip(x, rows)]
+            return (np.array([r for r, _ in outs]),
+                    np.array([jac for _, jac in outs]))
+
+        res = minimize_bounded(
+            stacked, np.array([x0 for _, x0, _ in problems]),
+            (np.array([b[0] for _, _, b in problems]),
+             np.array([b[1] for _, _, b in problems])))
+        for i, (fun, x0, bounds) in enumerate(problems):
+            alone = solo(fun, x0, bounds)
+            assert res.x[i] == pytest.approx(alone.x, abs=1e-12)
+            assert res.converged[i] == alone.converged
+            assert res.iterations[i] == alone.iterations
+        assert res.n_evals == sum(solo(*p).n_evals for p in problems)
+
+
+@functools.lru_cache(maxsize=None)
+def sub_panel_source():
+    """A noisy economy short enough that some firms are underdetermined."""
+    _, net, _, sim = simulate_economy(
+        GeneratorConfig(n_firms=24, horizon=8, seed=11), noise_on=True)
+    return net, sim.panel
+
+
+def assert_same_fit(fit, alone):
+    assert fit.alpha == pytest.approx(alone.alpha, abs=1e-12)
+    assert fit.beta == pytest.approx(alone.beta, abs=1e-12)
+    assert fit.strengths.keys() == alone.strengths.keys()
+    for cid, k in alone.strengths.items():
+        assert fit.strengths[cid] == pytest.approx(k, abs=1e-12)
+    assert fit.converged == alone.converged
 
 
 class TestFitAll:
@@ -357,3 +414,51 @@ class TestFitAll:
         report = fit_all(panel, net)
         assert "S" in report.failures          # underdetermined at T=5
         assert set(report.results) == {"X", "Y"}
+
+    def test_singular_and_underdetermined_firms_do_not_poison_the_batch(self):
+        _, net, panel = simulated_panel(noise_on=True, seed=4, horizon=7)
+        s = panel.firm("S")
+        flat = FirmSeries(revenue=np.full(7, 50.0), capital=np.full(7, 20.0),
+                          labor=np.full(7, 10.0))
+        # constant inputs zero the elasticity columns of the Jacobian, so
+        # this firm's Gauss-Newton system is singular at every sweep
+        still = FirmSeries(revenue=s.revenue, capital=flat.capital,
+                           labor=flat.labor)
+        firms = {**panel.firms, "Z": flat, "W": still, "U": s}
+        edges = (*net.edges(), ("W", "X", 0.1),
+                 ("U", "X", 0.1), ("U", "Y", 0.1), ("U", "Z", 0.1))
+        report = fit_all(
+            PanelSeries(firms=firms, gdp=panel.gdp, periods=panel.periods),
+            TransactionNetwork(firms=tuple(firms), edges=edges))
+        assert report.failures == {"U": "5 parameters vs 5 usable residuals"}
+        assert report.results["Z"].converged
+        assert report.results["Z"].degenerate
+        assert report.results["W"].converged
+        assert (report.results["W"].alpha, report.results["W"].beta) == (0.3, 0.3)
+        clean = fit_all(panel, net)
+        assert set(clean.results) == set(IDS)
+        for fid in IDS:
+            assert_same_fit(report.results[fid], clean.results[fid])
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_fit_matches_fit_firm_in_any_sub_panel(self, data):
+        net, panel = sub_panel_source()
+        ids = panel.firm_ids
+        focal = data.draw(st.sampled_from(ids))
+        keep = (data.draw(st.sets(st.sampled_from(ids)))
+                | {focal} | {c for c, _ in net.customers_of(focal)})
+        sub = PanelSeries(firms={f: panel.firm(f) for f in keep},
+                          gdp=panel.gdp, periods=panel.periods)
+        report = fit_all(sub, net)
+        failures = {}
+        for fid in keep:
+            custs = {c: sub.firm(c) for c, _ in net.customers_of(fid)
+                     if c in keep}
+            try:
+                alone = fit_firm(sub.firm(fid), custs, sub.gdp)
+            except ValueError as exc:
+                failures[fid] = str(exc)
+                continue
+            assert_same_fit(report.results[fid], alone)
+        assert report.failures == failures

@@ -60,6 +60,8 @@ class TestGenerate:
         {"gdp_growth": -1.5}, {"gdp_growth": -1.0}, {"gdp_volatility": -0.01},
         {"mean_out_degree": math.nan}, {"mean_out_degree": -1.0},
         {"elasticity_sum_max": 0.2},
+        {"alpha_range": [0.1, math.nan]}, {"revenue_range": [150.0, 50.0]},
+        {"equity_frac_range": [0.05, math.inf]}, {"strength_range": 0.3},
     ])
     def test_bad_config_value_fails_clean(self, tmp_path, capsys, cfg):
         path = tmp_path / "gen.json"
@@ -320,6 +322,32 @@ class TestCascade:
         if command == "cascade":
             args += ["--trigger", "F0003"]
         assert run(args) == 0
+
+    @pytest.mark.parametrize("record", [
+        {"alpha": 400.0, "beta": 0.3}, {"alpha": 0.3, "beta": -0.1},
+        {"alpha": math.nan, "beta": 0.3}, {"alpha": 0.3, "beta": math.inf},
+        {"alpha": 0.3, "beta": 0.3, "strengths": {"F0001": math.nan}},
+    ])
+    @pytest.mark.parametrize("command", ["cascade", "simulate"])
+    def test_fitted_values_outside_the_fit_box_fail_clean(self, tmp_path, capsys,
+                                                          command, record):
+        # alpha = 400 overflowed the best response's interior point
+        data = tmp_path / "data"
+        assert run(["generate", "--out-dir", str(data), "--firms", "12",
+                    "--seed", "19"]) == 0
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps({"firms": {
+            "F0000": {"average_error": 0.0, **record}}}))
+        out = tmp_path / "out"
+        args = [command, "--fit-report", str(report), "--out-dir", str(out)]
+        for name in ("panel", "edges", "gdp", "params"):
+            args += [f"--{name}", str(data / f"{name}.csv")]
+        if command == "cascade":
+            args += ["--trigger", "F0003"]
+        capsys.readouterr()
+        assert run(args) == 2
+        assert "F0000" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_multiple_triggers_union(self, tmp_path):
         paths = steady_chain_csvs(tmp_path, equity_a=1000.0)

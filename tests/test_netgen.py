@@ -52,10 +52,23 @@ class TestConfigValidation:
         # _draw_elasticities would redraw forever on these
         {"elasticity_sum_max": 0.2}, {"elasticity_sum_max": 0.1},
         {"elasticity_sum_max": math.nan},
+        # rng.uniform overflows on a non-finite range; an inverted or
+        # malformed range is no range
+        {"alpha_range": (0.1, math.nan)}, {"alpha_range": (0.6, 0.1)},
+        {"beta_range": (-math.inf, 0.6)}, {"beta_range": ("0.1", 0.6)},
+        {"strength_range": (0.0, math.inf)}, {"strength_range": (0.3, 0.0)},
+        {"cost_coeff_range": (math.nan, 0.5)}, {"cost_coeff_range": (0.1,)},
+        {"revenue_range": (150.0, 50.0)}, {"revenue_range": (50.0, math.inf)},
+        {"equity_frac_range": (0.4, 0.05)}, {"equity_frac_range": 0.4},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             GeneratorConfig(**kwargs)
+
+    def test_point_range_accepted(self):
+        cfg = GeneratorConfig(n_firms=3, strength_range=(0.2, 0.2))
+        net = generate_network(cfg, np.random.default_rng(0))
+        assert all(k == 0.2 for _, _, k in net.edges())
 
     def test_steep_but_feasible_gdp_path_accepted(self):
         cfg = GeneratorConfig(horizon=6, gdp_growth=-0.9, gdp_volatility=0.0)

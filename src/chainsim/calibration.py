@@ -436,7 +436,7 @@ def _histograms(fits) -> dict:
     }
     out = {}
     for name, values in columns.items():
-        arr = np.asarray(sorted(values), dtype=float)
+        arr = np.asarray(values, dtype=float)
         if arr.size == 0:
             out[name] = {"counts": [], "edges": []}
             continue
@@ -461,8 +461,8 @@ def fit_all(panel: PanelSeries, network: TransactionNetwork,
     fitted: list[str] = []
     customer_ids: list[tuple[str, ...]] = []
     for fid in ids:
-        custs = tuple(sorted(cid for cid, _ in network.customers_of(fid)
-                             if cid in panel.firms))
+        custs = tuple(cid for cid, _ in network.customers_of(fid)
+                      if cid in panel.firms)
         try:
             _check_identified(panel.n_periods, len(custs))
         except ValueError as exc:  # UnderdeterminedError included

@@ -22,7 +22,6 @@ from .calibration import ELASTICITY_BOUNDS, FitOptions, fit_all, _histograms
 from .cascade import CascadeConfig, run_cascade
 from .econ import MacroSeries, POLICIES, ZERO_REVENUE
 from .netgen import (
-    RANGES,
     GeneratorConfig,
     economy_from_panel,
     forward_simulate,
@@ -55,7 +54,8 @@ class _Outputs:
                 pass
 
 
-def _load_config_file(path: str | None) -> dict:
+def _load_config_file(path: str | None, keys) -> dict:
+    """The JSON object at path, refused if it holds a key not in keys."""
     if path is None:
         return {}
     try:
@@ -65,6 +65,9 @@ def _load_config_file(path: str | None) -> dict:
         raise CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"config {path} must hold a JSON object")
+    unknown = set(cfg) - set(keys)
+    if unknown:
+        raise CliError(f"config {path}: unknown keys {sorted(unknown)}")
     return cfg
 
 
@@ -96,12 +99,14 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def _cmd_generate(args: argparse.Namespace, out: _Outputs) -> int:
-    cfg = _load_config_file(args.config)
-    fields = {f.name for f in dataclasses.fields(GeneratorConfig)}
-    unknown = set(cfg) - fields - {"noise_on"}
-    if unknown:
-        raise CliError(f"unknown generator config keys: {sorted(unknown)}")
-    values = {k: v for k, v in cfg.items() if k in fields}
+    cfg = _load_config_file(
+        args.config,
+        [f.name for f in dataclasses.fields(GeneratorConfig)] + ["noise_on"])
+    noise_on = cfg.get("noise_on", True)
+    if not isinstance(noise_on, bool):
+        raise CliError(f"noise_on must be true or false, got {noise_on!r}")
+    noise_on = noise_on and not args.no_noise
+    values = {k: v for k, v in cfg.items() if k != "noise_on"}
     for key, cli_value in (("n_firms", args.firms),
                            ("horizon", args.horizon),
                            ("edge_model", args.edge_model),
@@ -112,18 +117,14 @@ def _cmd_generate(args: argparse.Namespace, out: _Outputs) -> int:
     for key in ("n_firms", "horizon", "seed"):
         if key in values:
             _integer(values[key], key)
-    for key in RANGES:
-        if isinstance(values.get(key), list):
-            values[key] = tuple(values[key])
     try:
         gen = GeneratorConfig(**values)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator config: {exc}") from None
-    noise_on = not args.no_noise if args.no_noise else cfg.get("noise_on", True)
 
     economy, network, macro, result = simulate_economy(gen, noise_on=noise_on)
     echo = dataclasses.asdict(gen)
-    echo["noise_on"] = bool(noise_on)
+    echo["noise_on"] = noise_on
     _ensure_out_dir(args.out_dir)
     join = lambda name: os.path.join(args.out_dir, name)
     out.write(cio.write_panel, join("panel.csv"), result.panel, echo, gen.seed)
@@ -145,7 +146,7 @@ def _load_panel_bundle(args) -> tuple:
 
 
 def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args.config, ("tol", "max_iter", "seed"))
     tol = _number(_pick(args.tol, cfg, "tol", FitOptions.tol), "tol")
     max_iter = _pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter)
     seed = _pick(args.seed, cfg, "seed", None)
@@ -216,13 +217,12 @@ def _apply_fit_report(path: str, params: dict, network):
                 base, alpha=float(rec["alpha"]), beta=float(rec["beta"]))
         for cid, k in rec.get("strengths", {}).items():
             overrides[(fid, cid)] = float(k)
-    known = {(s, c) for s, c, _ in network.edges()}
-    overrides = {e: v for e, v in overrides.items() if e in known}
     return new_params, network.with_strengths(overrides)
 
 
 def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args.config, ("trigger", "policy", "max_generations",
+                                          "gdp_ratio", "format", "seed"))
     panel, macro, network = _load_panel_bundle(args)
     params = cio.load_params(args.params)
     if args.fit_report:
@@ -238,7 +238,13 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     max_gen = _pick(args.max_generations, cfg, "max_generations", None)
     gdp_growth = _number(_pick(args.gdp_ratio, cfg, "gdp_ratio",
                                macro.ratio(len(macro) - 1)), "gdp_ratio")
-    formats = tuple(args.format or cfg.get("format") or FORMATS)
+    formats = _pick(args.format, cfg, "format", FORMATS)
+    if isinstance(formats, str):
+        formats = [formats]
+    if not (isinstance(formats, (list, tuple)) and formats
+            and all(isinstance(f, str) for f in formats)):
+        raise CliError("format must be a format name or a non-empty list "
+                       f"of them, got {formats!r}")
     for fmt in formats:
         if fmt not in FORMATS:
             raise CliError(f"unknown format {fmt!r}")
@@ -283,7 +289,8 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = _load_config_file(args.config, ("horizon", "seed", "decision_jitter",
+                                          "gdp_growth", "gdp_volatility"))
     horizon = _integer(_pick(args.horizon, cfg, "horizon", 11), "horizon")
     if horizon < 3:
         raise CliError("horizon must be >= 3")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from io import StringIO
@@ -77,7 +78,7 @@ def _parse_float(path: str, lineno: int, name: str, raw: str) -> float:
     except ValueError:
         raise FormatError(
             f"{path} line {lineno}: {name} is not a number: {raw!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FormatError(f"{path} line {lineno}: {name} is not finite")
     return value
 
@@ -284,7 +285,7 @@ def fit_report_payload(report: CalibrationReport,
         firms[fid] = {
             "alpha": r.alpha,
             "beta": r.beta,
-            "strengths": dict(sorted(r.strengths.items())),
+            "strengths": r.strengths,
             "sigma": r.sigma,
             "sse": r.sse,
             "average_error": r.average_error,
@@ -296,7 +297,7 @@ def fit_report_payload(report: CalibrationReport,
         "config": config_echo or {},
         "seed": seed,
         "firms": firms,
-        "failures": dict(sorted(report.failures.items())),
+        "failures": report.failures,
         "histograms": report.histograms,
     }
 
@@ -323,9 +324,9 @@ def cascade_payload(result: CascadeResult, config_echo: dict | None = None,
     return {
         "config": config_echo or {},
         "seed": seed,
-        "bankrupt": dict(sorted(result.bankrupt.items())),
-        "survivors": dict(sorted(result.survivors.items())),
-        "equity_trace": dict(sorted(trace.items())),
+        "bankrupt": result.bankrupt,
+        "survivors": result.survivors,
+        "equity_trace": trace,
         "generations_run": result.generations_run,
         "exhausted": result.exhausted,
     }

@@ -40,6 +40,12 @@ RANGES = ("alpha_range", "beta_range", "strength_range", "cost_coeff_range",
           "revenue_range", "equity_frac_range")
 
 
+def _finite_number(value) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Everything that defines a synthetic economy draw."""
@@ -71,15 +77,24 @@ class GeneratorConfig:
             raise ValueError("horizon must be >= 3")
         if self.edge_model not in EDGE_MODELS:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
-        if self.gdp_start <= 0.0:
-            raise ValueError("gdp_start must be > 0")
+        # generate_gdp redraws forever from a NaN start; a string or a
+        # bool only fails deep inside the draw
+        for name in ("gdp_start", "interest_rate", "noise_sigma",
+                     "start_jitter", "decision_jitter"):
+            value = getattr(self, name)
+            if not _finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not self.gdp_start > 0.0:
+            raise ValueError(f"gdp_start must be > 0, got {self.gdp_start!r}")
+        for name in ("interest_rate", "noise_sigma", "decision_jitter"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         # rng.uniform overflows on a non-finite range
         for name in RANGES:
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                    and all(isinstance(v, (int, float))
-                            and not isinstance(v, bool) and math.isfinite(v)
-                            for v in bounds)
+                    and all(map(_finite_number, bounds))
                     and bounds[0] <= bounds[1]):
                 raise ValueError(f"{name} must be two finite numbers, low <= high, "
                                  f"got {bounds!r}")
@@ -118,8 +133,11 @@ def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, 
     """Capital and labor at which the best response reproduces itself.
 
     Solves the stationary first-order condition by bisection on log
-    capital; the equation is monotone, so the root is unique. Needs
-    positive elasticities and interest rate.
+    capital over [ln 1e-9, ln 1e12]; the equation is monotone, so the
+    root is unique. The bisection stops once the midpoint equals an end
+    of the bracket, since no later step can move the midpoint then, and
+    after 200 steps at most. Needs positive elasticities and interest
+    rate.
     """
     a, b, r = params.alpha, params.beta, params.interest_rate
     A = params.cost_coeff
@@ -138,6 +156,8 @@ def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, 
     lo, hi = math.log(1e-9), math.log(1e12)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if gap(mid) < 0.0:
             lo = mid
         else:
@@ -263,40 +283,38 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     """Roll the economy forward over the macro series' horizon.
 
     Each period every firm best-responds to the books on record, the
-    applied inputs get optional lognormal jitter, and econ.term_books
+    applied inputs get lognormal jitter of spread decision_jitter
+    (finite and >= 0; 0 applies the decision as taken), and econ.term_books
     gives the term's revenue (with the idiosyncratic shock when
     noise_on) and profit, which rolls into equity. All firms advance on
     a period barrier, so the result does not depend on firm order.
     A revenue outcome at or below zero is floored and flagged. seed
     drives the noise and jitter streams.
     """
+    if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
+        raise ValueError("decision_jitter must be finite and >= 0, "
+                         f"got {decision_jitter!r}")
     T = len(macro)
     ids = economy.firm_ids
     n = len(ids)
     noise_rng = np.random.default_rng([seed, 101])
     jitter_rng = np.random.default_rng([seed, 102])
     states = dict(economy.states)
-    rows_r = {f: [] for f in ids}
-    rows_k = {f: [] for f in ids}
-    rows_l = {f: [] for f in ids}
-    rows_e = {f: [] for f in ids}
+    # revenue, capital, labor and equity of every firm in every period
+    books = np.empty((4, n, T))
     floor_events: list[tuple[str, int]] = []
 
-    for t in range(T - 1):
-        for f in ids:
+    for t in range(T):
+        for idx, f in enumerate(ids):
             st = states[f]
-            rows_r[f].append(st.revenue)
-            rows_k[f].append(st.capital)
-            rows_l[f].append(st.labor)
-            rows_e[f].append(st.equity)
+            books[:, idx, t] = st.revenue, st.capital, st.labor, st.equity
+        if t == T - 1:
+            break
         # interactions use the growth already on the books; before the
         # first recorded ratio exists, next period's serves as a stand-in
         g_lag = macro.ratio(t) if t >= 1 else macro.ratio(1)
         shocks = noise_rng.normal(size=n) if noise_on else np.zeros(n)
-        if decision_jitter > 0.0:
-            jit = jitter_rng.normal(size=(n, 2))
-        else:
-            jit = np.zeros((n, 2))
+        jit = jitter_rng.normal(size=(n, 2))
         fresh = {}
         for idx, f in enumerate(ids):
             st = states[f]
@@ -321,18 +339,12 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             )
         states = fresh
 
-    for f in ids:
-        st = states[f]
-        rows_r[f].append(st.revenue)
-        rows_k[f].append(st.capital)
-        rows_l[f].append(st.labor)
-        rows_e[f].append(st.equity)
-
-    firms = {f: FirmSeries(np.array(rows_r[f]), np.array(rows_k[f]),
-                           np.array(rows_l[f])) for f in ids}
-    equity = {f: np.array(rows_e[f]) for f in ids}
-    panel = PanelSeries(firms=firms, gdp=np.array(macro.gdp),
-                        periods=macro.periods, equity=equity)
+    revenue, capital, labor, equity = books
+    panel = PanelSeries(
+        firms={f: FirmSeries(revenue[i], capital[i], labor[i])
+               for i, f in enumerate(ids)},
+        gdp=np.array(macro.gdp), periods=macro.periods,
+        equity={f: equity[i] for i, f in enumerate(ids)})
     return SimulationResult(panel=panel, floor_events=tuple(floor_events),
                             final_states=states)
 

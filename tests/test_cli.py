@@ -62,6 +62,12 @@ class TestGenerate:
         {"elasticity_sum_max": 0.2},
         {"alpha_range": [0.1, math.nan]}, {"revenue_range": [150.0, 50.0]},
         {"equity_frac_range": [0.05, math.inf]}, {"strength_range": 0.3},
+        {"gdp_start": math.nan}, {"gdp_start": -1.0},
+        {"interest_rate": "0.05"}, {"noise_sigma": "0.02"},
+        {"start_jitter": "0.2"}, {"decision_jitter": "0.8"},
+        {"decision_jitter": -0.5},
+        # a string "false" ran with noise and echoed true
+        {"noise_on": "false"}, {"noise_on": 0},
     ])
     def test_bad_config_value_fails_clean(self, tmp_path, capsys, cfg):
         path = tmp_path / "gen.json"
@@ -71,6 +77,15 @@ class TestGenerate:
                     "--config", str(path)]) == 2
         assert next(iter(cfg)) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_noise_on_from_config(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"noise_on": False}))
+        by_cfg = gen_dir(tmp_path, "--config", str(cfg), name="cfg")
+        by_flag = gen_dir(tmp_path, "--no-noise", name="flag")
+        text = (by_cfg / "panel.csv").read_text()
+        assert '"noise_on": false' in text
+        assert text == (by_flag / "panel.csv").read_text()
 
     def test_missing_required_flag_exits_via_parser(self):
         with pytest.raises(SystemExit):
@@ -132,6 +147,18 @@ class TestCalibrate:
                     "--out-dir", str(out), "--config", str(cfg)]) == 2
         assert "tol" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
+
+    def test_unknown_config_key_fails_clean(self, tmp_path, capsys):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "calibrate_cfg.json"
+        cfg.write_text(json.dumps({"tl": 1e-3}))
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert "'tl'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_histograms_regenerate_from_report(self, tmp_path):
         data = gen_dir(tmp_path)
@@ -241,6 +268,8 @@ class TestCascade:
         ("max_generations", {"n": 2}), ("max_generations", [2]),
         ("max_generations", 1.7), ("max_generations", True),
         ("seed", 1.5), ("seed", "7"),
+        ("format", 5), ("format", ["json", 2]), ("format", {"json": 1}),
+        ("format", []),
     ])
     def test_config_value_of_wrong_type_fails_clean(self, tmp_path, capsys,
                                                     key, value):
@@ -294,6 +323,25 @@ class TestCascade:
                    + ["--config", str(cfg)]) == 0
         assert ((by_cfg / "cascade.json").read_bytes()
                 == (by_flag / "cascade.json").read_bytes())
+
+    def test_unknown_config_key_fails_clean(self, tmp_path, capsys):
+        paths = steady_chain_csvs(tmp_path)
+        cfg = tmp_path / "cascade_cfg.json"
+        cfg.write_text(json.dumps({"triggers": ["C"]}))
+        out = tmp_path / "cascade"
+        assert run(self.base_args(paths, out)
+                   + ["--trigger", "C", "--config", str(cfg)]) == 2
+        assert "'triggers'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_string_format_from_config_is_one_format(self, tmp_path):
+        paths = steady_chain_csvs(tmp_path)
+        cfg = tmp_path / "cascade_cfg.json"
+        cfg.write_text(json.dumps({"format": "json"}))
+        out = tmp_path / "cascade"
+        assert run(self.base_args(paths, out)
+                   + ["--trigger", "C", "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["cascade.json"]
 
     @pytest.mark.parametrize("trigger", [5, {"C": 1}, ["C", 2], [["C"]]])
     def test_trigger_of_wrong_type_fails_clean(self, tmp_path, capsys,
@@ -407,6 +455,31 @@ class TestSimulate:
                     "--params", str(data / "params.csv"),
                     "--out-dir", str(out), "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unknown_config_key_fails_clean(self, tmp_path, capsys):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "simulate_cfg.json"
+        cfg.write_text(json.dumps({"horizn": 5}))
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 2
+        assert "'horizn'" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_decision_jitter_fails_clean(self, tmp_path, capsys):
+        # it ran with no jitter at all
+        data = gen_dir(tmp_path)
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--out-dir", str(out), "--decision-jitter", "-0.5"]) == 2
+        assert "decision_jitter" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("flags", [

@@ -85,6 +85,13 @@ class TestPanelLoading:
         with pytest.raises(FormatError, match=r"line 4.*revenue.*'lots'"):
             load_panel(path)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_cites_the_line(self, tmp_path, raw):
+        bad = PANEL_TEXT.replace("B,1,82.0,41.0", f"B,1,82.0,{raw}")
+        path = _write(tmp_path, "panel.csv", bad)
+        with pytest.raises(FormatError, match=r"line 6: capital is not finite"):
+            load_panel(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = _write(tmp_path, "panel.csv",
                       "firm,period,revenue\nA,0,1.0\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chainsim import (
     EDGE_MODELS,
@@ -60,6 +62,17 @@ class TestConfigValidation:
         {"cost_coeff_range": (math.nan, 0.5)}, {"cost_coeff_range": (0.1,)},
         {"revenue_range": (150.0, 50.0)}, {"revenue_range": (50.0, math.inf)},
         {"equity_frac_range": (0.4, 0.05)}, {"equity_frac_range": 0.4},
+        # generate_gdp redrew forever from a NaN start
+        {"gdp_start": math.nan}, {"gdp_start": math.inf}, {"gdp_start": -1.0},
+        {"gdp_start": True},
+        # strings failed deep in the draw; a negative jitter ran as none
+        {"interest_rate": "0.05"}, {"interest_rate": -0.01},
+        {"interest_rate": math.nan},
+        {"noise_sigma": "0.02"}, {"noise_sigma": -0.1},
+        {"noise_sigma": math.inf},
+        {"start_jitter": "0.2"}, {"start_jitter": math.nan},
+        {"decision_jitter": "0.8"}, {"decision_jitter": -0.5},
+        {"decision_jitter": math.inf}, {"decision_jitter": False},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -158,7 +171,38 @@ class TestGdp:
         assert all(g > 0 for g in m.gdp)
 
 
+def _fixed_bisection(p: FirmParameters, revenue: float) -> tuple[float, float]:
+    """steady_state_inputs' bisection with all 200 steps taken."""
+    a, b, r, A = p.alpha, p.beta, p.interest_rate, p.cost_coeff
+    c, s = b * r / a, a + b
+    lo, hi = math.log(1e-9), math.log(1e12)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        k = math.exp(mid)
+        if r * k ** (1.0 - s) / a + A * c ** b - revenue * k ** (-s) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    k = math.exp(0.5 * (lo + hi))
+    return k, c * k
+
+
 class TestSteadyState:
+    # revenue over sixty decades puts some roots beyond the [1e-9, 1e12]
+    # bracket, which pins k to one of its ends
+    @given(alpha=st.floats(0.01, 0.6), beta=st.floats(0.01, 0.38),
+           cost=st.floats(0.0, 2.0), rate=st.floats(1e-4, 0.5),
+           revenue=st.builds(lambda x: 10.0 ** x, st.floats(-30.0, 30.0)))
+    # revenue r/alpha + A c^beta puts the root at k = 1, which takes 111 steps
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05,
+             revenue=0.05 / 0.35 + 0.3 * (0.4 * 0.05 / 0.35) ** 0.4)
+    @settings(max_examples=300, deadline=None)
+    def test_early_stop_matches_all_200_steps(self, alpha, beta, cost, rate,
+                                              revenue):
+        p = FirmParameters(alpha=alpha, beta=beta, cost_coeff=cost,
+                           interest_rate=rate)
+        assert steady_state_inputs(p, revenue) == _fixed_bisection(p, revenue)
+
     def test_fixed_point_of_best_response(self):
         from chainsim import GameConfig, PayoffContext
         p = FirmParameters(alpha=0.35, beta=0.4, cost_coeff=0.3,
@@ -286,54 +330,65 @@ class TestForwardSimulate:
         # supplier on the strong link in the term that reads that growth
         macro = MacroSeries(gdp=(100.0, 101.0, 102.0, 153.0, 154.0, 156.0,
                                  157.0, 159.0))
-        seed, jitter = 8, 0.3
-        res = forward_simulate(eco, net, macro, noise_on=True,
-                               decision_jitter=jitter, seed=seed)
+        seed = 8
+        # jitter 0 still draws the jitter stream, which nothing else reads
+        for jitter in (0.3, 0.0):
+            res = forward_simulate(eco, net, macro, noise_on=True,
+                                   decision_jitter=jitter, seed=seed)
 
-        noise_rng = np.random.default_rng([seed, 101])
-        jitter_rng = np.random.default_rng([seed, 102])
-        states = dict(eco.states)
-        rows = {f: [] for f in ids}
-        floors = []
-        for t in range(len(macro.gdp) - 1):
+            noise_rng = np.random.default_rng([seed, 101])
+            jitter_rng = np.random.default_rng([seed, 102])
+            states = dict(eco.states)
+            rows = {f: [] for f in ids}
+            floors = []
+            for t in range(len(macro.gdp) - 1):
+                for f in ids:
+                    st = states[f]
+                    rows[f].append((st.revenue, st.capital, st.labor,
+                                    st.equity))
+                g = macro.gdp[max(t, 1)] / macro.gdp[max(t, 1) - 1]
+                shocks = noise_rng.normal(size=len(ids))
+                jit = jitter_rng.normal(size=(len(ids), 2))
+                fresh = {}
+                for i, f in enumerate(ids):
+                    st, q = states[f], eco.params[f]
+                    cts = customer_terms_sum(f, net, states, g)
+                    dec = best_response(PayoffContext(
+                        st.revenue, st.capital, st.labor, cts, q))
+                    cap = dec.capital * math.exp(jitter * jit[i, 0])
+                    lab = dec.labor * math.exp(jitter * jit[i, 1])
+                    growth = ((cap / st.capital) ** q.alpha
+                              * (lab / st.labor) ** q.beta)
+                    rev = st.revenue * (growth + cts
+                                        + q.noise_sigma * shocks[i])
+                    if not rev > 0.0:
+                        rev = 1e-6 * st.revenue
+                        floors.append((f, t + 1))
+                    cost = q.cost_coeff * cap ** q.alpha * lab ** q.beta
+                    pi = rev - cost - q.interest_rate * cap - lab
+                    fresh[f] = FirmState(
+                        revenue=rev, prev_revenue=st.revenue, capital=cap,
+                        labor=lab, equity=st.equity + pi)
+                states = fresh
             for f in ids:
                 st = states[f]
                 rows[f].append((st.revenue, st.capital, st.labor, st.equity))
-            g = macro.gdp[max(t, 1)] / macro.gdp[max(t, 1) - 1]
-            shocks = noise_rng.normal(size=len(ids))
-            jit = jitter_rng.normal(size=(len(ids), 2))
-            fresh = {}
-            for i, f in enumerate(ids):
-                st, q = states[f], eco.params[f]
-                cts = customer_terms_sum(f, net, states, g)
-                dec = best_response(
-                    PayoffContext(st.revenue, st.capital, st.labor, cts, q))
-                cap = dec.capital * math.exp(jitter * jit[i, 0])
-                lab = dec.labor * math.exp(jitter * jit[i, 1])
-                growth = (cap / st.capital) ** q.alpha * (lab / st.labor) ** q.beta
-                rev = st.revenue * (growth + cts + q.noise_sigma * shocks[i])
-                if not rev > 0.0:
-                    rev = 1e-6 * st.revenue
-                    floors.append((f, t + 1))
-                cost = q.cost_coeff * cap ** q.alpha * lab ** q.beta
-                pi = rev - cost - q.interest_rate * cap - lab
-                fresh[f] = FirmState(revenue=rev, prev_revenue=st.revenue,
-                                     capital=cap, labor=lab,
-                                     equity=st.equity + pi)
-            states = fresh
-        for f in ids:
-            st = states[f]
-            rows[f].append((st.revenue, st.capital, st.labor, st.equity))
 
-        assert (weak, 4) in floors
-        assert list(res.floor_events) == floors
-        for f in ids:
-            got = res.panel.firm(f)
-            revenue, capital, labor, equity = (list(c) for c in zip(*rows[f]))
-            assert got.revenue.tolist() == revenue
-            assert got.capital.tolist() == capital
-            assert got.labor.tolist() == labor
-            assert res.panel.equity[f].tolist() == equity
+            assert (weak, 4) in floors
+            assert list(res.floor_events) == floors
+            for f in ids:
+                got = res.panel.firm(f)
+                revenue, capital, labor, equity = (list(c) for c in zip(*rows[f]))
+                assert got.revenue.tolist() == revenue
+                assert got.capital.tolist() == capital
+                assert got.labor.tolist() == labor
+                assert res.panel.equity[f].tolist() == equity
+
+    @pytest.mark.parametrize("jitter", [-0.5, math.nan, math.inf])
+    def test_bad_jitter_rejected(self, jitter):
+        eco, net, macro = generate_economy(GeneratorConfig(n_firms=3, seed=1))
+        with pytest.raises(ValueError, match="decision_jitter"):
+            forward_simulate(eco, net, macro, decision_jitter=jitter)
 
     def test_horizon_matches_macro(self):
         cfg = GeneratorConfig(n_firms=4, horizon=7, seed=2)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Container, Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .econ import (
     Economy,
@@ -229,17 +229,19 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
                                frontier, dead)
         exhausted = any(ev.went_bankrupt for ev in ahead.values())
 
-    survivors = {}
-    for f in economy.firm_ids:
+    survivors = dict.fromkeys(economy.firm_ids, REASON_NOT_REACHED)
+    for f in dead:
+        del survivors[f]
+    for f, ev in list(trace.items()):
         if f in dead:
-            continue
-        ev = trace.get(f)
-        if ev is None:
-            survivors[f] = REASON_NOT_REACHED
             continue
         survivors[f] = _survivor_reason(ev)
         if ev.generation != generations_run:
-            trace[f] = replace(ev, generation=generations_run)
+            trace[f] = Evaluation(
+                firm=f, generation=generations_run,
+                equity_begin=ev.equity_begin, term_profit=ev.term_profit,
+                equity_end=ev.equity_end, baseline_profit=ev.baseline_profit,
+                went_bankrupt=ev.went_bankrupt)
     return CascadeResult(bankrupt=bankrupt, survivors=survivors,
                          equity_trace=trace, generations_run=generations_run,
                          exhausted=exhausted)

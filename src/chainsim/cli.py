@@ -80,11 +80,14 @@ def _pick(cli_value, cfg: dict, key: str, default):
 
 
 def _number(value, key: str) -> float:
-    """float(value), or a CliError when a flag or config value is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise CliError(f"{key} must be a number, got {value!r}") from None
+    """float(value), or a CliError unless value is an int or a float.
+
+    Flags arrive as floats already; a config bool or numeric string is
+    refused, not read as 1.0 or parsed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 def _integer(value, key: str) -> int:

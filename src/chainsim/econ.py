@@ -2,7 +2,7 @@
 
 Firms sell to downstream customers over a directed transaction network.
 One term of a firm's books, given its next-term capital K' and labor
-L' (term_books):
+L' (term_rule on plain floats, term_books on a state and a decision):
 
     revenue' = revenue * ((K'/K)^alpha * (L'/L)^beta + sum_c terms_c + shock)
     profit   = revenue' - cost_coeff * K'^alpha * L'^beta
@@ -252,26 +252,36 @@ def customer_terms_sum(firm: str, network: TransactionNetwork,
     return total
 
 
+def term_rule(revenue: float, capital: float, labor: float,
+              params: FirmParameters, next_capital: float, next_labor: float,
+              customer_terms: float, noise: float = 0.0
+              ) -> tuple[float, float, bool]:
+    """The rule in the module docstring on plain floats.
+
+    revenue, capital and labor are the books at the start of the term,
+    next_capital and next_labor the inputs applied in it. Returns
+    (revenue, profit, floored): next-term revenue after the floor, the
+    term's profit, and whether the floor fired. The caller rolls profit
+    into equity.
+    """
+    a, b = params.alpha, params.beta
+    growth = (next_capital / capital) ** a * (next_labor / labor) ** b
+    new_revenue = revenue * (growth + customer_terms + noise)
+    floored = not new_revenue > 0.0
+    if floored:
+        new_revenue = REVENUE_FLOOR_FRAC * revenue
+    cost = params.cost_coeff * next_capital ** a * next_labor ** b
+    profit = (new_revenue - cost - params.interest_rate * next_capital
+              - next_labor)
+    return new_revenue, profit, floored
+
+
 def term_books(state: FirmState, params: FirmParameters,
                decision: InvestmentDecision, customer_terms: float,
                noise: float = 0.0) -> tuple[float, float, bool]:
-    """One term of a firm's books under the rule in the module docstring.
-
-    Returns (revenue, profit, floored): next-term revenue after the
-    floor, the term's profit, and whether the floor fired. The caller
-    rolls profit into equity.
-    """
-    growth = ((decision.capital / state.capital) ** params.alpha
-              * (decision.labor / state.labor) ** params.beta)
-    revenue = state.revenue * (growth + customer_terms + noise)
-    floored = not revenue > 0.0
-    if floored:
-        revenue = REVENUE_FLOOR_FRAC * state.revenue
-    cost = (params.cost_coeff * decision.capital ** params.alpha
-            * decision.labor ** params.beta)
-    profit = (revenue - cost - params.interest_rate * decision.capital
-              - decision.labor)
-    return revenue, profit, floored
+    """term_rule for a firm's state and decision."""
+    return term_rule(state.revenue, state.capital, state.labor, params,
+                     decision.capital, decision.labor, customer_terms, noise)
 
 
 def is_bankrupt(equity_end: float) -> bool:

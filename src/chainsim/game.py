@@ -4,7 +4,9 @@ maximize next-term profit, holding everyone else's books fixed.
 The payoff is next-term profit with the noise term at zero,
 B*K^a*L^b - r*K - L + const, where B is the net output coefficient.
 Decisions are searched inside a multiplicative box around the firm's
-current inputs. best_response_closed_form is exact everywhere:
+current inputs. best_inputs is exact everywhere, on plain floats; the
+simulator calls it directly, and best_response_closed_form wraps it
+for a PayoffContext:
 
 - B <= 0 (cost-dominated): the payoff does not rise in either input,
   so the lower corner of the box is the answer, whatever a + b.
@@ -75,33 +77,25 @@ class PayoffContext:
     params: FirmParameters
 
 
-def _payoff(ctx: PayoffContext, capital, labor):
+def _payoff(revenue, capital, labor, customer_terms, params: FirmParameters,
+            next_capital, next_labor):
     """Next-term profit at the given inputs, noise at zero.
 
-    Written in arithmetic operators only, so the same body prices one
-    decision (floats) and a whole GA population (numpy arrays).
+    revenue, capital and labor are the books on record. Written in
+    arithmetic operators only, so the same body prices one decision
+    (floats) and a whole GA population (numpy arrays).
     """
-    p = ctx.params
-    growth = ((capital / ctx.capital) ** p.alpha
-              * (labor / ctx.labor) ** p.beta)
-    rev = ctx.revenue * (growth + ctx.customer_terms)
-    cost = p.cost_coeff * capital ** p.alpha * labor ** p.beta
-    return rev - cost - p.interest_rate * capital - labor
+    a, b = params.alpha, params.beta
+    growth = (next_capital / capital) ** a * (next_labor / labor) ** b
+    rev = revenue * (growth + customer_terms)
+    cost = params.cost_coeff * next_capital ** a * next_labor ** b
+    return rev - cost - params.interest_rate * next_capital - next_labor
 
 
 def expected_payoff(ctx: PayoffContext, decision: InvestmentDecision) -> float:
     """Next-term profit of a candidate decision, noise at zero."""
-    return _payoff(ctx, decision.capital, decision.labor)
-
-
-def _net_output_coeff(ctx: PayoffContext) -> float:
-    """Coefficient B in payoff = B*K^a*L^b - r*K - L + const.
-
-    Revenue per unit of current production level, net of material cost.
-    """
-    p = ctx.params
-    level = ctx.capital ** p.alpha * ctx.labor ** p.beta
-    return ctx.revenue / level - p.cost_coeff
+    return _payoff(ctx.revenue, ctx.capital, ctx.labor, ctx.customer_terms,
+                   ctx.params, decision.capital, decision.labor)
 
 
 def _box(ctx: PayoffContext, config: GameConfig):
@@ -130,25 +124,31 @@ def _edge_candidates(gamma: float, B: float, other: float, w: float,
     return (min(max(x, lo), hi),)
 
 
-def best_response_closed_form(ctx: PayoffContext,
-                              config: GameConfig = GameConfig()) -> InvestmentDecision:
-    """Exact argmax of the payoff over the decision box, in every region.
+def best_inputs(revenue: float, capital: float, labor: float,
+                customer_terms: float, params: FirmParameters,
+                bounds: tuple[float, float] = GameConfig.decision_bounds
+                ) -> tuple[float, float]:
+    """Exact argmax (K', L') of the payoff over the decision box.
 
-    B <= 0: the payoff is non-increasing in capital and strictly
-    decreasing in labor, so the lower corner, for any alpha + beta.
-    alpha, beta, r > 0 and alpha + beta < 1: the interior first-order
-    point when it lies in the box. Otherwise the peak is on the box
-    boundary (for alpha + beta >= 1 the payoff is convex along every
-    ray from the origin), where each edge's payoff is
+    revenue, capital and labor are the books on record, customer_terms
+    the firm's coupling sum and bounds the multiplicative box. With
+    B = revenue / (K^alpha * L^beta) - cost_coeff, the net output
+    coefficient: B <= 0 makes the payoff non-increasing in capital and
+    strictly decreasing in labor, so the lower corner, for any
+    alpha + beta. alpha, beta, r > 0 and alpha + beta < 1: the interior
+    first-order point when it lies in the box. Otherwise the peak is on
+    the box boundary (for alpha + beta >= 1 the payoff is convex along
+    every ray from the origin), where each edge's payoff is
     B*other*x^gamma - w*x + const: the best of at most eight edge
     candidates. Ties break toward smaller capital, then smaller labor.
+    The result is not validated; best_response_closed_form does that.
     """
-    p = ctx.params
-    a, b, r = p.alpha, p.beta, p.interest_rate
-    B = _net_output_coeff(ctx)
-    k_lo, k_hi, l_lo, l_hi = _box(ctx, config)
+    a, b, r = params.alpha, params.beta, params.interest_rate
+    B = revenue / (capital ** a * labor ** b) - params.cost_coeff
+    lo, hi = bounds
+    k_lo, k_hi, l_lo, l_hi = lo * capital, hi * capital, lo * labor, hi * labor
     if B <= 0.0:
-        return InvestmentDecision(k_lo, l_lo)
+        return k_lo, l_lo
     if a > 0.0 and b > 0.0 and r > 0.0 and a + b < 1.0:
         c = b * r / a
         # near a + b = 1 the point can pass float range, and every box;
@@ -159,15 +159,27 @@ def best_response_closed_form(ctx: PayoffContext,
             k_star = math.inf
         l_star = c * k_star
         if k_lo <= k_star <= k_hi and l_lo <= l_star <= l_hi:
-            return InvestmentDecision(k_star, l_star)
+            return k_star, l_star
 
-    candidates = [(k, l) for k in (k_lo, k_hi)
-                  for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
-    candidates += [(k, l) for l in (l_lo, l_hi)
-                   for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
-    best = min(candidates,
-               key=lambda kl: (-_payoff(ctx, kl[0], kl[1]), kl[0], kl[1]))
-    return InvestmentDecision(*best)
+    # (-payoff, K, L) per candidate: the least is the best, ties broken
+    # toward smaller capital, then smaller labor
+    priced = [(-_payoff(revenue, capital, labor, customer_terms, params, k, l),
+               k, l)
+              for k in (k_lo, k_hi)
+              for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
+    priced += [(-_payoff(revenue, capital, labor, customer_terms, params, k, l),
+                k, l)
+               for l in (l_lo, l_hi)
+               for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
+    return min(priced)[1:]
+
+
+def best_response_closed_form(ctx: PayoffContext,
+                              config: GameConfig = GameConfig()) -> InvestmentDecision:
+    """best_inputs for a payoff context, as a validated decision."""
+    return InvestmentDecision(*best_inputs(
+        ctx.revenue, ctx.capital, ctx.labor, ctx.customer_terms, ctx.params,
+        config.decision_bounds))
 
 
 def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
@@ -197,7 +209,8 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     best_genome = None
     best_pay = -np.inf
     for _ in range(GA_GENERATIONS + 1):
-        pay = _payoff(ctx, np.exp(pop[:, 0]), np.exp(pop[:, 1]))
+        pay = _payoff(ctx.revenue, ctx.capital, ctx.labor, ctx.customer_terms,
+                      ctx.params, np.exp(pop[:, 0]), np.exp(pop[:, 1]))
         # rank with deterministic tie-break: payoff desc, then K, then L
         order = np.lexsort((pop[:, 1], pop[:, 0], -pay))
         top = order[0]
@@ -271,7 +284,6 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
         if st.bankrupt:
             raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")
         cts = customer_terms_sum(f, network, economy.states, gdp_growth)
-        ctx = PayoffContext(st.revenue, st.capital, st.labor,
-                            cts, economy.params[f])
-        decisions[f] = best_response(ctx)
+        decisions[f] = InvestmentDecision(*best_inputs(
+            st.revenue, st.capital, st.labor, cts, economy.params[f]))
     return NashResult(decisions=decisions, converged=True)

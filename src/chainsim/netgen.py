@@ -29,10 +29,10 @@ from .econ import (
     InvestmentDecision,
     MacroSeries,
     TransactionNetwork,
-    customer_terms_sum,
-    term_books,
+    customer_terms_sum,  # not called here; bench/tracing.py looks it up
+    term_rule,
 )
-from .game import PayoffContext, best_response
+from .game import best_inputs
 
 EDGE_MODELS = ("random", "scale-free")
 # GeneratorConfig fields that are (low, high) ranges of a uniform draw
@@ -78,9 +78,10 @@ class GeneratorConfig:
         if self.edge_model not in EDGE_MODELS:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
         # generate_gdp redraws forever from a NaN start; a string or a
-        # bool only fails deep inside the draw
+        # bool only fails deep inside the draw, or draws with True as 1.0
         for name in ("gdp_start", "interest_rate", "noise_sigma",
-                     "start_jitter", "decision_jitter"):
+                     "start_jitter", "decision_jitter", "mean_out_degree",
+                     "elasticity_sum_max", "gdp_growth", "gdp_volatility"):
             value = getattr(self, name)
             if not _finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
@@ -98,8 +99,8 @@ class GeneratorConfig:
                     and bounds[0] <= bounds[1]):
                 raise ValueError(f"{name} must be two finite numbers, low <= high, "
                                  f"got {bounds!r}")
-        if not (math.isfinite(self.mean_out_degree) and self.mean_out_degree >= 0.0):
-            raise ValueError("mean_out_degree must be finite and >= 0, "
+        if not self.mean_out_degree >= 0.0:
+            raise ValueError("mean_out_degree must be >= 0, "
                              f"got {self.mean_out_degree!r}")
         # _draw_elasticities redraws until alpha + beta is below the cap
         if not self.elasticity_sum_max > self.alpha_range[0] + self.beta_range[0]:
@@ -107,13 +108,12 @@ class GeneratorConfig:
                              f"got {self.elasticity_sum_max!r}")
         # generate_gdp redraws until GDP stays positive; outside these
         # ranges a draw may never succeed
-        if not (math.isfinite(self.gdp_growth) and self.gdp_growth > -1.0):
+        if not self.gdp_growth > -1.0:
             raise ValueError(
-                f"gdp_growth must be finite and > -1, got {self.gdp_growth!r}")
-        if not (math.isfinite(self.gdp_volatility)
-                and self.gdp_volatility >= 0.0):
-            raise ValueError("gdp_volatility must be finite and >= 0, "
-                             f"got {self.gdp_volatility!r}")
+                f"gdp_growth must be > -1, got {self.gdp_growth!r}")
+        if not self.gdp_volatility >= 0.0:
+            raise ValueError(
+                f"gdp_volatility must be >= 0, got {self.gdp_volatility!r}")
 
 
 def firm_ids(n: int) -> tuple[str, ...]:
@@ -282,14 +282,21 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
                      seed: int = 0) -> SimulationResult:
     """Roll the economy forward over the macro series' horizon.
 
-    Each period every firm best-responds to the books on record, the
-    applied inputs get lognormal jitter of spread decision_jitter
-    (finite and >= 0; 0 applies the decision as taken), and econ.term_books
-    gives the term's revenue (with the idiosyncratic shock when
-    noise_on) and profit, which rolls into equity. All firms advance on
-    a period barrier, so the result does not depend on firm order.
-    A revenue outcome at or below zero is floored and flagged. seed
-    drives the noise and jitter streams.
+    Each period every firm best-responds to the books on record
+    (game.best_inputs), the applied inputs get lognormal jitter of
+    spread decision_jitter (finite and >= 0; 0 applies the decision as
+    taken), and econ.term_rule gives the term's revenue (with the
+    idiosyncratic shock when noise_on) and profit, which rolls into
+    equity. All firms advance on a period barrier, so the result does
+    not depend on firm order. A revenue outcome at or below zero is
+    floored and flagged. A firm flagged bankrupt before the run reads
+    as a zero-revenue customer in the first period and trades on
+    afterwards. seed drives the noise and jitter streams.
+
+    The books are plain floats over the sorted firm index; each period
+    writes its four columns into the (4, n_firms, T) books array. Every
+    new decision and state is checked as InvestmentDecision and
+    FirmState would check it, with the same error.
     """
     if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
         raise ValueError("decision_jitter must be finite and >= 0, "
@@ -299,46 +306,76 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     n = len(ids)
     noise_rng = np.random.default_rng([seed, 101])
     jitter_rng = np.random.default_rng([seed, 102])
-    states = dict(economy.states)
+    start = [economy.states[f] for f in ids]
+    # plain floats: numpy scalars would slow every later operation
+    revenue = [float(st.revenue) for st in start]
+    capital = [float(st.capital) for st in start]
+    labor = [float(st.labor) for st in start]
+    equity = [float(st.equity) for st in start]
     # revenue, capital, labor and equity of every firm in every period
     books = np.empty((4, n, T))
+    books[:, :, 0] = revenue, capital, labor, equity
     floor_events: list[tuple[str, int]] = []
 
-    for t in range(T):
-        for idx, f in enumerate(ids):
-            st = states[f]
-            books[:, idx, t] = st.revenue, st.capital, st.labor, st.equity
-        if t == T - 1:
-            break
+    params = [economy.params[f] for f in ids]
+    index = {f: i for i, f in enumerate(ids)}
+    # (customer position, k) per firm, in customers_of order
+    customers = [[(index[c], k) for c, k in network.customers_of(f)]
+                 for f in ids]
+    # growth ratio on the books; a firm flagged before the run pays
+    # nothing in the first term, so its suppliers read a ratio of 0
+    growth = [0.0 if st.bankrupt else st.growth_ratio for st in start]
+    inf = math.inf
+    for t in range(T - 1):
         # interactions use the growth already on the books; before the
         # first recorded ratio exists, next period's serves as a stand-in
         g_lag = macro.ratio(t) if t >= 1 else macro.ratio(1)
-        shocks = noise_rng.normal(size=n) if noise_on else np.zeros(n)
-        jit = jitter_rng.normal(size=(n, 2))
-        fresh = {}
-        for idx, f in enumerate(ids):
-            st = states[f]
-            p = economy.params[f]
-            cts = customer_terms_sum(f, network, states, g_lag)
-            ctx = PayoffContext(st.revenue, st.capital, st.labor, cts, p)
-            dec = best_response(ctx)
-            applied = InvestmentDecision(
-                dec.capital * math.exp(decision_jitter * jit[idx, 0]),
-                dec.labor * math.exp(decision_jitter * jit[idx, 1]),
-            )
-            rev, term_profit, floored = term_books(
-                st, p, applied, cts, p.noise_sigma * shocks[idx])
+        # a customer's coupling term is k * (its growth - GDP growth)
+        excess = [x - g_lag for x in growth]
+        shocks = (noise_rng.normal(size=n).tolist() if noise_on
+                  else [0.0] * n)
+        jit = jitter_rng.normal(size=(n, 2)).tolist()
+        new_revenue = [0.0] * n
+        new_capital = [0.0] * n
+        new_labor = [0.0] * n
+        new_equity = [0.0] * n
+        for i in range(n):
+            cts = 0.0
+            for j, k in customers[i]:
+                cts += k * excess[j]
+            rev, cap, lab, p = revenue[i], capital[i], labor[i], params[i]
+            k_dec, l_dec = best_inputs(rev, cap, lab, cts, p)
+            if not (0.0 < k_dec < inf and 0.0 < l_dec < inf):
+                InvestmentDecision(k_dec, l_dec)  # raises the decision's error
+            jk, jl = jit[i]
+            k_new = k_dec * math.exp(decision_jitter * jk)
+            l_new = l_dec * math.exp(decision_jitter * jl)
+            if not (0.0 < k_new < inf and 0.0 < l_new < inf):
+                InvestmentDecision(k_new, l_new)
+            rev_new, profit, floored = term_rule(
+                rev, cap, lab, p, k_new, l_new, cts, p.noise_sigma * shocks[i])
             if floored:
-                floor_events.append((f, t + 1))
-            fresh[f] = FirmState(
-                revenue=rev,
-                prev_revenue=st.revenue,
-                capital=applied.capital,
-                labor=applied.labor,
-                equity=st.equity + term_profit,
-            )
-        states = fresh
+                floor_events.append((ids[i], t + 1))
+            eq_new = equity[i] + profit
+            if not (0.0 < rev_new < inf and 0.0 < rev < inf
+                    and -inf < eq_new < inf):
+                FirmState(rev_new, rev, k_new, l_new, eq_new)  # raises
+            growth[i] = rev_new / rev
+            new_revenue[i] = rev_new
+            new_capital[i] = k_new
+            new_labor[i] = l_new
+            new_equity[i] = eq_new
+        prev_revenue = revenue
+        revenue, capital, labor, equity = (new_revenue, new_capital,
+                                           new_labor, new_equity)
+        books[:, :, t + 1] = revenue, capital, labor, equity
 
+    if T == 1:
+        final_states = dict(economy.states)
+    else:
+        final_states = {f: FirmState(revenue[i], prev_revenue[i], capital[i],
+                                     labor[i], equity[i])
+                        for i, f in enumerate(ids)}
     revenue, capital, labor, equity = books
     panel = PanelSeries(
         firms={f: FirmSeries(revenue[i], capital[i], labor[i])
@@ -346,7 +383,7 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
         gdp=np.array(macro.gdp), periods=macro.periods,
         equity={f: equity[i] for i, f in enumerate(ids)})
     return SimulationResult(panel=panel, floor_events=tuple(floor_events),
-                            final_states=states)
+                            final_states=final_states)
 
 
 def simulate_economy(config: GeneratorConfig, *, noise_on: bool = True

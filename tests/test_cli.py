@@ -68,6 +68,9 @@ class TestGenerate:
         {"decision_jitter": -0.5},
         # a string "false" ran with noise and echoed true
         {"noise_on": "false"}, {"noise_on": 0},
+        # true drew GDP with volatility 1.0 and echoed true
+        {"gdp_volatility": True}, {"gdp_growth": True},
+        {"mean_out_degree": True}, {"elasticity_sum_max": True},
     ])
     def test_bad_config_value_fails_clean(self, tmp_path, capsys, cfg):
         path = tmp_path / "gen.json"
@@ -135,7 +138,8 @@ class TestCalibrate:
         assert "max_iter" in capsys.readouterr().err
         assert not (out / "fit_report.json").exists()
 
-    @pytest.mark.parametrize("tol", [None, [1e-8], {"v": 1e-8}])
+    # a numeric string was parsed and a bool read as 1.0
+    @pytest.mark.parametrize("tol", [None, [1e-8], {"v": 1e-8}, "1e-3", True])
     def test_config_tol_of_wrong_type_fails_clean(self, tmp_path, capsys, tol):
         data = gen_dir(tmp_path)
         cfg = tmp_path / "calibrate_cfg.json"
@@ -442,6 +446,9 @@ class TestSimulate:
         ("decision_jitter", None), ("decision_jitter", [0.1]),
         ("gdp_growth", None), ("gdp_volatility", [0.01]),
         ("horizon", 5.9), ("seed", 2.5), ("seed", False),
+        # true ran with jitter 1.0; a numeric string was parsed
+        ("decision_jitter", True), ("gdp_growth", "0.02"),
+        ("gdp_volatility", False),
     ])
     def test_config_value_of_wrong_type_fails_clean(self, tmp_path, capsys,
                                                     key, value):

@@ -1,6 +1,7 @@
 """Synthetic economy generator and the forward simulator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ class TestConfigValidation:
         {"start_jitter": "0.2"}, {"start_jitter": math.nan},
         {"decision_jitter": "0.8"}, {"decision_jitter": -0.5},
         {"decision_jitter": math.inf}, {"decision_jitter": False},
+        # a bool drew as 1.0; a string failed outside the check
+        {"gdp_growth": True}, {"gdp_volatility": True},
+        {"mean_out_degree": True}, {"elasticity_sum_max": True},
+        {"gdp_growth": "0.02"}, {"gdp_volatility": "0.01"},
+        {"mean_out_degree": "2"}, {"elasticity_sum_max": "0.95"},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -383,6 +389,106 @@ class TestForwardSimulate:
                 assert got.capital.tolist() == capital
                 assert got.labor.tolist() == labor
                 assert res.panel.equity[f].tolist() == equity
+
+    @settings(max_examples=30, deadline=None)
+    @given(n_firms=st.integers(2, 7), horizon=st.integers(3, 7),
+           edge_model=st.sampled_from(EDGE_MODELS),
+           econ_seed=st.integers(0, 2 ** 16), sim_seed=st.integers(0, 2 ** 16),
+           noise_on=st.booleans(),
+           jitter=st.sampled_from([0.0, 0.3, 0.8]),
+           flag_pos=st.integers(0, 6), supplier_step=st.integers(1, 6))
+    def test_replay_matches_bit_for_bit_on_any_small_economy(
+            self, n_firms, horizon, edge_model, econ_seed, sim_seed, noise_on,
+            jitter, flag_pos, supplier_step):
+        # one firm flagged before the run; a link of strength 50 to it
+        # floors its supplier's revenue in the first term
+        eco, net, macro = generate_economy(GeneratorConfig(
+            n_firms=n_firms, horizon=horizon, edge_model=edge_model,
+            seed=econ_seed))
+        ids = eco.firm_ids
+        flagged = ids[flag_pos % n_firms]
+        supplier = ids[(flag_pos + supplier_step % (n_firms - 1) + 1) % n_firms]
+        net = TransactionNetwork(ids, [
+            (s, c, k) for s, c, k in net.edges() if (s, c) != (supplier, flagged)
+        ] + [(supplier, flagged, 50.0)])
+        eco.mark_bankrupt(flagged)
+        res = forward_simulate(eco, net, macro, noise_on=noise_on,
+                               decision_jitter=jitter, seed=sim_seed)
+
+        noise_rng = np.random.default_rng([sim_seed, 101])
+        jitter_rng = np.random.default_rng([sim_seed, 102])
+        states = dict(eco.states)
+        rows = {f: [] for f in ids}
+        floors = []
+        for t in range(horizon):
+            for f in ids:
+                s = states[f]
+                rows[f].append((s.revenue, s.capital, s.labor, s.equity))
+            if t == horizon - 1:
+                break
+            g = macro.gdp[max(t, 1)] / macro.gdp[max(t, 1) - 1]
+            shocks = (noise_rng.normal(size=n_firms) if noise_on
+                      else np.zeros(n_firms))
+            jit = jitter_rng.normal(size=(n_firms, 2))
+            fresh = {}
+            for i, f in enumerate(ids):
+                s, q = states[f], eco.params[f]
+                cts = customer_terms_sum(f, net, states, g)
+                dec = best_response(PayoffContext(
+                    s.revenue, s.capital, s.labor, cts, q))
+                cap = dec.capital * math.exp(jitter * jit[i, 0])
+                lab = dec.labor * math.exp(jitter * jit[i, 1])
+                growth = ((cap / s.capital) ** q.alpha
+                          * (lab / s.labor) ** q.beta)
+                rev = s.revenue * (growth + cts + q.noise_sigma * shocks[i])
+                if not rev > 0.0:
+                    rev = 1e-6 * s.revenue
+                    floors.append((f, t + 1))
+                cost = q.cost_coeff * cap ** q.alpha * lab ** q.beta
+                pi = rev - cost - q.interest_rate * cap - lab
+                fresh[f] = FirmState(revenue=rev, prev_revenue=s.revenue,
+                                     capital=cap, labor=lab,
+                                     equity=s.equity + pi)
+            states = fresh
+
+        assert (supplier, 1) in floors
+        assert list(res.floor_events) == floors
+        assert res.final_states == states
+        for f in ids:
+            got = res.panel.firm(f)
+            got = np.stack([got.revenue, got.capital, got.labor,
+                            res.panel.equity[f]], axis=1)
+            assert got.tobytes() == np.array(rows[f], dtype=float).tobytes()
+
+    def test_builds_states_only_for_the_final_books(self, monkeypatch):
+        eco, net, macro = generate_economy(GeneratorConfig(n_firms=8, seed=3))
+        built = []
+        for cls in (FirmState, InvestmentDecision):
+            def counted(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        forward_simulate(eco, net, macro, decision_jitter=0.8, seed=1)
+        assert built == ["FirmState"] * 8
+
+    @pytest.mark.parametrize("seed,message", [
+        (0, "capital must be finite and > 0, got 0.0"),
+        (4, "labor must be finite and > 0, got 0.0"),
+    ])
+    def test_vanishing_input_raises_the_decision_error(self, seed, message):
+        # exp(500 z) underflows an applied input to 0.0
+        eco, net, macro = generate_economy(GeneratorConfig(n_firms=6, seed=4))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            forward_simulate(eco, net, macro, decision_jitter=500.0, seed=seed)
+
+    def test_flagged_firm_without_revenue_raises_the_state_error(self):
+        eco, net, macro = generate_economy(GeneratorConfig(n_firms=6, seed=4))
+        f = eco.firm_ids[2]
+        eco.states[f] = FirmState(revenue=0.0, prev_revenue=1.0, capital=1.0,
+                                  labor=1.0, equity=-1.0, bankrupt=True)
+        with pytest.raises(ValueError,
+                           match="live firm needs positive revenue, got 0.0"):
+            forward_simulate(eco, net, macro)
 
     @pytest.mark.parametrize("jitter", [-0.5, math.nan, math.inf])
     def test_bad_jitter_rejected(self, jitter):

@@ -10,7 +10,6 @@ from .calibration import (
     average_error,
     fit_all,
     fit_firm,
-    neg_log_likelihood_core,
     residual_series,
 )
 from .cascade import (

@@ -9,6 +9,7 @@ the noise scale is profiled out and recovered afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,21 @@ class UnderdeterminedError(ValueError):
     """More free parameters than usable residuals for a firm."""
 
 
+def _set_series(obj, name: str, shape: tuple[int, ...],
+                positive: bool = True) -> None:
+    """Check obj.name for shape, finite values and, if positive, values > 0;
+    store it as a read-only float array."""
+    arr = np.asarray(getattr(obj, name), dtype=float).view()
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    ok = np.isfinite(arr) & (arr > 0.0) if positive else np.isfinite(arr)
+    if not ok.all():
+        raise ValueError(f"{name} series must be finite"
+                         + (" and > 0" if positive else ""))
+    arr.flags.writeable = False
+    object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class FirmSeries:
     """One firm's panel: aligned revenue, capital and labor arrays."""
@@ -47,17 +63,11 @@ class FirmSeries:
     labor: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.revenue, dtype=float)
-        k = np.asarray(self.capital, dtype=float)
-        l = np.asarray(self.labor, dtype=float)
-        if not (r.shape == k.shape == l.shape) or r.ndim != 1:
-            raise ValueError("revenue/capital/labor must be equal-length 1-D arrays")
-        for name, arr in (("revenue", r), ("capital", k), ("labor", l)):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ValueError(f"{name} series must be finite and > 0")
-        object.__setattr__(self, "revenue", r)
-        object.__setattr__(self, "capital", k)
-        object.__setattr__(self, "labor", l)
+        shape = np.shape(self.revenue)
+        if len(shape) != 1:
+            raise ValueError(f"revenue must be 1-D, got shape {shape}")
+        for name in ("revenue", "capital", "labor"):
+            _set_series(self, name, shape)
 
     def __len__(self) -> int:
         return self.revenue.size
@@ -65,61 +75,70 @@ class FirmSeries:
 
 @dataclass(frozen=True)
 class PanelSeries:
-    """Panel for a whole economy: per-firm series plus the GDP series.
+    """Panel for a whole economy: (n_firms, T) arrays plus the GDP series.
 
-    All firms share the same period labels. Equity is carried along
-    when known (simulated panels always have it); calibration ignores
-    it, cascade initialization needs it.
+    Row i of revenue, capital, labor and (when known) equity is firm
+    firm_ids[i]; column j is period periods[j]. Ids are sorted and
+    unique, period labels unique, revenue, capital, labor and GDP finite
+    and > 0, equity finite; all are checked once, here, and kept as
+    read-only views. Calibration ignores equity; a cascade needs it.
     """
 
-    firms: dict[str, FirmSeries]
+    firm_ids: tuple[str, ...]
+    revenue: np.ndarray
+    capital: np.ndarray
+    labor: np.ndarray
     gdp: np.ndarray
     periods: tuple[int, ...]
-    equity: dict[str, np.ndarray] | None = None
+    equity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        gdp = np.asarray(self.gdp, dtype=float)
-        if gdp.ndim != 1 or not np.all(np.isfinite(gdp)) or np.any(gdp <= 0.0):
-            raise ValueError("gdp series must be 1-D, finite and > 0")
-        object.__setattr__(self, "gdp", gdp)
-        object.__setattr__(self, "periods", tuple(int(p) for p in self.periods))
-        if len(self.periods) != gdp.size:
-            raise ValueError("periods and gdp lengths differ")
-        for fid, series in self.firms.items():
-            if len(series) != gdp.size:
-                raise ValueError(f"firm {fid!r} series length differs from gdp")
+        ids, periods = tuple(self.firm_ids), tuple(map(int, self.periods))
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("firm_ids must be sorted and unique")
+        if len(set(periods)) != len(periods):
+            raise ValueError(f"duplicate period labels in {periods}")
+        object.__setattr__(self, "firm_ids", ids)
+        object.__setattr__(self, "periods", periods)
+        _set_series(self, "gdp", (len(periods),))
+        for name in ("revenue", "capital", "labor"):
+            _set_series(self, name, (len(ids), len(periods)))
         if self.equity is not None:
-            for fid, arr in self.equity.items():
-                if fid not in self.firms:
-                    raise ValueError(f"equity for unknown firm {fid!r}")
-                if np.asarray(arr).shape != (gdp.size,):
-                    raise ValueError(f"equity length differs for firm {fid!r}")
+            _set_series(self, "equity", (len(ids), len(periods)), positive=False)
 
-    @property
-    def firm_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.firms))
+    @functools.cached_property
+    def rows(self) -> dict[str, int]:
+        """Firm id -> its row in the arrays."""
+        return {fid: i for i, fid in enumerate(self.firm_ids)}
 
     @property
     def n_periods(self) -> int:
         return int(self.gdp.size)
 
     def firm(self, fid: str) -> FirmSeries:
-        return self.firms[fid]
+        """One firm's series, as views of its rows."""
+        i = self.rows[fid]
+        return FirmSeries(self.revenue[i], self.capital[i], self.labor[i])
 
 
-def growth_gap_matrix(customers: dict[str, FirmSeries],
-                      gdp: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Customer growth ratios minus GDP growth, per customer per usable t.
+def growth_gap_matrix(revenue: np.ndarray, gdp: np.ndarray) -> np.ndarray:
+    """Revenue growth ratios minus GDP growth, per row per usable t.
 
-    Rows follow sorted customer ids; columns are usable positions
-    1..T-2, where the ratios compare periods t-1 -> t (lagged, like the
-    revenue identity wants them).
+    revenue is an (n, T) array with one firm per row, as in
+    PanelSeries.revenue, and gdp a (T,) array. Columns are usable
+    positions 1..T-2, where the ratios compare periods t-1 -> t
+    (lagged, like the revenue identity wants them).
     """
-    gdp = np.asarray(gdp, dtype=float)
+    return revenue[:, 1:-1] / revenue[:, :-2] - gdp[1:-1] / gdp[:-2]
+
+
+def _customer_gaps(customers: dict[str, FirmSeries],
+                   gdp: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted customer ids and their growth_gap_matrix rows."""
     ids = tuple(sorted(customers))
-    rev = np.array([customers[cid].revenue for cid in ids]).reshape(
+    revenue = np.array([customers[cid].revenue for cid in ids]).reshape(
         len(ids), gdp.size)
-    return ids, rev[:, 1:-1] / rev[:, :-2] - gdp[1:-1] / gdp[:-2]
+    return ids, growth_gap_matrix(revenue, gdp)
 
 
 def residual_series(firm: FirmSeries, customers: dict[str, FirmSeries],
@@ -138,22 +157,10 @@ def residual_series(firm: FirmSeries, customers: dict[str, FirmSeries],
     prod = (k[2:] / k[1:-1]) ** alpha * (l[2:] / l[1:-1]) ** beta
     eps = rev_ratio - prod
     if customers:
-        ids, gap = growth_gap_matrix(customers, gdp)
+        ids, gap = _customer_gaps(customers, np.asarray(gdp, dtype=float))
         kvec = np.array([strengths[c] for c in ids])
         eps = eps - kvec @ gap
     return eps
-
-
-def neg_log_likelihood_core(residuals: np.ndarray, sigma: float) -> float:
-    """Varying part of the Gaussian negative log-likelihood.
-
-    sum(eps^2) / (2 sigma^2); the normalization constant is dropped
-    since it does not move under the parameter search.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    r = np.asarray(residuals, dtype=float)
-    return float(r @ r) / (2.0 * sigma * sigma)
 
 
 def average_error(residuals: np.ndarray) -> float:
@@ -324,27 +331,25 @@ def _check_identified(n_periods: int, n_customers: int) -> None:
             f"{n_params} parameters vs {n_resid} usable residuals")
 
 
-def _fit_stacked(firms: list[FirmSeries], customer_ids: list[tuple[str, ...]],
-                 growth: np.ndarray, row: dict[str, int],
+def _fit_stacked(revenue: np.ndarray, capital: np.ndarray, labor: np.ndarray,
+                 customers: list[dict[str, int]], growth: np.ndarray,
                  options: FitOptions) -> list[FitResult]:
-    """Fit firms[i] against its customers customer_ids[i], all in one solve.
+    """Fit each row of revenue, capital and labor in one solve.
 
-    growth holds each customer's growth gap (growth_gap_matrix) at row
-    row[customer]. Every firm's parameters (alpha, beta, k_1 .. k_C) are
-    padded to the largest customer count C; a padded strength is pinned
-    at 0 and its growth gap is 0.
+    Row i is fitted against customers[i], which maps that firm's
+    customer ids, sorted, to their rows of growth (growth_gap_matrix).
+    Every firm's parameters (alpha, beta, k_1 .. k_C) are padded to the
+    largest customer count C; a padded strength is pinned at 0 and its
+    growth gap is 0.
     """
-    n = len(firms)
+    n = len(customers)
     n_use = growth.shape[1]
-    n_cust = max(map(len, customer_ids), default=0)
+    n_cust = max(map(len, customers), default=0)
     real = np.arange(n_cust) < np.array(
-        [len(ids) for ids in customer_ids], dtype=int).reshape(n, 1)
+        [len(c) for c in customers], dtype=int).reshape(n, 1)
     gap = np.zeros((n, n_cust, n_use))
-    gap[real] = growth[[row[cid] for ids in customer_ids for cid in ids]]
+    gap[real] = growth[[j for c in customers for j in c.values()]]
     jac_k = -gap.transpose(0, 2, 1)
-    stack = lambda name: np.array(
-        [getattr(f, name) for f in firms]).reshape(n, n_use + 2)
-    revenue, capital, labor = stack("revenue"), stack("capital"), stack("labor")
     rev_ratio = revenue[:, 2:] / revenue[:, 1:-1]
     ln_kr = np.log(capital[:, 2:] / capital[:, 1:-1])
     ln_lr = np.log(labor[:, 2:] / labor[:, 1:-1])
@@ -370,14 +375,14 @@ def _fit_stacked(firms: list[FirmSeries], customer_ids: list[tuple[str, ...]],
         tol=options.tol, max_iter=options.max_iter)
     eps, _ = residual(res.x, np.arange(n))
     fits = []
-    for i, ids in enumerate(customer_ids):
+    for i, custs in enumerate(customers):
         avg = average_error(eps[i])
         converged = bool(res.converged[i])
         iterations = int(res.iterations[i])
         fits.append(FitResult(
             alpha=float(res.x[i, 0]),
             beta=float(res.x[i, 1]),
-            strengths={cid: float(res.x[i, 2 + j]) for j, cid in enumerate(ids)},
+            strengths={cid: float(res.x[i, 2 + j]) for j, cid in enumerate(custs)},
             sigma=avg,
             sse=float(eps[i] @ eps[i]),
             average_error=avg,
@@ -405,9 +410,10 @@ def fit_firm(firm: FirmSeries, customers: dict[str, FirmSeries],
     if gdp.size != len(firm):
         raise ValueError("gdp length differs from firm series")
     _check_identified(len(firm), len(customers))
-    ids, growth = growth_gap_matrix(dict(customers), gdp)
-    (fit,) = _fit_stacked([firm], [ids], growth,
-                          {cid: i for i, cid in enumerate(ids)}, options)
+    ids, growth = _customer_gaps(customers, gdp)
+    (fit,) = _fit_stacked(firm.revenue[None], firm.capital[None],
+                          firm.labor[None], [dict(zip(ids, range(len(ids))))],
+                          growth, options)
     return fit
 
 
@@ -456,22 +462,24 @@ def fit_all(panel: PanelSeries, network: TransactionNetwork,
     fitted elasticities, their sum, all fitted strengths, and the
     per-firm average errors.
     """
-    ids, growth = growth_gap_matrix(panel.firms, panel.gdp)
+    rows = panel.rows
     failures: dict[str, str] = {}
     fitted: list[str] = []
-    customer_ids: list[tuple[str, ...]] = []
-    for fid in ids:
-        custs = tuple(cid for cid, _ in network.customers_of(fid)
-                      if cid in panel.firms)
+    customers: list[dict[str, int]] = []
+    for fid in panel.firm_ids:
+        custs = {cid: rows[cid] for cid, _ in network.customers_of(fid)
+                 if cid in rows}
         try:
             _check_identified(panel.n_periods, len(custs))
         except ValueError as exc:  # UnderdeterminedError included
             failures[fid] = str(exc)
             continue
         fitted.append(fid)
-        customer_ids.append(custs)
-    fits = _fit_stacked([panel.firm(fid) for fid in fitted], customer_ids,
-                        growth, {fid: i for i, fid in enumerate(ids)}, options)
+        customers.append(custs)
+    pos = [rows[fid] for fid in fitted]
+    fits = _fit_stacked(panel.revenue[pos], panel.capital[pos],
+                        panel.labor[pos], customers,
+                        growth_gap_matrix(panel.revenue, panel.gdp), options)
     results = dict(zip(fitted, fits))
     histograms = _histograms((r.alpha, r.beta, r.strengths.values(),
                               r.average_error) for r in results.values())

@@ -10,15 +10,15 @@ in every rejection.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
 import tempfile
-from io import StringIO
 
 import numpy as np
 
-from .calibration import CalibrationReport, FirmSeries, PanelSeries
+from .calibration import CalibrationReport, PanelSeries
 from .cascade import CascadeResult
 from .econ import FirmParameters, MacroSeries, TransactionNetwork
 
@@ -98,7 +98,7 @@ def load_panel(path: str) -> PanelSeries:
     must line up across firms.
     """
     rows = _check_header(path, _read_rows(path), PANEL_HEADER)
-    per_firm: dict[str, dict[int, tuple[float, float, float, float]]] = {}
+    cells: dict[tuple[str, int], list[float]] = {}
     for lineno, row in rows:
         if len(row) != len(PANEL_HEADER):
             raise FormatError(
@@ -114,32 +114,29 @@ def load_panel(path: str) -> PanelSeries:
             if value <= 0.0:
                 raise FormatError(
                     f"{path} line {lineno}: {name} must be > 0, got {value!r}")
-        bucket = per_firm.setdefault(fid, {})
-        if period in bucket:
+        if (fid, period) in cells:
             raise FormatError(
                 f"{path} line {lineno}: duplicate period {period} "
                 f"for firm {fid!r}")
-        bucket[period] = tuple(values)
+        cells[fid, period] = values
+    if not cells:
+        raise FormatError(f"{path}: no data rows")
 
-    reference = None
-    ref_firm = None
-    for fid in sorted(per_firm):
-        periods = tuple(sorted(per_firm[fid]))
-        if reference is None:
-            reference, ref_firm = periods, fid
-        elif periods != reference:
-            raise FormatError(
-                f"{path}: firm {fid!r} covers periods {periods}, "
-                f"but firm {ref_firm!r} covers {reference}")
-    firms = {}
-    equity = {}
-    for fid, bucket in per_firm.items():
-        data = np.array([bucket[p] for p in reference])
-        firms[fid] = FirmSeries(data[:, 0], data[:, 1], data[:, 2])
-        equity[fid] = data[:, 3]
+    ids = tuple(sorted({fid for fid, _ in cells}))
+    periods = tuple(sorted({period for _, period in cells}))
+    if len(cells) != len(ids) * len(periods):  # some firm misses a period
+        covered = {fid: tuple(p for p in periods if (fid, p) in cells)
+                   for fid in ids}
+        fid = next(f for f in ids if covered[f] != covered[ids[0]])
+        raise FormatError(
+            f"{path}: firm {fid!r} covers periods {covered[fid]}, "
+            f"but firm {ids[0]!r} covers {covered[ids[0]]}")
+    revenue, capital, labor, equity = np.array(
+        [cells[fid, p] for fid in ids for p in periods]).reshape(
+        len(ids), len(periods), 4).transpose(2, 0, 1)
     # the panel file has no GDP column; callers pair it with load_gdp
-    gdp = np.ones(len(reference))
-    return PanelSeries(firms=firms, gdp=gdp, periods=reference, equity=equity)
+    return PanelSeries(ids, revenue, capital, labor, gdp=np.ones(len(periods)),
+                       periods=periods, equity=equity)
 
 
 def load_gdp(path: str) -> MacroSeries:
@@ -166,8 +163,7 @@ def attach_gdp(panel: PanelSeries, macro: MacroSeries) -> PanelSeries:
         raise FormatError(
             f"panel periods {panel.periods} do not match gdp periods "
             f"{macro.periods}")
-    return PanelSeries(firms=panel.firms, gdp=np.array(macro.gdp),
-                       periods=panel.periods, equity=panel.equity)
+    return dataclasses.replace(panel, gdp=np.array(macro.gdp))
 
 
 def load_edges(path: str, firms) -> TransactionNetwork:
@@ -218,63 +214,65 @@ def load_params(path: str) -> dict[str, FirmParameters]:
     return out
 
 
-def _comment_block(config_echo: dict | None, seed: int | None) -> str:
-    lines = []
+def _write_csv(path: str, header: list[str], lines,
+               config_echo: dict | None, seed: int | None) -> None:
+    """The config echo and seed as '#' comments, the header, then lines."""
+    head = []
     if config_echo is not None:
-        lines.append("# config: " + json.dumps(config_echo, sort_keys=True))
+        head.append("# config: " + json.dumps(config_echo, sort_keys=True))
     if seed is not None:
-        lines.append(f"# seed: {seed}")
-    return "".join(line + "\n" for line in lines)
+        head.append(f"# seed: {seed}")
+    head.append(",".join(header))
+    _atomic_write_text(path, "".join(line + "\n" for line in head)
+                       + "".join(lines))
+
+
+def _check_ids(ids) -> None:
+    """Refuse a firm id that the CSV loaders would not read back as itself.
+
+    They strip cells and skip '#' lines; csv before Python 3.11 refuses NUL."""
+    for fid in ids:
+        if (not fid or fid != fid.strip() or fid.startswith("#")
+                or any(c in fid for c in ',"\r\n\x00')):
+            raise ValueError(f"firm id {fid!r} cannot be written to CSV")
 
 
 def write_panel(path: str, panel: PanelSeries,
                 config_echo: dict | None = None, seed: int | None = None) -> None:
     if panel.equity is None:
         raise ValueError("panel has no equity series; cannot write the schema")
-    buf = StringIO()
-    buf.write(_comment_block(config_echo, seed))
-    buf.write(",".join(PANEL_HEADER) + "\n")
-    for fid in panel.firm_ids:
-        s = panel.firm(fid)
-        e = panel.equity[fid]
-        for i, period in enumerate(panel.periods):
-            buf.write(f"{fid},{period},{float(s.revenue[i])!r},"
-                      f"{float(s.capital[i])!r},{float(s.labor[i])!r},"
-                      f"{float(e[i])!r}\n")
-    _atomic_write_text(path, buf.getvalue())
+    _check_ids(panel.firm_ids)
+    rows = zip(panel.firm_ids, panel.revenue.tolist(), panel.capital.tolist(),
+               panel.labor.tolist(), panel.equity.tolist())
+    _write_csv(path, PANEL_HEADER, (
+        f"{fid},{period},{r!r},{k!r},{l!r},{e!r}\n"
+        for fid, *series in rows
+        for period, r, k, l, e in zip(panel.periods, *series)),
+        config_echo, seed)
 
 
 def write_gdp(path: str, macro: MacroSeries,
               config_echo: dict | None = None, seed: int | None = None) -> None:
-    buf = StringIO()
-    buf.write(_comment_block(config_echo, seed))
-    buf.write(",".join(GDP_HEADER) + "\n")
-    for period, value in zip(macro.periods, macro.gdp):
-        buf.write(f"{period},{float(value)!r}\n")
-    _atomic_write_text(path, buf.getvalue())
+    _write_csv(path, GDP_HEADER, (
+        f"{period},{float(value)!r}\n"
+        for period, value in zip(macro.periods, macro.gdp)), config_echo, seed)
 
 
 def write_edges(path: str, network: TransactionNetwork,
                 config_echo: dict | None = None, seed: int | None = None) -> None:
-    buf = StringIO()
-    buf.write(_comment_block(config_echo, seed))
-    buf.write(",".join(EDGES_HEADER) + "\n")
-    for supplier, customer, k in network.edges():
-        buf.write(f"{supplier},{customer},{float(k)!r}\n")
-    _atomic_write_text(path, buf.getvalue())
+    _check_ids(network.firms)
+    _write_csv(path, EDGES_HEADER, (
+        f"{supplier},{customer},{float(k)!r}\n"
+        for supplier, customer, k in network.edges()), config_echo, seed)
 
 
 def write_params(path: str, params: dict[str, FirmParameters],
                  config_echo: dict | None = None, seed: int | None = None) -> None:
-    buf = StringIO()
-    buf.write(_comment_block(config_echo, seed))
-    buf.write(",".join(PARAMS_HEADER) + "\n")
-    for fid in sorted(params):
-        p = params[fid]
-        buf.write(f"{fid},{float(p.alpha)!r},{float(p.beta)!r},"
-                  f"{float(p.cost_coeff)!r},{float(p.interest_rate)!r},"
-                  f"{float(p.noise_sigma)!r}\n")
-    _atomic_write_text(path, buf.getvalue())
+    _check_ids(params)
+    _write_csv(path, PARAMS_HEADER, (
+        f"{fid},{float(p.alpha)!r},{float(p.beta)!r},{float(p.cost_coeff)!r},"
+        f"{float(p.interest_rate)!r},{float(p.noise_sigma)!r}\n"
+        for fid, p in sorted(params.items())), config_echo, seed)
 
 
 def fit_report_payload(report: CalibrationReport,

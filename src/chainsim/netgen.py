@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import FirmSeries, PanelSeries
+from .calibration import PanelSeries
 from .econ import (
     Economy,
     FirmParameters,
@@ -294,9 +294,11 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     afterwards. seed drives the noise and jitter streams.
 
     The books are plain floats over the sorted firm index; each period
-    writes its four columns into the (4, n_firms, T) books array. Every
-    new decision and state is checked as InvestmentDecision and
-    FirmState would check it, with the same error.
+    writes its four columns into the (4, n_firms, T) books array, whose
+    planes become the panel's revenue, capital, labor and equity
+    arrays. Every new decision and state is checked as
+    InvestmentDecision and FirmState would check it, with the same
+    error.
     """
     if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
         raise ValueError("decision_jitter must be finite and >= 0, "
@@ -377,11 +379,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
                                      labor[i], equity[i])
                         for i, f in enumerate(ids)}
     revenue, capital, labor, equity = books
-    panel = PanelSeries(
-        firms={f: FirmSeries(revenue[i], capital[i], labor[i])
-               for i, f in enumerate(ids)},
-        gdp=np.array(macro.gdp), periods=macro.periods,
-        equity={f: equity[i] for i, f in enumerate(ids)})
+    panel = PanelSeries(ids, revenue, capital, labor, gdp=np.array(macro.gdp),
+                        periods=macro.periods, equity=equity)
     return SimulationResult(panel=panel, floor_events=tuple(floor_events),
                             final_states=final_states)
 
@@ -402,9 +401,9 @@ def simulate_economy(config: GeneratorConfig, *, noise_on: bool = True
 
 def economy_from_panel(panel: PanelSeries,
                        params: dict[str, FirmParameters]) -> Economy:
-    """Firm states read off the panel's last row, ready for a cascade.
+    """Firm states read off the panel's last period, ready for a cascade.
 
-    The row before it gives the growth ratio. The panel must carry
+    The period before it gives the growth ratio. The panel must carry
     equity.
     """
     pos = panel.n_periods - 1
@@ -415,15 +414,10 @@ def economy_from_panel(panel: PanelSeries,
     missing = [f for f in panel.firm_ids if f not in params]
     if missing:
         raise ValueError(f"no parameters for firms {missing[:5]}")
-    states = {}
-    for fid in panel.firm_ids:
-        s = panel.firm(fid)
-        states[fid] = FirmState(
-            revenue=float(s.revenue[pos]),
-            prev_revenue=float(s.revenue[pos - 1]),
-            capital=float(s.capital[pos]),
-            labor=float(s.labor[pos]),
-            equity=float(panel.equity[fid][pos]),
-        )
+    columns = zip(panel.firm_ids, panel.revenue[:, pos].tolist(),
+                  panel.revenue[:, pos - 1].tolist(),
+                  panel.capital[:, pos].tolist(), panel.labor[:, pos].tolist(),
+                  panel.equity[:, pos].tolist())
+    states = {fid: FirmState(*books) for fid, *books in columns}
     return Economy(params={f: params[f] for f in panel.firm_ids},
                    states=states)

@@ -46,6 +46,20 @@ def make_chain(equity_a=50.0, equity_b=40.0, k_ab=0.5, k_bc=0.5):
     return Economy(params=params, states=states), network, decisions
 
 
+def make_panel(firms, gdp, periods, equity=None):
+    """PanelSeries over the FirmSeries in firms, with optional equity rows."""
+    ids = tuple(sorted(firms))
+
+    def rows(series):
+        return np.array(series, dtype=float).reshape(len(ids), len(periods))
+
+    return PanelSeries(
+        ids, *(rows([getattr(firms[f], name) for f in ids])
+               for name in ("revenue", "capital", "labor")),
+        gdp=gdp, periods=periods,
+        equity=None if equity is None else rows([equity[f] for f in ids]))
+
+
 def steady_chain_csvs(tmp_path, equity_a=30.0, equity_b=10.0):
     """Three-firm chain at each firm's investment optimum, as CSV files.
 
@@ -60,7 +74,7 @@ def steady_chain_csvs(tmp_path, equity_a=30.0, equity_b=10.0):
                         capital=np.full(3, cap),
                         labor=np.full(3, lab))
     equities = {"A": equity_a, "B": equity_b, "C": 30.0}
-    panel = PanelSeries(
+    panel = make_panel(
         firms={f: series for f in "ABC"},
         gdp=np.full(3, 100.0),
         periods=(0, 1, 2),

@@ -27,12 +27,13 @@ from chainsim import (
     fit_all,
     fit_firm,
     forward_simulate,
-    neg_log_likelihood_core,
     residual_series,
     simulate_economy,
     steady_state_inputs,
 )
 from chainsim.calibration import MinimizeResult, minimize_bounded
+
+from conftest import make_panel
 
 IDS = ("S", "X", "Y")
 TRUE = {
@@ -67,6 +68,43 @@ def simulated_panel(seed=0, noise_on=False, horizon=11):
     return eco, net, res.panel
 
 
+def two_firm_panel(**changes):
+    fields = dict(firm_ids=("A", "B"), revenue=np.full((2, 3), 100.0),
+                  capital=np.full((2, 3), 40.0), labor=np.full((2, 3), 30.0),
+                  gdp=np.ones(3), periods=(0, 1, 2), equity=np.zeros((2, 3)))
+    return PanelSeries(**{**fields, **changes})
+
+
+class TestPanelSeries:
+    def test_firm_rows_are_read_only_views(self):
+        panel = two_firm_panel()
+        s = panel.firm("B")
+        assert np.shares_memory(s.revenue, panel.revenue)
+        assert panel.rows == {"A": 0, "B": 1}
+        with pytest.raises(ValueError):
+            panel.revenue[0, 0] = 1.0
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"equity": np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])},
+         "equity series must be finite"),
+        ({"equity": np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])},
+         "equity series must be finite"),
+        ({"equity": np.zeros((1, 3))}, r"equity must have shape \(2, 3\)"),
+        ({"equity": np.zeros((2, 2))}, r"equity must have shape \(2, 3\)"),
+        ({"periods": (0, 1, 1)}, "duplicate period labels"),
+        ({"revenue": np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])},
+         "revenue series must be finite and > 0"),
+        ({"labor": np.full((2, 3), np.nan)}, "labor series must be finite"),
+        ({"capital": np.ones(6)}, "capital must have shape"),
+        ({"firm_ids": ("B", "A")}, "sorted and unique"),
+        ({"firm_ids": ("A", "A")}, "sorted and unique"),
+        ({"periods": (0, 1)}, r"gdp must have shape \(2,\), got \(3,\)"),
+    ])
+    def test_invalid_panel_refused_at_construction(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            two_firm_panel(**changes)
+
+
 class TestResiduals:
     def test_noiseless_panel_is_exact(self):
         _, net, panel = simulated_panel()
@@ -95,24 +133,6 @@ class TestResiduals:
 
 
 class TestLikelihoodCore:
-    def test_zero_residuals(self):
-        assert neg_log_likelihood_core(np.zeros(5), 0.1) == 0.0
-
-    def test_hand_value(self):
-        r = np.array([0.1, -0.1])
-        assert neg_log_likelihood_core(r, 0.1) == pytest.approx(1.0)
-
-    def test_doubling_sigma_quarters_it(self):
-        r = np.array([0.03, -0.05, 0.01])
-        assert neg_log_likelihood_core(r, 0.04) == pytest.approx(
-            4.0 * neg_log_likelihood_core(r, 0.08))
-
-    def test_sigma_domain(self):
-        with pytest.raises(ValueError):
-            neg_log_likelihood_core(np.array([0.1]), 0.0)
-        with pytest.raises(ValueError):
-            neg_log_likelihood_core(np.array([0.1]), -1.0)
-
     def test_average_error(self):
         assert average_error(np.zeros(4)) == 0.0
         assert average_error(np.array([0.03, -0.03])) == pytest.approx(0.03)
@@ -222,7 +242,7 @@ class TestFitFirm:
             GeneratorConfig(n_firms=100, horizon=11, seed=0), noise_on=True)
         panel = sim.panel
         custs = {c: panel.firm(c) for c, _ in net.customers_of("F0000")
-                 if c in panel.firms}
+                 if c in panel.rows}
         fit = fit_firm(panel.firm("F0000"), custs, panel.gdp)
         assert fit.converged
         assert fit.sse == pytest.approx(0.0015099206195656, rel=1e-12)
@@ -386,8 +406,8 @@ def assert_same_fit(fit, alone):
 class TestFitAll:
     def test_single_firm_batch(self):
         _, net, panel = simulated_panel()
-        solo = PanelSeries(firms={"X": panel.firm("X")}, gdp=panel.gdp,
-                           periods=panel.periods)
+        solo = make_panel(firms={"X": panel.firm("X")}, gdp=panel.gdp,
+                          periods=panel.periods)
         report = fit_all(solo, TransactionNetwork(firms=("X",)))
         assert set(report.results) == {"X"}
         assert not report.failures
@@ -395,7 +415,7 @@ class TestFitAll:
         assert report.results["X"] == direct
 
     def test_empty_panel(self):
-        empty = PanelSeries(firms={}, gdp=np.ones(3), periods=(0, 1, 2))
+        empty = make_panel(firms={}, gdp=np.ones(3), periods=(0, 1, 2))
         report = fit_all(empty, TransactionNetwork(firms=()))
         assert report.results == {}
         assert report.failures == {}
@@ -424,11 +444,12 @@ class TestFitAll:
         # this firm's Gauss-Newton system is singular at every sweep
         still = FirmSeries(revenue=s.revenue, capital=flat.capital,
                            labor=flat.labor)
-        firms = {**panel.firms, "Z": flat, "W": still, "U": s}
+        firms = {**{f: panel.firm(f) for f in panel.firm_ids},
+                 "Z": flat, "W": still, "U": s}
         edges = (*net.edges(), ("W", "X", 0.1),
                  ("U", "X", 0.1), ("U", "Y", 0.1), ("U", "Z", 0.1))
         report = fit_all(
-            PanelSeries(firms=firms, gdp=panel.gdp, periods=panel.periods),
+            make_panel(firms=firms, gdp=panel.gdp, periods=panel.periods),
             TransactionNetwork(firms=tuple(firms), edges=edges))
         assert report.failures == {"U": "5 parameters vs 5 usable residuals"}
         assert report.results["Z"].converged
@@ -448,8 +469,8 @@ class TestFitAll:
         focal = data.draw(st.sampled_from(ids))
         keep = (data.draw(st.sets(st.sampled_from(ids)))
                 | {focal} | {c for c, _ in net.customers_of(focal)})
-        sub = PanelSeries(firms={f: panel.firm(f) for f in keep},
-                          gdp=panel.gdp, periods=panel.periods)
+        sub = make_panel(firms={f: panel.firm(f) for f in keep},
+                         gdp=panel.gdp, periods=panel.periods)
         report = fit_all(sub, net)
         failures = {}
         for fid in keep:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -429,6 +430,24 @@ class TestSimulate:
         # the forward run picks up at the observed panel's last period
         base = load_panel(str(data / "panel.csv"))
         assert gdp.periods[0] == base.periods[-1]
+
+    @pytest.mark.parametrize("fid", ["#X", "A,B"])
+    def test_id_the_panel_file_cannot_carry_fails_clean(self, tmp_path,
+                                                       capsys, fid):
+        # the loaders read a quoted id; written bare, "#X" would be
+        # skipped as a comment and "A,B" would split into two fields
+        data = gen_dir(tmp_path)
+        for name in ("panel.csv", "edges.csv", "params.csv"):
+            path = data / name
+            path.write_text(re.sub(r"\bF0001\b", f'"{fid}"', path.read_text()))
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--horizon", "3", "--out-dir", str(out)]) == 2
+        assert repr(fid) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_short_horizon_rejected(self, tmp_path, capsys):
         data = gen_dir(tmp_path)

@@ -1,17 +1,27 @@
 """CSV loaders/writers, JSON exports, and the graph renderings."""
 
 import json
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chainsim import (
     CascadeConfig,
     FirmParameters,
+    FirmSeries,
     GeneratorConfig,
     MacroSeries,
+    PanelSeries,
     TransactionNetwork,
     fit_all,
+    forward_simulate,
+    generate_economy,
     run_cascade,
     simulate_economy,
 )
@@ -35,7 +45,7 @@ from chainsim.io import (
     write_params,
 )
 
-from conftest import make_chain
+from conftest import make_chain, make_panel
 
 PANEL_TEXT = """firm_id,period,revenue,capital,labor,equity
 A,0,100.0,50.0,20.0,30.0
@@ -66,7 +76,7 @@ class TestPanelLoading:
         assert panel.n_periods == 3
         assert panel.periods == (0, 1, 2)
         assert panel.firm("A").revenue == pytest.approx([100.0, 104.0, 108.0])
-        assert panel.equity["B"] == pytest.approx([24.0, 25.0, 26.0])
+        assert panel.equity[panel.rows["B"]] == pytest.approx([24.0, 25.0, 26.0])
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         text = "# config: {}\n\n" + PANEL_TEXT
@@ -112,6 +122,11 @@ class TestPanelLoading:
 
     def test_empty_file_rejected(self, tmp_path):
         path = _write(tmp_path, "panel.csv", "# nothing here\n")
+        with pytest.raises(FormatError, match="no data rows"):
+            load_panel(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = _write(tmp_path, "panel.csv", PANEL_TEXT.splitlines()[0] + "\n")
         with pytest.raises(FormatError, match="no data rows"):
             load_panel(path)
 
@@ -207,7 +222,8 @@ class TestWriteReadCycles:
             assert np.array_equal(panel.firm(f).revenue, res.panel.firm(f).revenue)
             assert np.array_equal(panel.firm(f).capital, res.panel.firm(f).capital)
             assert np.array_equal(panel.firm(f).labor, res.panel.firm(f).labor)
-            assert np.array_equal(panel.equity[f], res.panel.equity[f])
+            assert np.array_equal(panel.equity[panel.rows[f]],
+                                  res.panel.equity[res.panel.rows[f]])
         assert np.array_equal(panel.gdp, np.asarray(macro.gdp))
         assert list(net.edges()) == list(network.edges())
 
@@ -217,6 +233,26 @@ class TestWriteReadCycles:
         b = (tmp_path / "again.csv").read_bytes()
         assert a == b
 
+    def test_array_paths_build_no_firm_series(self, tmp_path, monkeypatch):
+        economy, network, macro = generate_economy(
+            GeneratorConfig(n_firms=8, seed=3))
+        built = []
+
+        def counted(self, check=FirmSeries.__post_init__):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(FirmSeries, "__post_init__", counted)
+        res = forward_simulate(economy, network, macro, seed=1)
+        ppath, gpath = str(tmp_path / "panel.csv"), str(tmp_path / "gdp.csv")
+        write_panel(ppath, res.panel)
+        write_gdp(gpath, macro)
+        panel = attach_gdp(load_panel(ppath), load_gdp(gpath))
+        fit_all(panel, network)
+        assert built == []
+        panel.firm(panel.firm_ids[0])  # the per-firm accessor still builds one
+        assert len(built) == 1
+
     def test_config_echo_lands_in_comments(self, tmp_path):
         _, _, macro, _ = simulate_economy(GeneratorConfig(n_firms=2, seed=3))
         path = tmp_path / "gdp.csv"
@@ -225,6 +261,111 @@ class TestWriteReadCycles:
         assert head[0].startswith("# config: ")
         assert json.loads(head[0].removeprefix("# config: ")) == {"n_firms": 2}
         assert head[1] == "# seed: 3"
+
+
+PARAMS = FirmParameters(alpha=0.3, beta=0.4, cost_coeff=0.25,
+                        interest_rate=0.05, noise_sigma=0.02)
+# ids the loaders would read back as another id, or not at all
+BAD_IDS = ["", " A", "A ", "A\t", "#X", "A,B", 'A"B', "A\rB", "A\nB", "A\x00B"]
+
+
+class TestWritersRefuseUnreadableIds:
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_write_panel(self, tmp_path, bad):
+        row = FirmSeries(np.ones(3), np.ones(3), np.ones(3))
+        panel = make_panel({"A": row, bad: row}, np.ones(3), (0, 1, 2),
+                           equity={"A": np.zeros(3), bad: np.zeros(3)})
+        path = tmp_path / "panel.csv"
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_panel(str(path), panel)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_write_edges(self, tmp_path, bad):
+        network = TransactionNetwork(("A", bad), ((bad, "A", 0.5),))
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_edges(str(tmp_path / "edges.csv"), network)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("bad", BAD_IDS)
+    def test_write_params(self, tmp_path, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            write_params(str(tmp_path / "params.csv"), {"A": PARAMS, bad: PARAMS})
+        assert os.listdir(tmp_path) == []
+
+
+def _writable(fid):
+    return fid == fid.strip() and not fid.startswith("#")
+
+
+writable_ids = st.text(st.characters(exclude_categories=("Cs",),
+                                     exclude_characters=',"\r\n\x00'),
+                       min_size=1, max_size=6).filter(_writable)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _round_trip(writer, loader, obj, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        writer(path, obj)
+        return loader(path, *args)
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def panels(draw):
+    firm_ids = tuple(sorted(draw(st.sets(writable_ids, min_size=1, max_size=4))))
+    periods = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1,
+                            max_size=4, unique=True))
+    shape = (len(firm_ids), len(periods))
+    r, k, l = (draw(hnp.arrays(float, shape, elements=positive))
+               for _ in range(3))
+    equity = draw(hnp.arrays(float, shape, elements=finite))
+    return PanelSeries(firm_ids, r, k, l, np.ones(len(periods)), periods,
+                       equity)
+
+
+class TestRoundTripProperties:
+    @given(panels())
+    @settings(max_examples=60, deadline=None)
+    def test_panel(self, panel):
+        back = _round_trip(write_panel, load_panel, panel)
+        order = np.argsort(panel.periods)  # the loader sorts by period
+        assert back.firm_ids == panel.firm_ids
+        assert back.periods == tuple(sorted(panel.periods))
+        for name in ("revenue", "capital", "labor", "equity"):
+            assert (getattr(back, name).tobytes()
+                    == getattr(panel, name)[:, order].tobytes())
+
+    @given(st.sets(writable_ids, min_size=2, max_size=5).flatmap(
+        lambda firms: st.tuples(
+            st.just(sorted(firms)),
+            st.dictionaries(st.tuples(st.sampled_from(sorted(firms)),
+                                      st.sampled_from(sorted(firms)))
+                            .filter(lambda e: e[0] != e[1]),
+                            finite, max_size=6))))
+    @settings(max_examples=60, deadline=None)
+    def test_edges(self, drawn):
+        firms, strengths = drawn
+        network = TransactionNetwork(
+            firms, [(s, c, k) for (s, c), k in strengths.items()])
+        back = _round_trip(write_edges, load_edges, network, firms)
+        assert back.firms == network.firms
+        assert ([(s, c, k.hex()) for s, c, k in back.edges()]
+                == [(s, c, k.hex()) for s, c, k in network.edges()])
+
+    @given(st.dictionaries(writable_ids, st.builds(FirmParameters, *[
+        st.floats(min_value=0.0, allow_infinity=False)] * 5), max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_params(self, params):
+        back = _round_trip(write_params, load_params, params)
+        assert back.keys() == params.keys()
+        for fid, p in params.items():
+            assert _bits(vars(back[fid]).values()) == _bits(vars(p).values())
 
 
 class TestJsonExports:

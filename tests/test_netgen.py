@@ -1,5 +1,6 @@
 """Synthetic economy generator and the forward simulator."""
 
+import dataclasses
 import math
 import re
 
@@ -262,7 +263,7 @@ class TestForwardSimulate:
         panel = res.panel
         for f in panel.firm_ids:
             s = panel.firm(f)
-            e = panel.equity[f]
+            e = panel.equity[panel.rows[f]]
             p = economy.params[f]
             for t in range(panel.n_periods - 1):
                 cost = p.cost_coeff * s.capital[t + 1] ** p.alpha * s.labor[t + 1] ** p.beta
@@ -388,7 +389,7 @@ class TestForwardSimulate:
                 assert got.revenue.tolist() == revenue
                 assert got.capital.tolist() == capital
                 assert got.labor.tolist() == labor
-                assert res.panel.equity[f].tolist() == equity
+                assert res.panel.equity[res.panel.rows[f]].tolist() == equity
 
     @settings(max_examples=30, deadline=None)
     @given(n_firms=st.integers(2, 7), horizon=st.integers(3, 7),
@@ -457,7 +458,7 @@ class TestForwardSimulate:
         for f in ids:
             got = res.panel.firm(f)
             got = np.stack([got.revenue, got.capital, got.labor,
-                            res.panel.equity[f]], axis=1)
+                            res.panel.equity[res.panel.rows[f]]], axis=1)
             assert got.tobytes() == np.array(rows[f], dtype=float).tobytes()
 
     def test_builds_states_only_for_the_final_books(self, monkeypatch):
@@ -525,9 +526,7 @@ class TestEconomyFromPanel:
     def test_needs_equity(self):
         cfg = GeneratorConfig(n_firms=3, seed=1)
         economy, _, _, res = simulate_economy(cfg)
-        from chainsim import PanelSeries
-        bare = PanelSeries(firms=res.panel.firms, gdp=res.panel.gdp,
-                           periods=res.panel.periods)
+        bare = dataclasses.replace(res.panel, equity=None)
         with pytest.raises(ValueError):
             economy_from_panel(bare, economy.params)
 

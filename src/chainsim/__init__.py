@@ -36,7 +36,7 @@ from .econ import (
     customer_terms_sum,
     interaction_term,
     is_bankrupt,
-    term_books,
+    term_rule,
 )
 from .game import (
     GameConfig,

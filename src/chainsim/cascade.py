@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Container, Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .econ import (
     Economy,
@@ -34,7 +35,7 @@ from .econ import (
     bankrupt_interaction,
     interaction_term,
     is_bankrupt,
-    term_books,
+    term_rule,
 )
 from .game import nash_solve
 
@@ -70,12 +71,12 @@ class CascadeConfig:
                 f"max_generations must be None or an int >= 0, got {cap!r}")
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """One supplier's re-evaluated books within the shocked term.
 
-    baseline_profit is the same computation with the bankrupt-customer
-    terms zeroed out; the survivor classification compares the two.
+    An immutable record, and so also a tuple. baseline_profit is the
+    same computation with the bankrupt-customer terms zeroed out; the
+    survivor classification compares the two.
     """
 
     firm: str
@@ -136,18 +137,13 @@ def evaluate_supplier(firm: str, economy: Economy,
                                     config.gdp_growth)
             shocked += term
             baseline += term
-    _, shocked_profit, _ = term_books(st, p, decision, shocked)
-    _, baseline_profit, _ = term_books(st, p, decision, baseline)
+    books = (st.revenue, st.capital, st.labor, p,
+             decision.capital, decision.labor)
+    _, shocked_profit, _ = term_rule(*books, shocked)
+    _, baseline_profit, _ = term_rule(*books, baseline)
     equity_end = st.equity + shocked_profit
-    return Evaluation(
-        firm=firm,
-        generation=generation,
-        equity_begin=st.equity,
-        term_profit=shocked_profit,
-        equity_end=equity_end,
-        baseline_profit=baseline_profit,
-        went_bankrupt=is_bankrupt(equity_end),
-    )
+    return Evaluation(firm, generation, st.equity, shocked_profit,
+                      equity_end, baseline_profit, is_bankrupt(equity_end))
 
 
 def propagate_step(economy: Economy, network: TransactionNetwork,
@@ -237,11 +233,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
             continue
         survivors[f] = _survivor_reason(ev)
         if ev.generation != generations_run:
-            trace[f] = Evaluation(
-                firm=f, generation=generations_run,
-                equity_begin=ev.equity_begin, term_profit=ev.term_profit,
-                equity_end=ev.equity_end, baseline_profit=ev.baseline_profit,
-                went_bankrupt=ev.went_bankrupt)
+            trace[f] = ev._replace(generation=generations_run)
     return CascadeResult(bankrupt=bankrupt, survivors=survivors,
                          equity_trace=trace, generations_run=generations_run,
                          exhausted=exhausted)

@@ -2,7 +2,7 @@
 
 Firms sell to downstream customers over a directed transaction network.
 One term of a firm's books, given its next-term capital K' and labor
-L' (term_rule on plain floats, term_books on a state and a decision):
+L' (term_rule, on plain floats):
 
     revenue' = revenue * ((K'/K)^alpha * (L'/L)^beta + sum_c terms_c + shock)
     profit   = revenue' - cost_coeff * K'^alpha * L'^beta
@@ -274,14 +274,6 @@ def term_rule(revenue: float, capital: float, labor: float,
     profit = (new_revenue - cost - params.interest_rate * next_capital
               - next_labor)
     return new_revenue, profit, floored
-
-
-def term_books(state: FirmState, params: FirmParameters,
-               decision: InvestmentDecision, customer_terms: float,
-               noise: float = 0.0) -> tuple[float, float, bool]:
-    """term_rule for a firm's state and decision."""
-    return term_rule(state.revenue, state.capital, state.labor, params,
-                     decision.capital, decision.labor, customer_terms, noise)
 
 
 def is_bankrupt(equity_end: float) -> bool:

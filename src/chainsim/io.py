@@ -153,6 +153,8 @@ def load_gdp(path: str) -> MacroSeries:
         if period in seen:
             raise FormatError(f"{path} line {lineno}: duplicate period {period}")
         seen[period] = value
+    if not seen:
+        raise FormatError(f"{path}: no data rows")
     periods = tuple(sorted(seen))
     return MacroSeries(gdp=tuple(seen[p] for p in periods), periods=periods)
 
@@ -349,6 +351,14 @@ def _oriented_edges(network: TransactionNetwork, money_flow: bool):
     return out
 
 
+def _dot_id(fid: str) -> str:
+    """fid as a DOT quoted string, where \\" is the only escape."""
+    if fid.endswith("\\"):
+        raise ValueError(
+            f"firm id {fid!r} ends in a backslash, which DOT cannot quote")
+    return '"' + fid.replace('"', '\\"') + '"'
+
+
 def network_dot(network: TransactionNetwork,
                 result: CascadeResult | None = None,
                 money_flow: bool = True) -> str:
@@ -357,17 +367,18 @@ def network_dot(network: TransactionNetwork,
     Default orientation follows the money (customer pays supplier);
     money_flow=False flips to the product direction.
     """
+    ids = {fid: _dot_id(fid) for fid in network.firms}
     name = "money_flow" if money_flow else "product_flow"
     lines = [f"digraph {name} {{"]
     bankrupt = result.bankrupt if result is not None else {}
     for fid in network.firms:
         if fid in bankrupt:
             lines.append(
-                f'  "{fid}" [bankrupt=1, generation={bankrupt[fid]}];')
+                f'  {ids[fid]} [bankrupt=1, generation={bankrupt[fid]}];')
         else:
-            lines.append(f'  "{fid}";')
+            lines.append(f'  {ids[fid]};')
     for tail, head, k in _oriented_edges(network, money_flow):
-        lines.append(f'  "{tail}" -> "{head}" [k={k!r}];')
+        lines.append(f'  {ids[tail]} -> {ids[head]} [k={k!r}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -382,6 +393,9 @@ def network_graphml(network: TransactionNetwork,
                     result: CascadeResult | None = None,
                     money_flow: bool = True) -> str:
     """GraphML text mirroring network_dot's orientation and attributes."""
+    ids = {fid: fid.replace("&", "&amp;").replace("<", "&lt;")
+           .replace(">", "&gt;").replace('"', "&quot;")
+           for fid in network.firms}
     bankrupt = result.bankrupt if result is not None else {}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -393,17 +407,15 @@ def network_graphml(network: TransactionNetwork,
         ' edgedefault="directed">',
     ]
     for fid in network.firms:
+        lines.append(f'    <node id="{ids[fid]}">')
         if fid in bankrupt:
-            lines.append(f'    <node id="{fid}">')
             lines.append('      <data key="d0">true</data>')
             lines.append(f'      <data key="d1">{bankrupt[fid]}</data>')
-            lines.append('    </node>')
         else:
-            lines.append(f'    <node id="{fid}">')
             lines.append('      <data key="d0">false</data>')
-            lines.append('    </node>')
+        lines.append('    </node>')
     for tail, head, k in _oriented_edges(network, money_flow):
-        lines.append(f'    <edge source="{tail}" target="{head}">')
+        lines.append(f'    <edge source="{ids[tail]}" target="{ids[head]}">')
         lines.append(f'      <data key="d2">{k!r}</data>')
         lines.append('    </edge>')
     lines.append("  </graph>")

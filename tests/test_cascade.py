@@ -27,6 +27,7 @@ from chainsim import (
     ZERO_REVENUE,
     CascadeConfig,
     Economy,
+    Evaluation,
     FirmParameters,
     FirmState,
     InvestmentDecision,
@@ -230,6 +231,20 @@ class TestHandTracedChain:
         assert ev.baseline_profit == pytest.approx(5.0)
         assert ev.went_bankrupt
         assert ev.generation == 1
+
+    def test_trace_entries_are_immutable_records(self, chain):
+        eco, net, decisions = chain
+        res = run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
+                          decisions=decisions)
+        ev = res.equity_trace["A"]
+        with pytest.raises(AttributeError):
+            ev.generation = 0
+        assert ev.generation == res.generations_run == 2
+        names = ("firm", "generation", "equity_begin", "term_profit",
+                 "equity_end", "baseline_profit", "went_bankrupt")
+        values = [getattr(ev, name) for name in names]
+        assert Evaluation(**dict(zip(names, values))) == ev
+        assert Evaluation(*values) == ev
 
     def test_thin_equity_lets_it_run_through(self):
         eco, net, decisions = make_chain(equity_a=30.0)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import chainsim
 from chainsim.cli import main
 from chainsim.io import load_gdp, load_panel
 
@@ -602,3 +606,32 @@ class TestEndToEnd:
         doc = json.loads((out / "cascade.json").read_text())
         assert doc["bankrupt"][trigger] == 0
         assert (out / "network.dot").read_text().startswith("digraph money_flow {")
+
+
+class TestEntryPoint:
+    """python -m chainsim goes through cli.entry_point to a process exit."""
+
+    def _run(self, *argv):
+        src = os.path.dirname(os.path.dirname(chainsim.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src + (os.pathsep + path if path else ""))
+        return subprocess.run([sys.executable, "-m", "chainsim", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_generate_exits_zero_with_the_four_files(self, tmp_path):
+        out = tmp_path / "data"
+        proc = self._run("generate", "--firms", "20", "--seed", "1",
+                         "--out-dir", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(out)) == [
+            "edges.csv", "gdp.csv", "panel.csv", "params.csv"]
+
+    def test_bad_firm_count_exits_two_and_leaves_nothing(self, tmp_path):
+        out = tmp_path / "data"
+        proc = self._run("generate", "--firms", "0", "--seed", "1",
+                         "--out-dir", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("chainsim:")
+        assert list(tmp_path.iterdir()) == []

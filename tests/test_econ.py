@@ -1,4 +1,4 @@
-"""Domain types and the firm-level bookkeeping: term_books and solvency."""
+"""Domain types and the firm-level bookkeeping: term_rule and solvency."""
 
 import math
 
@@ -19,7 +19,7 @@ from chainsim import (
     customer_terms_sum,
     interaction_term,
     is_bankrupt,
-    term_books,
+    term_rule,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -38,7 +38,9 @@ def params(alpha=0.0, beta=0.0, cost_coeff=0.0, interest_rate=0.0):
 
 
 def books(state, decision, customer_terms=0.0, noise=0.0, **kwargs):
-    return term_books(state, params(**kwargs), decision, customer_terms, noise)
+    return term_rule(state.revenue, state.capital, state.labor,
+                     params(**kwargs), decision.capital, decision.labor,
+                     customer_terms, noise)
 
 
 class TestParameterValidation:
@@ -167,7 +169,7 @@ class TestEconomy:
 
 
 class TestProductionRatio:
-    """The growth factor (K'/K)^alpha (L'/L)^beta inside term_books."""
+    """The growth factor (K'/K)^alpha (L'/L)^beta inside term_rule."""
 
     def test_unchanged_inputs_give_one(self):
         st_ = live_state(capital=3.0, labor=7.0)

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -132,6 +133,12 @@ class TestPanelLoading:
 
 
 class TestGdpLoading:
+    def test_header_only_rejected(self, tmp_path):
+        path = _write(tmp_path, "gdp.csv", "period,gdp\n")
+        with pytest.raises(FormatError, match="no data rows") as info:
+            load_gdp(path)
+        assert path in str(info.value)
+
     def test_fixture(self, tmp_path):
         macro = load_gdp(_write(tmp_path, "gdp.csv", GDP_TEXT))
         assert macro.gdp == pytest.approx((100.0, 102.0, 104.04))
@@ -493,3 +500,25 @@ class TestGraphExports:
         gml = network_graphml(net)
         assert gml.startswith('<?xml version="1.0"')
         assert "<graph " in gml and "</graphml>" in gml
+
+    def test_ids_with_markup_characters_are_escaped(self):
+        net = TransactionNetwork(firms=("A&B", 'C"D', "E<F"),
+                                 edges=[("A&B", 'C"D', 0.5),
+                                        ('C"D', "E<F", 0.25)])
+        doc = minidom.parseString(network_graphml(net))
+        nodes = [n.getAttribute("id") for n in doc.getElementsByTagName("node")]
+        assert nodes == ["A&B", 'C"D', "E<F"]
+        edges = [(e.getAttribute("source"), e.getAttribute("target"))
+                 for e in doc.getElementsByTagName("edge")]
+        assert edges == [('C"D', "A&B"), ("E<F", 'C"D')]
+        dot = network_dot(net)
+        assert '  "C\\"D";' in dot
+        assert '  "C\\"D" -> "A&B" [k=0.5];' in dot
+
+    def test_dot_refuses_id_ending_in_backslash(self, tmp_path):
+        net = TransactionNetwork(firms=("A", "B\\"), edges=[("A", "B\\", 1.0)])
+        path = tmp_path / "net.dot"
+        with pytest.raises(ValueError, match=re.escape(repr("B\\"))):
+            export_network_dot(str(path), net)
+        assert not path.exists()
+        assert '<node id="B\\">' in network_graphml(net)

@@ -19,8 +19,6 @@ from .cascade import (
     REASON_EQUITY,
     REASON_NOT_REACHED,
     REASON_WEAK_LINK,
-    evaluate_supplier,
-    propagate_step,
     run_cascade,
 )
 from .econ import (

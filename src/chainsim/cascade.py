@@ -17,13 +17,22 @@ one before. A supplier none of whose customers changed would get the
 same numbers again. In the equity trace a firm that fell keeps the
 generation in which it fell; a survivor carries generations_run, since
 its last evaluation holds for every generation after it.
+
+Frozen books also fix every number of an evaluation but the flags. A
+CascadePlan prices them once per supplier, so an evaluation only sums
+its customers' live or dead terms and calls econ.term_close.
+run_cascade keeps one plan per network, weakly keyed, while its inputs
+stay the same objects.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Container, Iterable
+import weakref
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
+from functools import partial
+from operator import is_
 from typing import NamedTuple
 
 from .econ import (
@@ -35,7 +44,8 @@ from .econ import (
     bankrupt_interaction,
     interaction_term,
     is_bankrupt,
-    term_rule,
+    term_close,
+    term_fixed,
 )
 from .game import nash_solve
 
@@ -56,15 +66,23 @@ class CascadeConfig:
     max_generations: int | None = None  # None: one per firm
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trigger_firms",
-                           tuple(self.trigger_firms))
-        if not self.trigger_firms:
+        triggers = self.trigger_firms
+        if isinstance(triggers, str):  # one id, not a sequence of them
+            raise ValueError(
+                f"trigger_firms must be a sequence of ids, got {triggers!r}")
+        triggers = tuple(triggers)
+        object.__setattr__(self, "trigger_firms", triggers)
+        if not triggers:
             raise ValueError("need at least one trigger firm")
+        if not all(isinstance(f, str) for f in triggers):
+            raise ValueError(
+                f"trigger firm ids must be strings, got {triggers!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if not (math.isfinite(self.gdp_growth) and self.gdp_growth > 0.0):
-            raise ValueError(
-                f"gdp_growth must be finite and > 0, got {self.gdp_growth!r}")
+        g = self.gdp_growth
+        if not (isinstance(g, (int, float)) and not isinstance(g, bool)
+                and math.isfinite(g) and g > 0.0):
+            raise ValueError(f"gdp_growth must be finite and > 0, got {g!r}")
         cap = self.max_generations
         if cap is not None and (type(cap) is not int or cap < 0):  # no bools
             raise ValueError(
@@ -104,6 +122,11 @@ class CascadeResult:
         return frozenset(self.bankrupt)
 
 
+# Evaluation from a tuple of its seven fields, without the Python frame
+# of the generated __new__: the cascade builds one per evaluation.
+_record = partial(tuple.__new__, Evaluation)
+
+
 def _survivor_reason(ev: Evaluation) -> str:
     # The shock matters only if zeroing the bankrupt-customer terms
     # flips the sign of the term's operating result; equity then gets
@@ -113,59 +136,120 @@ def _survivor_reason(ev: Evaluation) -> str:
     return REASON_WEAK_LINK
 
 
-def evaluate_supplier(firm: str, economy: Economy,
-                      network: TransactionNetwork,
-                      decision: InvestmentDecision,
-                      config: CascadeConfig, generation: int,
-                      bankrupt: Container[str]) -> Evaluation:
-    """Recompute one live supplier's end-of-term equity from scratch.
+class CascadePlan:
+    """What frozen decisions fix, for one (economy, network, decisions,
+    gdp_growth, policy).
 
-    Customers in bankrupt enter through the policy, the others through
-    their recorded growth ratios; the economy's own bankrupt flags are
-    not read. Idempotent: depends only on bankrupt, the frozen decision
-    and the frozen beginning equity.
+    Holds copies of the three maps, the firms flagged before the run,
+    the survivor template and each firm's suppliers and customers, but
+    not the network. price(firm), on first use, fills books[firm]:
+    term_close's first five arguments, the beginning equity and one
+    (customer, live term, dead term) per customer in customers_of
+    order. A flagged customer, dead in every run, has no live term.
     """
-    st = economy.states[firm]
-    p = economy.params[firm]
+
+    def __init__(self, economy: Economy, network: TransactionNetwork,
+                 decisions: Mapping[str, InvestmentDecision],
+                 gdp_growth: float, policy: str) -> None:
+        self.states = dict(economy.states)
+        self.params = dict(economy.params)
+        self.decisions = dict(decisions)
+        self.gdp_growth = gdp_growth
+        self.policy = policy
+        self.flagged = frozenset(
+            f for f, st in self.states.items() if st.bankrupt)
+        self.survivors = dict.fromkeys(sorted(self.params), REASON_NOT_REACHED)
+        self.suppliers = {f: tuple(s for s, _ in network.suppliers_of(f))
+                          for f in network.firms}
+        self.customers = {f: network.customers_of(f) for f in network.firms}
+        self.books: dict[str, tuple] = {}
+        self._keys = tuple(map(tuple, (self.states, self.params,
+                                       self.decisions)))
+
+    def matches(self, economy: Economy,
+                decisions: Mapping[str, InvestmentDecision],
+                gdp_growth: float, policy: str) -> bool:
+        """True while the maps hold equal keys in order and the very
+        value objects the plan was built from, and the scalars are the
+        same objects."""
+        if gdp_growth is not self.gdp_growth or policy is not self.policy:
+            return False
+        held = (self.states, self.params, self.decisions)
+        given = (economy.states, economy.params, decisions)
+        for keys, h, g in zip(self._keys, held, given):
+            if keys != tuple(g) or not all(map(is_, h.values(), g.values())):
+                return False
+        return True
+
+    def price(self, firm: str) -> tuple:
+        """Price firm's frozen books into books[firm] and return them."""
+        st = self.states[firm]
+        dec = self.decisions[firm]
+        growth, cost, capital_charge = term_fixed(
+            st.capital, st.labor, self.params[firm], dec.capital, dec.labor)
+        g, policy, states, flagged = (self.gdp_growth, self.policy,
+                                      self.states, self.flagged)
+        terms = tuple(
+            (c,
+             None if c in flagged
+             else interaction_term(k, states[c].growth_ratio, g),
+             bankrupt_interaction(k, g, policy))
+            for c, k in self.customers[firm])
+        books = self.books[firm] = (st.revenue, growth, cost, capital_charge,
+                                    dec.labor, st.equity, terms)
+        return books
+
+
+# One plan per network, dropped with it. A run keeps the plan it looked
+# up, whose inputs are copies, so a rebuild by another run cannot mix.
+_plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def evaluate_supplier(plan: CascadePlan, firm: str, generation: int,
+                      dead: Container[str]) -> Evaluation:
+    """One live supplier's end-of-term equity, from its planned books.
+
+    Customers in dead enter through their dead terms, the others
+    through their live terms; dead must hold every firm flagged in the
+    plan. The terms are summed afresh, in customers_of order, for the
+    shocked and the baseline sum. Idempotent: depends only on dead and
+    the plan.
+    """
+    books = plan.books.get(firm)
+    if books is None:
+        books = plan.price(firm)
+    revenue, growth, cost, capital_charge, labor, equity, terms = books
     shocked = 0.0
     baseline = 0.0
-    for customer, k in network.customers_of(firm):
-        if customer in bankrupt:
-            shocked += bankrupt_interaction(k, config.gdp_growth, config.policy)
+    for customer, live, lost in terms:
+        if customer in dead:
+            shocked += lost
         else:
-            term = interaction_term(k, economy.states[customer].growth_ratio,
-                                    config.gdp_growth)
-            shocked += term
-            baseline += term
-    books = (st.revenue, st.capital, st.labor, p,
-             decision.capital, decision.labor)
-    _, shocked_profit, _ = term_rule(*books, shocked)
-    _, baseline_profit, _ = term_rule(*books, baseline)
-    equity_end = st.equity + shocked_profit
-    return Evaluation(firm, generation, st.equity, shocked_profit,
-                      equity_end, baseline_profit, is_bankrupt(equity_end))
+            shocked += live
+            baseline += live
+    _, shocked_profit, _ = term_close(revenue, growth, cost, capital_charge,
+                                      labor, shocked)
+    _, baseline_profit, _ = term_close(revenue, growth, cost, capital_charge,
+                                       labor, baseline)
+    equity_end = equity + shocked_profit
+    return _record((firm, generation, equity, shocked_profit, equity_end,
+                    baseline_profit, is_bankrupt(equity_end)))
 
 
-def propagate_step(economy: Economy, network: TransactionNetwork,
-                   decisions: dict[str, InvestmentDecision],
-                   config: CascadeConfig, generation: int,
+def propagate_step(plan: CascadePlan, generation: int,
                    frontier: Iterable[str],
-                   bankrupt: Container[str]) -> dict[str, Evaluation]:
+                   dead: Container[str]) -> dict[str, Evaluation]:
     """Evaluate every live supplier of a firm in the frontier.
 
     frontier holds the firms whose flags changed since the last
-    generation; bankrupt holds every firm dead so far, frontier
-    included. Returns the evaluations in firm order; bankrupt is not
-    changed here, so the caller commits a whole generation at once.
+    generation; dead holds every firm dead so far, frontier included.
+    Returns the evaluations in firm order; dead is not changed here, so
+    the caller commits a whole generation at once.
     """
-    exposed = sorted({
-        supplier
-        for f in frontier
-        for supplier, _ in network.suppliers_of(f)
-        if supplier not in bankrupt
-    })
-    return {firm: evaluate_supplier(firm, economy, network, decisions[firm],
-                                    config, generation, bankrupt)
+    suppliers = plan.suppliers
+    exposed = sorted({s for f in frontier for s in suppliers[f]
+                      if s not in dead})
+    return {firm: evaluate_supplier(plan, firm, generation, dead)
             for firm in exposed}
 
 
@@ -188,6 +272,11 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     says whether it would have turned anyone. A survivor's trace entry
     carries generations_run; a fallen firm's, the generation it fell in.
     seed changes no result; it stays for callers that pass one.
+
+    The books come from a CascadePlan kept per network in a weak map,
+    so it dies with the network. A call reuses the plan while its
+    matches() holds and builds a new one otherwise, so any input may be
+    edited in place between calls.
     """
     for f in config.trigger_firms:
         if f not in economy.params:
@@ -197,11 +286,16 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     if decisions is None:
         decisions = nash_solve(economy, network, config.gdp_growth).decisions
+    plan = _plans.get(network)
+    if plan is None or not plan.matches(economy, decisions, config.gdp_growth,
+                                        config.policy):
+        plan = _plans[network] = CascadePlan(
+            economy, network, decisions, config.gdp_growth, config.policy)
 
     bankrupt = {f: 0 for f in config.trigger_firms}
-    frontier = {f for f, st in economy.states.items() if st.bankrupt}
-    frontier.update(bankrupt)
-    dead = set(frontier)
+    dead = set(plan.flagged)
+    dead.update(bankrupt)
+    frontier = tuple(dead)
 
     cap = config.max_generations
     if cap is None:
@@ -210,8 +304,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     generations_run = 0
     exhausted = False
     for generation in range(1, cap + 1):
-        evaluations = propagate_step(economy, network, decisions, config,
-                                     generation, frontier, dead)
+        evaluations = propagate_step(plan, generation, frontier, dead)
         generations_run = generation
         trace.update(evaluations)
         frontier = [f for f, ev in evaluations.items() if ev.went_bankrupt]
@@ -221,11 +314,10 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         for f in frontier:
             bankrupt[f] = generation
     else:
-        ahead = propagate_step(economy, network, decisions, config, cap + 1,
-                               frontier, dead)
+        ahead = propagate_step(plan, cap + 1, frontier, dead)
         exhausted = any(ev.went_bankrupt for ev in ahead.values())
 
-    survivors = dict.fromkeys(economy.firm_ids, REASON_NOT_REACHED)
+    survivors = plan.survivors.copy()
     for f in dead:
         del survivors[f]
     for f, ev in list(trace.items()):
@@ -233,7 +325,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
             continue
         survivors[f] = _survivor_reason(ev)
         if ev.generation != generations_run:
-            trace[f] = ev._replace(generation=generations_run)
+            trace[f] = _record((f, generations_run, *ev[2:]))
     return CascadeResult(bankrupt=bankrupt, survivors=survivors,
                          equity_trace=trace, generations_run=generations_run,
                          exhausted=exhausted)

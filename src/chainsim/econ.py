@@ -12,7 +12,9 @@ L' (term_rule, on plain floats):
 with one coupling term k * (customer growth - GDP growth) per customer
 c. A revenue' at or below zero is floored to REVENUE_FLOOR_FRAC of the
 current revenue, which keeps later growth ratios defined. End-of-term
-equity below zero is bankruptcy.
+equity below zero is bankruptcy. term_fixed computes the parts fixed by
+K' and L' (growth factor, material cost, capital charge) and term_close
+the rest from a sum of customer terms; term_rule is the two in turn.
 """
 
 from __future__ import annotations
@@ -252,6 +254,32 @@ def customer_terms_sum(firm: str, network: TransactionNetwork,
     return total
 
 
+def term_fixed(capital: float, labor: float, params: FirmParameters,
+               next_capital: float, next_labor: float
+               ) -> tuple[float, float, float]:
+    """(growth, cost, capital_charge): the term rule's parts fixed by
+    K' and L', namely (K'/K)^alpha (L'/L)^beta, the material cost and
+    interest_rate * K'."""
+    a, b = params.alpha, params.beta
+    growth = (next_capital / capital) ** a * (next_labor / labor) ** b
+    cost = params.cost_coeff * next_capital ** a * next_labor ** b
+    return growth, cost, params.interest_rate * next_capital
+
+
+def term_close(revenue: float, growth: float, cost: float,
+               capital_charge: float, next_labor: float,
+               customer_terms: float, noise: float = 0.0
+               ) -> tuple[float, float, bool]:
+    """term_rule's result from term_fixed's parts and a customer-term
+    sum; the three charges are subtracted one at a time."""
+    new_revenue = revenue * (growth + customer_terms + noise)
+    floored = not new_revenue > 0.0
+    if floored:
+        new_revenue = REVENUE_FLOOR_FRAC * revenue
+    profit = new_revenue - cost - capital_charge - next_labor
+    return new_revenue, profit, floored
+
+
 def term_rule(revenue: float, capital: float, labor: float,
               params: FirmParameters, next_capital: float, next_labor: float,
               customer_terms: float, noise: float = 0.0
@@ -262,18 +290,13 @@ def term_rule(revenue: float, capital: float, labor: float,
     next_capital and next_labor the inputs applied in it. Returns
     (revenue, profit, floored): next-term revenue after the floor, the
     term's profit, and whether the floor fired. The caller rolls profit
-    into equity.
+    into equity. A caller pricing one decision against many sums calls
+    term_fixed once and term_close per sum.
     """
-    a, b = params.alpha, params.beta
-    growth = (next_capital / capital) ** a * (next_labor / labor) ** b
-    new_revenue = revenue * (growth + customer_terms + noise)
-    floored = not new_revenue > 0.0
-    if floored:
-        new_revenue = REVENUE_FLOOR_FRAC * revenue
-    cost = params.cost_coeff * next_capital ** a * next_labor ** b
-    profit = (new_revenue - cost - params.interest_rate * next_capital
-              - next_labor)
-    return new_revenue, profit, floored
+    growth, cost, capital_charge = term_fixed(capital, labor, params,
+                                              next_capital, next_labor)
+    return term_close(revenue, growth, cost, capital_charge, next_labor,
+                      customer_terms, noise)
 
 
 def is_bankrupt(equity_end: float) -> bool:

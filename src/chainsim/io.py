@@ -389,13 +389,33 @@ def export_network_dot(path: str, network: TransactionNetwork,
     _atomic_write_text(path, network_dot(network, result, money_flow))
 
 
+# Markup, and the whitespace an attribute value would read back as a
+# space.
+_XML_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\t": "&#9;", "\n": "&#10;", "\r": "&#13;"})
+
+
+def _xml_char(c: str) -> bool:
+    """c is in XML 1.0's Char production; no reference carries others."""
+    return (c in "\t\n\r" or " " <= c < "\ud800"
+            or "\ue000" <= c <= "\ufffd" or c >= "\U00010000")
+
+
+def _xml_attr(fid: str) -> str:
+    """fid as an XML attribute value that parses back to fid."""
+    # every character outside Char is unprintable
+    if not fid.isprintable() and not all(map(_xml_char, fid)):
+        raise ValueError(
+            f"firm id {fid!r} holds a character XML 1.0 cannot carry")
+    return fid.translate(_XML_ATTR_ESCAPES)
+
+
 def network_graphml(network: TransactionNetwork,
                     result: CascadeResult | None = None,
                     money_flow: bool = True) -> str:
     """GraphML text mirroring network_dot's orientation and attributes."""
-    ids = {fid: fid.replace("&", "&amp;").replace("<", "&lt;")
-           .replace(">", "&gt;").replace('"', "&quot;")
-           for fid in network.firms}
+    ids = {fid: _xml_attr(fid) for fid in network.firms}
     bankrupt = result.bankrupt if result is not None else {}
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

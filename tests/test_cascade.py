@@ -8,9 +8,12 @@ that fixed point has to equal run_cascade's output exactly.
 A second reference, full_rescan_cascade, is the generation loop the
 engine had before it became frontier-driven: every generation
 re-evaluates every live supplier of every dead firm. Written over plain
-dicts, it has to equal run_cascade field by field on drawn economies.
+dicts, it has to equal run_cascade field by field on drawn economies,
+also after an input is edited in place between two runs that share the
+engine's cached plan.
 """
 
+import gc
 import math
 from dataclasses import replace
 
@@ -34,6 +37,8 @@ from chainsim import (
     TransactionNetwork,
     run_cascade,
 )
+from chainsim import cascade
+from chainsim.econ import term_fixed
 
 from conftest import make_chain
 
@@ -145,6 +150,23 @@ def full_rescan_cascade(eco, net, triggers, decisions, gdp_ratio,
         else:
             survivors[f] = "link-too-weak"
     return bankrupt, survivors, trace, generations_run, exhausted
+
+
+def assert_equals_full_rescan(eco, net, decisions, config):
+    """run_cascade on the inputs equals full_rescan_cascade field by field."""
+    res = run_cascade(eco, net, config, decisions=decisions)
+    bankrupt, survivors, trace, generations_run, exhausted = (
+        full_rescan_cascade(eco, net, config.trigger_firms, decisions,
+                            config.gdp_growth, config.policy,
+                            config.max_generations))
+    assert res.bankrupt == bankrupt
+    assert res.survivors == survivors
+    assert res.generations_run == generations_run
+    assert res.exhausted == exhausted
+    assert {f: (ev.generation, ev.equity_begin, ev.term_profit,
+                ev.equity_end, ev.baseline_profit, ev.went_bankrupt)
+            for f, ev in res.equity_trace.items()} == trace
+    assert all(ev.firm == f for f, ev in res.equity_trace.items())
 
 
 @st.composite
@@ -354,6 +376,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CascadeConfig(trigger_firms=())
 
+    @pytest.mark.parametrize("triggers", ["F0007", ("A", 3), (None,), b"AB"])
+    def test_trigger_firms_are_a_sequence_of_ids(self, triggers):
+        with pytest.raises(ValueError, match="trigger"):
+            CascadeConfig(trigger_firms=triggers)
+
     def test_policy_checked(self):
         with pytest.raises(ValueError):
             CascadeConfig(trigger_firms=("A",), policy="shrug")
@@ -362,7 +389,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CascadeConfig(trigger_firms=("A",), gdp_growth=0.0)
 
-    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("g", [math.nan, math.inf, -math.inf,
+                                   True, "1.02", None])
     def test_gdp_growth_finite(self, g):
         with pytest.raises(ValueError, match="gdp_growth"):
             CascadeConfig(trigger_firms=("A",), gdp_growth=g)
@@ -423,20 +451,87 @@ class TestFrontier:
     @given(drawn_scenarios())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_full_rescan_reference(self, scenario):
+        assert_equals_full_rescan(*scenario)
+
+
+EDITS = ("flag", "decision", "params", "gdp_growth", "policy", "strengths",
+         "other economy")
+
+
+class TestPlanReuse:
+    """The cached plan follows every input, including edits in place."""
+
+    @given(drawn_scenarios(), st.sampled_from(EDITS), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_an_edit_in_place_is_never_stale(self, scenario, edit, data):
         eco, net, decisions, config = scenario
-        res = run_cascade(eco, net, config, decisions=decisions)
-        bankrupt, survivors, trace, generations_run, exhausted = (
-            full_rescan_cascade(eco, net, config.trigger_firms, decisions,
-                                config.gdp_growth, config.policy,
-                                config.max_generations))
-        assert res.bankrupt == bankrupt
-        assert res.survivors == survivors
-        assert res.generations_run == generations_run
-        assert res.exhausted == exhausted
-        assert {f: (ev.generation, ev.equity_begin, ev.term_profit,
-                    ev.equity_end, ev.baseline_profit, ev.went_bankrupt)
-                for f, ev in res.equity_trace.items()} == trace
-        assert all(ev.firm == f for f, ev in res.equity_trace.items())
+        assert_equals_full_rescan(eco, net, decisions, config)
+        firm = data.draw(st.sampled_from(sorted(eco.params)))
+        if edit == "flag":
+            live = [f for f in eco.firm_ids if f not in config.trigger_firms
+                    and not eco.states[f].bankrupt]
+            if live:
+                eco.mark_bankrupt(data.draw(st.sampled_from(live)))
+        elif edit == "decision":
+            old = decisions[firm]
+            decisions[firm] = InvestmentDecision(
+                capital=old.capital * data.draw(st.floats(0.5, 2.0)),
+                labor=old.labor * data.draw(st.floats(0.5, 2.0)))
+        elif edit == "params":
+            eco.params[firm] = replace(
+                eco.params[firm],
+                cost_coeff=data.draw(st.floats(0.0, 0.5)),
+                alpha=data.draw(st.floats(0.0, 0.5)))
+        elif edit == "gdp_growth":
+            config = replace(config, gdp_growth=data.draw(st.floats(0.9, 1.2)))
+        elif edit == "policy":
+            config = replace(config, policy=(
+                PURE_LOSS if config.policy == ZERO_REVENUE else ZERO_REVENUE))
+        elif edit == "strengths":
+            net = net.with_strengths({
+                (s, c): data.draw(st.floats(0.0, 1.0))
+                for s, c, _ in net.edges()})
+        else:
+            # a second economy on the same network, run in between
+            other = Economy(
+                params=dict(eco.params),
+                states={f: replace(s, equity=s.equity + 10.0)
+                        for f, s in eco.states.items()})
+            assert_equals_full_rescan(other, net, decisions, config)
+        assert_equals_full_rescan(eco, net, decisions, config)
+
+    def test_prices_a_supplier_once_per_plan(self, monkeypatch):
+        priced = []
+
+        def counted(*args):
+            priced.append(args)
+            return term_fixed(*args)
+
+        monkeypatch.setattr(cascade, "term_fixed", counted)
+        eco, net, decisions = make_chain(equity_a=30.0)
+        config = CascadeConfig(trigger_firms=("C",))
+        first = run_cascade(eco, net, config, decisions=decisions)
+        assert len(priced) == len(first.equity_trace) == 2  # B, then A
+        # unchanged inputs, any trigger: the books priced so far hold
+        assert run_cascade(eco, net, config, decisions=decisions) == first
+        run_cascade(eco, net, CascadeConfig(trigger_firms=("B",)),
+                    decisions=decisions)
+        assert len(priced) == 2
+        # an edit in place prices again, from the edited decision
+        decisions["A"] = InvestmentDecision(capital=100.0, labor=75.0)
+        edited = run_cascade(eco, net, config, decisions=decisions)
+        assert len(priced) == 4
+        assert priced[-1][3:] == (100.0, 75.0)
+        assert edited.bankrupt == {"C": 0, "B": 1}
+
+    def test_plan_dies_with_its_network(self):
+        eco, net, decisions = make_chain()
+        run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
+                    decisions=decisions)
+        assert net in cascade._plans
+        del net
+        gc.collect()
+        assert len(cascade._plans) == 0
 
 
 class TestOracleEquivalence:

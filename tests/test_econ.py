@@ -21,6 +21,7 @@ from chainsim import (
     is_bankrupt,
     term_rule,
 )
+from chainsim.econ import term_close, term_fixed
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 money = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
@@ -335,6 +336,24 @@ class TestCostProfitEquity:
                              InvestmentDecision(capital=1.0, labor=100.0))
         assert profit == 0.0
         assert not is_bankrupt(7.0 + profit)
+
+
+class TestTermParts:
+    """term_fixed once, then term_close per sum, gives term_rule's bits."""
+
+    @given(k=money, l=money, k2=money, l2=money, a=elasticity, b=elasticity,
+           c=st.floats(0.0, 1.0), r=st.floats(0.0, 0.1),
+           sums=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_parts_compose_to_the_rule(self, k, l, k2, l2, a, b, c, r, sums):
+        p = params(alpha=a, beta=b, cost_coeff=c, interest_rate=r)
+        growth, cost, charge = term_fixed(k, l, p, k2, l2)
+        assert growth == (k2 / k) ** a * (l2 / l) ** b
+        assert cost == c * k2 ** a * l2 ** b
+        assert charge == r * k2
+        for terms in sums:
+            assert (term_close(100.0, growth, cost, charge, l2, terms)
+                    == term_rule(100.0, k, l, p, k2, l2, terms))
 
 
 class TestBankruptPredicate:

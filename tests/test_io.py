@@ -515,6 +515,24 @@ class TestGraphExports:
         assert '  "C\\"D";' in dot
         assert '  "C\\"D" -> "A&B" [k=0.5];' in dot
 
+    def test_graphml_ids_keep_their_whitespace(self):
+        ids = ("A\tB", "C\nD", "E\rF")
+        net = TransactionNetwork(firms=ids, edges=[("A\tB", "E\rF", 0.5)])
+        doc = minidom.parseString(network_graphml(net))
+        nodes = [n.getAttribute("id") for n in doc.getElementsByTagName("node")]
+        assert nodes == list(ids)
+        edge, = doc.getElementsByTagName("edge")
+        assert (edge.getAttribute("source"),
+                edge.getAttribute("target")) == ("E\rF", "A\tB")
+
+    @pytest.mark.parametrize("fid", ["A\x01", "A\ufffe", "A\x00", "A\ud800"])
+    def test_graphml_refuses_id_xml_cannot_carry(self, tmp_path, fid):
+        net = TransactionNetwork(firms=("B", fid), edges=[("B", fid, 1.0)])
+        path = tmp_path / "net.graphml"
+        with pytest.raises(ValueError, match=re.escape(repr(fid))):
+            export_network_graphml(str(path), net)
+        assert not path.exists()
+
     def test_dot_refuses_id_ending_in_backslash(self, tmp_path):
         net = TransactionNetwork(firms=("A", "B\\"), edges=[("A", "B\\", 1.0)])
         path = tmp_path / "net.dot"

@@ -39,11 +39,8 @@ from .econ import (
 from .game import (
     GameConfig,
     NashResult,
-    NoConcaveOptimum,
     PayoffContext,
-    best_response,
     best_response_closed_form,
-    best_response_ga,
     expected_payoff,
     nash_solve,
 )

@@ -186,7 +186,8 @@ class FitOptions:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
+        if (isinstance(self.tol, bool)
+                or not (math.isfinite(self.tol) and self.tol > 0.0)):
             raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
         if (isinstance(self.max_iter, bool)
                 or not isinstance(self.max_iter, int)):

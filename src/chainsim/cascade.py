@@ -44,6 +44,7 @@ from .econ import (
     bankrupt_interaction,
     interaction_term,
     is_bankrupt,
+    shared_firm_ids,
     term_close,
     term_fixed,
 )
@@ -117,10 +118,6 @@ class CascadeResult:
     generations_run: int
     exhausted: bool                   # True when the cap cut off a live cascade
 
-    @property
-    def bankrupt_set(self) -> frozenset[str]:
-        return frozenset(self.bankrupt)
-
 
 # Evaluation from a tuple of its seven fields, without the Python frame
 # of the generated __new__: the cascade builds one per evaluation.
@@ -158,7 +155,8 @@ class CascadePlan:
         self.policy = policy
         self.flagged = frozenset(
             f for f, st in self.states.items() if st.bankrupt)
-        self.survivors = dict.fromkeys(sorted(self.params), REASON_NOT_REACHED)
+        self.survivors = dict.fromkeys(shared_firm_ids(economy, network),
+                                       REASON_NOT_REACHED)
         self.suppliers = {f: tuple(s for s, _ in network.suppliers_of(f))
                           for f in network.firms}
         self.customers = {f: network.customers_of(f) for f in network.firms}

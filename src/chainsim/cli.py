@@ -210,15 +210,22 @@ def _read_fit_report(path: str) -> dict:
 
 
 def _apply_fit_report(path: str, params: dict, network):
-    """Overlay fitted elasticities and strengths onto truth inputs."""
+    """Overlay fitted elasticities and strengths onto truth inputs; a
+    report firm or link the inputs lack is a CliError."""
     new_params = dict(params)
     overrides = {}
     for fid, rec in _read_fit_report(path)["firms"].items():
-        if fid in new_params:
-            base = new_params[fid]
-            new_params[fid] = dataclasses.replace(
-                base, alpha=float(rec["alpha"]), beta=float(rec["beta"]))
+        if fid not in new_params:
+            raise CliError(f"fit report {path}: firm {fid!r} is not in "
+                           "the params")
+        new_params[fid] = dataclasses.replace(
+            new_params[fid], alpha=float(rec["alpha"]), beta=float(rec["beta"]))
         for cid, k in rec.get("strengths", {}).items():
+            try:
+                network.strength(fid, cid)
+            except KeyError:
+                raise CliError(f"fit report {path}: link ({fid!r}, {cid!r}) "
+                               "is not in the network") from None
             overrides[(fid, cid)] = float(k)
     return new_params, network.with_strengths(overrides)
 

@@ -166,7 +166,7 @@ class TransactionNetwork:
 
 @dataclass(frozen=True)
 class MacroSeries:
-    """Economy-wide GDP per period, strictly positive."""
+    """Economy-wide GDP per period, strictly positive, labels distinct."""
 
     gdp: tuple[float, ...]
     periods: tuple[int, ...] = ()
@@ -178,10 +178,12 @@ class MacroSeries:
             raise ValueError("gdp series is empty")
         if any(not math.isfinite(g) or g <= 0.0 for g in gdp):
             raise ValueError("gdp values must be finite and > 0")
-        periods = self.periods or tuple(range(len(gdp)))
+        periods = tuple(map(int, self.periods or range(len(gdp))))
         if len(periods) != len(gdp):
             raise ValueError("periods and gdp lengths differ")
-        object.__setattr__(self, "periods", tuple(int(p) for p in periods))
+        if len(set(periods)) != len(periods):
+            raise ValueError(f"duplicate period labels in {periods}")
+        object.__setattr__(self, "periods", periods)
 
     def __len__(self) -> int:
         return len(self.gdp)
@@ -210,6 +212,18 @@ class Economy:
 
     def mark_bankrupt(self, firm: str) -> None:
         self.states[firm] = replace(self.states[firm], bankrupt=True)
+
+
+def shared_firm_ids(economy: Economy,
+                    network: TransactionNetwork) -> tuple[str, ...]:
+    """economy.firm_ids, checked to be exactly the network's firms;
+    otherwise a ValueError naming a firm that only one side has."""
+    ids = economy.firm_ids
+    if ids != network.firms:
+        firm = min(set(ids).symmetric_difference(network.firms))
+        side = "economy" if firm in economy.params else "network"
+        raise ValueError(f"firm {firm!r} is only in the {side}")
+    return ids
 
 
 def interaction_term(strength: float, customer_growth: float,

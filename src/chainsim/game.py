@@ -19,7 +19,6 @@ The seeded genetic algorithm best_response_ga is only a test oracle.
 from __future__ import annotations
 
 import math
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,8 @@ from .econ import (
     InvestmentDecision,
     TransactionNetwork,
     customer_terms_sum,
+    shared_firm_ids,
+    term_fixed,
 )
 
 # Genetic search settings of the test oracle best_response_ga.
@@ -40,10 +41,6 @@ GA_MUTATION_SCALE = 0.05   # fraction of the log box width
 GA_MUTATION_PROB = 0.25    # per-gene mutation probability
 GA_CROSSOVER_PROB = 0.9
 GA_ELITE = 1
-
-
-class NoConcaveOptimum(Exception):
-    """Never raised any more; kept because the acceptance tests import it."""
 
 
 @dataclass(frozen=True)
@@ -81,26 +78,19 @@ def _payoff(revenue, capital, labor, customer_terms, params: FirmParameters,
             next_capital, next_labor):
     """Next-term profit at the given inputs, noise at zero.
 
-    revenue, capital and labor are the books on record. Written in
-    arithmetic operators only, so the same body prices one decision
-    (floats) and a whole GA population (numpy arrays).
+    revenue, capital and labor are the books on record. term_rule's
+    arithmetic without the revenue floor, so the same body prices one
+    decision (floats) and a whole GA population (numpy arrays).
     """
-    a, b = params.alpha, params.beta
-    growth = (next_capital / capital) ** a * (next_labor / labor) ** b
-    rev = revenue * (growth + customer_terms)
-    cost = params.cost_coeff * next_capital ** a * next_labor ** b
-    return rev - cost - params.interest_rate * next_capital - next_labor
+    growth, cost, charge = term_fixed(capital, labor, params,
+                                      next_capital, next_labor)
+    return revenue * (growth + customer_terms) - cost - charge - next_labor
 
 
 def expected_payoff(ctx: PayoffContext, decision: InvestmentDecision) -> float:
     """Next-term profit of a candidate decision, noise at zero."""
     return _payoff(ctx.revenue, ctx.capital, ctx.labor, ctx.customer_terms,
                    ctx.params, decision.capital, decision.labor)
-
-
-def _box(ctx: PayoffContext, config: GameConfig):
-    lo, hi = config.decision_bounds
-    return (lo * ctx.capital, hi * ctx.capital, lo * ctx.labor, hi * ctx.labor)
 
 
 def _edge_candidates(gamma: float, B: float, other: float, w: float,
@@ -192,7 +182,9 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     population, so the result never pays off worse than standing still.
     Same seed, same answer.
     """
-    k_lo, k_hi, l_lo, l_hi = _box(ctx, config)
+    lo, hi = config.decision_bounds
+    k_lo, k_hi, l_lo, l_hi = (lo * ctx.capital, hi * ctx.capital,
+                              lo * ctx.labor, hi * ctx.labor)
     if k_lo == k_hi and l_lo == l_hi:
         return InvestmentDecision(k_lo, l_lo)
     rng = np.random.default_rng(seed)
@@ -245,12 +237,6 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     return InvestmentDecision(capital, labor)
 
 
-def best_response(ctx: PayoffContext, config: GameConfig = GameConfig(),
-                  seed: int = 0) -> InvestmentDecision:
-    """best_response_closed_form; seed is unused, kept for its callers."""
-    return best_response_closed_form(ctx, config)
-
-
 @dataclass(frozen=True)
 class NashResult:
     """Joint decisions of the investment game.
@@ -261,11 +247,6 @@ class NashResult:
 
     decisions: dict[str, InvestmentDecision]
     converged: bool
-
-
-def _firm_seed(seed: int, firm: str) -> int:
-    # stable per-firm GA stream for the test oracle, order independent
-    return (seed * 0x1_0000_0000 + zlib.crc32(firm.encode())) % (2 ** 63)
 
 
 def nash_solve(economy: Economy, network: TransactionNetwork,
@@ -279,7 +260,7 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
     so every customer term reads a live customer's growth ratio.
     """
     decisions = {}
-    for f in economy.firm_ids:
+    for f in shared_firm_ids(economy, network):
         st = economy.states[f]
         if st.bankrupt:
             raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")

@@ -30,6 +30,7 @@ from .econ import (
     MacroSeries,
     TransactionNetwork,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
+    shared_firm_ids,
     term_rule,
 )
 from .game import best_inputs
@@ -304,7 +305,7 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
         raise ValueError("decision_jitter must be finite and >= 0, "
                          f"got {decision_jitter!r}")
     T = len(macro)
-    ids = economy.firm_ids
+    ids = shared_firm_ids(economy, network)
     n = len(ids)
     noise_rng = np.random.default_rng([seed, 101])
     jitter_rng = np.random.default_rng([seed, 102])

@@ -46,6 +46,16 @@ def make_chain(equity_a=50.0, equity_b=40.0, k_ab=0.5, k_bc=0.5):
     return Economy(params=params, states=states), network, decisions
 
 
+def mismatched_chain_network(firm):
+    """A network that differs from make_chain's economy by firm: "C"
+    drops C, "D" adds a firm D supplying A."""
+    if firm == "C":
+        return TransactionNetwork(firms=("A", "B"), edges=(("A", "B", 0.5),))
+    return TransactionNetwork(firms=("A", "B", "C", "D"),
+                              edges=(("A", "B", 0.5), ("B", "C", 0.5),
+                                     ("D", "A", 0.1)))
+
+
 def make_panel(firms, gdp, periods, equity=None):
     """PanelSeries over the FirmSeries in firms, with optional equity rows."""
     ids = tuple(sorted(firms))

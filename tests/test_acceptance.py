@@ -24,12 +24,9 @@ from chainsim import (
     FirmState,
     GameConfig,
     InvestmentDecision,
-    NoConcaveOptimum,
     PayoffContext,
     TransactionNetwork,
-    best_response,
     best_response_closed_form,
-    best_response_ga,
     customer_terms_sum,
     expected_payoff,
     nash_solve,
@@ -38,7 +35,7 @@ from chainsim import (
 )
 from chainsim.calibration import fit_all, residual_series
 from chainsim.cli import main as cli_main
-from chainsim.game import _firm_seed
+from chainsim.game import best_response_ga
 from chainsim.io import export_cascade
 from chainsim.netgen import GeneratorConfig, generate_economy, simulate_economy
 
@@ -128,10 +125,7 @@ def test_criterion_3_best_response_matches_grid_and_ga():
                             capital=float(rng.uniform(50, 400)),
                             labor=float(rng.uniform(20, 200)),
                             customer_terms=0.0, params=p)
-        try:
-            dec = best_response_closed_form(ctx, config)
-        except NoConcaveOptimum:
-            continue
+        dec = best_response_closed_form(ctx, config)
         best = expected_payoff(ctx, dec)
         if best < 1.0:   # keep the 1% comparison well scaled
             continue
@@ -166,7 +160,7 @@ def test_criterion_3_best_response_matches_grid_and_ga():
         ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                             labor=st.labor, customer_terms=cts,
                             params=eco.params[f])
-        again = best_response(ctx, seed=_firm_seed(0, f))
+        again = best_response_closed_form(ctx)
         assert again.capital == pytest.approx(res.decisions[f].capital, rel=1e-9)
         assert again.labor == pytest.approx(res.decisions[f].labor, rel=1e-9)
     print("criterion 3: 20 concave instances within one grid cell, "

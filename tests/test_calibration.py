@@ -17,6 +17,7 @@ from chainsim import (
     FirmParameters,
     FirmSeries,
     FirmState,
+    FitOptions,
     GeneratorConfig,
     MacroSeries,
     PanelSeries,
@@ -103,6 +104,13 @@ class TestPanelSeries:
     def test_invalid_panel_refused_at_construction(self, changes, message):
         with pytest.raises(ValueError, match=message):
             two_firm_panel(**changes)
+
+
+class TestFitOptions:
+    def test_refuses_a_bool_tol(self):
+        # True read as a tolerance of 1.0; max_iter refuses bools too
+        with pytest.raises(ValueError, match="tol"):
+            FitOptions(tol=True)
 
 
 class TestResiduals:

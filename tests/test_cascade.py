@@ -40,7 +40,7 @@ from chainsim import (
 from chainsim import cascade
 from chainsim.econ import term_fixed
 
-from conftest import make_chain
+from conftest import make_chain, mismatched_chain_network
 
 
 def brute_force_dead(eco, net, triggers, decisions, gdp_ratio=1.0,
@@ -372,6 +372,15 @@ class TestHandTracedChain:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("firm", ["C", "D"])
+    def test_refuses_network_over_other_firms(self, firm):
+        # checked where the plan is built, before any supplier is priced
+        eco, _, decisions = make_chain()
+        with pytest.raises(ValueError, match=f"firm {firm!r} is only in the"):
+            run_cascade(eco, mismatched_chain_network(firm),
+                        CascadeConfig(trigger_firms=("B",)),
+                        decisions=decisions)
+
     def test_needs_triggers(self):
         with pytest.raises(ValueError):
             CascadeConfig(trigger_firms=())
@@ -541,7 +550,7 @@ class TestOracleEquivalence:
         res = run_cascade(eco, net, CascadeConfig(trigger_firms=(trigger,)),
                           decisions=decisions)
         oracle = brute_force_dead(eco, net, {trigger}, decisions)
-        assert res.bankrupt_set == frozenset(oracle)
+        assert frozenset(res.bankrupt) == frozenset(oracle)
 
     def test_matches_brute_force_pure_loss(self):
         eco, net, decisions, trigger = random_fixture(99)
@@ -549,14 +558,14 @@ class TestOracleEquivalence:
         res = run_cascade(eco, net, cfg, decisions=decisions)
         oracle = brute_force_dead(eco, net, {trigger}, decisions,
                                   policy=PURE_LOSS)
-        assert res.bankrupt_set == frozenset(oracle)
+        assert frozenset(res.bankrupt) == frozenset(oracle)
 
     def test_chain_matches_brute_force(self):
         eco, net, decisions = make_chain(equity_a=30.0)
         res = run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
                           decisions=decisions)
         oracle = brute_force_dead(eco, net, {"C"}, decisions)
-        assert res.bankrupt_set == frozenset(oracle) == {"A", "B", "C"}
+        assert frozenset(res.bankrupt) == frozenset(oracle) == {"A", "B", "C"}
 
 
 class TestStructuralInvariants:
@@ -614,7 +623,7 @@ class TestStructuralInvariants:
                 overrides[(s, c)] = 0.5 * k
         softened = run_cascade(eco, net.with_strengths(overrides), cfg,
                                decisions=decisions)
-        assert softened.bankrupt_set <= base.bankrupt_set
+        assert frozenset(softened.bankrupt) <= frozenset(base.bankrupt)
 
 
 class TestFrozenDecisionsFromGame:

@@ -585,6 +585,64 @@ class TestFitReportShape:
         assert any(out.iterdir())
 
 
+# Reports over firms or links the chain of steady_chain_csvs lacks
+FOREIGN_FIT_REPORTS = [
+    ({"Z": {"alpha": 0.3, "beta": 0.35, "average_error": 0.0}}, "'Z'"),
+    ({"A": {"alpha": 0.3, "beta": 0.35, "average_error": 0.0,
+            "strengths": {"C": 0.1}}}, "('A', 'C')"),
+]
+
+
+class TestFitReportOfAnotherEconomy:
+    """cascade and simulate refuse a fit report that names firms or
+    links their inputs lack, instead of dropping them silently."""
+
+    def args(self, command, data, report, out):
+        args = [command, "--fit-report", str(report), "--out-dir", str(out)]
+        for name in ("panel", "edges", "gdp", "params"):
+            args += [f"--{name}", str(data[f"{name}.csv"])]
+        if command == "cascade":
+            args += ["--trigger", load_panel(data["panel.csv"]).firm_ids[0]]
+        return args
+
+    @pytest.mark.parametrize("firms, named", FOREIGN_FIT_REPORTS,
+                             ids=["firm", "link"])
+    @pytest.mark.parametrize("command", ["cascade", "simulate"])
+    def test_unknown_firm_or_link_fails_clean(self, tmp_path, capsys,
+                                              command, firms, named):
+        data = steady_chain_csvs(tmp_path)
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps({"firms": firms}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(self.args(command, data, report, out)) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cascade", "simulate"])
+    def test_report_fitted_on_another_seed_fails_clean(self, tmp_path,
+                                                       capsys, command):
+        # the fit of a seed-19 economy, applied to a seed-2 economy of
+        # the same size, overwrote the elasticities and dropped most of
+        # the report's links
+        one, two = gen_dir(tmp_path, name="one"), tmp_path / "two"
+        assert run(["generate", "--out-dir", str(two), "--firms", "6",
+                    "--seed", "2"]) == 0
+        fit = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(one / "panel.csv"),
+                    "--edges", str(one / "edges.csv"),
+                    "--gdp", str(one / "gdp.csv"),
+                    "--out-dir", str(fit)]) == 0
+        data = {f"{name}.csv": str(two / f"{name}.csv")
+                for name in ("panel", "edges", "gdp", "params")}
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(self.args(command, data, fit / "fit_report.json",
+                             out)) == 2
+        assert "is not in the network" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEndToEnd:
     def test_generate_calibrate_cascade_pipeline(self, tmp_path):
         data = gen_dir(tmp_path, "--no-noise")

@@ -153,6 +153,13 @@ class TestMacroSeries:
         with pytest.raises(ValueError):
             MacroSeries(gdp=())
 
+    def test_rejects_duplicate_period_labels(self):
+        # as PanelSeries and load_gdp do
+        with pytest.raises(ValueError, match="duplicate period labels"):
+            MacroSeries(gdp=(1.0, 2.0), periods=(0, 0))
+        with pytest.raises(ValueError, match="duplicate period labels"):
+            MacroSeries(gdp=(1.0, 2.0, 3.0), periods=(5, 6, 5))
+
 
 class TestEconomy:
     def test_ids_must_align(self):

@@ -21,14 +21,14 @@ from chainsim import (
     InvestmentDecision,
     PayoffContext,
     TransactionNetwork,
-    best_response,
     best_response_closed_form,
-    best_response_ga,
     expected_payoff,
     nash_solve,
     steady_state_inputs,
 )
-from chainsim.game import _firm_seed
+from chainsim.game import best_response_ga
+
+from conftest import make_chain, mismatched_chain_network
 
 WIDE = GameConfig(decision_bounds=(1e-4, 1e4))
 
@@ -115,7 +115,7 @@ def nonconcave_contexts(draw):
 
 
 def no_ga(*args, **kwargs):
-    raise AssertionError("best_response called the GA")
+    raise AssertionError("the closed form called the GA")
 
 
 class TestExpectedPayoff:
@@ -176,7 +176,7 @@ class TestClosedForm:
         assert pay >= expected_payoff(ctx, ga) - tol
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chainsim.game, "best_response_ga", no_ga)
-            assert best_response(ctx, config, seed=0) == dec
+            assert best_response_closed_form(ctx, config) == dec
 
     @pytest.mark.parametrize("alpha, beta", [
         (0.5, 0.499), (0.3, 0.699), (0.995, 0.0),
@@ -187,7 +187,7 @@ class TestClosedForm:
         # the first-order point (..)**(1/(1-alpha-beta)) passes float range
         ctx = ctx_of(alpha=alpha, beta=beta)
         config = GameConfig()
-        dec = best_response(ctx, config)
+        dec = best_response_closed_form(ctx, config)
         pay = expected_payoff(ctx, dec)
         assert pay >= grid_argmax(ctx, config)[2] - 1e-9 * abs(pay)
         lo, hi = config.decision_bounds
@@ -208,7 +208,7 @@ class TestClosedForm:
         assert pay >= expected_payoff(ctx, ga) - tol
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chainsim.game, "best_response_ga", no_ga)
-            assert best_response(ctx, config, seed=0) == dec
+            assert best_response_closed_form(ctx, config) == dec
 
     def test_interior_matches_grid(self):
         rng = np.random.default_rng(7)
@@ -303,16 +303,6 @@ class TestGeneticSearch:
         dec = best_response_ga(ctx_of(capital=3.0, labor=2.0), pin, seed=0)
         assert (dec.capital, dec.labor) == (3.0, 2.0)
 
-    def test_dispatcher_prefers_closed_form_but_survives_fallback(self):
-        # the closed form answers concave and non-concave surfaces alike
-        concave = ctx_of(revenue=120.0, capital=80.0, labor=40.0)
-        spiky = ctx_of(alpha=0.7, beta=0.6)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chainsim.game, "best_response_ga", no_ga)
-            for ctx in (concave, spiky):
-                assert best_response(ctx, seed=1) == best_response_closed_form(
-                    ctx, GameConfig())
-
 
 def interior_chain():
     ids = ("A", "B", "C")
@@ -342,7 +332,7 @@ class TestNash:
         ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                             labor=st.labor, customer_terms=0.0,
                             params=one.params["A"])
-        expect = best_response(ctx)
+        expect = best_response_closed_form(ctx)
         assert res.converged
         assert res.decisions["A"] == expect
 
@@ -355,7 +345,7 @@ class TestNash:
             ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                                 labor=st.labor, customer_terms=0.0,
                                 params=eco.params[f])
-            assert res.decisions[f] == best_response(ctx)
+            assert res.decisions[f] == best_response_closed_form(ctx)
 
     def test_fixed_point_self_consistent(self):
         eco, net = interior_chain()
@@ -369,7 +359,7 @@ class TestNash:
             ctx = PayoffContext(revenue=st.revenue, capital=st.capital,
                                 labor=st.labor, customer_terms=cts,
                                 params=eco.params[f])
-            again = best_response(ctx)
+            again = best_response_closed_form(ctx)
             assert again.capital == pytest.approx(res.decisions[f].capital,
                                                   rel=1e-9)
             assert again.labor == pytest.approx(res.decisions[f].labor,
@@ -416,9 +406,10 @@ class TestNash:
         with pytest.raises(ValueError):
             nash_solve(eco, net, 1.02)
 
-
-def test_firm_seed_is_stable_and_distinct():
-    assert _firm_seed(3, "F0001") == _firm_seed(3, "F0001")
-    assert _firm_seed(3, "F0001") != _firm_seed(4, "F0001")
-    assert _firm_seed(3, "F0001") != _firm_seed(3, "F0002")
-    assert 0 <= _firm_seed(123456, "anything") < 2 ** 63
+    @pytest.mark.parametrize("firm", ["C", "D"])
+    def test_refuses_network_over_other_firms(self, firm):
+        # a firm only the economy has raised a bare KeyError; one only
+        # the network has went unnoticed
+        eco, _, _ = make_chain()
+        with pytest.raises(ValueError, match=f"firm {firm!r} is only in the"):
+            nash_solve(eco, mismatched_chain_network(firm), 1.0)

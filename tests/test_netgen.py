@@ -30,8 +30,10 @@ from chainsim import (
     steady_state_inputs,
 )
 from chainsim.econ import customer_terms_sum
-from chainsim.game import PayoffContext, best_response
+from chainsim.game import PayoffContext
 from chainsim.netgen import firm_ids
+
+from conftest import make_chain, mismatched_chain_network
 
 
 class TestConfigValidation:
@@ -229,6 +231,13 @@ class TestSteadyState:
 
 
 class TestForwardSimulate:
+    @pytest.mark.parametrize("firm", ["C", "D"])
+    def test_refuses_network_over_other_firms(self, firm):
+        eco, _, _ = make_chain()
+        macro = MacroSeries(gdp=(100.0, 100.0, 100.0))
+        with pytest.raises(ValueError, match=f"firm {firm!r} is only in the"):
+            forward_simulate(eco, mismatched_chain_network(firm), macro)
+
     def test_noiseless_panel_satisfies_the_model(self):
         cfg = GeneratorConfig(n_firms=20, seed=11)
         economy, network, _, res = simulate_economy(cfg, noise_on=False)
@@ -360,7 +369,7 @@ class TestForwardSimulate:
                 for i, f in enumerate(ids):
                     st, q = states[f], eco.params[f]
                     cts = customer_terms_sum(f, net, states, g)
-                    dec = best_response(PayoffContext(
+                    dec = best_response_closed_form(PayoffContext(
                         st.revenue, st.capital, st.labor, cts, q))
                     cap = dec.capital * math.exp(jitter * jit[i, 0])
                     lab = dec.labor * math.exp(jitter * jit[i, 1])
@@ -435,7 +444,7 @@ class TestForwardSimulate:
             for i, f in enumerate(ids):
                 s, q = states[f], eco.params[f]
                 cts = customer_terms_sum(f, net, states, g)
-                dec = best_response(PayoffContext(
+                dec = best_response_closed_form(PayoffContext(
                     s.revenue, s.capital, s.labor, cts, q))
                 cap = dec.capital * math.exp(jitter * jit[i, 0])
                 lab = dec.labor * math.exp(jitter * jit[i, 1])

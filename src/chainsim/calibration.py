@@ -186,11 +186,11 @@ class FitOptions:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if (isinstance(self.tol, bool)
-                or not (math.isfinite(self.tol) and self.tol > 0.0)):
-            raise ValueError(f"tol must be finite and > 0, got {self.tol!r}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, int)):
+        tol = self.tol
+        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                or not (math.isfinite(tol) and tol > 0.0)):
+            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        if type(self.max_iter) is not int:  # no bools
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")

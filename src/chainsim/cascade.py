@@ -137,7 +137,8 @@ class CascadePlan:
     """What frozen decisions fix, for one (economy, network, decisions,
     gdp_growth, policy).
 
-    Holds copies of the three maps, the firms flagged before the run,
+    Refuses decisions that lack a firm of the economy, naming the first
+    one. Holds copies of the three maps, the firms flagged before the run,
     the survivor template and each firm's suppliers and customers, but
     not the network. price(firm), on first use, fills books[firm]:
     term_close's first five arguments, the beginning equity and one
@@ -148,6 +149,10 @@ class CascadePlan:
     def __init__(self, economy: Economy, network: TransactionNetwork,
                  decisions: Mapping[str, InvestmentDecision],
                  gdp_growth: float, policy: str) -> None:
+        ids = shared_firm_ids(economy, network)
+        missing = next((f for f in ids if f not in decisions), None)
+        if missing is not None:
+            raise ValueError(f"decisions lack firm {missing!r}")
         self.states = dict(economy.states)
         self.params = dict(economy.params)
         self.decisions = dict(decisions)
@@ -155,8 +160,7 @@ class CascadePlan:
         self.policy = policy
         self.flagged = frozenset(
             f for f, st in self.states.items() if st.bankrupt)
-        self.survivors = dict.fromkeys(shared_firm_ids(economy, network),
-                                       REASON_NOT_REACHED)
+        self.survivors = dict.fromkeys(ids, REASON_NOT_REACHED)
         self.suppliers = {f: tuple(s for s, _ in network.suppliers_of(f))
                           for f in network.firms}
         self.customers = {f: network.customers_of(f) for f in network.firms}

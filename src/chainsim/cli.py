@@ -117,9 +117,6 @@ def _cmd_generate(args: argparse.Namespace, out: _Outputs) -> int:
                            ("seed", args.seed)):
         if cli_value is not None:
             values[key] = cli_value
-    for key in ("n_firms", "horizon", "seed"):
-        if key in values:
-            _integer(values[key], key)
     try:
         gen = GeneratorConfig(**values)
     except (TypeError, ValueError) as exc:

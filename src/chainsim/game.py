@@ -3,10 +3,12 @@ maximize next-term profit, holding everyone else's books fixed.
 
 The payoff is next-term profit with the noise term at zero,
 B*K^a*L^b - r*K - L + const, where B is the net output coefficient.
-Decisions are searched inside a multiplicative box around the firm's
-current inputs. best_inputs is exact everywhere, on plain floats; the
-simulator calls it directly, and best_response_closed_form wraps it
-for a PayoffContext:
+The customer terms enter only the constant, revenue * customer_terms,
+so a decision reads the firm's own books alone. Decisions are searched
+inside a multiplicative box around the firm's current inputs.
+best_inputs is exact everywhere, on plain floats; the simulator calls
+it directly, and best_response_closed_form wraps it for a
+PayoffContext:
 
 - B <= 0 (cost-dominated): the payoff does not rise in either input,
   so the lower corner of the box is the answer, whatever a + b.
@@ -28,7 +30,7 @@ from .econ import (
     FirmParameters,
     InvestmentDecision,
     TransactionNetwork,
-    customer_terms_sum,
+    customer_terms_sum,  # not called here; bench/tracing.py looks it up
     shared_firm_ids,
     term_fixed,
 )
@@ -64,7 +66,8 @@ class PayoffContext:
     """Everything a firm needs to price a candidate decision.
 
     customer_terms is the precomputed sum of interaction terms over the
-    firm's customers; it does not depend on the decision.
+    firm's customers. It shifts expected_payoff by a constant and so
+    does not change the best response.
     """
 
     revenue: float
@@ -115,22 +118,22 @@ def _edge_candidates(gamma: float, B: float, other: float, w: float,
 
 
 def best_inputs(revenue: float, capital: float, labor: float,
-                customer_terms: float, params: FirmParameters,
+                params: FirmParameters,
                 bounds: tuple[float, float] = GameConfig.decision_bounds
                 ) -> tuple[float, float]:
     """Exact argmax (K', L') of the payoff over the decision box.
 
-    revenue, capital and labor are the books on record, customer_terms
-    the firm's coupling sum and bounds the multiplicative box. With
-    B = revenue / (K^alpha * L^beta) - cost_coeff, the net output
-    coefficient: B <= 0 makes the payoff non-increasing in capital and
-    strictly decreasing in labor, so the lower corner, for any
-    alpha + beta. alpha, beta, r > 0 and alpha + beta < 1: the interior
-    first-order point when it lies in the box. Otherwise the peak is on
-    the box boundary (for alpha + beta >= 1 the payoff is convex along
-    every ray from the origin), where each edge's payoff is
-    B*other*x^gamma - w*x + const: the best of at most eight edge
-    candidates. Ties break toward smaller capital, then smaller labor.
+    revenue, capital and labor are the books on record and bounds the
+    multiplicative box. With B = revenue / (K^alpha * L^beta) -
+    cost_coeff, the net output coefficient: B <= 0 makes the payoff
+    non-increasing in capital and strictly decreasing in labor, so the
+    lower corner, for any alpha + beta. alpha, beta, r > 0 and
+    alpha + beta < 1: the interior first-order point when it lies in
+    the box. Otherwise the peak is on the box boundary (for
+    alpha + beta >= 1 the payoff is convex along every ray from the
+    origin), where each edge's payoff is B*other*x^gamma - w*x + const:
+    the best of at most eight edge candidates, priced without the
+    constant. Ties break toward smaller capital, then smaller labor.
     The result is not validated; best_response_closed_form does that.
     """
     a, b, r = params.alpha, params.beta, params.interest_rate
@@ -151,14 +154,12 @@ def best_inputs(revenue: float, capital: float, labor: float,
         if k_lo <= k_star <= k_hi and l_lo <= l_star <= l_hi:
             return k_star, l_star
 
-    # (-payoff, K, L) per candidate: the least is the best, ties broken
-    # toward smaller capital, then smaller labor
-    priced = [(-_payoff(revenue, capital, labor, customer_terms, params, k, l),
-               k, l)
+    # (-payoff + const, K, L) per candidate: the least is the best, ties
+    # broken toward smaller capital, then smaller labor
+    priced = [(r * k + l - B * k ** a * l ** b, k, l)
               for k in (k_lo, k_hi)
               for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
-    priced += [(-_payoff(revenue, capital, labor, customer_terms, params, k, l),
-                k, l)
+    priced += [(r * k + l - B * k ** a * l ** b, k, l)
                for l in (l_lo, l_hi)
                for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
     return min(priced)[1:]
@@ -168,7 +169,7 @@ def best_response_closed_form(ctx: PayoffContext,
                               config: GameConfig = GameConfig()) -> InvestmentDecision:
     """best_inputs for a payoff context, as a validated decision."""
     return InvestmentDecision(*best_inputs(
-        ctx.revenue, ctx.capital, ctx.labor, ctx.customer_terms, ctx.params,
+        ctx.revenue, ctx.capital, ctx.labor, ctx.params,
         config.decision_bounds))
 
 
@@ -241,8 +242,8 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
 class NashResult:
     """Joint decisions of the investment game.
 
-    converged is true by construction: payoffs read only the books on
-    record, so one best-response pass is already the fixed point.
+    converged is true by construction: decisions read only each firm's
+    own books, so one best-response pass is already the fixed point.
     """
 
     decisions: dict[str, InvestmentDecision]
@@ -253,18 +254,17 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
                gdp_growth: float) -> NashResult:
     """Joint best responses of every firm: the game's fixed point.
 
-    Each firm's payoff depends on the others only through revenues
-    already on the books, so the game decouples and one best-response
-    pass per firm is the fixed point.
-    Result is independent of firm ordering. A bankrupt firm is refused,
-    so every customer term reads a live customer's growth ratio.
+    Each firm's decision reads only its own books, so the game
+    decouples and one best-response pass per firm is the fixed point.
+    network serves only to check the firm set. gdp_growth changes no
+    result; it stays for callers that pass one.
+    Result is independent of firm ordering. A bankrupt firm is refused.
     """
     decisions = {}
     for f in shared_firm_ids(economy, network):
         st = economy.states[f]
         if st.bankrupt:
             raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")
-        cts = customer_terms_sum(f, network, economy.states, gdp_growth)
         decisions[f] = InvestmentDecision(*best_inputs(
-            st.revenue, st.capital, st.labor, cts, economy.params[f]))
+            st.revenue, st.capital, st.labor, economy.params[f]))
     return NashResult(decisions=decisions, converged=True)

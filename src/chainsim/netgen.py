@@ -17,7 +17,7 @@ the independent variation that makes the elasticities identifiable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,10 +72,13 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_firms < 1:
-            raise ValueError("n_firms must be >= 1")
-        if self.horizon < 3:
-            raise ValueError("horizon must be >= 3")
+        # range and numpy fail on a fractional count or seed; a bool
+        # counted as one firm
+        for name, low in (("n_firms", 1), ("horizon", 3), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:
+                raise ValueError(
+                    f"{name} must be an int >= {low}, got {value!r}")
         if self.edge_model not in EDGE_MODELS:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
         # generate_gdp redraws forever from a NaN start; a string or a
@@ -273,7 +276,6 @@ class SimulationResult:
 
     panel: PanelSeries
     floor_events: tuple[tuple[str, int], ...]
-    final_states: dict[str, FirmState] = field(repr=False, default_factory=dict)
 
 
 def forward_simulate(economy: Economy, network: TransactionNetwork,
@@ -283,23 +285,25 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
                      seed: int = 0) -> SimulationResult:
     """Roll the economy forward over the macro series' horizon.
 
-    Each period every firm best-responds to the books on record
+    Each period every firm best-responds to its own books on record
     (game.best_inputs), the applied inputs get lognormal jitter of
     spread decision_jitter (finite and >= 0; 0 applies the decision as
     taken), and econ.term_rule gives the term's revenue (with the
-    idiosyncratic shock when noise_on) and profit, which rolls into
-    equity. All firms advance on a period barrier, so the result does
-    not depend on firm order. A revenue outcome at or below zero is
-    floored and flagged. A firm flagged bankrupt before the run reads
-    as a zero-revenue customer in the first period and trades on
-    afterwards. seed drives the noise and jitter streams.
+    customer terms, and the idiosyncratic shock when noise_on) and
+    profit, which rolls into equity. All firms advance on a period
+    barrier, so the result does not depend on firm order. A revenue
+    outcome at or below zero is floored and flagged. A firm flagged
+    bankrupt before the run reads as a zero-revenue customer in the
+    first period and trades on afterwards. seed drives the noise and
+    jitter streams.
 
     The books are plain floats over the sorted firm index; each period
     writes its four columns into the (4, n_firms, T) books array, whose
     planes become the panel's revenue, capital, labor and equity
     arrays. Every new decision and state is checked as
     InvestmentDecision and FirmState would check it, with the same
-    error.
+    error; neither is built otherwise. economy_from_panel reads the
+    final states off the panel.
     """
     if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
         raise ValueError("decision_jitter must be finite and >= 0, "
@@ -343,11 +347,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
         new_labor = [0.0] * n
         new_equity = [0.0] * n
         for i in range(n):
-            cts = 0.0
-            for j, k in customers[i]:
-                cts += k * excess[j]
             rev, cap, lab, p = revenue[i], capital[i], labor[i], params[i]
-            k_dec, l_dec = best_inputs(rev, cap, lab, cts, p)
+            k_dec, l_dec = best_inputs(rev, cap, lab, p)
             if not (0.0 < k_dec < inf and 0.0 < l_dec < inf):
                 InvestmentDecision(k_dec, l_dec)  # raises the decision's error
             jk, jl = jit[i]
@@ -355,6 +356,10 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             l_new = l_dec * math.exp(decision_jitter * jl)
             if not (0.0 < k_new < inf and 0.0 < l_new < inf):
                 InvestmentDecision(k_new, l_new)
+            # customer terms move the revenue booked, not the decision
+            cts = 0.0
+            for j, k in customers[i]:
+                cts += k * excess[j]
             rev_new, profit, floored = term_rule(
                 rev, cap, lab, p, k_new, l_new, cts, p.noise_sigma * shocks[i])
             if floored:
@@ -368,22 +373,14 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             new_capital[i] = k_new
             new_labor[i] = l_new
             new_equity[i] = eq_new
-        prev_revenue = revenue
         revenue, capital, labor, equity = (new_revenue, new_capital,
                                            new_labor, new_equity)
         books[:, :, t + 1] = revenue, capital, labor, equity
 
-    if T == 1:
-        final_states = dict(economy.states)
-    else:
-        final_states = {f: FirmState(revenue[i], prev_revenue[i], capital[i],
-                                     labor[i], equity[i])
-                        for i, f in enumerate(ids)}
     revenue, capital, labor, equity = books
     panel = PanelSeries(ids, revenue, capital, labor, gdp=np.array(macro.gdp),
                         periods=macro.periods, equity=equity)
-    return SimulationResult(panel=panel, floor_events=tuple(floor_events),
-                            final_states=final_states)
+    return SimulationResult(panel=panel, floor_events=tuple(floor_events))
 
 
 def simulate_economy(config: GeneratorConfig, *, noise_on: bool = True

@@ -112,6 +112,12 @@ class TestFitOptions:
         with pytest.raises(ValueError, match="tol"):
             FitOptions(tol=True)
 
+    @pytest.mark.parametrize("tol", ["1e-8", None, [1e-8]])
+    def test_refuses_a_tol_that_is_no_number(self, tol):
+        # these raised TypeError from math.isfinite
+        with pytest.raises(ValueError, match="tol"):
+            FitOptions(tol=tol)
+
 
 class TestResiduals:
     def test_noiseless_panel_is_exact(self):

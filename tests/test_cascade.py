@@ -15,6 +15,7 @@ engine's cached plan.
 
 import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -534,13 +535,24 @@ class TestPlanReuse:
         assert edited.bankrupt == {"C": 0, "B": 1}
 
     def test_plan_dies_with_its_network(self):
+        # only this network's plan: others may outlive this test
         eco, net, decisions = make_chain()
         run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
                     decisions=decisions)
-        assert net in cascade._plans
+        plan = weakref.ref(cascade._plans[net])
         del net
         gc.collect()
-        assert len(cascade._plans) == 0
+        assert plan() is None
+
+    def test_decisions_lacking_a_firm_are_refused_and_not_cached(self):
+        # a bare KeyError from the first supplier priced, with the
+        # half-used plan left cached, before the plan checked them
+        eco, net, decisions = make_chain()
+        del decisions["A"]
+        with pytest.raises(ValueError, match="decisions lack firm 'A'"):
+            run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
+                        decisions=decisions)
+        assert net not in cascade._plans
 
 
 class TestOracleEquivalence:

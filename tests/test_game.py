@@ -7,6 +7,8 @@ grid points against expected_payoff so the two derivations cannot
 drift apart.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -246,6 +248,17 @@ class TestClosedForm:
         dec = best_response_closed_form(ctx_of(capital=3.0, labor=2.0), pin)
         assert (dec.capital, dec.labor) == (3.0, 2.0)
 
+    @given(nonconcave_contexts(), st.floats(-0.2, 0.2), st.floats(-0.2, 0.2))
+    @settings(max_examples=100, deadline=None)
+    def test_customer_terms_do_not_move_the_decision(self, drawn, ct1, ct2):
+        # r = 0 and a wide box keep the decision on the box-edge path,
+        # where candidates are priced against each other
+        ctx, _ = drawn
+        ctx = replace(ctx, params=replace(ctx.params, interest_rate=0.0))
+        assert (best_response_closed_form(replace(ctx, customer_terms=ct1), WIDE)
+                == best_response_closed_form(replace(ctx, customer_terms=ct2),
+                                             WIDE))
+
 
 class TestGeneticSearch:
     def test_tracks_closed_form(self):
@@ -399,6 +412,17 @@ class TestNash:
         assert res.converged
         assert res.decisions == {
             f: best_response_closed_form(ctx) for f, ctx in contexts.items()}
+
+    def test_reads_no_customer_terms(self, monkeypatch):
+        # a decision reads only the firm's own books
+        eco, net = interior_chain()
+        expect = nash_solve(eco, net, 1.02).decisions
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("nash_solve summed customer terms")
+
+        monkeypatch.setattr(chainsim.game, "customer_terms_sum", refuse)
+        assert nash_solve(eco, net, 1.02).decisions == expect
 
     def test_refuses_bankrupt_firm(self):
         eco, net = interior_chain()

@@ -302,6 +302,9 @@ def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
     if horizon < 3:
         raise CliError("horizon must be >= 3")
     seed = _integer(_pick(args.seed, cfg, "seed", 0), "seed")
+    if seed < 0:
+        # generate's message; numpy's own does not name the seed
+        raise CliError(f"seed must be an int >= 0, got {seed!r}")
     jitter = _number(_pick(args.decision_jitter, cfg, "decision_jitter", 0.0),
                      "decision_jitter")
     panel, macro, network = _load_panel_bundle(args)

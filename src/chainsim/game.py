@@ -21,6 +21,7 @@ The seeded genetic algorithm best_response_ga is only a test oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,13 @@ GA_MUTATION_SCALE = 0.05   # fraction of the log box width
 GA_MUTATION_PROB = 0.25    # per-gene mutation probability
 GA_CROSSOVER_PROB = 0.9
 GA_ELITE = 1
+
+_NORMAL = sys.float_info.min  # the least positive normal float
+# best_inputs' face rule: elasticities and 1 - alpha - beta at least
+# _FLAT, and every free coordinate at least _NEAR (relative) from a face
+# that gets no candidate; see its docstring
+_FLAT = 1e-3
+_NEAR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -102,7 +110,8 @@ def _edge_candidates(gamma: float, B: float, other: float, w: float,
 
     gamma = 0: the low end; w = 0: the high end; 0 < gamma < 1
     (concave): the clipped first-order point, the high end if it
-    overflows; gamma >= 1 (convex): both endpoints.
+    overflows, so one candidate whenever w > 0; gamma >= 1 (convex):
+    both endpoints.
     """
     if gamma == 0.0:
         return (lo,)
@@ -124,17 +133,40 @@ def best_inputs(revenue: float, capital: float, labor: float,
     """Exact argmax (K', L') of the payoff over the decision box.
 
     revenue, capital and labor are the books on record and bounds the
-    multiplicative box. With B = revenue / (K^alpha * L^beta) -
-    cost_coeff, the net output coefficient: B <= 0 makes the payoff
-    non-increasing in capital and strictly decreasing in labor, so the
-    lower corner, for any alpha + beta. alpha, beta, r > 0 and
-    alpha + beta < 1: the interior first-order point when it lies in
-    the box. Otherwise the peak is on the box boundary (for
-    alpha + beta >= 1 the payoff is convex along every ray from the
-    origin), where each edge's payoff is B*other*x^gamma - w*x + const:
-    the best of at most eight edge candidates, priced without the
-    constant. Ties break toward smaller capital, then smaller labor.
-    The result is not validated; best_response_closed_form does that.
+    multiplicative box. The payoff is the constant minus the cost
+    r*K + L - B*K^alpha*L^beta, where B = revenue / (K^alpha * L^beta)
+    - cost_coeff is the net output coefficient, and each edge's payoff
+    is B*other*x^gamma - w*x + const (_edge_candidates).
+
+    - B <= 0: the payoff is non-increasing in capital and strictly
+      decreasing in labor, so the lower corner, for any alpha + beta.
+    - alpha, beta, r > 0 and alpha + beta < 1: the cost is strictly
+      convex, and the unconstrained optimum (k*, l*) is the answer when
+      it lies in the box. Otherwise the box optimum lies on a face that
+      (k*, l*) violates: were it only on faces that (k*, l*) satisfies,
+      a step toward (k*, l*) would stay in the box and lower the cost.
+      So only the violated K-face and L-face get a candidate each: one
+      is the answer unpriced, two are priced against each other.
+    - The face rule returns the point that pricing every edge returns,
+      save where another candidate prices the same to rounding and the
+      tie-break picks that one. So it runs only where the cost is far
+      from flat near its answer: alpha, beta and 1 - alpha - beta are at
+      least _FLAT = 1e-3, nothing under- or overflowed on the way to
+      (k*, l*), and each candidate's free coordinate lies more than
+      _NEAR = 1e-2 (relative) from every face that gets no candidate.
+      Any other candidate then prices above the answer by a clear
+      margin. Elsewhere, which includes boxes narrower than _NEAR
+      and a candidate clipped to a face that gets none, the next rule
+      applies.
+    - Any other regime (alpha + beta >= 1, alpha = 0, beta = 0, r = 0,
+      or outside the face rule's bounds): the best of the candidates of
+      all four edges, at most eight (for alpha + beta >= 1 the payoff is
+      convex along every ray from the origin, so the peak is on the
+      boundary).
+
+    Candidates are priced by the cost without the constant; ties break
+    toward smaller capital, then smaller labor. The result is not
+    validated; best_response_closed_form does that.
     """
     a, b, r = params.alpha, params.beta, params.interest_rate
     B = revenue / (capital ** a * labor ** b) - params.cost_coeff
@@ -142,27 +174,54 @@ def best_inputs(revenue: float, capital: float, labor: float,
     k_lo, k_hi, l_lo, l_hi = lo * capital, hi * capital, lo * labor, hi * labor
     if B <= 0.0:
         return k_lo, l_lo
+    trusted = False
     if a > 0.0 and b > 0.0 and r > 0.0 and a + b < 1.0:
         c = b * r / a
+        base = a * B * c ** b / r
         # near a + b = 1 the point can pass float range, and every box;
         # math.pow raises there for numpy scalars too, where ** warns
         try:
-            k_star = math.pow(a * B * c ** b / r, 1.0 / (1.0 - a - b))
+            k_star = math.pow(base, 1.0 / (1.0 - a - b))
         except OverflowError:
             k_star = math.inf
         l_star = c * k_star
-        if k_lo <= k_star <= k_hi and l_lo <= l_star <= l_hi:
+        k_in = k_lo <= k_star <= k_hi
+        l_in = l_lo <= l_star <= l_hi
+        if k_in and l_in:
             return k_star, l_star
-
+        trusted = (a >= _FLAT and b >= _FLAT and a + b <= 1.0 - _FLAT
+                   and _NORMAL <= c < math.inf
+                   and _NORMAL <= base < math.inf
+                   and _NORMAL <= k_star < math.inf
+                   and _NORMAL <= l_star < math.inf)
+    if trusted:
+        # one candidate per violated face: the edges are concave and r > 0
+        candidates = []
+        if not k_in:
+            k = k_lo if k_star < k_lo else k_hi
+            l, = _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)
+            candidates.append((k, l))
+            # near a face that gets no candidate, l may price the same
+            # as that face's candidate to rounding
+            trusted = ((l_star < l_lo or l > (1.0 + _NEAR) * l_lo)
+                       and (l_star > l_hi or l < (1.0 - _NEAR) * l_hi))
+        if not l_in:
+            l = l_lo if l_star < l_lo else l_hi
+            k, = _edge_candidates(a, B, l ** b, r, k_lo, k_hi)
+            candidates.append((k, l))
+            trusted = trusted and ((k_star < k_lo or k > (1.0 + _NEAR) * k_lo)
+                                   and (k_star > k_hi or k < (1.0 - _NEAR) * k_hi))
+        if trusted and len(candidates) == 1:
+            return candidates[0]
+    if not trusted:
+        candidates = [(k, l) for k in (k_lo, k_hi)
+                      for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
+        candidates += [(k, l) for l in (l_lo, l_hi)
+                       for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
     # (-payoff + const, K, L) per candidate: the least is the best, ties
     # broken toward smaller capital, then smaller labor
-    priced = [(r * k + l - B * k ** a * l ** b, k, l)
-              for k in (k_lo, k_hi)
-              for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
-    priced += [(r * k + l - B * k ** a * l ** b, k, l)
-               for l in (l_lo, l_hi)
-               for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
-    return min(priced)[1:]
+    return min((r * k + l - B * k ** a * l ** b, k, l)
+               for k, l in candidates)[1:]
 
 
 def best_response_closed_form(ctx: PayoffContext,

@@ -95,14 +95,20 @@ class GeneratorConfig:
             value = getattr(self, name)
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
-        # rng.uniform overflows on a non-finite range
+        # a non-finite range, or one whose width overflows, draws inf or
+        # NaN (and _draw_elasticities then redraws forever)
         for name in RANGES:
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
                     and all(map(_finite_number, bounds))
-                    and bounds[0] <= bounds[1]):
+                    and bounds[0] <= bounds[1]
+                    and math.isfinite(bounds[1] - bounds[0])):
                 raise ValueError(f"{name} must be two finite numbers, low <= high, "
-                                 f"got {bounds!r}")
+                                 f"with a finite width, got {bounds!r}")
+        # a live firm needs positive revenue
+        if not self.revenue_range[0] > 0.0:
+            raise ValueError("revenue_range must be above 0, "
+                             f"got {self.revenue_range!r}")
         if not self.mean_out_degree >= 0.0:
             raise ValueError("mean_out_degree must be >= 0, "
                              f"got {self.mean_out_degree!r}")
@@ -125,23 +131,95 @@ def firm_ids(n: int) -> tuple[str, ...]:
     return tuple(f"F{i:0{width}d}" for i in range(n))
 
 
+def _uniform(rng, bounds: tuple[float, float]) -> float:
+    """One rng.uniform(*bounds) draw, from the same stream position.
+
+    numpy computes uniform as low + (high - low) * next_double, which is
+    this arithmetic on random()'s draw, at less than half the cost of a
+    scalar uniform() call.
+    """
+    low, high = float(bounds[0]), float(bounds[1])
+    return low + (high - low) * rng.random()
+
+
 def _draw_elasticities(config: GeneratorConfig, rng) -> tuple[float, float]:
     while True:
-        a = rng.uniform(*config.alpha_range)
-        b = rng.uniform(*config.beta_range)
+        a = _uniform(rng, config.alpha_range)
+        b = _uniform(rng, config.beta_range)
         if a + b < config.elasticity_sum_max:
-            return float(a), float(b)
+            return a, b
+
+
+# the guard band of steady_state_inputs is ln k_root +- _BAND / s
+_BAND = 1e-12
+
+
+def _log_root(p: float, C: float, s: float, R: float) -> float:
+    """ln k where p*k + C*k^s = R, for p, R > 0, C >= 0 and 0 < s < 1.
+
+    Newton on phi(u) = ln(p*e^u + C*e^(s*u)) - ln R, which is convex and
+    increasing in u = ln k with slope in [s, 1]. It starts at the
+    smaller of the roots of the two terms alone, which lies at most
+    ln 2 / s right of the root; from there every step moves left and
+    stays at or right of the root. It stops once a step is below an
+    eighth of the guard band, and gives nan when 50 steps do not get
+    there or math fails.
+    """
+    tol = _BAND / (8.0 * s)
+    try:
+        u = math.log(R / p)
+        if C > 0.0:
+            u = min(u, math.log(R / C) / s)
+        for _ in range(50):
+            k = math.exp(u)
+            lin, pw = p * k, C * k ** s
+            step = math.log((lin + pw) / R) * (lin + pw) / (lin + s * pw)
+            u -= step
+            if abs(step) < tol:
+                return u
+    except (ArithmeticError, ValueError):
+        pass
+    return math.nan
 
 
 def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, float]:
     """Capital and labor at which the best response reproduces itself.
 
-    Solves the stationary first-order condition by bisection on log
-    capital over [ln 1e-9, ln 1e12]; the equation is monotone, so the
-    root is unique. The bisection stops once the midpoint equals an end
-    of the bracket, since no later step can move the midpoint then, and
-    after 200 steps at most. Needs positive elasticities and interest
-    rate.
+    Solves the stationary first-order condition gap(ln k) = 0 by
+    bisection on log capital over [ln 1e-9, ln 1e12]; gap is increasing,
+    so the root is unique. The bisection stops once the midpoint equals
+    an end of the bracket, since no later step can move the midpoint
+    then, and after 200 steps at most. Needs positive elasticities and
+    interest rate.
+
+    Most midpoints are far from the root, where gap's sign is known
+    without evaluating it. gap times k^s is f(k) = (r/alpha)*k +
+    A*c^beta*k^s - revenue, increasing and concave, and Newton
+    (_log_root) finds its root ln k_root in a few steps. A midpoint
+    more than band = 1e-12 / s from ln k_root takes the side of that
+    comparison; one inside the band calls gap, as does every midpoint
+    when there is no verified root. The final bracket, and so k, is the
+    one gap alone would give:
+
+    - The float gap(u) is r*k^(1-s)/alpha + A*c^beta - revenue*k^(-s)
+      with k = exp(u). Let u* be the root of the exact sum with the
+      same float constants. When libm's exp and pow are within one ulp
+      and revenue*k^(-s) is a normal float, each varying term is within
+      3 eps of its exact value (eps = 2^-52; a subnormal first term is
+      off by far less than eps times the third). So the float gap is
+      within 8 eps of the sum of its terms' magnitudes, and its sign is
+      exact wherever |u - u*| > W = 17 eps / s: the ratio of the
+      positive terms to the negative one moves in log by at least s
+      per unit of u.
+    - ln k_root is used only inside (ln 1e-9 + band, ln 1e12 - band),
+      and only when gap is negative at ln k_root - band/2 and
+      non-negative at ln k_root + band/2. That puts u* within
+      band/2 + W of ln k_root, so any midpoint beyond the band is more
+      than band/2 - W > W from u*, on the side the comparison says,
+      since band = 1e-12 / s is over 60 times 4 W.
+    - Otherwise (revenue outside (1e-290, 1e290), which includes
+      revenue <= 0, inf and NaN, or Newton without a finite root
+      verified inside the bracket) gap decides every midpoint.
     """
     a, b, r = params.alpha, params.beta, params.interest_rate
     A = params.cost_coeff
@@ -158,11 +236,23 @@ def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, 
                 - revenue * k ** (-s))
 
     lo, hi = math.log(1e-9), math.log(1e12)
+    band = _BAND / s
+    # the band around a verified root; nan ends make gap decide everywhere
+    left = right = math.nan
+    if 1e-290 < revenue < 1e290:
+        x = _log_root(r / a, A * c ** b, s, revenue)
+        if (lo + band < x < hi - band
+                and gap(x - 0.5 * band) < 0.0 <= gap(x + 0.5 * band)):
+            left, right = x - band, x + band
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if gap(mid) < 0.0:
+        if mid < left:
+            lo = mid
+        elif mid > right:
+            hi = mid
+        elif gap(mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -177,7 +267,7 @@ def generate_params(config: GeneratorConfig, rng) -> dict[str, FirmParameters]:
         out[fid] = FirmParameters(
             alpha=a,
             beta=b,
-            cost_coeff=float(rng.uniform(*config.cost_coeff_range)),
+            cost_coeff=_uniform(rng, config.cost_coeff_range),
             interest_rate=config.interest_rate,
             noise_sigma=config.noise_sigma,
         )
@@ -214,7 +304,7 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
                                  p=weights / weights.sum())
             for j in sorted(int(t) for t in targets):
                 triples.append((ids[i], ids[j],
-                                float(rng.uniform(*config.strength_range))))
+                                _uniform(rng, config.strength_range)))
                 in_deg[j] += 1.0
     return TransactionNetwork(ids, triples)
 
@@ -240,11 +330,11 @@ def generate_states(config: GeneratorConfig, params: dict[str, FirmParameters],
     states = {}
     for fid in sorted(params):
         p = params[fid]
-        revenue = float(rng.uniform(*config.revenue_range))
+        revenue = _uniform(rng, config.revenue_range)
         k_star, l_star = steady_state_inputs(p, revenue)
         capital = k_star * math.exp(config.start_jitter * rng.normal())
         labor = l_star * math.exp(config.start_jitter * rng.normal())
-        equity = float(rng.uniform(*config.equity_frac_range)) * revenue
+        equity = _uniform(rng, config.equity_frac_range) * revenue
         states[fid] = FirmState(
             revenue=revenue,
             prev_revenue=revenue / (1.0 + config.gdp_growth),

@@ -500,6 +500,23 @@ class TestSimulate:
         assert "'horizn'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_fails_clean(self, tmp_path, capsys, source):
+        # numpy refused it with a bare "expected non-negative integer"
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "simulate_cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        extra = (["--seed", "-1"] if source == "flag"
+                 else ["--config", str(cfg)])
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--out-dir", str(out), *extra]) == 2
+        assert "seed must be an int >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_decision_jitter_fails_clean(self, tmp_path, capsys):
         # it ran with no jitter at all
         data = gen_dir(tmp_path)

@@ -7,6 +7,7 @@ grid points against expected_payoff so the two derivations cannot
 drift apart.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from chainsim import (
     nash_solve,
     steady_state_inputs,
 )
-from chainsim.game import best_response_ga
+from chainsim.game import best_inputs, best_response_ga
 
 from conftest import make_chain, mismatched_chain_network
 
@@ -258,6 +259,183 @@ class TestClosedForm:
         assert (best_response_closed_form(replace(ctx, customer_terms=ct1), WIDE)
                 == best_response_closed_form(replace(ctx, customer_terms=ct2),
                                              WIDE))
+
+
+def eight_candidate_inputs(revenue, capital, labor, p, bounds):
+    """best_inputs as it was before the face rule: every box edge priced.
+
+    Written out here so that the oracle shares no code with the package.
+    """
+    a, b, r = p.alpha, p.beta, p.interest_rate
+    B = revenue / (capital ** a * labor ** b) - p.cost_coeff
+    lo, hi = bounds
+    k_lo, k_hi, l_lo, l_hi = lo * capital, hi * capital, lo * labor, hi * labor
+    if B <= 0.0:
+        return k_lo, l_lo
+    if a > 0.0 and b > 0.0 and r > 0.0 and a + b < 1.0:
+        c = b * r / a
+        try:
+            k_star = math.pow(a * B * c ** b / r, 1.0 / (1.0 - a - b))
+        except OverflowError:
+            k_star = math.inf
+        l_star = c * k_star
+        if k_lo <= k_star <= k_hi and l_lo <= l_star <= l_hi:
+            return k_star, l_star
+
+    def edge(gamma, other, w, x_lo, x_hi):
+        # where B*other*x^gamma - w*x peaks over x_lo <= x <= x_hi
+        if gamma == 0.0:
+            return (x_lo,)
+        if w == 0.0:
+            return (x_hi,)
+        if gamma >= 1.0:
+            return (x_lo, x_hi)
+        try:
+            x = math.pow(gamma * B * other / w, 1.0 / (1.0 - gamma))
+        except OverflowError:
+            return (x_hi,)
+        return (min(max(x, x_lo), x_hi),)
+
+    candidates = [(k, l) for k in (k_lo, k_hi)
+                  for l in edge(b, k ** a, 1.0, l_lo, l_hi)]
+    candidates += [(k, l) for l in (l_lo, l_hi)
+                   for k in edge(a, l ** b, r, k_lo, k_hi)]
+    return min((r * k + l - B * k ** a * l ** b, k, l)
+               for k, l in candidates)[1:]
+
+
+@st.composite
+def any_regime_problems(draw):
+    """Books, parameters and a box of any regime of best_inputs.
+
+    alpha + beta reaches 2.4 and comes within 1e-12 of 1, where the
+    first-order point overflows; either elasticity and r may be 0, and
+    a cost past the revenue level makes B <= 0. Capital, labor and
+    revenue span decades independently.
+    """
+    elasticity = st.one_of(st.just(0.0), st.floats(0.0, 0.6),
+                           st.floats(0.0, 1.2))
+    alpha = draw(elasticity)
+    beta = draw(st.one_of(elasticity, st.floats(-1e-12, 1e-12).map(
+        lambda d: max(0.0, 1.0 - alpha + d))))
+    capital = 10.0 ** draw(st.floats(-3.0, 3.0))
+    labor = 10.0 ** draw(st.floats(-3.0, 3.0))
+    revenue = 10.0 ** draw(st.floats(-2.0, 4.0))
+    cost = (draw(st.floats(0.0, 1.5)) * revenue
+            / (capital ** alpha * labor ** beta))
+    rate = draw(st.one_of(st.just(0.0), st.just(0.05), st.floats(0.0, 0.3)))
+    bounds = (draw(st.floats(0.1, 1.0)), draw(st.floats(1.0, 10.0)))
+    return (revenue, capital, labor,
+            FirmParameters(alpha=alpha, beta=beta, cost_coeff=cost,
+                           interest_rate=rate),
+            bounds)
+
+
+@st.composite
+def concave_problems(draw):
+    """alpha, beta, r > 0, alpha + beta < 1 and B > 0, with the books
+    set so that the unconstrained optimum is near (x * capital,
+    y * labor): inside the box, past one face or past two, and now and
+    then within a relative 1e-14 to 0.1 of a box end, where candidates
+    of two faces can meet at a corner."""
+    alpha = draw(st.floats(0.0005, 0.6))
+    beta = draw(st.floats(0.0005, 0.38))
+    rate = draw(st.floats(0.01, 0.3))
+    cost = draw(st.floats(0.0, 2.0))
+    capital = 10.0 ** draw(st.floats(-2.0, 2.0))
+    bounds = (draw(st.floats(0.1, 1.0)), draw(st.floats(1.0, 10.0)))
+    factor = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+    near_end = st.tuples(st.sampled_from(bounds), st.floats(-1.0, 1.0),
+                         st.floats(-14.0, -1.0)).map(
+        lambda t: t[0] * (1.0 + t[1] * 10.0 ** t[2]))
+    x = draw(st.one_of(factor, near_end))
+    y = draw(st.one_of(factor, near_end))
+    c = beta * rate / alpha
+    labor = c * x * capital / y
+    B = rate * (x * capital) ** (1.0 - alpha - beta) / (alpha * c ** beta)
+    revenue = (B + cost) * capital ** alpha * labor ** beta
+    return (revenue, capital, labor,
+            FirmParameters(alpha=alpha, beta=beta, cost_coeff=cost,
+                           interest_rate=rate),
+            bounds)
+
+
+CONCAVE = FirmParameters(alpha=0.3, beta=0.3, cost_coeff=0.5,
+                         interest_rate=0.05)
+
+
+class TestBestInputs:
+    @given(st.one_of(concave_problems(), any_regime_problems()))
+    # past the high K-face only; past the low L-face only; past both
+    @example((100.0, 10.0, 100.0, CONCAVE, (0.25, 4.0)))
+    @example((100.0, 100.0, 1000.0, CONCAVE, (0.25, 4.0)))
+    @example((100.0, 1.0, 1.0, CONCAVE, (0.25, 4.0)))
+    # alpha + beta one ulp below 1: the first-order point overflows
+    @example((100.0, 1.0, 1.0,
+              replace(CONCAVE, alpha=0.5, beta=0.49999999999999989),
+              (0.25, 4.0)))
+    # b * r / alpha overflows, so k* read inf where it is tiny, and the
+    # high faces were taken for the violated ones
+    @example((1.2589254117941673, 1.0, 1.2589254117941673,
+              replace(CONCAVE, alpha=5e-324, beta=0.6, cost_coeff=5e-324),
+              (0.1, 1.0)))
+    # a box one ulp wide: (k_lo, l_lo) and (k_lo, l_hi) price the same,
+    # and the tie-break picks the first, off the violated faces
+    @example((0.28117066259517454, 1.0, 0.0125,
+              replace(CONCAVE, alpha=0.5, beta=0.25, cost_coeff=0.0,
+                      interest_rate=0.25),
+              (0.9999999999999999, 1.0)))
+    # near a corner, the L-face candidate (k_lo + 4e-8, l_lo) and the
+    # corner (k_lo, l_lo) of the K-face price the same to rounding
+    @example((0.30566802186640096, 1.0, 0.041666682947609605,
+              replace(CONCAVE, alpha=0.375, beta=0.0625, cost_coeff=0.0,
+                      interest_rate=0.25),
+              (0.25, 4.0)))
+    # elasticities and r near 1e-300: the cost is flat along K
+    @example((1.0, 1.0, 1.0,
+              replace(CONCAVE, alpha=8.837809572010048e-301, beta=1e-20,
+                      cost_coeff=0.0, interest_rate=8.837809572010048e-301),
+              (0.25, 4.0)))
+    # alpha + beta 1.3e-14 below 1: flat along the ray through the books
+    @example((0.00014452337494552943, 4.228025413505198e-05,
+              0.00010958621830965528,
+              replace(CONCAVE, alpha=0.6435169839369808,
+                      beta=0.35648301606300664, cost_coeff=1.5186663542393262,
+                      interest_rate=0.3168366670442202),
+              (0.25, 4.0)))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_every_edge_priced(self, problem):
+        got = best_inputs(*problem)
+        want = eight_candidate_inputs(*problem)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("capital, labor, face", [
+        (10.0, 100.0, "K"),    # k* above the box, l* inside
+        (300.0, 100.0, "L"),   # l* below the box, k* inside
+    ])
+    def test_one_violated_face_is_answered_unpriced(self, monkeypatch,
+                                                    capital, labor, face):
+        class Unpriced(float):
+            def __pow__(self, other):
+                raise AssertionError("a candidate was priced")
+            __mul__ = __rmul__ = __sub__ = __rsub__ = __add__ = __pow__
+
+        built = []
+        edge_candidates = chainsim.game._edge_candidates
+
+        def spy(gamma, *args):
+            built.append(gamma)
+            return tuple(map(Unpriced, edge_candidates(gamma, *args)))
+
+        monkeypatch.setattr(chainsim.game, "_edge_candidates", spy)
+        k, l = best_inputs(100.0, capital, labor, CONCAVE)
+        # only the violated face got a candidate: gamma is beta along a
+        # K-face, alpha along an L-face
+        assert built == [CONCAVE.beta if face == "K" else CONCAVE.alpha]
+        assert type(l if face == "K" else k) is Unpriced
+        monkeypatch.undo()
+        assert (k, l) == eight_candidate_inputs(100.0, capital, labor,
+                                                CONCAVE, GameConfig.decision_bounds)
 
 
 class TestGeneticSearch:

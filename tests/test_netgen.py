@@ -25,6 +25,7 @@ from chainsim import (
     generate_gdp,
     generate_network,
     generate_params,
+    generate_states,
     residual_series,
     simulate_economy,
     steady_state_inputs,
@@ -86,6 +87,13 @@ class TestConfigValidation:
         # and a negative seed in numpy
         {"n_firms": True}, {"n_firms": 2.5}, {"horizon": 3.5},
         {"seed": 1.5}, {"seed": -1}, {"seed": True}, {"seed": "3"},
+        # FirmState refused the drawn revenue deep in generation
+        {"revenue_range": (-1.0, 1.0)}, {"revenue_range": (0.0, 0.0)},
+        {"revenue_range": (0.0, 150.0)},
+        # high - low overflowed to inf: every draw was inf or NaN, and
+        # _draw_elasticities redrew forever
+        {"beta_range": (-1e308, 1e308)}, {"alpha_range": (-1e308, 1e308)},
+        {"strength_range": (-1e308, 1e308)},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -119,6 +127,79 @@ class TestParams:
             assert 0.1 <= p.cost_coeff <= 0.5
             assert p.interest_rate == 0.05
             assert p.noise_sigma == 0.02
+
+
+def _redraw_with_uniform(config):
+    """generate_params, generate_states and the scale-free strengths
+    drawn with scalar rng.uniform calls, in the generator's draw order."""
+    rng = np.random.default_rng([config.seed, 1])
+    params = {}
+    for fid in firm_ids(config.n_firms):
+        while True:
+            a = rng.uniform(*config.alpha_range)
+            b = rng.uniform(*config.beta_range)
+            if a + b < config.elasticity_sum_max:
+                break
+        params[fid] = FirmParameters(
+            alpha=a, beta=b, cost_coeff=rng.uniform(*config.cost_coeff_range),
+            interest_rate=config.interest_rate,
+            noise_sigma=config.noise_sigma)
+    rng = np.random.default_rng([config.seed, 4])
+    states = {}
+    for fid in sorted(params):
+        revenue = rng.uniform(*config.revenue_range)
+        k, l = steady_state_inputs(params[fid], revenue)
+        capital = k * math.exp(config.start_jitter * rng.normal())
+        labor = l * math.exp(config.start_jitter * rng.normal())
+        equity = rng.uniform(*config.equity_frac_range) * revenue
+        states[fid] = FirmState(revenue, revenue / (1.0 + config.gdp_growth),
+                                capital, labor, equity)
+    rng = np.random.default_rng([config.seed, 2])
+    ids = firm_ids(config.n_firms)
+    in_deg = np.zeros(config.n_firms)
+    strengths = []
+    for i in range(1, config.n_firms):
+        weights = in_deg[:i] + 1.0
+        targets = rng.choice(i, size=min(i, round(config.mean_out_degree)),
+                             replace=False, p=weights / weights.sum())
+        for j in sorted(int(t) for t in targets):
+            strengths.append(
+                (ids[i], ids[j], rng.uniform(*config.strength_range)))
+            in_deg[j] += 1.0
+    return params, states, sorted(strengths)
+
+
+def _bits(values):
+    return [float(x).hex() for x in values]
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("config", [
+        GeneratorConfig(n_firms=60, seed=5, edge_model="scale-free"),
+        # low == high, and ints where a range allows them
+        GeneratorConfig(n_firms=30, seed=6, edge_model="scale-free",
+                        alpha_range=(0.3, 0.3), beta_range=(0.2, 0.2),
+                        cost_coeff_range=(0.25, 0.25), revenue_range=(80, 80),
+                        strength_range=(0, 0), equity_frac_range=(0.1, 0.1)),
+    ])
+    def test_same_bits_as_scalar_uniform(self, config):
+        params, states, strengths = _redraw_with_uniform(config)
+        got = generate_params(config, np.random.default_rng([config.seed, 1]))
+        assert list(got) == list(params)
+        for fid, p in got.items():
+            want = params[fid]
+            assert _bits((p.alpha, p.beta, p.cost_coeff)) == _bits(
+                (want.alpha, want.beta, want.cost_coeff))
+        got = generate_states(config, params,
+                              np.random.default_rng([config.seed, 4]))
+        assert list(got) == list(states)
+        for fid, st in got.items():
+            assert _bits(dataclasses.astuple(st)[:5]) == _bits(
+                dataclasses.astuple(states[fid])[:5])
+        net = generate_network(config, np.random.default_rng([config.seed, 2]))
+        got = sorted(net.edges())
+        assert [e[:2] for e in got] == [e[:2] for e in strengths]
+        assert _bits(e[2] for e in got) == _bits(e[2] for e in strengths)
 
 
 class TestNetworkGeneration:
@@ -209,6 +290,17 @@ class TestSteadyState:
     # revenue r/alpha + A c^beta puts the root at k = 1, which takes 111 steps
     @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05,
              revenue=0.05 / 0.35 + 0.3 * (0.4 * 0.05 / 0.35) ** 0.4)
+    # no positive root: gap decides every midpoint
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05, revenue=0.0)
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05, revenue=-5.0)
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05, revenue=math.inf)
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05, revenue=math.nan)
+    # roots below 1e-9 and above 1e12, and one at 1e12 itself
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05, revenue=1e-10)
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05, revenue=1e15)
+    @example(alpha=0.35, beta=0.4, cost=0.3, rate=0.05,
+             revenue=0.05 / 0.35 * 1e12
+             + 0.3 * (0.4 * 0.05 / 0.35) ** 0.4 * 1e12 ** 0.75)
     @settings(max_examples=300, deadline=None)
     def test_early_stop_matches_all_200_steps(self, alpha, beta, cost, rate,
                                               revenue):

@@ -461,13 +461,17 @@ def fit_all(panel: PanelSeries, network: TransactionNetwork,
     rather than raised; every other firm is fitted in one batched solve,
     padded to the largest customer count. Histograms summarize the
     fitted elasticities, their sum, all fitted strengths, and the
-    per-firm average errors.
+    per-firm average errors. A panel firm the network lacks is refused
+    with a ValueError naming it before any fit runs; a network firm the
+    panel lacks is no one's customer here.
     """
     rows = panel.rows
     failures: dict[str, str] = {}
     fitted: list[str] = []
     customers: list[dict[str, int]] = []
     for fid in panel.firm_ids:
+        if fid not in network.index:
+            raise ValueError(f"firm {fid!r} is only in the panel")
         custs = {cid: rows[cid] for cid, _ in network.customers_of(fid)
                  if cid in rows}
         try:

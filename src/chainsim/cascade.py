@@ -42,6 +42,7 @@ from .econ import (
     ZERO_REVENUE,
     POLICIES,
     bankrupt_interaction,
+    csr_row,
     interaction_term,
     is_bankrupt,
     shared_firm_ids,
@@ -137,20 +138,22 @@ class CascadePlan:
     """What frozen decisions fix, for one (economy, network, decisions,
     gdp_growth, policy).
 
-    Refuses decisions that lack a firm of the economy, naming the first
-    one. Holds copies of the three maps, the firms flagged before the run,
-    the survivor template and each firm's suppliers and customers, but
-    not the network. price(firm), on first use, fills books[firm]:
-    term_close's first five arguments, the beginning equity and one
-    (customer, live term, dead term) per customer in customers_of
-    order. A flagged customer, dead in every run, has no live term.
+    Refuses decisions that lack a live firm of the economy, naming the
+    first one; a flagged firm needs none. Holds copies of the three
+    maps, the flagged firms, the survivor template and the network's
+    firms, index and CSR tables, but not the network. price(firm), on
+    first use, fills books[firm]: term_close's first five arguments,
+    the beginning equity and one (customer, live term, dead term) per
+    customer in customers_of order. A flagged customer, dead in every
+    run, has no live term.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
                  decisions: Mapping[str, InvestmentDecision],
                  gdp_growth: float, policy: str) -> None:
         ids = shared_firm_ids(economy, network)
-        missing = next((f for f in ids if f not in decisions), None)
+        missing = next((f for f in ids if f not in decisions
+                        and not economy.states[f].bankrupt), None)
         if missing is not None:
             raise ValueError(f"decisions lack firm {missing!r}")
         self.states = dict(economy.states)
@@ -161,9 +164,8 @@ class CascadePlan:
         self.flagged = frozenset(
             f for f, st in self.states.items() if st.bankrupt)
         self.survivors = dict.fromkeys(ids, REASON_NOT_REACHED)
-        self.suppliers = {f: tuple(s for s, _ in network.suppliers_of(f))
-                          for f in network.firms}
-        self.customers = {f: network.customers_of(f) for f in network.firms}
+        self.firms, self.index = network.firms, network.index
+        self.customers, self.suppliers = network.customers, network.suppliers
         self.books: dict[str, tuple] = {}
         self._keys = tuple(map(tuple, (self.states, self.params,
                                        self.decisions)))
@@ -196,7 +198,7 @@ class CascadePlan:
              None if c in flagged
              else interaction_term(k, states[c].growth_ratio, g),
              bankrupt_interaction(k, g, policy))
-            for c, k in self.customers[firm])
+            for c, k in csr_row(self.firms, self.customers, self.index[firm]))
         books = self.books[firm] = (st.revenue, growth, cost, capital_charge,
                                     dec.labor, st.equity, terms)
         return books
@@ -248,11 +250,12 @@ def propagate_step(plan: CascadePlan, generation: int,
     Returns the evaluations in firm order; dead is not changed here, so
     the caller commits a whole generation at once.
     """
-    suppliers = plan.suppliers
-    exposed = sorted({s for f in frontier for s in suppliers[f]
-                      if s not in dead})
+    firms, index = plan.firms, plan.index
+    offsets, positions, _ = plan.suppliers
+    exposed = {firms[p] for i in map(index.__getitem__, frontier)
+               for p in positions[offsets[i]:offsets[i + 1]]}
     return {firm: evaluate_supplier(plan, firm, generation, dead)
-            for firm in exposed}
+            for firm in sorted([s for s in exposed if s not in dead])}
 
 
 def run_cascade(economy: Economy, network: TransactionNetwork,
@@ -273,7 +276,8 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     generation is evaluated once, without committing it, and exhausted
     says whether it would have turned anyone. A survivor's trace entry
     carries generations_run; a fallen firm's, the generation it fell in.
-    seed changes no result; it stays for callers that pass one.
+    seed changes no result; it stays for callers that pass one. A firm
+    flagged before the run needs no decision.
 
     The books come from a CascadePlan kept per network in a weak map,
     so it dies with the network. A call reuses the plan while its

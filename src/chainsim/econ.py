@@ -20,6 +20,7 @@ the rest from a sum of customer terms; term_rule is the two in turn.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 # Treatment of a bankrupt customer inside the interaction term.
@@ -106,62 +107,77 @@ class TransactionNetwork:
 
     Product flows supplier -> customer; money flows the opposite way.
     At most one edge per ordered pair, no self-loops, endpoints must be
-    declared firms.
+    declared firms. Built once as two read-only CSR tables over the
+    sorted firms: customers and its transpose suppliers, each a tuple
+    (offsets, positions, k) of tuples. Row i, firm i's neighbours, is
+    positions[offsets[i]:offsets[i + 1]] in ascending order, with their
+    k in the same slots. index maps an id to its position in firms.
     """
 
     def __init__(self, firms, edges=()) -> None:
-        self._firms = tuple(sorted(set(firms)))
-        known = set(self._firms)
-        self._out: dict[str, dict[str, float]] = {f: {} for f in self._firms}
-        into: dict[str, dict[str, float]] = {f: {} for f in self._firms}
+        self.firms = tuple(sorted(set(firms)))
+        self.index = index = {f: i for i, f in enumerate(self.firms)}
+        n = len(self.firms)
+        links: dict[int, float] = {}  # k by supplier * n + customer
         for supplier, customer, k in edges:
-            if supplier not in known or customer not in known:
+            if supplier not in index or customer not in index:
                 raise ValueError(f"edge ({supplier!r}, {customer!r}) references unknown firm")
             if supplier == customer:
                 raise ValueError(f"self-loop on {supplier!r}")
-            if customer in self._out[supplier]:
+            key = index[supplier] * n + index[customer]
+            if key in links:
                 raise ValueError(f"duplicate edge ({supplier!r}, {customer!r})")
             if not math.isfinite(k):
                 raise ValueError(f"edge ({supplier!r}, {customer!r}) has non-finite k")
-            self._out[supplier][customer] = float(k)
-            into[customer][supplier] = float(k)
-        # Sorted once: the cascade reads these on every evaluation.
-        self._customers = {f: tuple(sorted(d.items()))
-                           for f, d in self._out.items()}
-        self._suppliers = {f: tuple(sorted(d.items()))
-                           for f, d in into.items()}
-
-    @property
-    def firms(self) -> tuple[str, ...]:
-        return self._firms
+            links[key] = float(k)
+        self.customers = _csr(links, n)
+        self.suppliers = _csr({key % n * n + key // n: k for key, k in links.items()}, n)
 
     def n_edges(self) -> int:
-        return sum(len(d) for d in self._out.values())
+        return len(self.customers[1])
 
     def edges(self):
         """Yield (supplier, customer, k) in sorted order."""
-        for supplier in self._firms:
-            for customer, k in self._customers[supplier]:
-                yield supplier, customer, k
+        return csr_edges(self.firms, self.customers)
 
     def customers_of(self, firm: str) -> tuple[tuple[str, float], ...]:
         """(customer, k) pairs for a supplier, sorted by customer id."""
-        return self._customers[firm]
+        return csr_row(self.firms, self.customers, self.index[firm])
 
     def suppliers_of(self, firm: str) -> tuple[tuple[str, float], ...]:
         """(supplier, k) pairs for a customer, sorted by supplier id."""
-        return self._suppliers[firm]
+        return csr_row(self.firms, self.suppliers, self.index[firm])
 
     def strength(self, supplier: str, customer: str) -> float:
-        return self._out[supplier][customer]
+        return dict(csr_row(self.firms, self.customers,
+                            self.index[supplier]))[customer]
 
     def with_strengths(self, overrides) -> "TransactionNetwork":
         """Copy of the network with k replaced on the given (s, c) pairs."""
         overrides = dict(overrides)
-        triples = []
-        for s, c, k in self.edges():
-            triples.append((s, c, overrides.get((s, c), k)))
-        return TransactionNetwork(self._firms, triples)
+        return TransactionNetwork(self.firms, (
+            (s, c, overrides.get((s, c), k)) for s, c, k in self.edges()))
+
+
+def _csr(links: dict[int, float], n: int) -> tuple:
+    """(offsets, positions, k) of links keyed row * n + position."""
+    keys = sorted(links)
+    return (tuple(bisect_left(keys, i * n) for i in range(n + 1)),
+            tuple(key % n for key in keys), tuple(map(links.__getitem__, keys)))
+
+
+def csr_row(firms: tuple[str, ...], table: tuple, i: int) -> tuple:
+    """Row i of a CSR table over firms, as (neighbour id, k) pairs."""
+    offsets, positions, ks = table
+    return tuple([(firms[positions[j]], ks[j])
+                  for j in range(offsets[i], offsets[i + 1])])
+
+
+def csr_edges(firms: tuple[str, ...], table: tuple):
+    """(row id, neighbour id, k) over a CSR table, row by row."""
+    offsets, positions, ks = table
+    return ((firms[i], firms[positions[j]], ks[j]) for i in range(len(firms))
+            for j in range(offsets[i], offsets[i + 1]))
 
 
 @dataclass(frozen=True)

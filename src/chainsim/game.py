@@ -317,13 +317,15 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
     decouples and one best-response pass per firm is the fixed point.
     network serves only to check the firm set. gdp_growth changes no
     result; it stays for callers that pass one.
-    Result is independent of firm ordering. A bankrupt firm is refused.
+    Result is independent of firm ordering. A firm flagged bankrupt
+    gets no decision: it trades no more, and the cascade reads it as a
+    dead customer.
     """
     decisions = {}
     for f in shared_firm_ids(economy, network):
         st = economy.states[f]
         if st.bankrupt:
-            raise ValueError(f"firm {f!r} is bankrupt; cascade handles that case")
+            continue
         decisions[f] = InvestmentDecision(*best_inputs(
             st.revenue, st.capital, st.labor, economy.params[f]))
     return NashResult(decisions=decisions, converged=True)

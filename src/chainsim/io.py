@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibration import CalibrationReport, PanelSeries
 from .cascade import CascadeResult
-from .econ import FirmParameters, MacroSeries, TransactionNetwork
+from .econ import FirmParameters, MacroSeries, TransactionNetwork, csr_edges
 
 PANEL_HEADER = ["firm_id", "period", "revenue", "capital", "labor", "equity"]
 EDGES_HEADER = ["supplier_id", "customer_id", "k"]
@@ -339,18 +339,6 @@ def export_cascade(path: str, result: CascadeResult,
     _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _oriented_edges(network: TransactionNetwork, money_flow: bool):
-    """Edges as drawn: money flows customer -> supplier by default."""
-    out = []
-    for supplier, customer, k in network.edges():
-        if money_flow:
-            out.append((customer, supplier, k))
-        else:
-            out.append((supplier, customer, k))
-    out.sort(key=lambda e: (e[0], e[1]))
-    return out
-
-
 def _dot_id(fid: str) -> str:
     """fid as a DOT quoted string, where \\" is the only escape."""
     if fid.endswith("\\"):
@@ -377,7 +365,9 @@ def network_dot(network: TransactionNetwork,
                 f'  {ids[fid]} [bankrupt=1, generation={bankrupt[fid]}];')
         else:
             lines.append(f'  {ids[fid]};')
-    for tail, head, k in _oriented_edges(network, money_flow):
+    # money flows customer -> supplier: the rows of the supplier table
+    table = network.suppliers if money_flow else network.customers
+    for tail, head, k in csr_edges(network.firms, table):
         lines.append(f'  {ids[tail]} -> {ids[head]} [k={k!r}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -434,7 +424,8 @@ def network_graphml(network: TransactionNetwork,
         else:
             lines.append('      <data key="d0">false</data>')
         lines.append('    </node>')
-    for tail, head, k in _oriented_edges(network, money_flow):
+    table = network.suppliers if money_flow else network.customers
+    for tail, head, k in csr_edges(network.firms, table):
         lines.append(f'    <edge source="{ids[tail]}" target="{ids[head]}">')
         lines.append(f'      <data key="d2">{k!r}</data>')
         lines.append('    </edge>')

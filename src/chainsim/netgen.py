@@ -415,10 +415,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     floor_events: list[tuple[str, int]] = []
 
     params = [economy.params[f] for f in ids]
-    index = {f: i for i, f in enumerate(ids)}
-    # (customer position, k) per firm, in customers_of order
-    customers = [[(index[c], k) for c, k in network.customers_of(f)]
-                 for f in ids]
+    # the customer table: row i is firm i's customers, in customers_of order
+    offsets, customers, strengths = network.customers
     # growth ratio on the books; a firm flagged before the run pays
     # nothing in the first term, so its suppliers read a ratio of 0
     growth = [0.0 if st.bankrupt else st.growth_ratio for st in start]
@@ -448,8 +446,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
                 InvestmentDecision(k_new, l_new)
             # customer terms move the revenue booked, not the decision
             cts = 0.0
-            for j, k in customers[i]:
-                cts += k * excess[j]
+            for j in range(offsets[i], offsets[i + 1]):
+                cts += strengths[j] * excess[customers[j]]
             rev_new, profit, floored = term_rule(
                 rev, cap, lab, p, k_new, l_new, cts, p.noise_sigma * shocks[i])
             if floored:

@@ -283,7 +283,7 @@ def test_criterion_5_large_cascade_bounded_and_deterministic(tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     export_cascade(a, first, echo, 0)
     export_cascade(b, second, echo, 0)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
     print(f"criterion 5: {len(first.bankrupt)} bankruptcies over "
           f"{first.generations_run} generations in {elapsed:.2f}s, "
           "repeat byte-identical")

@@ -497,3 +497,14 @@ class TestFitAll:
                 continue
             assert_same_fit(report.results[fid], alone)
         assert report.failures == failures
+
+    def test_panel_firm_the_network_lacks_is_named(self, monkeypatch):
+        # was a bare KeyError('F0000') from network.customers_of
+        _, net, _, sim = simulate_economy(GeneratorConfig(n_firms=12, seed=2))
+        rest = [f for f in net.firms if f != "F0000"]
+        other = TransactionNetwork(
+            firms=rest, edges=[e for e in net.edges() if "F0000" not in e])
+        monkeypatch.setattr(calibration, "_fit_stacked", None)  # no fit runs
+        with pytest.raises(ValueError,
+                           match="firm 'F0000' is only in the panel"):
+            fit_all(sim.panel, other)

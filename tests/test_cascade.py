@@ -34,8 +34,11 @@ from chainsim import (
     Evaluation,
     FirmParameters,
     FirmState,
+    GeneratorConfig,
     InvestmentDecision,
     TransactionNetwork,
+    generate_economy,
+    nash_solve,
     run_cascade,
 )
 from chainsim import cascade
@@ -657,3 +660,17 @@ class TestFrozenDecisionsFromGame:
         assert res.bankrupt == {"Q": 0}
         assert res.survivors["P"] in (REASON_EQUITY, REASON_WEAK_LINK)
         assert "P" in res.equity_trace
+
+    def test_flagged_firm_needs_no_decision(self):
+        # nash_solve refused the flagged F0003, and the plan asked for a
+        # decision for it, so every run from this economy raised
+        eco, net, _ = generate_economy(GeneratorConfig(n_firms=20, seed=1))
+        eco.mark_bankrupt("F0003")
+        config = CascadeConfig(trigger_firms=("F0005",))
+        res = run_cascade(eco, net, config)
+        assert res.bankrupt == {"F0005": 0}
+        assert res.generations_run == 1
+        assert "F0003" not in res.survivors
+        decisions = nash_solve(eco, net, config.gdp_growth).decisions
+        assert "F0003" not in decisions
+        assert run_cascade(eco, net, config, decisions=decisions) == res

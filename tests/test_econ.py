@@ -1,6 +1,7 @@
 """Domain types and the firm-level bookkeeping: term_rule and solvency."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from chainsim import (
     term_rule,
 )
 from chainsim.econ import term_close, term_fixed
+from chainsim.io import network_dot, network_graphml
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 money = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
@@ -135,6 +137,109 @@ class TestNetwork:
         assert new.strength("A", "B") == 0.7
         assert new.strength("B", "C") == 0.2
         assert net.strength("A", "B") == 0.1  # original untouched
+
+
+@st.composite
+def drawn_networks(draw):
+    """Firm ids in an unsorted order, and an edge list in drawn order."""
+    ids = draw(st.lists(st.text("abAB01", min_size=1, max_size=3),
+                        min_size=2, max_size=8, unique=True))
+    if ids == sorted(ids):
+        ids.reverse()
+    pairs = [(s, c) for s in ids for c in ids if s != c]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True,
+                          max_size=len(pairs)))
+    ks = draw(st.lists(finite, min_size=len(links), max_size=len(links)))
+    return ids, [(s, c, k) for (s, c), k in zip(links, ks)]
+
+
+def triples(table):
+    """(row, position, k) of a CSR table, in its own order."""
+    offsets, positions, ks = table
+    return [(i, positions[j], ks[j]) for i in range(len(offsets) - 1)
+            for j in range(offsets[i], offsets[i + 1])]
+
+
+def edge_lines(text, pattern):
+    return [m.groups() for m in map(re.compile(pattern).match,
+                                    text.splitlines()) if m]
+
+
+class TestNetworkContract:
+    """Every view of the CSR tables against plain dicts of the edge list."""
+
+    @given(drawn_networks(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_dict_oracle(self, drawn, data):
+        ids, edges = drawn
+        net = TransactionNetwork(firms=ids, edges=edges)
+        out = {f: {} for f in ids}
+        into = {f: {} for f in ids}
+        for s, c, k in edges:
+            out[s][c] = k
+            into[c][s] = k
+        firms = sorted(ids)
+        assert net.firms == tuple(firms)
+        assert net.n_edges() == len(edges)
+        assert list(net.edges()) == sorted(edges, key=lambda e: e[:2])
+        for f in firms:
+            assert net.customers_of(f) == tuple(sorted(out[f].items()))
+            assert net.suppliers_of(f) == tuple(sorted(into[f].items()))
+            for c in firms:
+                if c in out[f]:
+                    assert net.strength(f, c) == out[f][c]
+                else:
+                    with pytest.raises(KeyError):
+                        net.strength(f, c)
+        with pytest.raises(KeyError):
+            net.strength(firms[0], "?")
+        with pytest.raises(KeyError):
+            net.strength("?", firms[0])
+        assert all(type(k) is float for _, _, k in net.edges())
+
+        # the CSR tables
+        n = len(firms)
+        for table in (net.customers, net.suppliers):
+            offsets, positions, ks = table
+            assert all(type(part) is tuple for part in table)
+            assert len(offsets) == n + 1 and offsets[0] == 0
+            assert offsets[-1] == len(positions) == len(ks) == len(edges)
+            assert all(a <= b for a, b in zip(offsets, offsets[1:]))
+            for i in range(n):
+                row = positions[offsets[i]:offsets[i + 1]]
+                assert all(a < b for a, b in zip(row, row[1:]))
+        as_rows = [(c, s, k.hex()) for s, c, k in triples(net.customers)]
+        assert sorted(as_rows) == [(i, p, k.hex())
+                                   for i, p, k in triples(net.suppliers)]
+
+        # with_strengths
+        override = data.draw(st.dictionaries(
+            st.sampled_from([(s, c) for s, c, _ in edges] or [("?", "?")]),
+            finite))
+        tables = net.customers, net.suppliers
+        stray = (firms[0], firms[0])
+        new = net.with_strengths({**override, stray: 1.0})
+        assert (net.customers, net.suppliers) == tables
+        for s, c, k in edges:
+            assert net.strength(s, c) == k
+            assert new.strength(s, c) == override.get((s, c), k)
+        assert new.n_edges() == len(edges)
+        if edges:
+            s, c, _ = edges[0]
+            with pytest.raises(ValueError,
+                               match=f"edge \\({s!r}, {c!r}\\) has non-finite k"):
+                net.with_strengths({(s, c): math.nan})
+
+        # export order: the oriented (tail, head) pairs, sorted
+        for money_flow in (True, False):
+            pairs = sorted((c, s) if money_flow else (s, c)
+                           for s, c, _ in edges)
+            dot = edge_lines(network_dot(net, money_flow=money_flow),
+                                   r'  "(.*)" -> "(.*)" \[k=')
+            graphml = edge_lines(
+                network_graphml(net, money_flow=money_flow),
+                r'    <edge source="(.*)" target="(.*)">')
+            assert dot == graphml == pairs
 
 
 class TestMacroSeries:

@@ -602,11 +602,13 @@ class TestNash:
         monkeypatch.setattr(chainsim.game, "customer_terms_sum", refuse)
         assert nash_solve(eco, net, 1.02).decisions == expect
 
-    def test_refuses_bankrupt_firm(self):
+    def test_flagged_firm_gets_no_decision(self):
         eco, net = interior_chain()
+        before = nash_solve(eco, net, 1.02).decisions
         eco.mark_bankrupt("B")
-        with pytest.raises(ValueError):
-            nash_solve(eco, net, 1.02)
+        after = nash_solve(eco, net, 1.02).decisions
+        assert "B" in before
+        assert after == {f: d for f, d in before.items() if f != "B"}
 
     @pytest.mark.parametrize("firm", ["C", "D"])
     def test_refuses_network_over_other_firms(self, firm):

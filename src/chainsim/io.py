@@ -2,9 +2,12 @@
 
 All writers are atomic (temp file then rename) and deterministic:
 sorted keys, fixed field order, floats via repr so a written file loads
-back bit-identically. Loaders skip blank lines and '#' comments (the
-writers put the config echo there) and cite the offending line number
-in every rejection.
+back bit-identically. All four loaders read through one line reader:
+it skips blank lines and '#' comments (the writers put the config echo
+there), splits a quote-free line on ',' and hands a line holding '"' to
+csv alone. Every rejection cites the offending line number. load_panel
+parses and checks whole columns, not rows, then scatters the values
+into its (firm, period) grid.
 """
 
 from __future__ import annotations
@@ -46,30 +49,63 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _read_rows(path: str) -> list[tuple[int, list[str]]]:
-    """CSV rows with their 1-based line numbers, comments skipped."""
-    rows = []
+def _csv_cells(path: str, lineno: int, line: str) -> list[str]:
+    """A line holding '"', read by csv on its own, so an unclosed quote
+    ends at the line's end.
+
+    csv before Python 3.11 refuses NUL, so a NUL stands in as a
+    character the line lacks while csv reads it."""
+    nul = "\x00" in line
+    if nul:
+        stand_in = next(c for c in map(chr, range(0xE000, 0x110000))
+                        if c not in line)
+        line = line.replace("\x00", stand_in)
+    try:
+        cells = next(csv.reader([line]))
+    except csv.Error as exc:
+        raise FormatError(f"{path} line {lineno}: {exc}") from None
+    return [cell.replace(stand_in, "\x00") for cell in cells] if nul else cells
+
+
+def _read_table(path: str, header: list[str], allow_extra: bool = False
+                ) -> tuple[list[int], list[list[str]]]:
+    """The 1-based line numbers and unstripped cells of the data lines.
+
+    One pass over the file, whose iteration with newline="" sets the
+    line numbers. Blank and '#' lines are skipped, and the first other
+    line must be the header. A line without '"' is split on ',', which
+    reads it as csv does; csv's field size limit holds on both paths.
+    """
+    limit = csv.field_size_limit()
+    linenos, rows = [], []
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            parsed = next(csv.reader([line]))
-            rows.append((lineno, [cell.strip() for cell in parsed]))
+            if '"' in line:
+                cells = _csv_cells(path, lineno, line)
+            else:
+                cells = line.split(",")
+                if len(line) > limit and max(
+                        map(len, line.rstrip("\r\n").split(","))) > limit:
+                    raise FormatError(f"{path} line {lineno}: field larger "
+                                      f"than field limit ({limit})")
+            linenos.append(lineno)
+            rows.append(cells)
     if not rows:
         raise FormatError(f"{path}: no data rows")
-    return rows
-
-
-def _check_header(path: str, rows, expected, allow_extra: bool = False):
-    lineno, header = rows[0]
-    got = [h.lower() for h in header]
-    ok = got[: len(expected)] == expected if allow_extra else got == expected
-    if not ok:
+    cells = [cell.strip() for cell in rows[0]]
+    names = [cell.lower() for cell in cells]
+    if not (names[: len(header)] == header if allow_extra else names == header):
         raise FormatError(
-            f"{path} line {lineno}: expected header {','.join(expected)}, "
-            f"got {','.join(header)}")
-    return rows[1:]
+            f"{path} line {linenos[0]}: expected header {','.join(header)}, "
+            f"got {','.join(cells)}")
+    return linenos[1:], rows[1:]
+
+
+def _stripped(rows):
+    return ([cell.strip() for cell in row] for row in rows)
 
 
 def _parse_float(path: str, lineno: int, name: str, raw: str) -> float:
@@ -91,59 +127,113 @@ def _parse_int(path: str, lineno: int, name: str, raw: str) -> int:
             f"{path} line {lineno}: {name} is not an integer: {raw!r}") from None
 
 
+def _parse_column(parse, cells: list[str], dtype) -> np.ndarray:
+    """parse over cells, stopping short at the first cell it refuses."""
+    try:
+        return np.fromiter(map(parse, cells), dtype, len(cells))
+    except ValueError:
+        values = []
+        for raw in cells:
+            try:
+                values.append(parse(raw))
+            except ValueError:
+                break
+        return np.array(values, dtype)
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True in a boolean array, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
 def load_panel(path: str) -> PanelSeries:
     """Read a firm panel CSV (firm_id,period,revenue,capital,labor,equity).
 
     Revenue, capital and labor must be positive in every row; periods
-    must line up across firms.
+    must line up across firms. The cells are parsed and checked a whole
+    column at a time, then scattered into the (firm, period) grid. A
+    fault cites the lowest faulty line and, within it, the first failing
+    check of: field count, empty firm_id, period, each of revenue,
+    capital, labor and equity parsed then finite, revenue, capital and
+    labor > 0, and a duplicate (firm, period).
     """
-    rows = _check_header(path, _read_rows(path), PANEL_HEADER)
-    cells: dict[tuple[str, int], list[float]] = {}
-    for lineno, row in rows:
-        if len(row) != len(PANEL_HEADER):
-            raise FormatError(
-                f"{path} line {lineno}: expected {len(PANEL_HEADER)} fields, "
-                f"got {len(row)}")
-        fid = row[0]
-        if not fid:
-            raise FormatError(f"{path} line {lineno}: empty firm_id")
-        period = _parse_int(path, lineno, "period", row[1])
-        values = [_parse_float(path, lineno, name, raw)
-                  for name, raw in zip(PANEL_HEADER[2:], row[2:])]
-        for name, value in zip(("revenue", "capital", "labor"), values):
-            if value <= 0.0:
-                raise FormatError(
-                    f"{path} line {lineno}: {name} must be > 0, got {value!r}")
-        if (fid, period) in cells:
-            raise FormatError(
-                f"{path} line {lineno}: duplicate period {period} "
-                f"for firm {fid!r}")
-        cells[fid, period] = values
-    if not cells:
+    linenos, rows = _read_table(path, PANEL_HEADER)
+    if not rows:
         raise FormatError(f"{path}: no data rows")
+    width = len(PANEL_HEADER)
+    faults = []  # (row, message), each row's checks in order
+    n = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
+    if n is not None:
+        faults.append((n, f"expected {width} fields, got {len(rows[n])}"))
+        rows = rows[:n]  # no check reads past the first wrong field count
+    fids, period_cells, *value_cells = (
+        [list(map(str.strip, column)) for column in zip(*rows)]
+        or [[]] * width)
+    if "" in fids:
+        faults.append((fids.index(""), "empty firm_id"))
+    periods = _parse_column(int, period_cells, object)
+    if len(periods) < len(period_cells):
+        raw = period_cells[len(periods)]
+        faults.append((len(periods), f"period is not an integer: {raw!r}"))
+    columns = []
+    for name, cells in zip(PANEL_HEADER[2:], value_cells):
+        values = _parse_column(float, cells, float)
+        if len(values) < len(cells):
+            raw = cells[len(values)]
+            faults.append((len(values), f"{name} is not a number: {raw!r}"))
+        i = _first(~np.isfinite(values))
+        if i is not None:
+            faults.append((i, f"{name} is not finite"))
+        columns.append(values)
+    for name, values in zip(PANEL_HEADER[2:5], columns):
+        i = _first(values <= 0.0)
+        if i is not None:
+            faults.append((i, f"{name} must be > 0, got {float(values[i])!r}"))
 
-    ids = tuple(sorted({fid for fid, _ in cells}))
-    periods = tuple(sorted({period for _, period in cells}))
-    if len(cells) != len(ids) * len(periods):  # some firm misses a period
-        covered = {fid: tuple(p for p in periods if (fid, p) in cells)
-                   for fid in ids}
-        fid = next(f for f in ids if covered[f] != covered[ids[0]])
+    keyed = fids[:len(periods)]  # the rows whose period parsed
+    ids = sorted(set(keyed))
+    labels = sorted(set(periods))
+    row_of = {fid: i for i, fid in enumerate(ids)}
+    column_of = {period: j for j, period in enumerate(labels)}
+    cell = (np.fromiter(map(row_of.__getitem__, keyed),
+                        np.intp, len(keyed)) * len(labels)
+            + np.fromiter(map(column_of.__getitem__, periods),
+                          np.intp, len(periods)))
+    repeat = np.ones(len(cell), bool)  # the rows an earlier row covers
+    repeat[np.unique(cell, return_index=True)[1]] = False
+    i = _first(repeat)
+    if i is not None:
+        faults.append((i, f"duplicate period {periods[i]} for firm {fids[i]!r}"))
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise FormatError(f"{path} line {linenos[row]}: {message}")
+
+    shape = (len(ids), len(labels))
+    if len(cell) != shape[0] * shape[1]:  # some firm misses a period
+        have = np.zeros(shape, bool)
+        have.flat[cell] = True
+        r = _first((have != have[0]).any(axis=1))
+
+        def covered(row):
+            return tuple(p for p, h in zip(labels, have[row].tolist()) if h)
+
         raise FormatError(
-            f"{path}: firm {fid!r} covers periods {covered[fid]}, "
-            f"but firm {ids[0]!r} covers {covered[ids[0]]}")
-    revenue, capital, labor, equity = np.array(
-        [cells[fid, p] for fid in ids for p in periods]).reshape(
-        len(ids), len(periods), 4).transpose(2, 0, 1)
+            f"{path}: firm {ids[r]!r} covers periods {covered(r)}, "
+            f"but firm {ids[0]!r} covers {covered(0)}")
+    grid = np.empty((len(cell), 4))
+    grid[cell] = np.column_stack(columns)
+    revenue, capital, labor, equity = grid.reshape(*shape, 4).transpose(2, 0, 1)
     # the panel file has no GDP column; callers pair it with load_gdp
-    return PanelSeries(ids, revenue, capital, labor, gdp=np.ones(len(periods)),
-                       periods=periods, equity=equity)
+    return PanelSeries(tuple(ids), revenue, capital, labor,
+                       gdp=np.ones(len(labels)), periods=tuple(labels),
+                       equity=equity)
 
 
 def load_gdp(path: str) -> MacroSeries:
     """Read a GDP series CSV (period,gdp), optional trailing label column."""
-    rows = _check_header(path, _read_rows(path), GDP_HEADER, allow_extra=True)
+    linenos, rows = _read_table(path, GDP_HEADER, allow_extra=True)
     seen: dict[int, float] = {}
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, _stripped(rows)):
         if len(row) < 2:
             raise FormatError(f"{path} line {lineno}: expected period,gdp")
         period = _parse_int(path, lineno, "period", row[0])
@@ -170,11 +260,11 @@ def attach_gdp(panel: PanelSeries, macro: MacroSeries) -> PanelSeries:
 
 def load_edges(path: str, firms) -> TransactionNetwork:
     """Read an edge list CSV (supplier_id,customer_id,k) onto known firms."""
-    rows = _check_header(path, _read_rows(path), EDGES_HEADER)
+    linenos, rows = _read_table(path, EDGES_HEADER)
     known = set(firms)
     triples = []
     seen = set()
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, _stripped(rows)):
         if len(row) != 3:
             raise FormatError(
                 f"{path} line {lineno}: expected supplier_id,customer_id,k")
@@ -198,9 +288,9 @@ def load_edges(path: str, firms) -> TransactionNetwork:
 
 def load_params(path: str) -> dict[str, FirmParameters]:
     """Read per-firm parameters CSV."""
-    rows = _check_header(path, _read_rows(path), PARAMS_HEADER)
+    linenos, rows = _read_table(path, PARAMS_HEADER)
     out: dict[str, FirmParameters] = {}
-    for lineno, row in rows:
+    for lineno, row in zip(linenos, _stripped(rows)):
         if len(row) != len(PARAMS_HEADER):
             raise FormatError(
                 f"{path} line {lineno}: expected {len(PARAMS_HEADER)} fields")
@@ -232,7 +322,8 @@ def _write_csv(path: str, header: list[str], lines,
 def _check_ids(ids) -> None:
     """Refuse a firm id that the CSV loaders would not read back as itself.
 
-    They strip cells and skip '#' lines; csv before Python 3.11 refuses NUL."""
+    They strip cells and skip '#' lines; NUL is refused for readers that
+    use csv before Python 3.11, which refuses it."""
     for fid in ids:
         if (not fid or fid != fid.strip() or fid.startswith("#")
                 or any(c in fid for c in ',"\r\n\x00')):

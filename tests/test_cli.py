@@ -28,6 +28,16 @@ def gen_dir(tmp_path, *extra, name="data"):
     return out
 
 
+def put_long_cell(panel, quoted):
+    """Make line 5 of a written panel (its second data line) carry a
+    200,000-character revenue cell past csv's field limit."""
+    lines = panel.read_text().split("\n")
+    cells = lines[4].split(",")
+    cells[2] = f'"{"9" * 200_000}"' if quoted else "9" * 200_000
+    lines[4] = ",".join(cells)
+    panel.write_text("\n".join(lines))
+
+
 class TestGenerate:
     def test_writes_the_four_files(self, tmp_path, capsys):
         out = gen_dir(tmp_path)
@@ -168,6 +178,20 @@ class TestCalibrate:
                     "--out-dir", str(out), "--config", str(cfg)]) == 2
         assert "'tl'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_over_long_panel_cell_fails_clean(self, tmp_path, capsys, quoted):
+        data = gen_dir(tmp_path)
+        put_long_cell(data / "panel.csv", quoted)
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"chainsim: {data / 'panel.csv'} line 5: "
+            "field larger than field limit (131072)\n")
+        assert not (out / "fit_report.json").exists()
 
     def test_histograms_regenerate_from_report(self, tmp_path):
         data = gen_dir(tmp_path)
@@ -710,3 +734,16 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.startswith("chainsim:")
         assert list(tmp_path.iterdir()) == []
+
+    def test_over_long_cell_exits_two_without_a_traceback(self, tmp_path):
+        data = tmp_path / "data"
+        assert self._run("generate", "--firms", "6", "--seed", "19",
+                         "--out-dir", str(data)).returncode == 0
+        put_long_cell(data / "panel.csv", quoted=False)
+        proc = self._run("calibrate", "--panel", str(data / "panel.csv"),
+                         "--edges", str(data / "edges.csv"),
+                         "--gdp", str(data / "gdp.csv"),
+                         "--out-dir", str(tmp_path / "fit"))
+        assert proc.returncode == 2
+        assert proc.stderr == (f"chainsim: {data / 'panel.csv'} line 5: "
+                               "field larger than field limit (131072)\n")

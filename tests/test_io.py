@@ -27,6 +27,7 @@ from chainsim import (
     simulate_economy,
 )
 from chainsim.io import (
+    PANEL_HEADER,
     FormatError,
     attach_gdp,
     cascade_payload,
@@ -47,6 +48,7 @@ from chainsim.io import (
 )
 
 from conftest import make_chain, make_panel
+from panel_oracle import OracleFormatError, load_panel as oracle_load_panel
 
 PANEL_TEXT = """firm_id,period,revenue,capital,labor,equity
 A,0,100.0,50.0,20.0,30.0
@@ -373,6 +375,216 @@ class TestRoundTripProperties:
         assert back.keys() == params.keys()
         for fid, p in params.items():
             assert _bits(vars(back[fid]).values()) == _bits(vars(p).values())
+
+
+LIMIT = 131_072  # csv's default field size limit
+
+
+class TestLineReader:
+    """What every loader reads: line numbers, quotes, NUL, long cells."""
+
+    def test_lowest_line_wins_across_checks(self, tmp_path):
+        # a bad number on line 3 is not hidden by a field count on line 5
+        bad = (PANEL_TEXT.replace("A,1,104.0", "A,1,lots")
+               .replace("B,0,80.0,40.0,16.0,24.0", "B,0,80.0"))
+        with pytest.raises(FormatError,
+                           match=r"line 3: revenue is not a number: 'lots'$"):
+            load_panel(_write(tmp_path, "panel.csv", bad))
+        bad = (PANEL_TEXT.replace("A,1,104.0,52.0,21.0,31.5", "A,1,104.0")
+               .replace("B,1,82.0", "B,1,lots"))
+        with pytest.raises(FormatError, match=r"line 3: expected 6 fields, got 3$"):
+            load_panel(_write(tmp_path, "panel.csv", bad))
+
+    @pytest.mark.parametrize("line, message", [
+        ("A,x,-1.0,nan,21.0,31.5", "period is not an integer: 'x'"),
+        (",x,-1.0,nan,21.0,31.5", "empty firm_id"),
+        ("A,1,-1.0,nan,21.0,31.5", "capital is not finite"),
+        ("A,1,-1.0,52.0,zero,31.5", "labor is not a number: 'zero'"),
+        ("A,1,-1.0,-52.0,21.0,inf", "equity is not finite"),
+        ("A,1,104.0,-52.0,-21.0,31.5", "capital must be > 0, got -52.0"),
+        ("A,0,-0.0,52.0,21.0,31.5", "revenue must be > 0, got -0.0"),
+        ("A,0,104.0,52.0,21.0,31.5", "duplicate period 0 for firm 'A'"),
+    ])
+    def test_a_row_reports_its_first_failing_check(self, tmp_path, line,
+                                                    message):
+        bad = PANEL_TEXT.replace("A,1,104.0,52.0,21.0,31.5", line)
+        with pytest.raises(FormatError) as info:
+            load_panel(_write(tmp_path, "panel.csv", bad))
+        assert str(info.value).endswith(f"line 3: {message}")
+
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x85",
+                                       "\u2028", "\u2029"])
+    def test_line_numbers_follow_the_file_not_splitlines(self, tmp_path,
+                                                         space):
+        text = PANEL_TEXT.replace("A,", f"A{space}Z,").replace(
+            "B,2,84.5", "B,2,lots")
+        with pytest.raises(FormatError, match=r"line 7: revenue"):
+            load_panel(_write(tmp_path, "panel.csv", text))
+        text = PANEL_TEXT.replace("A,", f"A{space}Z,")
+        assert load_panel(_write(tmp_path, "panel.csv", text)).firm_ids == (
+            f"A{space}Z", "B")
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_over_long_cell_cites_the_line(self, tmp_path, quoted):
+        cell = "9" * 200_000
+        bad = PANEL_TEXT.replace("B,1,82.0",
+                                 f'B,1,"{cell}"' if quoted else f"B,1,{cell}")
+        with pytest.raises(FormatError) as info:
+            load_panel(_write(tmp_path, "panel.csv", bad))
+        assert str(info.value) == (f"{tmp_path / 'panel.csv'} line 6: "
+                                   f"field larger than field limit ({LIMIT})")
+
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_field_limit_is_csvs_on_both_paths(self, tmp_path, quoted):
+        def gdp(width):
+            label = "x" * width
+            return _write(tmp_path, "gdp.csv", "period,gdp,label\n0,100.0,"
+                          + (f'"{label}"' if quoted else label) + "\n")
+
+        assert load_gdp(gdp(LIMIT)).gdp == (100.0,)
+        with pytest.raises(FormatError, match=r"line 2: field larger"):
+            load_gdp(gdp(LIMIT + 1))
+
+    def test_over_long_cell_in_the_other_loaders(self, tmp_path):
+        cell = "1" * (LIMIT + 1)
+        with pytest.raises(FormatError, match=r"line 2: field larger"):
+            load_gdp(_write(tmp_path, "gdp.csv", f"period,gdp\n0,{cell}\n"))
+        with pytest.raises(FormatError, match=r"line 3: field larger"):
+            load_edges(_write(tmp_path, "edges.csv", "supplier_id,customer_id,k"
+                              f"\nA,B,0.5\nB,A,{cell}\n"), ("A", "B"))
+        with pytest.raises(FormatError, match=r"line 2: field larger"):
+            load_params(_write(tmp_path, "params.csv", ",".join(
+                ["firm_id", "alpha", "beta", "cost_coeff", "interest_rate",
+                 "noise_sigma"]) + f"\nA,{cell},0.4,0.2,0.05,0.02\n"))
+
+    def test_nul_reads_the_same_quoted_or_not(self, tmp_path):
+        text = ("firm_id,period,revenue,capital,labor,equity\n"
+                "A\x00B,0,100.0,50.0,20.0,30.0\n"
+                '"A\x00B",1,104.0,52.0,"2\x001.0",31.5\n')
+        with pytest.raises(FormatError, match=r"line 3: labor is not a number"):
+            load_panel(_write(tmp_path, "panel.csv", text))
+        panel = load_panel(_write(tmp_path, "panel.csv",
+                                  text.replace("2\x001.0", "21.0")))
+        assert panel.firm_ids == ("A\x00B",)
+        assert panel.periods == (0, 1)
+
+    def test_unclosed_quote_ends_at_its_line(self, tmp_path):
+        bad = PANEL_TEXT.replace("A,1,104.0", 'A,1,"104.0')
+        with pytest.raises(FormatError, match=r"line 3: expected 6 fields, got 3$"):
+            load_panel(_write(tmp_path, "panel.csv", bad))
+        # the quote swallows only its own line's end
+        macro = load_gdp(_write(tmp_path, "gdp.csv",
+                                'period,gdp\n0,"100.0\n1,102.0\n'))
+        assert macro.gdp == (100.0, 102.0)
+
+    def test_quoted_cells_read_as_plain_ones(self, tmp_path):
+        quoted = PANEL_TEXT.replace("A,0,100.0", '"A",0," 100.0 "')
+        plain = load_panel(_write(tmp_path, "plain.csv", PANEL_TEXT))
+        panel = load_panel(_write(tmp_path, "quoted.csv", quoted))
+        assert panel.firm_ids == plain.firm_ids
+        assert panel.revenue.tobytes() == plain.revenue.tobytes()
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_end_lines(self, tmp_path, ending):
+        text = PANEL_TEXT.replace("B,2,84.5", "B,2,lots").replace("\n", ending)
+        path = tmp_path / "panel.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(FormatError, match=r"line 7: revenue"):
+            load_panel(str(path))
+
+
+# values a fault can put in a cell, and lines that read as nothing
+BAD_NUMBERS = ["x", "1.0.0", "", " ", "0x1", "1e", "--1", "1_0", "1.5",
+               "\u0661"]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "-Infinity"]
+NON_POSITIVE = ["0", "0.0", "-0.0", "-1.5", "-1e-300"]
+ODD_SPACES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+SKIPPED_LINES = ["# note", "", "   ", "  # indented", "\t", "#"]
+
+
+@st.composite
+def _line_fault(draw, line):
+    """line with one fault in it; ids hold no ',' or '"' so split works."""
+    cells = line.split(",")
+    kind = draw(st.sampled_from([
+        "bad number", "non-finite", "non-positive", "field count",
+        "empty id", "quoted", "unclosed quote", "odd space", "lone CR"]))
+    if kind == "bad number":
+        cells[draw(st.integers(1, 5))] = draw(st.sampled_from(BAD_NUMBERS))
+    elif kind == "non-finite":
+        cells[draw(st.integers(2, 5))] = draw(st.sampled_from(NON_FINITE))
+    elif kind == "non-positive":
+        cells[draw(st.integers(2, 4))] = draw(st.sampled_from(NON_POSITIVE))
+    elif kind == "field count":
+        if draw(st.booleans()):
+            cells.append("1.0")
+        else:
+            del cells[draw(st.integers(0, 5))]
+    elif kind == "empty id":
+        cells[0] = draw(st.sampled_from(["", " "]))
+    elif kind == "quoted":
+        i = draw(st.integers(0, 5))
+        cells[i] = draw(st.sampled_from(['"{}"', '" {} "', '"{},1"'])).format(
+            cells[i])
+    elif kind == "unclosed quote":
+        cells[draw(st.integers(0, 5))] = '"' + cells[draw(st.integers(0, 5))]
+    else:
+        i = draw(st.integers(0, 5))
+        at = draw(st.integers(0, len(cells[i])))
+        char = "\r" if kind == "lone CR" else draw(st.sampled_from(ODD_SPACES))
+        cells[i] = cells[i][:at] + char + cells[i][at:]
+    return ",".join(cells)
+
+
+@st.composite
+def corrupted_panel_texts(draw):
+    """A written panel's text with one or two faults, or its line ends,
+    blank lines or comments changed."""
+    panel = draw(panels())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        write_panel(path, panel, config_echo={"n": 1}, seed=7)
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")[:-1]
+    first = lines.index(",".join(PANEL_HEADER)) + 1
+    for i in draw(st.lists(st.integers(first, len(lines) - 1), max_size=2,
+                           unique=True)):
+        lines[i] = draw(_line_fault(lines[i]))
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "missing"]),
+                              max_size=2)):
+        if len(lines) == first:
+            break
+        i = draw(st.integers(first, len(lines) - 1))
+        if kind == "duplicate":
+            lines.insert(draw(st.integers(first, len(lines))), lines[i])
+        else:
+            del lines[i]
+    for line in draw(st.lists(st.sampled_from(SKIPPED_LINES), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(lines) + ending
+
+
+def _outcome(loader, error, path):
+    try:
+        panel = loader(path)
+    except error as exc:
+        return str(exc)
+    return (panel.firm_ids, panel.periods,
+            *(getattr(panel, name).tobytes()
+              for name in ("revenue", "capital", "labor", "equity")))
+
+
+class TestColumnarPanelMatchesRowOracle:
+    @given(corrupted_panel_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_same_arrays_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "panel.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert (_outcome(load_panel, FormatError, path)
+                    == _outcome(oracle_load_panel, OracleFormatError, path))
 
 
 class TestJsonExports:

@@ -61,7 +61,7 @@ def _load_config_file(path: str | None, keys) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise CliError(f"config {path} must hold a JSON object")
@@ -178,7 +178,7 @@ def _read_fit_report(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read fit report {path}: {exc}") from None
     firms = report.get("firms") if isinstance(report, dict) else None
     if not (isinstance(firms, dict)

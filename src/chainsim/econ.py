@@ -149,8 +149,16 @@ class TransactionNetwork:
         return csr_row(self.firms, self.suppliers, self.index[firm])
 
     def strength(self, supplier: str, customer: str) -> float:
-        return dict(csr_row(self.firms, self.customers,
-                            self.index[supplier]))[customer]
+        """k of the link; KeyError for an unknown firm or a missing link.
+
+        A bisection of the supplier's customer row, which is sorted.
+        """
+        offsets, positions, ks = self.customers
+        i, j = self.index[supplier], self.index[customer]
+        at = bisect_left(positions, j, offsets[i], offsets[i + 1])
+        if at == offsets[i + 1] or positions[at] != j:
+            raise KeyError(customer)
+        return ks[at]
 
     def with_strengths(self, overrides) -> "TransactionNetwork":
         """Copy of the network with k replaced on the given (s, c) pairs."""

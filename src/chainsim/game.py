@@ -6,14 +6,24 @@ B*K^a*L^b - r*K - L + const, where B is the net output coefficient.
 The customer terms enter only the constant, revenue * customer_terms,
 so a decision reads the firm's own books alone. Decisions are searched
 inside a multiplicative box around the firm's current inputs.
-best_inputs is exact everywhere, on plain floats; the simulator calls
-it directly, and best_response_closed_form wraps it for a
-PayoffContext:
+
+best_input_columns is the one exact best response. It takes the books
+and parameters of many firms as float64 columns, one row per firm, and
+steps them all at once; best_inputs and best_response_closed_form are
+one-row views of it, nash_solve and the simulator call it on whole
+economies:
 
 - B <= 0 (cost-dominated): the payoff does not rise in either input,
   so the lower corner of the box is the answer, whatever a + b.
 - B > 0: the interior stationary point when a + b < 1 and it lies in
   the box; otherwise the best candidate on the box boundary.
+
+A column gives each row the floats that the scalar rule gives it on
+Python floats. numpy does only the correctly rounded operations (+, -,
+*, /, comparisons and selections), which round as Python's do; every
+exp and pow goes through Python's math.exp, math.pow or ** element by
+element (libm), since numpy's own differ from libm by an ulp now and
+then.
 
 The seeded genetic algorithm best_response_ga is only a test oracle.
 """
@@ -46,7 +56,7 @@ GA_CROSSOVER_PROB = 0.9
 GA_ELITE = 1
 
 _NORMAL = sys.float_info.min  # the least positive normal float
-# best_inputs' face rule: elasticities and 1 - alpha - beta at least
+# best_input_columns' face rule: elasticities and 1 - alpha - beta at least
 # _FLAT, and every free coordinate at least _NEAR (relative) from a face
 # that gets no candidate; see its docstring
 _FLAT = 1e-3
@@ -104,35 +114,115 @@ def expected_payoff(ctx: PayoffContext, decision: InvestmentDecision) -> float:
                    ctx.params, decision.capital, decision.labor)
 
 
-def _edge_candidates(gamma: float, B: float, other: float, w: float,
-                     lo: float, hi: float) -> tuple[float, ...]:
+def libm(fn, *columns) -> np.ndarray:
+    """fn over float64 columns, element by element on Python floats.
+
+    fn is math.exp, math.pow or pow (Python's **), so every value is
+    libm's, the float that scalar code gets. An error raised on one
+    element propagates as it would from scalar code.
+    """
+    return np.fromiter(map(fn, *[c.tolist() for c in columns]), dtype=float,
+                       count=len(columns[0]))
+
+
+def _pow_or_inf1(x: float, y: float) -> float:
+    """math.pow(x, y), inf where it overflows."""
+    try:
+        return math.pow(x, y)
+    except OverflowError:
+        return math.inf
+
+
+def _pow_or_inf(x, y) -> np.ndarray:
+    """math.pow over columns, inf where it overflows."""
+    try:
+        return libm(math.pow, x, y)
+    except OverflowError:
+        return libm(_pow_or_inf1, x, y)
+
+
+def _halves(x) -> tuple[np.ndarray, np.ndarray]:
+    """The two halves of a column stacked from two."""
+    m = len(x) // 2
+    return x[:m], x[m:]
+
+
+def _clip(x, lo, hi) -> np.ndarray:
+    """min(max(x, lo), hi) as Python evaluates it, nan included."""
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def _less(x, y) -> np.ndarray:
+    """x < y for (cost, K, L) triples of columns, as Python compares
+    tuples: the first pair that differs decides."""
+    (c, k, l), (c0, k0, l0) = x, y
+    return np.where(c == c0, np.where(k == k0, l < l0, k < k0), c < c0)
+
+
+def _edge_candidates(gamma, B, other, w, lo, hi):
     """Where B*other*x^gamma - w*x peaks over lo <= x <= hi, B, other > 0.
 
     gamma = 0: the low end; w = 0: the high end; 0 < gamma < 1
     (concave): the clipped first-order point, the high end if it
     overflows, so one candidate whenever w > 0; gamma >= 1 (convex):
-    both endpoints.
+    both endpoints. Returns (first, convex): each row's first
+    candidate, and the rows whose second candidate is hi.
     """
-    if gamma == 0.0:
-        return (lo,)
-    if w == 0.0:
-        return (hi,)
-    if gamma >= 1.0:
-        return (lo, hi)
-    try:
-        x = math.pow(gamma * B * other / w, 1.0 / (1.0 - gamma))
-    except OverflowError:
-        return (hi,)
-    return (min(max(x, lo), hi),)
+    flat = gamma == 0.0
+    free = ~flat & (w == 0.0)
+    convex = ~flat & ~free & (gamma >= 1.0)
+    first = np.where(flat | convex, lo, hi)
+    i = (~(flat | free | convex)).nonzero()[0]
+    first[i] = _peak(gamma[i], B[i], other[i], w[i], lo[i], hi[i])
+    return first, convex
 
 
-def best_inputs(revenue: float, capital: float, labor: float,
-                params: FirmParameters,
-                bounds: tuple[float, float] = GameConfig.decision_bounds
-                ) -> tuple[float, float]:
-    """Exact argmax (K', L') of the payoff over the decision box.
+def _peak(gamma, B, other, w, lo, hi) -> np.ndarray:
+    """_edge_candidates on concave edges, 0 < gamma < 1 and w > 0."""
+    return _clip(_pow_or_inf(gamma * B * other / w, 1.0 / (1.0 - gamma)),
+                 lo, hi)
 
-    revenue, capital and labor are the books on record and bounds the
+
+class ParamColumns:
+    """FirmParameters of a set of firms as float64 columns, one row per
+    firm, with the best response's constants that depend on them alone.
+
+    concave marks the rows with alpha, beta, r > 0 and alpha + beta < 1.
+    On those rows c = beta * r / alpha (L/K at the first-order point),
+    c_beta = c ** beta and exponent = 1 / (1 - alpha - beta); other rows
+    hold stand-ins of 1.0 and c_beta 1.0. steep marks the concave rows
+    whose alpha, beta and 1 - alpha - beta are at least _FLAT and whose
+    c is a normal float, below inf.
+    """
+
+    def __init__(self, params) -> None:
+        params = list(params)
+        self.alpha = a = np.array([p.alpha for p in params], dtype=float)
+        self.beta = b = np.array([p.beta for p in params], dtype=float)
+        self.cost_coeff = np.array([p.cost_coeff for p in params], dtype=float)
+        self.interest_rate = r = np.array([p.interest_rate for p in params],
+                                          dtype=float)
+        self.noise_sigma = np.array([p.noise_sigma for p in params], dtype=float)
+        with np.errstate(all="ignore"):
+            s = a + b
+            self.concave = (a > 0.0) & (b > 0.0) & (r > 0.0) & (s < 1.0)
+            self.c = np.where(self.concave, b * r / a, 1.0)
+            # c may overflow to inf but its power cannot raise: beta < 1
+            self.c_beta = libm(pow, self.c, b)
+            self.exponent = np.where(self.concave, 1.0 / (1.0 - a - b), 1.0)
+            self.steep = (self.concave & (a >= _FLAT) & (b >= _FLAT)
+                          & (s <= 1.0 - _FLAT) & (_NORMAL <= self.c)
+                          & (self.c < math.inf))
+
+
+def best_input_columns(revenue, capital, labor, params: ParamColumns,
+                       bounds: tuple[float, float] = GameConfig.decision_bounds,
+                       powers=None) -> tuple[np.ndarray, np.ndarray]:
+    """Exact argmax (K', L') of the payoff over the decision box, per row.
+
+    revenue, capital and labor are float64 columns of the books on
+    record, params the same firms' parameters, and bounds the
     multiplicative box. The payoff is the constant minus the cost
     r*K + L - B*K^alpha*L^beta, where B = revenue / (K^alpha * L^beta)
     - cost_coeff is the net output coefficient, and each edge's payoff
@@ -165,63 +255,146 @@ def best_inputs(revenue: float, capital: float, labor: float,
       boundary).
 
     Candidates are priced by the cost without the constant; ties break
-    toward smaller capital, then smaller labor. The result is not
-    validated; best_response_closed_form does that.
+    toward smaller capital, then smaller labor, as min over (cost, K,
+    L) tuples breaks them. Each rule runs on the rows it answers, and
+    every row gets the floats the rule gives it alone (see the module
+    docstring); math.pow's overflow on (k*, l*) or an edge's
+    first-order point reads inf, and every other error propagates as
+    from scalar code, ** overflow as OverflowError and a zero K^alpha *
+    L^beta as ZeroDivisionError. The result is not validated;
+    best_response_closed_form and nash_solve do that. A caller that
+    holds capital ** alpha and labor ** beta already passes them as
+    powers.
     """
-    a, b, r = params.alpha, params.beta, params.interest_rate
-    B = revenue / (capital ** a * labor ** b) - params.cost_coeff
-    lo, hi = bounds
-    k_lo, k_hi, l_lo, l_hi = lo * capital, hi * capital, lo * labor, hi * labor
-    if B <= 0.0:
-        return k_lo, l_lo
-    trusted = False
-    if a > 0.0 and b > 0.0 and r > 0.0 and a + b < 1.0:
-        c = b * r / a
-        base = a * B * c ** b / r
-        # near a + b = 1 the point can pass float range, and every box;
-        # math.pow raises there for numpy scalars too, where ** warns
-        try:
-            k_star = math.pow(base, 1.0 / (1.0 - a - b))
-        except OverflowError:
-            k_star = math.inf
+    with np.errstate(all="ignore"):
+        a, b, r = params.alpha, params.beta, params.interest_rate
+        if powers is None:
+            powers = _halves(libm(pow, np.concatenate((capital, labor)),
+                                  np.concatenate((a, b))))
+        level = powers[0] * powers[1]
+        if not level.all():
+            raise ZeroDivisionError("float division by zero")
+        B = revenue / level - params.cost_coeff
+        lo, hi = bounds
+        k_lo, k_hi, l_lo, l_hi = lo * capital, hi * capital, lo * labor, hi * labor
+        live = ~(B <= 0.0)
+        # the unconstrained optimum; rows outside the concave regime
+        # compute on stand-ins of 1.0, which cannot raise
+        concave = live & params.concave
+        c = params.c
+        base = a * B * params.c_beta / r
+        # near a + b = 1 the point can pass float range, and every box
+        k_star = _pow_or_inf(np.where(concave, base, 1.0), params.exponent)
         l_star = c * k_star
-        k_in = k_lo <= k_star <= k_hi
-        l_in = l_lo <= l_star <= l_hi
-        if k_in and l_in:
-            return k_star, l_star
-        trusted = (a >= _FLAT and b >= _FLAT and a + b <= 1.0 - _FLAT
-                   and _NORMAL <= c < math.inf
-                   and _NORMAL <= base < math.inf
-                   and _NORMAL <= k_star < math.inf
-                   and _NORMAL <= l_star < math.inf)
-    if trusted:
-        # one candidate per violated face: the edges are concave and r > 0
-        candidates = []
-        if not k_in:
-            k = k_lo if k_star < k_lo else k_hi
-            l, = _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)
-            candidates.append((k, l))
-            # near a face that gets no candidate, l may price the same
-            # as that face's candidate to rounding
-            trusted = ((l_star < l_lo or l > (1.0 + _NEAR) * l_lo)
-                       and (l_star > l_hi or l < (1.0 - _NEAR) * l_hi))
-        if not l_in:
-            l = l_lo if l_star < l_lo else l_hi
-            k, = _edge_candidates(a, B, l ** b, r, k_lo, k_hi)
-            candidates.append((k, l))
-            trusted = trusted and ((k_star < k_lo or k > (1.0 + _NEAR) * k_lo)
-                                   and (k_star > k_hi or k < (1.0 - _NEAR) * k_hi))
-        if trusted and len(candidates) == 1:
-            return candidates[0]
-    if not trusted:
-        candidates = [(k, l) for k in (k_lo, k_hi)
-                      for l in _edge_candidates(b, B, k ** a, 1.0, l_lo, l_hi)]
-        candidates += [(k, l) for l in (l_lo, l_hi)
-                       for k in _edge_candidates(a, B, l ** b, r, k_lo, k_hi)]
-    # (-payoff + const, K, L) per candidate: the least is the best, ties
-    # broken toward smaller capital, then smaller labor
-    return min((r * k + l - B * k ** a * l ** b, k, l)
-               for k, l in candidates)[1:]
+        k_in = (k_lo <= k_star) & (k_star <= k_hi)
+        l_in = (l_lo <= l_star) & (l_star <= l_hi)
+        interior = concave & k_in & l_in
+        # the lower corner, the answer where B <= 0; the face rule and
+        # the fallback overwrite the other rows
+        k = np.where(interior, k_star, k_lo)
+        l = np.where(interior, l_star, l_lo)
+        # nothing under- or overflowed on the way to (k*, l*)
+        least = np.minimum(np.minimum(base, k_star), l_star)
+        most = np.maximum(np.maximum(base, k_star), l_star)
+        trusted = (live & params.steep & ~interior & (_NORMAL <= least)
+                   & (most < math.inf))
+        rest = live & ~interior
+        t = trusted.nonzero()[0]
+        if t.size:
+            ok, k_face, l_face = _face_rule(
+                a[t], b[t], r[t], B[t], k_lo[t], k_hi[t], l_lo[t], l_hi[t],
+                k_star[t], l_star[t], k_in[t], l_in[t])
+            k[t[ok]], l[t[ok]] = k_face[ok], l_face[ok]
+            rest[t[ok]] = False
+        f = rest.nonzero()[0]
+        if f.size:
+            k[f], l[f] = _all_edges(a[f], b[f], r[f], B[f], k_lo[f], k_hi[f],
+                                    l_lo[f], l_hi[f])
+    return k, l
+
+
+def _face_rule(a, b, r, B, k_lo, k_hi, l_lo, l_hi, k_star, l_star, k_in, l_in):
+    """best_input_columns' face rule on rows that satisfy its bounds.
+
+    Returns (ok, K', L'): ok marks the rows the rule answers, where no
+    candidate lies within _NEAR of a face that gets none. Both faces'
+    candidates are computed on every row, stacked K-face over L-face;
+    with alpha, beta < 1 and a finite box none of their powers can raise.
+    """
+    # one candidate per face: the edges are concave and r > 0
+    k_face = np.where(k_star < k_lo, k_lo, k_hi)
+    l_face = np.where(l_star < l_lo, l_lo, l_hi)
+    others = libm(pow, np.concatenate((k_face, l_face)), np.concatenate((a, b)))
+    free = _peak(np.concatenate((b, a)), np.concatenate((B, B)), others,
+                 np.concatenate((np.ones_like(r), r)),
+                 np.concatenate((l_lo, k_lo)), np.concatenate((l_hi, k_hi)))
+    l_on_k, k_on_l = _halves(free)
+    k_face_a, l_face_b = _halves(others)
+    # near a face that gets no candidate, a candidate may price the
+    # same as that face's candidate to rounding
+    ok = ((k_in | (((l_star < l_lo) | (l_on_k > (1.0 + _NEAR) * l_lo))
+                   & ((l_star > l_hi) | (l_on_k < (1.0 - _NEAR) * l_hi))))
+          & (l_in | (((k_star < k_lo) | (k_on_l > (1.0 + _NEAR) * k_lo))
+                     & ((k_star > k_hi) | (k_on_l < (1.0 - _NEAR) * k_hi)))))
+    # two violated faces: the K-face candidate, unless the L-face one
+    # prices lower
+    l_on_k_b, k_on_l_a = _halves(libm(pow, free, np.concatenate((b, a))))
+    on_k = (r * k_face + l_on_k - B * k_face_a * l_on_k_b, k_face, l_on_k)
+    on_l = (r * k_on_l + l_face - B * k_on_l_a * l_face_b, k_on_l, l_face)
+    take_l = k_in | (~l_in & _less(on_l, on_k))
+    return (ok, np.where(take_l, k_on_l, k_face),
+            np.where(take_l, l_face, l_on_k))
+
+
+def _all_edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi):
+    """The best of the candidates of all four box edges, as (K', L').
+
+    The four edges' candidates come from one stacked _edge_candidates
+    pass and fill eight slots, in the order of: for K in (k_lo, k_hi),
+    the K-edge's first candidate, then its high end if the edge is
+    convex; then the same along L in (l_lo, l_hi). Every power taken is
+    one that pricing the candidates takes. Python's min over the (cost,
+    K, L) tuples in slot order keeps slot 0 when its cost is nan and
+    otherwise never takes a nan cost, and the order is total on the
+    rest, so a lexicographic sort over the slots it may take finds the
+    same tuple.
+    """
+    m = len(B)
+    one = np.ones_like(r)
+    first, convex = _edge_candidates(
+        np.concatenate((b, b, a, a)), np.concatenate((B, B, B, B)),
+        libm(pow, np.concatenate((k_lo, k_hi, l_lo, l_hi)),
+             np.concatenate((a, a, b, b))),
+        np.concatenate((one, one, r, r)),
+        np.concatenate((l_lo, l_lo, k_lo, k_lo)),
+        np.concatenate((l_hi, l_hi, k_hi, k_hi)))
+    l_on_lo, l_on_hi, k_on_lo, k_on_hi = first.reshape(4, m)
+    cx_k_lo, cx_k_hi, cx_l_lo, cx_l_hi = convex.reshape(4, m)
+    K = np.array((k_lo, k_lo, k_hi, k_hi, k_on_lo, k_hi, k_on_hi, k_hi))
+    L = np.array((l_on_lo, l_hi, l_on_hi, l_hi, l_lo, l_lo, l_hi, l_hi))
+    slot = np.array((one > 0.0, cx_k_lo, one > 0.0, cx_k_hi,
+                     one > 0.0, cx_l_lo, one > 0.0, cx_l_hi))
+    # (-payoff + const) per slot
+    cost = (r * K + L
+            - B * libm(pow, K.ravel(), np.concatenate([a] * 8)).reshape(8, m)
+            * libm(pow, L.ravel(), np.concatenate([b] * 8)).reshape(8, m))
+    nan = np.isnan(cost)
+    slot &= ~nan & ~nan[0]
+    slot[0] = True
+    best = np.lexsort((L, K, cost, ~slot), axis=0)[0]
+    rows = np.arange(m)
+    return K[best, rows], L[best, rows]
+
+
+def best_inputs(revenue: float, capital: float, labor: float,
+                params: FirmParameters,
+                bounds: tuple[float, float] = GameConfig.decision_bounds
+                ) -> tuple[float, float]:
+    """best_input_columns for one firm, as (K', L') floats."""
+    k, l = best_input_columns(
+        *(np.array([x], dtype=float) for x in (revenue, capital, labor)),
+        ParamColumns([params]), bounds)
+    return k.item(), l.item()
 
 
 def best_response_closed_form(ctx: PayoffContext,
@@ -314,18 +487,22 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
     """Joint best responses of every firm: the game's fixed point.
 
     Each firm's decision reads only its own books, so the game
-    decouples and one best-response pass per firm is the fixed point.
-    network serves only to check the firm set. gdp_growth changes no
-    result; it stays for callers that pass one.
+    decouples and one best-response pass, a single best_input_columns
+    call over the live firms, is the fixed point. network serves only
+    to check the firm set. gdp_growth changes no result; it stays for
+    callers that pass one.
     Result is independent of firm ordering. A firm flagged bankrupt
     gets no decision: it trades no more, and the cascade reads it as a
     dead customer.
     """
-    decisions = {}
-    for f in shared_firm_ids(economy, network):
-        st = economy.states[f]
-        if st.bankrupt:
-            continue
-        decisions[f] = InvestmentDecision(*best_inputs(
-            st.revenue, st.capital, st.labor, economy.params[f]))
+    ids = [f for f in shared_firm_ids(economy, network)
+           if not economy.states[f].bankrupt]
+    states = [economy.states[f] for f in ids]
+    k, l = best_input_columns(
+        np.array([st.revenue for st in states], dtype=float),
+        np.array([st.capital for st in states], dtype=float),
+        np.array([st.labor for st in states], dtype=float),
+        ParamColumns(economy.params[f] for f in ids))
+    decisions = {f: InvestmentDecision(*kl)
+                 for f, kl in zip(ids, zip(k.tolist(), l.tolist()))}
     return NashResult(decisions=decisions, converged=True)

@@ -12,6 +12,7 @@ into its (firm, period) grid.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -67,19 +68,42 @@ def _csv_cells(path: str, lineno: int, line: str) -> list[str]:
     return [cell.replace(stand_in, "\x00") for cell in cells] if nul else cells
 
 
+@contextlib.contextmanager
+def _numbered_lines(path: str):
+    """The 1-based line numbers and lines of a UTF-8 text file, read
+    with newline="". A byte that is not UTF-8 is a FormatError naming
+    the first line that holds one."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield enumerate(fh, start=1)
+        except UnicodeDecodeError:
+            pass
+        else:
+            return
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} line {lineno}: not UTF-8: {exc}") from None
+    raise FormatError(f"{path}: not UTF-8")
+
+
 def _read_table(path: str, header: list[str], allow_extra: bool = False
                 ) -> tuple[list[int], list[list[str]]]:
     """The 1-based line numbers and unstripped cells of the data lines.
 
     One pass over the file, whose iteration with newline="" sets the
-    line numbers. Blank and '#' lines are skipped, and the first other
-    line must be the header. A line without '"' is split on ',', which
-    reads it as csv does; csv's field size limit holds on both paths.
+    line numbers (_numbered_lines). Blank and '#' lines are skipped, and
+    the first other line must be the header. A line without '"' is split
+    on ',', which reads it as csv does; csv's field size limit holds on
+    both paths.
     """
     limit = csv.field_size_limit()
     linenos, rows = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with _numbered_lines(path) as lines:
+        for lineno, line in lines:
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

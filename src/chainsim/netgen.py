@@ -28,12 +28,18 @@ from .econ import (
     FirmState,
     InvestmentDecision,
     MacroSeries,
+    REVENUE_FLOOR_FRAC,
     TransactionNetwork,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
     shared_firm_ids,
     term_rule,
 )
-from .game import best_inputs
+from .game import (
+    ParamColumns,
+    best_input_columns,
+    best_inputs,
+    libm,
+)
 
 EDGE_MODELS = ("random", "scale-free")
 # GeneratorConfig fields that are (low, high) ranges of a uniform draw
@@ -150,56 +156,62 @@ def _draw_elasticities(config: GeneratorConfig, rng) -> tuple[float, float]:
             return a, b
 
 
-# the guard band of steady_state_inputs is ln k_root +- _BAND / s
+# the guard band of steady_state_columns is ln k_root +- _BAND / s
 _BAND = 1e-12
 
 
-def _log_root(p: float, C: float, s: float, R: float) -> float:
-    """ln k where p*k + C*k^s = R, for p, R > 0, C >= 0 and 0 < s < 1.
+def _log_roots(p, C, s, R) -> np.ndarray:
+    """ln k where p*k + C*k^s = R, per row, for p, R > 0, C >= 0 and
+    0 < s < 1.
 
     Newton on phi(u) = ln(p*e^u + C*e^(s*u)) - ln R, which is convex and
     increasing in u = ln k with slope in [s, 1]. It starts at the
     smaller of the roots of the two terms alone, which lies at most
     ln 2 / s right of the root; from there every step moves left and
-    stays at or right of the root. It stops once a step is below an
-    eighth of the guard band, and gives nan when 50 steps do not get
-    there or math fails.
+    stays at or right of the root. A row stops once its step is below
+    an eighth of the guard band, and reads nan when 50 steps do not get
+    there or its steps leave float range. The root only places the
+    band, which steady_state_columns checks with gap before using it,
+    so numpy's own exp, log and power serve here.
     """
     tol = _BAND / (8.0 * s)
-    try:
-        u = math.log(R / p)
-        if C > 0.0:
-            u = min(u, math.log(R / C) / s)
-        for _ in range(50):
-            k = math.exp(u)
-            lin, pw = p * k, C * k ** s
-            step = math.log((lin + pw) / R) * (lin + pw) / (lin + s * pw)
-            u -= step
-            if abs(step) < tol:
-                return u
-    except (ArithmeticError, ValueError):
-        pass
-    return math.nan
+    u = np.minimum(np.log(R / p), np.log(R / C) / s)
+    roots = np.full(u.shape, math.nan)
+    rows = np.isfinite(u).nonzero()[0]
+    for _ in range(50):
+        if not rows.size:
+            break
+        k = np.exp(u[rows])
+        lin, pw = p[rows] * k, C[rows] * k ** s[rows]
+        step = np.log((lin + pw) / R[rows]) * (lin + pw) / (lin + s[rows] * pw)
+        u[rows] -= step
+        done = abs(step) < tol[rows]
+        roots[rows[done]] = u[rows[done]]
+        rows = rows[~done & np.isfinite(step)]
+    return roots
 
 
-def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, float]:
-    """Capital and labor at which the best response reproduces itself.
+def steady_state_columns(params: ParamColumns, revenue
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Capital and labor at which the best response reproduces itself,
+    per row.
 
-    Solves the stationary first-order condition gap(ln k) = 0 by
-    bisection on log capital over [ln 1e-9, ln 1e12]; gap is increasing,
-    so the root is unique. The bisection stops once the midpoint equals
-    an end of the bracket, since no later step can move the midpoint
-    then, and after 200 steps at most. Needs positive elasticities and
-    interest rate.
+    revenue is a float64 column over the firms of params. Solves the
+    stationary first-order condition gap(ln k) = 0 by bisection on log
+    capital over [ln 1e-9, ln 1e12]; gap is increasing, so the root is
+    unique. A row's bisection stops once its midpoint equals an end of
+    its bracket, since no later step can move the midpoint then, and
+    after 200 steps at most; the rows still bisecting step together.
+    Needs positive elasticities and interest rate.
 
     Most midpoints are far from the root, where gap's sign is known
     without evaluating it. gap times k^s is f(k) = (r/alpha)*k +
     A*c^beta*k^s - revenue, increasing and concave, and Newton
-    (_log_root) finds its root ln k_root in a few steps. A midpoint
+    (_log_roots) finds its root ln k_root in a few steps. A midpoint
     more than band = 1e-12 / s from ln k_root takes the side of that
-    comparison; one inside the band calls gap, as does every midpoint
-    when there is no verified root. The final bracket, and so k, is the
-    one gap alone would give:
+    comparison; gap runs only on the midpoints inside the band, and on
+    every midpoint of a row without a verified root. The final bracket,
+    and so k, is the one gap alone would give:
 
     - The float gap(u) is r*k^(1-s)/alpha + A*c^beta - revenue*k^(-s)
       with k = exp(u). Let u* be the root of the exact sum with the
@@ -220,44 +232,77 @@ def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, 
     - Otherwise (revenue outside (1e-290, 1e290), which includes
       revenue <= 0, inf and NaN, or Newton without a finite root
       verified inside the bracket) gap decides every midpoint.
+
+    Each row gets the floats that the same steps give it alone, with
+    exp and pow from libm (game's module docstring).
     """
     a, b, r = params.alpha, params.beta, params.interest_rate
-    A = params.cost_coeff
-    if a <= 0.0 or b <= 0.0 or r <= 0.0:
-        raise ValueError("steady state needs alpha, beta, interest_rate > 0")
-    if a + b >= 1.0:
+    flat = (a <= 0.0) | (b <= 0.0) | (r <= 0.0)
+    wrong = (flat | (a + b >= 1.0)).nonzero()[0]
+    if wrong.size:
+        if flat[wrong[0]]:
+            raise ValueError("steady state needs alpha, beta, interest_rate > 0")
         raise ValueError("steady state needs alpha + beta < 1")
-    c = b * r / a
-    s = a + b
+    with np.errstate(all="ignore"):
+        s = a + b
+        fixed = params.cost_coeff * params.c_beta
+        # gap's constants and exponents, a column per row
+        constants = np.array((r, a, fixed, revenue))
+        exponents = np.array((1.0 - s, -s))
 
-    def gap(ln_k: float) -> float:
-        k = math.exp(ln_k)
-        return (r * k ** (1.0 - s) / a + A * c ** b
-                - revenue * k ** (-s))
+        def gap(rows, ln_k):
+            k = libm(math.exp, ln_k)
+            rate, alpha, fix, rev = constants[:, rows]
+            k_up, k_down = libm(pow, np.concatenate((k, k)),
+                                exponents[:, rows].ravel()).reshape(2, -1)
+            return rate * k_up / alpha + fix - rev * k_down
 
-    lo, hi = math.log(1e-9), math.log(1e12)
-    band = _BAND / s
-    # the band around a verified root; nan ends make gap decide everywhere
-    left = right = math.nan
-    if 1e-290 < revenue < 1e290:
-        x = _log_root(r / a, A * c ** b, s, revenue)
-        if (lo + band < x < hi - band
-                and gap(x - 0.5 * band) < 0.0 <= gap(x + 0.5 * band)):
-            left, right = x - band, x + band
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if mid < left:
-            lo = mid
-        elif mid > right:
-            hi = mid
-        elif gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    k = math.exp(0.5 * (lo + hi))
-    return k, c * k
+        lo, hi = math.log(1e-9), math.log(1e12)
+        band = _BAND / s
+        # the band around a verified root; an infinite one makes gap
+        # decide every midpoint
+        left = np.full(s.size, -math.inf)
+        right = np.full(s.size, math.inf)
+        rows = ((1e-290 < revenue) & (revenue < 1e290)).nonzero()[0]
+        x = _log_roots(r[rows] / a[rows], fixed[rows], s[rows], revenue[rows])
+        inside = (lo + band[rows] < x) & (x < hi - band[rows])
+        rows, x = rows[inside], x[inside]
+        half = 0.5 * band[rows]
+        verified = (gap(rows, x - half) < 0.0) & (0.0 <= gap(rows, x + half))
+        rows, x = rows[verified], x[verified]
+        left[rows], right[rows] = x - band[rows], x + band[rows]
+
+        # the rows still bisecting with their brackets, and the final
+        # bracket of every row
+        rows = np.arange(s.size)
+        lo, hi = np.full(s.size, lo), np.full(s.size, hi)
+        ends = np.empty((2, s.size))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            stop = (mid == lo) | (mid == hi)
+            if stop.any():
+                ends[:, rows[stop]] = lo[stop], hi[stop]
+                go = ~stop
+                rows, lo, hi, mid, left, right = (
+                    col[go] for col in (rows, lo, hi, mid, left, right))
+                if not rows.size:
+                    break
+            down = mid < left
+            near = ((left <= mid) & (mid <= right)).nonzero()[0]
+            if near.size:
+                down[near] = gap(rows[near], mid[near]) < 0.0
+            lo = np.where(down, mid, lo)
+            hi = np.where(down, hi, mid)
+        ends[:, rows] = lo, hi
+        k = libm(math.exp, 0.5 * (ends[0] + ends[1]))
+    return k, params.c * k
+
+
+def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, float]:
+    """steady_state_columns for one firm, as (k, l) floats."""
+    k, l = steady_state_columns(ParamColumns([params]),
+                                np.array([revenue], dtype=float))
+    return k.item(), l.item()
 
 
 def generate_params(config: GeneratorConfig, rng) -> dict[str, FirmParameters]:
@@ -327,22 +372,27 @@ def generate_gdp(config: GeneratorConfig, rng) -> MacroSeries:
 
 def generate_states(config: GeneratorConfig, params: dict[str, FirmParameters],
                     rng) -> dict[str, FirmState]:
-    states = {}
-    for fid in sorted(params):
-        p = params[fid]
-        revenue = _uniform(rng, config.revenue_range)
-        k_star, l_star = steady_state_inputs(p, revenue)
-        capital = k_star * math.exp(config.start_jitter * rng.normal())
-        labor = l_star * math.exp(config.start_jitter * rng.normal())
-        equity = _uniform(rng, config.equity_frac_range) * revenue
-        states[fid] = FirmState(
-            revenue=revenue,
-            prev_revenue=revenue / (1.0 + config.gdp_growth),
-            capital=capital,
-            labor=labor,
-            equity=equity,
-        )
-    return states
+    """Initial books: each firm, in sorted order, draws its revenue, the
+    jitter of its capital and of its labor, and its equity share; then
+    all steady states are solved at once and jittered."""
+    ids = sorted(params)
+    uniform, normal = rng.random, rng.normal
+    draws = np.array([(uniform(), normal(), normal(), uniform()) for _ in ids],
+                     dtype=float).reshape(len(ids), 4).T
+    low, high = map(float, config.revenue_range)
+    revenue = low + (high - low) * draws[0]
+    k_star, l_star = steady_state_columns(
+        ParamColumns(params[f] for f in ids), revenue)
+    capital = k_star * libm(math.exp, config.start_jitter * draws[1])
+    labor = l_star * libm(math.exp, config.start_jitter * draws[2])
+    low, high = map(float, config.equity_frac_range)
+    equity = (low + (high - low) * draws[3]) * revenue
+    prev_revenue = revenue / (1.0 + config.gdp_growth)
+    return {fid: FirmState(revenue=rev, prev_revenue=prev, capital=k,
+                           labor=l, equity=eq)
+            for fid, rev, prev, k, l, eq in zip(
+                ids, *(col.tolist() for col in (revenue, prev_revenue,
+                                                capital, labor, equity)))}
 
 
 def generate_economy(config: GeneratorConfig
@@ -368,6 +418,23 @@ class SimulationResult:
     floor_events: tuple[tuple[str, int], ...]
 
 
+def _check_step(revenue: float, capital: float, labor: float, equity: float,
+                params: FirmParameters, jitter: float, z_capital: float,
+                z_labor: float, customer_terms: float, noise: float) -> None:
+    """One firm's period step on floats, raising the error of the first
+    check it fails: the decision, then the jittered inputs, then the new
+    state, each as InvestmentDecision or FirmState raises it, or an
+    arithmetic error on the way. forward_simulate's error path."""
+    k_dec, l_dec = best_inputs(revenue, capital, labor, params)
+    InvestmentDecision(k_dec, l_dec)
+    k_new = k_dec * math.exp(jitter * z_capital)
+    l_new = l_dec * math.exp(jitter * z_labor)
+    InvestmentDecision(k_new, l_new)
+    rev_new, profit, _ = term_rule(revenue, capital, labor, params, k_new,
+                                   l_new, customer_terms, noise)
+    FirmState(rev_new, revenue, k_new, l_new, equity + profit)
+
+
 def forward_simulate(economy: Economy, network: TransactionNetwork,
                      macro: MacroSeries, *,
                      noise_on: bool = True,
@@ -376,24 +443,33 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     """Roll the economy forward over the macro series' horizon.
 
     Each period every firm best-responds to its own books on record
-    (game.best_inputs), the applied inputs get lognormal jitter of
-    spread decision_jitter (finite and >= 0; 0 applies the decision as
-    taken), and econ.term_rule gives the term's revenue (with the
-    customer terms, and the idiosyncratic shock when noise_on) and
-    profit, which rolls into equity. All firms advance on a period
+    (game.best_input_columns), the applied inputs get lognormal jitter
+    of spread decision_jitter (finite and >= 0; 0 applies the decision
+    as taken), and econ.term_rule's arithmetic gives the term's revenue
+    (with the customer terms, and the idiosyncratic shock when noise_on)
+    and profit, which rolls into equity. All firms advance on a period
     barrier, so the result does not depend on firm order. A revenue
     outcome at or below zero is floored and flagged. A firm flagged
     bankrupt before the run reads as a zero-revenue customer in the
     first period and trades on afterwards. seed drives the noise and
     jitter streams.
 
-    The books are plain floats over the sorted firm index; each period
-    writes its four columns into the (4, n_firms, T) books array, whose
-    planes become the panel's revenue, capital, labor and equity
-    arrays. Every new decision and state is checked as
-    InvestmentDecision and FirmState would check it, with the same
-    error; neither is built otherwise. economy_from_panel reads the
-    final states off the panel.
+    The books are float64 columns over the sorted firm index, and a
+    period is a few whole-column operations: the decisions, the jitter
+    through math.exp, term_fixed's and term_close's arithmetic in their
+    order, the floor and the equity roll, each row getting the floats
+    the scalar rule gives it (game's module docstring). The customer
+    terms are a left fold over degree slots: slot j adds the term of
+    each firm's j-th customer, in customers_of order, to the firms that
+    have more than j. Each period writes its four columns into the
+    (4, n_firms, T) books array, whose planes become the panel's
+    revenue, capital, labor and equity arrays; floor events come in
+    firm order within a period. Where a row fails a check, or an
+    operation raises, the step of each firm in turn is replayed on
+    floats (_check_step), so the error is the one the lowest-indexed
+    failing firm raises, as InvestmentDecision and FirmState raise it;
+    neither is built otherwise. economy_from_panel reads the final
+    states off the panel.
     """
     if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
         raise ValueError("decision_jitter must be finite and >= 0, "
@@ -404,65 +480,90 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     noise_rng = np.random.default_rng([seed, 101])
     jitter_rng = np.random.default_rng([seed, 102])
     start = [economy.states[f] for f in ids]
-    # plain floats: numpy scalars would slow every later operation
-    revenue = [float(st.revenue) for st in start]
-    capital = [float(st.capital) for st in start]
-    labor = [float(st.labor) for st in start]
-    equity = [float(st.equity) for st in start]
+    params = [economy.params[f] for f in ids]
+    columns = ParamColumns(params)
     # revenue, capital, labor and equity of every firm in every period
     books = np.empty((4, n, T))
-    books[:, :, 0] = revenue, capital, labor, equity
+    books[:, :, 0] = ([st.revenue for st in start], [st.capital for st in start],
+                      [st.labor for st in start], [st.equity for st in start])
+    revenue, capital, labor, equity = books[:, :, 0].copy()
     floor_events: list[tuple[str, int]] = []
 
-    params = [economy.params[f] for f in ids]
-    # the customer table: row i is firm i's customers, in customers_of order
+    # the customer table's slots over the firms by falling degree: slot
+    # j holds the k and position of the j-th customer of each of the
+    # first count firms, those with more than j customers; rank maps a
+    # firm to its place in that order
     offsets, customers, strengths = network.customers
+    offsets = np.array(offsets, dtype=np.intp)
+    customers = np.array(customers, dtype=np.intp)
+    strengths = np.array(strengths, dtype=float)
+    degree = np.diff(offsets)
+    by_degree = np.argsort(-degree, kind="stable")
+    rank = np.argsort(by_degree)
+    slots = []
+    for j in range(int(degree.max(initial=0))):
+        rows = by_degree[:np.count_nonzero(degree > j)]
+        at = offsets[rows] + j
+        slots.append((len(rows), strengths[at], customers[at]))
     # growth ratio on the books; a firm flagged before the run pays
     # nothing in the first term, so its suppliers read a ratio of 0
-    growth = [0.0 if st.bankrupt else st.growth_ratio for st in start]
-    inf = math.inf
+    growth = np.array([0.0 if st.bankrupt else st.growth_ratio for st in start],
+                      dtype=float)
+    # the exponents of the term's four powers, and capital ** alpha and
+    # labor ** beta on the books once the first term has taken them
+    exponents = np.concatenate((columns.alpha, columns.beta) * 2)
+    powers = None
     for t in range(T - 1):
         # interactions use the growth already on the books; before the
         # first recorded ratio exists, next period's serves as a stand-in
         g_lag = macro.ratio(t) if t >= 1 else macro.ratio(1)
-        # a customer's coupling term is k * (its growth - GDP growth)
-        excess = [x - g_lag for x in growth]
-        shocks = (noise_rng.normal(size=n).tolist() if noise_on
-                  else [0.0] * n)
-        jit = jitter_rng.normal(size=(n, 2)).tolist()
-        new_revenue = [0.0] * n
-        new_capital = [0.0] * n
-        new_labor = [0.0] * n
-        new_equity = [0.0] * n
-        for i in range(n):
-            rev, cap, lab, p = revenue[i], capital[i], labor[i], params[i]
-            k_dec, l_dec = best_inputs(rev, cap, lab, p)
-            if not (0.0 < k_dec < inf and 0.0 < l_dec < inf):
-                InvestmentDecision(k_dec, l_dec)  # raises the decision's error
-            jk, jl = jit[i]
-            k_new = k_dec * math.exp(decision_jitter * jk)
-            l_new = l_dec * math.exp(decision_jitter * jl)
-            if not (0.0 < k_new < inf and 0.0 < l_new < inf):
-                InvestmentDecision(k_new, l_new)
+        shocks = noise_rng.normal(size=n) if noise_on else np.zeros(n)
+        jit = jitter_rng.normal(size=(n, 2))
+        with np.errstate(all="ignore"):
+            # a customer's coupling term is k * (its growth - GDP growth);
             # customer terms move the revenue booked, not the decision
-            cts = 0.0
-            for j in range(offsets[i], offsets[i + 1]):
-                cts += strengths[j] * excess[customers[j]]
-            rev_new, profit, floored = term_rule(
-                rev, cap, lab, p, k_new, l_new, cts, p.noise_sigma * shocks[i])
-            if floored:
-                floor_events.append((ids[i], t + 1))
-            eq_new = equity[i] + profit
-            if not (0.0 < rev_new < inf and 0.0 < rev < inf
-                    and -inf < eq_new < inf):
-                FirmState(rev_new, rev, k_new, l_new, eq_new)  # raises
-            growth[i] = rev_new / rev
-            new_revenue[i] = rev_new
-            new_capital[i] = k_new
-            new_labor[i] = l_new
-            new_equity[i] = eq_new
-        revenue, capital, labor, equity = (new_revenue, new_capital,
-                                           new_labor, new_equity)
+            excess = growth - g_lag
+            folded = np.zeros(n)
+            for count, k, cust in slots:
+                folded[:count] += k * excess[cust]
+            terms = folded[rank]
+            noise = columns.noise_sigma * shocks
+            failure = None
+            try:
+                k_dec, l_dec = best_input_columns(revenue, capital, labor,
+                                                  columns, powers=powers)
+                factors = libm(math.exp, decision_jitter * jit.ravel())
+                k_new = k_dec * factors[0::2]
+                l_new = l_dec * factors[1::2]
+                # term_fixed's powers: (K'/K)^alpha, (L'/L)^beta, K'^alpha, L'^beta
+                k_ratio, l_ratio, k_a, l_b = libm(pow, np.concatenate(
+                    (k_new / capital, l_new / labor, k_new, l_new)),
+                    exponents).reshape(4, n)
+                growth_term = k_ratio * l_ratio
+                material = columns.cost_coeff * k_a * l_b
+                rev_new = revenue * (growth_term + terms + noise)
+                floored = ~(rev_new > 0.0)
+                rev_new[floored] = REVENUE_FLOOR_FRAC * revenue[floored]
+                eq_new = equity + (rev_new - material
+                                   - columns.interest_rate * k_new - l_new)
+                # the decision, the applied inputs, the revenue before and
+                # after: finite and positive; the new equity finite
+                checked = np.array((k_dec, l_dec, k_new, l_new, rev_new, revenue))
+                fine = ((0.0 < checked) & (checked < math.inf)).all(axis=0)
+                suspects = (~(fine & np.isfinite(eq_new))).nonzero()[0]
+            except (ArithmeticError, ValueError) as exc:
+                failure, suspects = exc, range(n)
+        for i in suspects:
+            _check_step(*(float(col[i]) for col in (revenue, capital, labor,
+                                                    equity)),
+                        params[i], decision_jitter, float(jit[i, 0]),
+                        float(jit[i, 1]), float(terms[i]), float(noise[i]))
+        if failure is not None:
+            raise failure
+        floor_events += [(ids[i], t + 1) for i in floored.nonzero()[0].tolist()]
+        growth = rev_new / revenue
+        revenue, capital, labor, equity = rev_new, k_new, l_new, eq_new
+        powers = k_a, l_b
         books[:, :, t + 1] = revenue, capital, labor, equity
 
     revenue, capital, labor, equity = books

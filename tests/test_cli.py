@@ -193,6 +193,23 @@ class TestCalibrate:
             "field larger than field limit (131072)\n")
         assert not (out / "fit_report.json").exists()
 
+    def test_panel_not_utf8_fails_clean(self, tmp_path, capsys):
+        # the second data line's id starts with a byte UTF-8 never uses
+        data = gen_dir(tmp_path)
+        panel = data / "panel.csv"
+        lines = panel.read_bytes().split(b"\n")
+        lines[4] = b"\xff" + lines[4]
+        panel.write_bytes(b"\n".join(lines))
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(panel),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"chainsim: {panel} line 5: not UTF-8: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n")
+        assert not (out / "fit_report.json").exists()
+
     def test_histograms_regenerate_from_report(self, tmp_path):
         data = gen_dir(tmp_path)
         fit = tmp_path / "fit"
@@ -610,6 +627,18 @@ class TestFitReportShape:
         out = tmp_path / "out"
         assert run(self.command(name, paths, str(report), out)) == 2
         assert "fit report" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("name", ["cascade", "simulate", "report"])
+    def test_report_not_utf8_fails_clean(self, tmp_path, capsys, name):
+        paths = steady_chain_csvs(tmp_path)
+        report = tmp_path / "fit_report.json"
+        report.write_bytes(b'{"firms": {"\xff": {}}}')
+        out = tmp_path / "out"
+        assert run(self.command(name, paths, str(report), out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"chainsim: cannot read fit report {report}: ")
+        assert "can't decode byte 0xff" in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("name", ["cascade", "simulate", "report"])

@@ -242,6 +242,18 @@ class TestNetworkContract:
             assert dot == graphml == pairs
 
 
+    def test_strength_key_error_names_the_key(self):
+        net = TransactionNetwork(firms=("A", "B", "C"),
+                                 edges=(("A", "C", 0.5), ("B", "A", 0.25)))
+        assert net.strength("A", "C") == 0.5
+        for supplier, customer, key in (("A", "B", "B"), ("C", "A", "A"),
+                                        ("A", "?", "?"), ("?", "A", "?"),
+                                        ("?", "!", "?")):
+            with pytest.raises(KeyError) as caught:
+                net.strength(supplier, customer)
+            assert caught.value.args == (key,)
+
+
 class TestMacroSeries:
     def test_ratio(self):
         m = MacroSeries(gdp=(100.0, 102.0, 104.04))

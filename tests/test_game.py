@@ -21,15 +21,24 @@ from chainsim import (
     FirmParameters,
     FirmState,
     GameConfig,
+    GeneratorConfig,
     InvestmentDecision,
     PayoffContext,
     TransactionNetwork,
     best_response_closed_form,
+    economy_from_panel,
     expected_payoff,
+    forward_simulate,
+    generate_economy,
     nash_solve,
     steady_state_inputs,
 )
-from chainsim.game import best_inputs, best_response_ga
+from chainsim.game import (
+    ParamColumns,
+    best_input_columns,
+    best_inputs,
+    best_response_ga,
+)
 
 from conftest import make_chain, mismatched_chain_network
 
@@ -409,33 +418,109 @@ class TestBestInputs:
         want = eight_candidate_inputs(*problem)
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    @pytest.mark.parametrize("capital, labor, face", [
-        (10.0, 100.0, "K"),    # k* above the box, l* inside
-        (300.0, 100.0, "L"),   # l* below the box, k* inside
+    @pytest.mark.parametrize("capital, labor", [
+        (10.0, 100.0),    # k* above the box, l* inside
+        (300.0, 100.0),   # l* below the box, k* inside
     ])
-    def test_one_violated_face_is_answered_unpriced(self, monkeypatch,
-                                                    capital, labor, face):
-        class Unpriced(float):
-            def __pow__(self, other):
-                raise AssertionError("a candidate was priced")
-            __mul__ = __rmul__ = __sub__ = __rsub__ = __add__ = __pow__
+    def test_one_violated_face_ignores_pricing(self, monkeypatch, capital,
+                                               labor):
+        # pricing only decides between the candidates of two violated
+        # faces: with every price comparison turned round, a point past
+        # one face keeps its answer and one past both (books (1, 100)
+        # put k* and l* above the box) takes the other candidate
+        both = best_inputs(100.0, 1.0, 100.0, CONCAVE)
+        less = chainsim.game._less
+        monkeypatch.setattr(chainsim.game, "_less", lambda x, y: ~less(x, y))
 
-        built = []
-        edge_candidates = chainsim.game._edge_candidates
+        def no_fallback(*args):
+            raise AssertionError("a face-rule row fell back to every edge")
 
-        def spy(gamma, *args):
-            built.append(gamma)
-            return tuple(map(Unpriced, edge_candidates(gamma, *args)))
+        monkeypatch.setattr(chainsim.game, "_all_edges", no_fallback)
+        assert best_inputs(100.0, capital, labor, CONCAVE) == \
+            eight_candidate_inputs(100.0, capital, labor, CONCAVE,
+                                   GameConfig.decision_bounds)
+        assert best_inputs(100.0, 1.0, 100.0, CONCAVE) != both
 
-        monkeypatch.setattr(chainsim.game, "_edge_candidates", spy)
-        k, l = best_inputs(100.0, capital, labor, CONCAVE)
-        # only the violated face got a candidate: gamma is beta along a
-        # K-face, alpha along an L-face
-        assert built == [CONCAVE.beta if face == "K" else CONCAVE.alpha]
-        assert type(l if face == "K" else k) is Unpriced
-        monkeypatch.undo()
-        assert (k, l) == eight_candidate_inputs(100.0, capital, labor,
-                                                CONCAVE, GameConfig.decision_bounds)
+
+@st.composite
+def concave_rows(draw, bounds):
+    """concave_problems' books and parameters for a given box: the
+    unconstrained optimum near (x * capital, y * labor), inside the box,
+    past one face or two, or within a relative 1e-14 to 0.1 of a box
+    end."""
+    alpha = draw(st.floats(0.0005, 0.6))
+    beta = draw(st.floats(0.0005, 0.38))
+    rate = draw(st.floats(0.01, 0.3))
+    cost = draw(st.floats(0.0, 2.0))
+    capital = 10.0 ** draw(st.floats(-2.0, 2.0))
+    factor = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+    near_end = st.tuples(st.sampled_from(bounds), st.floats(-1.0, 1.0),
+                         st.floats(-14.0, -1.0)).map(
+        lambda t: t[0] * (1.0 + t[1] * 10.0 ** t[2]))
+    x = draw(st.one_of(factor, near_end))
+    y = draw(st.one_of(factor, near_end))
+    c = beta * rate / alpha
+    labor = c * x * capital / y
+    B = rate * (x * capital) ** (1.0 - alpha - beta) / (alpha * c ** beta)
+    revenue = (B + cost) * capital ** alpha * labor ** beta
+    return (revenue, capital, labor,
+            FirmParameters(alpha=alpha, beta=beta, cost_coeff=cost,
+                           interest_rate=rate))
+
+
+# books and parameters of test_matches_every_edge_priced's examples:
+# an overflowing first-order point, an overflowing b * r / alpha, a
+# candidate 4e-8 from a corner, elasticities near 1e-300, alpha + beta
+# 1.3e-14 below 1
+EXTREME_ROWS = [
+    (100.0, 1.0, 1.0, replace(CONCAVE, alpha=0.5, beta=0.49999999999999989)),
+    (1.2589254117941673, 1.0, 1.2589254117941673,
+     replace(CONCAVE, alpha=5e-324, beta=0.6, cost_coeff=5e-324)),
+    (0.30566802186640096, 1.0, 0.041666682947609605,
+     replace(CONCAVE, alpha=0.375, beta=0.0625, cost_coeff=0.0,
+             interest_rate=0.25)),
+    (1.0, 1.0, 1.0,
+     replace(CONCAVE, alpha=8.837809572010048e-301, beta=1e-20,
+             cost_coeff=0.0, interest_rate=8.837809572010048e-301)),
+    (0.00014452337494552943, 4.228025413505198e-05, 0.00010958621830965528,
+     replace(CONCAVE, alpha=0.6435169839369808, beta=0.35648301606300664,
+             cost_coeff=1.5186663542393262, interest_rate=0.3168366670442202)),
+]
+
+
+@st.composite
+def mixed_batches(draw):
+    """A box and a column of firms that mixes every regime of
+    best_input_columns: any_regime_problems' books and parameters,
+    concave_rows for that box, and the extreme rows. The box is drawn,
+    the default, or one ulp wide."""
+    bounds = draw(st.one_of(
+        st.tuples(st.floats(0.1, 1.0), st.floats(1.0, 10.0)),
+        st.just(GameConfig.decision_bounds),
+        st.just((0.9999999999999999, 1.0))))
+    rows = draw(st.lists(st.one_of(
+        any_regime_problems().map(lambda problem: problem[:4]),
+        concave_rows(bounds), st.sampled_from(EXTREME_ROWS)),
+        min_size=1, max_size=40))
+    return bounds, rows
+
+
+class TestBestInputColumns:
+    @given(mixed_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rows_and_every_edge_priced(self, batch):
+        # a mask that mixes up rows of different regimes shows only
+        # in a mixed column
+        bounds, rows = batch
+        books = [np.array(column) for column in list(zip(*rows))[:3]]
+        k, l = best_input_columns(*books, ParamColumns(p for *_, p in rows),
+                                  bounds)
+        for (revenue, capital, labor, p), got in zip(
+                rows, zip(k.tolist(), l.tolist())):
+            row = best_inputs(revenue, capital, labor, p, bounds)
+            want = eight_candidate_inputs(revenue, capital, labor, p, bounds)
+            assert ([x.hex() for x in got] == [x.hex() for x in row]
+                    == [x.hex() for x in want])
 
 
 class TestGeneticSearch:
@@ -617,3 +702,26 @@ class TestNash:
         eco, _, _ = make_chain()
         with pytest.raises(ValueError, match=f"firm {firm!r} is only in the"):
             nash_solve(eco, mismatched_chain_network(firm), 1.0)
+
+    def test_one_column_over_mixed_firms_matches_the_one_row_view(self):
+        # jittered books put firms inside, on faces and on edges of their
+        # boxes; four get a regime of their own and two are flagged
+        eco, net, macro = generate_economy(GeneratorConfig(n_firms=40, seed=8))
+        sim = forward_simulate(eco, net, macro, decision_jitter=0.8, seed=8)
+        eco = economy_from_panel(sim.panel, eco.params)
+        ids = eco.firm_ids
+        for f, changes in zip(ids[3:7], (dict(alpha=0.7, beta=0.6),
+                                         dict(interest_rate=0.0),
+                                         dict(alpha=0.0),
+                                         dict(cost_coeff=1e6))):
+            eco.params[f] = replace(eco.params[f], **changes)
+        for f in (ids[1], ids[20]):
+            eco.mark_bankrupt(f)
+        got = nash_solve(eco, net, 1.02).decisions
+        want = {f: InvestmentDecision(*best_inputs(
+                    st.revenue, st.capital, st.labor, eco.params[f]))
+                for f, st in sorted(eco.states.items()) if not st.bankrupt}
+        assert list(got) == list(want)
+        assert all((got[f].capital.hex(), got[f].labor.hex())
+                   == (want[f].capital.hex(), want[f].labor.hex())
+                   for f in want)

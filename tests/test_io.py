@@ -383,6 +383,22 @@ LIMIT = 131_072  # csv's default field size limit
 class TestLineReader:
     """What every loader reads: line numbers, quotes, NUL, long cells."""
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("good_lines", [0, 2000])
+    def test_byte_not_utf8_names_the_file_and_line(self, tmp_path, newline,
+                                                   good_lines):
+        # the bad byte sits on its own line, past the reader's first
+        # chunk when 2000 comment lines come before it
+        text = "# x\n" * good_lines + PANEL_TEXT
+        raw = text.replace("\n", newline).encode().replace(b"B,1,", b"B\xff,1,")
+        path = tmp_path / "panel.csv"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as caught:
+            load_panel(str(path))
+        assert str(caught.value) == (
+            f"{path} line {good_lines + 6}: not UTF-8: 'utf-8' codec can't "
+            "decode byte 0xff in position 1: invalid start byte")
+
     def test_lowest_line_wins_across_checks(self, tmp_path):
         # a bad number on line 3 is not hidden by a field count on line 5
         bad = (PANEL_TEXT.replace("A,1,104.0", "A,1,lots")

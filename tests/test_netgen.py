@@ -31,8 +31,8 @@ from chainsim import (
     steady_state_inputs,
 )
 from chainsim.econ import customer_terms_sum
-from chainsim.game import PayoffContext
-from chainsim.netgen import firm_ids
+from chainsim.game import ParamColumns, PayoffContext
+from chainsim.netgen import firm_ids, steady_state_columns
 
 from conftest import make_chain, mismatched_chain_network
 
@@ -326,6 +326,47 @@ class TestSteadyState:
             steady_state_inputs(flat, 100.0)
 
 
+@st.composite
+def steady_state_rows(draw):
+    """(alpha, beta, cost, rate, revenue) of one firm: test_early_stop's
+    ranges, a root at k = 1 (111 steps), or a revenue with no positive
+    root or none inside the bracket, where gap decides every midpoint."""
+    alpha = draw(st.floats(0.01, 0.6))
+    beta = draw(st.floats(0.01, 0.38))
+    cost = draw(st.floats(0.0, 2.0))
+    rate = draw(st.floats(1e-4, 0.5))
+    at_one = rate / alpha + cost * (beta * rate / alpha) ** beta
+    revenue = draw(st.one_of(
+        st.builds(lambda x: 10.0 ** x, st.floats(-30.0, 30.0)),
+        st.just(at_one),
+        st.sampled_from([0.0, -5.0, math.inf, math.nan, 1e-10, 1e15])))
+    return alpha, beta, cost, rate, revenue
+
+
+class TestSteadyStateColumns:
+    # rows that stop after different numbers of steps, and rows without
+    # a verified root, bisected together
+    @given(st.lists(steady_state_rows(), min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_match_rows_and_all_200_steps(self, rows):
+        params = [FirmParameters(alpha=a, beta=b, cost_coeff=c,
+                                 interest_rate=r) for a, b, c, r, _ in rows]
+        revenue = np.array([row[4] for row in rows])
+        k, l = steady_state_columns(ParamColumns(params), revenue)
+        got = list(zip(k.tolist(), l.tolist()))
+        for p, rev, kl in zip(params, revenue.tolist(), got):
+            assert kl == steady_state_inputs(p, rev) == _fixed_bisection(p, rev)
+
+    def test_a_bad_row_refuses_the_column(self):
+        good = FirmParameters(alpha=0.3, beta=0.3, cost_coeff=0.2,
+                              interest_rate=0.05)
+        bad = FirmParameters(alpha=0.6, beta=0.5, cost_coeff=0.2,
+                             interest_rate=0.05)
+        with pytest.raises(ValueError, match="alpha \\+ beta < 1"):
+            steady_state_columns(ParamColumns([good, bad]),
+                                 np.array([100.0, 100.0]))
+
+
 class TestForwardSimulate:
     @pytest.mark.parametrize("firm", ["C", "D"])
     def test_refuses_network_over_other_firms(self, firm):
@@ -606,6 +647,70 @@ class TestForwardSimulate:
         cfg = GeneratorConfig(n_firms=4, horizon=7, seed=2)
         _, _, macro, res = simulate_economy(cfg)
         assert res.panel.n_periods == 7 == len(macro)
+
+
+def _economy_with(books):
+    """The 6-firm seed-4 economy with the states of some firms changed,
+    keyed by position."""
+    eco, net, macro = generate_economy(GeneratorConfig(n_firms=6, seed=4))
+    for pos, changes in books.items():
+        f = eco.firm_ids[pos]
+        eco.states[f] = dataclasses.replace(eco.states[f], **changes)
+    return eco, net, macro
+
+
+# revenue 1e-300 puts B below 0, and the lower corner's labor (or
+# capital) underflows to 0.0
+_NO_LABOR = dict(revenue=1e-300, prev_revenue=1e-300, capital=1.0,
+                 labor=5e-324)
+_NO_CAPITAL = dict(revenue=1e-300, prev_revenue=1e-300, capital=5e-324,
+                   labor=1.0)
+
+
+class TestColumnarStepErrors:
+    """A period over columns fails as the firm-by-firm loop failed: the
+    lowest-indexed failing firm raises the error of its first failing
+    check, the decision, then the jittered inputs, then the state."""
+
+    @pytest.mark.parametrize("books, kwargs, error, message", [
+        # firms 2 and 4 both decide an input of 0.0
+        ({2: _NO_LABOR, 4: _NO_CAPITAL}, {}, ValueError,
+         "labor must be finite and > 0, got 0.0"),
+        # firm 3's lower-corner capital times exp(5 * 1.1) passes float
+        # range
+        ({3: dict(capital=1e307)}, dict(decision_jitter=5.0, seed=1),
+         ValueError, "capital must be finite and > 0, got inf"),
+        # firm 3's revenue and equity of 1.7e308 roll past float range
+        ({3: dict(revenue=1e307, prev_revenue=1e307 / 1.02, equity=1.7e308)},
+         dict(noise_on=False), ValueError, "equity must be finite, got inf"),
+        # a flagged firm 3 without capital makes K^alpha * L^beta 0, and
+        # the best response divides by it; firm 1 fails first
+        ({1: _NO_LABOR, 3: dict(capital=0.0, equity=-1.0, bankrupt=True)},
+         {}, ValueError, "labor must be finite and > 0, got 0.0"),
+        ({3: dict(capital=0.0, equity=-1.0, bankrupt=True)}, {},
+         ZeroDivisionError, "float division by zero"),
+    ])
+    def test_first_failing_firm_raises(self, books, kwargs, error, message):
+        eco, net, macro = _economy_with(books)
+        with pytest.raises(error, match=re.escape(message)):
+            forward_simulate(eco, net, macro, **kwargs)
+
+    def test_jitter_overflow_on_a_later_firm(self):
+        # with spread 1000, the jitter draws of firms 0 to 2 stay inside
+        # exp's range and firm 3's capital draw passes it
+        z = np.random.default_rng([135, 102]).normal(size=(6, 2))
+        assert np.all((-745.0 < 1000.0 * z[:3]) & (1000.0 * z[:3] < 709.0))
+        assert 1000.0 * z[3, 0] > 710.0
+        eco, net, macro = generate_economy(GeneratorConfig(n_firms=6, seed=4))
+        with pytest.raises(OverflowError, match="math range error"):
+            forward_simulate(eco, net, macro, decision_jitter=1000.0, seed=135)
+
+    def test_empty_economy(self):
+        eco = Economy(params={}, states={})
+        res = forward_simulate(eco, TransactionNetwork(firms=()),
+                               MacroSeries(gdp=(1.0, 1.1, 1.2)))
+        assert res.panel.revenue.shape == (0, 3)
+        assert res.floor_events == ()
 
 
 class TestEconomyFromPanel:

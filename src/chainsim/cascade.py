@@ -19,20 +19,26 @@ generation in which it fell; a survivor carries generations_run, since
 its last evaluation holds for every generation after it.
 
 Frozen books also fix every number of an evaluation but the flags. A
-CascadePlan prices them once per supplier, so an evaluation only sums
-its customers' live or dead terms and calls econ.term_close.
-run_cascade keeps one plan per network, weakly keyed, while its inputs
-stay the same objects.
+CascadePlan prices them once per supplier, indexed by the network's
+firm positions, and memoizes each supplier's outcome by its pattern:
+the dead flags of its customers, in customers_of order. The first
+evaluation of a pattern sums the live or dead terms and calls
+econ.term_close; every later one with the same pattern, in that run or
+another, looks the outcome up and does no arithmetic. The memo holds
+one entry per distinct pattern seen, at most 2^deg for a supplier of
+deg customers, and dies with the plan. run_cascade keeps one plan per
+network, weakly keyed, while its maps hold the same objects and its
+gdp_growth and policy equal values of the same types.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
-from operator import is_
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 from .econ import (
@@ -42,7 +48,6 @@ from .econ import (
     ZERO_REVENUE,
     POLICIES,
     bankrupt_interaction,
-    csr_row,
     interaction_term,
     is_bankrupt,
     shared_firm_ids,
@@ -140,12 +145,18 @@ class CascadePlan:
 
     Refuses decisions that lack a live firm of the economy, naming the
     first one; a flagged firm needs none. Holds copies of the three
-    maps, the flagged firms, the survivor template and the network's
-    firms, index and CSR tables, but not the network. price(firm), on
-    first use, fills books[firm]: term_close's first five arguments,
-    the beginning equity and one (customer, live term, dead term) per
-    customer in customers_of order. A flagged customer, dead in every
-    run, has no live term.
+    maps, the flagged firms' positions, a dead mask over positions with
+    them set, the survivor template and the network's firms, index and
+    CSR tables, but not the network. price(i), on first use, fills
+    books[i] for the firm at position i: an itemgetter that reads its
+    pattern off a dead mask, its outcome memo, term_close's first five
+    arguments, the beginning equity and one (customer position, live
+    term, dead term) per customer in customers_of order. A flagged
+    customer, dead in every run, has no live term. The memo maps a
+    pattern (the flag of a lone customer, else the tuple of flags) to
+    the five fields of an Evaluation after generation. It gains one
+    entry per distinct pattern met, at most 2^deg for deg customers,
+    and lives as long as the plan.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
@@ -161,12 +172,16 @@ class CascadePlan:
         self.decisions = dict(decisions)
         self.gdp_growth = gdp_growth
         self.policy = policy
-        self.flagged = frozenset(
-            f for f, st in self.states.items() if st.bankrupt)
-        self.survivors = dict.fromkeys(ids, REASON_NOT_REACHED)
         self.firms, self.index = network.firms, network.index
         self.customers, self.suppliers = network.customers, network.suppliers
-        self.books: dict[str, tuple] = {}
+        self.flagged = tuple(i for i, f in enumerate(ids)
+                             if self.states[f].bankrupt)
+        self.dead = bytearray(len(ids))
+        for i in self.flagged:
+            self.dead[i] = 1
+        self.survivors = {f: REASON_NOT_REACHED for f in ids
+                          if not self.states[f].bankrupt}
+        self.books: list[tuple | None] = [None] * len(ids)
         self._keys = tuple(map(tuple, (self.states, self.params,
                                        self.decisions)))
 
@@ -174,9 +189,12 @@ class CascadePlan:
                 decisions: Mapping[str, InvestmentDecision],
                 gdp_growth: float, policy: str) -> bool:
         """True while the maps hold equal keys in order and the very
-        value objects the plan was built from, and the scalars are the
-        same objects."""
-        if gdp_growth is not self.gdp_growth or policy is not self.policy:
+        value objects the plan was built from, and the scalars are of
+        the same types and equal."""
+        if (type(gdp_growth) is not type(self.gdp_growth)
+                or gdp_growth != self.gdp_growth
+                or type(policy) is not type(self.policy)
+                or policy != self.policy):
             return False
         held = (self.states, self.params, self.decisions)
         given = (economy.states, economy.params, decisions)
@@ -185,22 +203,28 @@ class CascadePlan:
                 return False
         return True
 
-    def price(self, firm: str) -> tuple:
-        """Price firm's frozen books into books[firm] and return them."""
+    def price(self, i: int) -> tuple:
+        """Price the frozen books of the firm at position i into
+        books[i], with an empty memo, and return them."""
+        firm = self.firms[i]
         st = self.states[firm]
         dec = self.decisions[firm]
         growth, cost, capital_charge = term_fixed(
             st.capital, st.labor, self.params[firm], dec.capital, dec.labor)
-        g, policy, states, flagged = (self.gdp_growth, self.policy,
-                                      self.states, self.flagged)
+        g, policy, states, firms, dead = (self.gdp_growth, self.policy,
+                                          self.states, self.firms, self.dead)
+        offsets, positions, ks = self.customers
+        row = slice(offsets[i], offsets[i + 1])
+        customers = positions[row]
         terms = tuple(
             (c,
-             None if c in flagged
-             else interaction_term(k, states[c].growth_ratio, g),
+             None if dead[c]
+             else interaction_term(k, states[firms[c]].growth_ratio, g),
              bankrupt_interaction(k, g, policy))
-            for c, k in csr_row(self.firms, self.customers, self.index[firm]))
-        books = self.books[firm] = (st.revenue, growth, cost, capital_charge,
-                                    dec.labor, st.equity, terms)
+            for c, k in zip(customers, ks[row]))
+        books = self.books[i] = (itemgetter(*customers), {}, st.revenue,
+                                 growth, cost, capital_charge, dec.labor,
+                                 st.equity, terms)
         return books
 
 
@@ -209,24 +233,24 @@ class CascadePlan:
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def evaluate_supplier(plan: CascadePlan, firm: str, generation: int,
-                      dead: Container[str]) -> Evaluation:
-    """One live supplier's end-of-term equity, from its planned books.
+def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
+                      dead: bytearray) -> Evaluation:
+    """The end-of-term equity of the priced supplier at position i.
 
-    Customers in dead enter through their dead terms, the others
-    through their live terms; dead must hold every firm flagged in the
-    plan. The terms are summed afresh, in customers_of order, for the
-    shocked and the baseline sum. Idempotent: depends only on dead and
-    the plan.
+    Customers set in dead, a mask over positions, enter through their
+    dead terms, the others through their live terms. The terms are
+    summed in customers_of order for the shocked and the baseline sum,
+    and term_close runs on each. Depends only on the plan and the
+    supplier's pattern, the flags of its customers in dead, so
+    propagate_step calls it once per pattern, on a memo miss, and keeps
+    its five fields after generation.
     """
-    books = plan.books.get(firm)
-    if books is None:
-        books = plan.price(firm)
-    revenue, growth, cost, capital_charge, labor, equity, terms = books
+    revenue, growth, cost, capital_charge, labor, equity, terms = (
+        plan.books[i][2:])
     shocked = 0.0
     baseline = 0.0
     for customer, live, lost in terms:
-        if customer in dead:
+        if dead[customer]:
             shocked += lost
         else:
             shocked += live
@@ -236,26 +260,41 @@ def evaluate_supplier(plan: CascadePlan, firm: str, generation: int,
     _, baseline_profit, _ = term_close(revenue, growth, cost, capital_charge,
                                        labor, baseline)
     equity_end = equity + shocked_profit
-    return _record((firm, generation, equity, shocked_profit, equity_end,
-                    baseline_profit, is_bankrupt(equity_end)))
+    return _record((plan.firms[i], generation, equity, shocked_profit,
+                    equity_end, baseline_profit, is_bankrupt(equity_end)))
 
 
 def propagate_step(plan: CascadePlan, generation: int,
-                   frontier: Iterable[str],
-                   dead: Container[str]) -> dict[str, Evaluation]:
+                   frontier: Iterable[int],
+                   dead: bytearray) -> list[tuple[int, tuple]]:
     """Evaluate every live supplier of a firm in the frontier.
 
-    frontier holds the firms whose flags changed since the last
-    generation; dead holds every firm dead so far, frontier included.
-    Returns the evaluations in firm order; dead is not changed here, so
-    the caller commits a whole generation at once.
+    frontier holds the positions whose flags changed since the last
+    generation; dead is the run's mask over positions, with frontier
+    and every flagged firm set. Returns (position, outcome) pairs in
+    position order, which is firm order. An outcome is the five fields
+    of an Evaluation after generation: looked up in the supplier's memo
+    by its pattern, or priced by evaluate_supplier on a miss. dead is
+    not changed here, so the caller commits a whole generation at once.
     """
-    firms, index = plan.firms, plan.index
     offsets, positions, _ = plan.suppliers
-    exposed = {firms[p] for i in map(index.__getitem__, frontier)
+    books = plan.books
+    exposed = {p for i in frontier
                for p in positions[offsets[i]:offsets[i + 1]]}
-    return {firm: evaluate_supplier(plan, firm, generation, dead)
-            for firm in sorted([s for s in exposed if s not in dead])}
+    step = []
+    for i in sorted(exposed):
+        if dead[i]:
+            continue
+        entry = books[i]
+        if entry is None:
+            entry = plan.price(i)
+        pattern, memo = entry[0](dead), entry[1]
+        outcome = memo.get(pattern)
+        if outcome is None:
+            outcome = memo[pattern] = evaluate_supplier(
+                plan, i, generation, dead)[2:]
+        step.append((i, outcome))
+    return step
 
 
 def run_cascade(economy: Economy, network: TransactionNetwork,
@@ -267,22 +306,24 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     Decisions are frozen at the pre-shock fixed point of the investment
     game unless supplied by the caller (observed next-period inputs
     slot in here). The input economy is not mutated: the flags of the
-    run live in a local set seeded with the triggers and the firms
-    flagged before it. Generation 1 evaluates the live suppliers of all
-    of those, each later generation the live suppliers of the firms
-    that fell in the one before. Terminates after at most one
-    generation per firm: every generation before the last turns at
-    least one firm. When max_generations stops the run, the next
-    generation is evaluated once, without committing it, and exhausted
-    says whether it would have turned anyone. A survivor's trace entry
-    carries generations_run; a fallen firm's, the generation it fell in.
-    seed changes no result; it stays for callers that pass one. A firm
+    run live in a copy of the plan's dead mask, seeded with the
+    triggers. Generation 1 evaluates the live suppliers of the
+    triggers and the firms flagged before the run, each later
+    generation the live suppliers of the firms that fell in the one
+    before. Terminates after at most one generation per firm: every
+    generation before the last turns at least one firm. When
+    max_generations stops the run, the next generation is evaluated
+    once, without committing it, and exhausted says whether it would
+    have turned anyone. A survivor's trace entry carries
+    generations_run; a fallen firm's, the generation it fell in. The
+    trace lists firms in the order of their first evaluation. seed
+    changes no result; it stays for callers that pass one. A firm
     flagged before the run needs no decision.
 
     The books come from a CascadePlan kept per network in a weak map,
-    so it dies with the network. A call reuses the plan while its
-    matches() holds and builds a new one otherwise, so any input may be
-    edited in place between calls.
+    so it dies with the network. A call reuses the plan, and its
+    outcome memos, while its matches() holds and builds a new one
+    otherwise, so any input may be edited in place between calls.
     """
     for f in config.trigger_firms:
         if f not in economy.params:
@@ -298,40 +339,47 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         plan = _plans[network] = CascadePlan(
             economy, network, decisions, config.gdp_growth, config.policy)
 
+    firms = plan.firms
     bankrupt = {f: 0 for f in config.trigger_firms}
-    dead = set(plan.flagged)
-    dead.update(bankrupt)
-    frontier = tuple(dead)
+    dead = plan.dead.copy()
+    frontier = [*plan.flagged, *map(plan.index.__getitem__, bankrupt)]
+    for i in frontier:
+        dead[i] = 1
 
     cap = config.max_generations
     if cap is None:
         cap = len(economy.params)
-    trace: dict[str, Evaluation] = {}
+    # position -> its last outcome, in order of first evaluation; the
+    # generation of its record is where it fell or generations_run
+    evaluated: dict[int, tuple] = {}
     generations_run = 0
     exhausted = False
     for generation in range(1, cap + 1):
-        evaluations = propagate_step(plan, generation, frontier, dead)
+        step = propagate_step(plan, generation, frontier, dead)
         generations_run = generation
-        trace.update(evaluations)
-        frontier = [f for f, ev in evaluations.items() if ev.went_bankrupt]
+        evaluated.update(step)
+        frontier = [i for i, outcome in step if outcome[-1]]
         if not frontier:
             break
-        dead.update(frontier)
-        for f in frontier:
-            bankrupt[f] = generation
+        for i in frontier:
+            dead[i] = 1
+            bankrupt[firms[i]] = generation
     else:
         ahead = propagate_step(plan, cap + 1, frontier, dead)
-        exhausted = any(ev.went_bankrupt for ev in ahead.values())
+        exhausted = any(outcome[-1] for _, outcome in ahead)
 
     survivors = plan.survivors.copy()
-    for f in dead:
+    for f in bankrupt:
         del survivors[f]
-    for f, ev in list(trace.items()):
-        if f in dead:
-            continue
-        survivors[f] = _survivor_reason(ev)
-        if ev.generation != generations_run:
-            trace[f] = _record((f, generations_run, *ev[2:]))
+    trace: dict[str, Evaluation] = {}
+    for i, outcome in evaluated.items():
+        f = firms[i]
+        fell = bankrupt.get(f)
+        if fell is None:
+            ev = trace[f] = _record((f, generations_run, *outcome))
+            survivors[f] = _survivor_reason(ev)
+        else:
+            trace[f] = _record((f, fell, *outcome))
     return CascadeResult(bankrupt=bankrupt, survivors=survivors,
                          equity_trace=trace, generations_run=generations_run,
                          exhausted=exhausted)

@@ -42,7 +42,7 @@ from chainsim import (
     run_cascade,
 )
 from chainsim import cascade
-from chainsim.econ import term_fixed
+from chainsim.econ import term_close, term_fixed
 
 from conftest import make_chain, mismatched_chain_network
 
@@ -536,6 +536,85 @@ class TestPlanReuse:
         assert len(priced) == 4
         assert priced[-1][3:] == (100.0, 75.0)
         assert edited.bankrupt == {"C": 0, "B": 1}
+
+    def test_prices_a_pattern_once_per_plan(self, monkeypatch):
+        # A supplies B and C; each pattern of dead customers A meets is
+        # closed once per plan, however many runs meet it again
+        closed = []
+
+        def counted(*args):
+            closed.append(args)
+            return term_close(*args)
+
+        monkeypatch.setattr(cascade, "term_close", counted)
+        eco, _, decisions = make_chain()
+        net = TransactionNetwork(firms=("A", "B", "C"),
+                                 edges=(("A", "B", 0.5), ("A", "C", 0.5)))
+
+        def run(*triggers):
+            return run_cascade(eco, net, CascadeConfig(trigger_firms=triggers),
+                               decisions=decisions)
+
+        run("B")
+        assert len(closed) == 2      # shocked and baseline sum of A's books
+        run("C")
+        assert len(closed) == 4      # a second pattern
+        first = run("B")
+        run("C")
+        assert len(closed) == 4      # both remembered
+        both = run("B", "C")
+        assert len(closed) == 6
+        assert both.bankrupt == {"B": 0, "C": 0, "A": 1}
+        assert first == run_cascade(
+            eco, TransactionNetwork(net.firms, net.edges()),
+            CascadeConfig(trigger_firms=("B",)), decisions=decisions)
+        assert len(closed) == 8      # a new network starts a new plan
+        # an edit in place starts an empty memo
+        decisions["A"] = InvestmentDecision(capital=100.0, labor=75.0)
+        run("B")
+        assert len(closed) == 10
+
+    def test_equal_growth_values_share_a_plan(self, monkeypatch):
+        # a caller recomputing the growth ratio passes a new float per
+        # call; equal values keep the plan, an int does not
+        priced = []
+
+        def counted(*args):
+            priced.append(args)
+            return term_fixed(*args)
+
+        monkeypatch.setattr(cascade, "term_fixed", counted)
+        eco, net, decisions = make_chain(equity_a=30.0)
+        g = 1.02
+        again = float(repr(g))
+        assert again == g and again is not g
+        first = run_cascade(eco, net, CascadeConfig(("C",), gdp_growth=g),
+                            decisions=decisions)
+        assert len(priced) == 2
+        assert run_cascade(eco, net, CascadeConfig(("C",), gdp_growth=again),
+                           decisions=decisions) == first
+        assert len(priced) == 2
+        run_cascade(eco, net, CascadeConfig(("C",), gdp_growth=1),
+                    decisions=decisions)
+        run_cascade(eco, net, CascadeConfig(("C",), gdp_growth=1.0),
+                    decisions=decisions)
+        assert len(priced) == 6
+
+    @given(drawn_scenarios())
+    @settings(max_examples=200, deadline=None)
+    def test_a_warm_plan_equals_a_cold_one(self, scenario):
+        # every live firm as the only trigger, in turn, fills the memo
+        # before the drawn triggers run on the same network
+        eco, net, decisions, config = scenario
+        for f in eco.firm_ids:
+            if not eco.states[f].bankrupt:
+                assert_equals_full_rescan(
+                    eco, net, decisions, replace(config, trigger_firms=(f,)))
+        warm = run_cascade(eco, net, config, decisions=decisions)
+        assert_equals_full_rescan(eco, net, decisions, config)
+        cold = run_cascade(eco, TransactionNetwork(net.firms, net.edges()),
+                           config, decisions=decisions)
+        assert repr(warm) == repr(cold)
 
     def test_plan_dies_with_its_network(self):
         # only this network's plan: others may outlive this test

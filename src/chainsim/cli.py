@@ -231,6 +231,8 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config, ("trigger", "policy", "max_generations",
                                           "gdp_ratio", "format", "seed"))
     panel, macro, network = _load_panel_bundle(args)
+    if panel.n_periods < 2:
+        raise CliError("panel needs two periods for the growth ratio")
     params = cio.load_params(args.params)
     if args.fit_report:
         params, network = _apply_fit_report(args.fit_report, params, network)
@@ -243,8 +245,11 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
         raise CliError("no trigger firms given (use --trigger)")
     policy = _pick(args.policy, cfg, "policy", ZERO_REVENUE)
     max_gen = _pick(args.max_generations, cfg, "max_generations", None)
-    gdp_growth = _number(_pick(args.gdp_ratio, cfg, "gdp_ratio",
-                               macro.ratio(len(macro) - 1)), "gdp_ratio")
+    if args.gdp_ratio is None and "gdp_ratio" not in cfg:
+        gdp_growth = macro.ratio(len(macro) - 1)
+    else:
+        gdp_growth = _number(_pick(args.gdp_ratio, cfg, "gdp_ratio", None),
+                             "gdp_ratio")
     formats = _pick(args.format, cfg, "format", FORMATS)
     if isinstance(formats, str):
         formats = [formats]

@@ -45,6 +45,9 @@ EDGE_MODELS = ("random", "scale-free")
 # GeneratorConfig fields that are (low, high) ranges of a uniform draw
 RANGES = ("alpha_range", "beta_range", "strength_range", "cost_coeff_range",
           "revenue_range", "equity_frac_range")
+# doubles of the random model's uniform stream drawn at once: whole rows,
+# at least one
+_DRAW_BLOCK = 2 ** 16
 
 
 def _finite_number(value) -> bool:
@@ -323,9 +326,13 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
     """Directed supplier->customer network under the configured model.
 
     random: every ordered pair gets an edge independently with
-    probability mean_out_degree/(n-1). scale-free: firms join one at a
-    time and pick customers among earlier firms preferentially by how
-    many suppliers those firms already have.
+    probability mean_out_degree/(n-1). The model reads one (n, n)
+    uniform stream in row order, but draws it in blocks of whole rows,
+    about _DRAW_BLOCK doubles each, so it holds O(block * n) of it at a
+    time rather than O(n^2); the edges' strengths follow in the stream.
+    scale-free: firms join one at a time and pick customers among
+    earlier firms preferentially by how many suppliers those firms
+    already have.
     """
     ids = firm_ids(config.n_firms)
     n = config.n_firms
@@ -333,12 +340,17 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
     if config.edge_model == "random":
         if n > 1:
             p = min(1.0, config.mean_out_degree / (n - 1))
-            hit = rng.random((n, n)) < p
-            np.fill_diagonal(hit, False)
-            rows, cols = np.nonzero(hit)
-            ks = rng.uniform(*config.strength_range, size=rows.size)
-            triples = [(ids[i], ids[j], float(k))
-                       for i, j, k in zip(rows, cols, ks)]
+            rows, cols = [], []
+            step = max(1, _DRAW_BLOCK // n)
+            for start in range(0, n, step):
+                hit = rng.random((min(step, n - start), n)) < p
+                np.fill_diagonal(hit[:, start:], False)
+                r, c = hit.nonzero()
+                rows += (r + start).tolist()
+                cols += c.tolist()
+            ks = rng.uniform(*config.strength_range, size=len(rows))
+            triples = [(ids[i], ids[j], k)
+                       for i, j, k in zip(rows, cols, ks.tolist())]
     else:  # scale-free
         m = max(1, round(config.mean_out_degree))
         in_deg = np.zeros(n)

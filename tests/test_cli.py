@@ -38,6 +38,18 @@ def put_long_cell(panel, quoted):
     panel.write_text("\n".join(lines))
 
 
+def keep_first_period(data):
+    """Cut a written panel and its GDP file down to their period 0."""
+    for name, column in (("panel.csv", 1), ("gdp.csv", 0)):
+        path = data / name
+        lines = path.read_text().splitlines(keepends=True)
+        header = next(i for i, line in enumerate(lines)
+                      if not line.startswith("#"))
+        path.write_text("".join(
+            line for i, line in enumerate(lines)
+            if i <= header or line.split(",")[column] == "0"))
+
+
 class TestGenerate:
     def test_writes_the_four_files(self, tmp_path, capsys):
         out = gen_dir(tmp_path)
@@ -776,3 +788,21 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == (f"chainsim: {data / 'panel.csv'} line 5: "
                                "field larger than field limit (131072)\n")
+
+    @pytest.mark.parametrize("extra", [[], ["--gdp-ratio", "1.0"]])
+    def test_one_period_cascade_exits_two_and_writes_nothing(self, tmp_path,
+                                                             extra):
+        data = tmp_path / "data"
+        assert self._run("generate", "--firms", "6", "--seed", "19",
+                         "--out-dir", str(data)).returncode == 0
+        keep_first_period(data)
+        out = tmp_path / "shock"
+        proc = self._run("cascade", "--panel", str(data / "panel.csv"),
+                         "--edges", str(data / "edges.csv"),
+                         "--gdp", str(data / "gdp.csv"),
+                         "--params", str(data / "params.csv"),
+                         "--trigger", "F0001", "--out-dir", str(out), *extra)
+        assert proc.returncode == 2
+        assert proc.stderr == ("chainsim: panel needs two periods for the "
+                               "growth ratio\n")
+        assert not out.exists() or not any(out.iterdir())

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,20 @@ def _redraw_with_uniform(config):
     return params, states, sorted(strengths)
 
 
+def _one_shot_random_draw(config, rng):
+    """The random model's triples drawn from one (n, n) uniform call, the
+    whole mask in memory at once."""
+    n = config.n_firms
+    if n < 2:
+        return []
+    ids = firm_ids(n)
+    hit = rng.random((n, n)) < min(1.0, config.mean_out_degree / (n - 1))
+    np.fill_diagonal(hit, False)
+    rows, cols = np.nonzero(hit)
+    ks = rng.uniform(*config.strength_range, size=rows.size)
+    return [(ids[i], ids[j], float(k)) for i, j, k in zip(rows, cols, ks)]
+
+
 def _bits(values):
     return [float(x).hex() for x in values]
 
@@ -200,6 +215,37 @@ class TestUniformDraws:
         got = sorted(net.edges())
         assert [e[:2] for e in got] == [e[:2] for e in strengths]
         assert _bits(e[2] for e in got) == _bits(e[2] for e in strengths)
+
+
+class TestRandomModelStream:
+    # with 2**16-double blocks, 256 firms fill one block exactly, 300
+    # split into 218 + 82 rows, and 1000 take 16 blocks of 65 rows (the
+    # last one 25); a degree of n - 1 or more makes p = 1
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("n,degree", [
+        (1, 2.0), (2, 2.0), (3, 2.0), (2, 0.0), (3, 0.0), (2, 1.0), (3, 5.0),
+        (256, 2.0), (300, 2.0), (1000, 2.0),
+        (300, 0.0), (256, 255.0), (300, 400.0),
+    ])
+    def test_blocks_read_the_one_shot_stream(self, n, degree, seed):
+        config = GeneratorConfig(n_firms=n, mean_out_degree=degree)
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = list(generate_network(config, rng).edges())
+        want = _one_shot_random_draw(config, oracle)
+        assert [e[:2] for e in got] == [e[:2] for e in want]
+        assert _bits(e[2] for e in got) == _bits(e[2] for e in want)
+        assert _bits([rng.random()]) == _bits([oracle.random()])
+
+    def test_draw_memory_stays_below_quadratic(self):
+        # one (3000, 3000) float64 draw alone is 72 MB
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            generate_network(GeneratorConfig(n_firms=3000), rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestNetworkGeneration:

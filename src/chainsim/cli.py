@@ -4,6 +4,12 @@ Every command validates its inputs before writing anything, writes
 each output atomically, and removes whatever it did write if a later
 step fails, so a nonzero exit never leaves partial results behind.
 Flags beat config-file values beat defaults.
+
+Each setting is checked once, by the library type that takes it
+(GeneratorConfig, FitOptions, CascadeConfig, economy_from_panel). The
+CLI checks only config files, generate's noise_on, the trigger and
+format names, cascade's gdp_ratio, the seeds that calibrate and
+cascade only echo, and fit reports.
 """
 
 from __future__ import annotations
@@ -37,14 +43,20 @@ class CliError(Exception):
 
 
 class _Outputs:
-    """Tracks written files so a failing command can take them back."""
+    """Writes a command's files into its out dir and tracks them, so a
+    failing command can take them back."""
 
-    def __init__(self) -> None:
+    def __init__(self, out_dir: str) -> None:
+        self.out_dir = out_dir
         self.paths: list[str] = []
 
-    def write(self, writer, path: str, *args, **kwargs) -> None:
-        writer(path, *args, **kwargs)
+    def write(self, name: str, writer, *args) -> str:
+        """writer(path, *args) for name in the out dir (made if missing)."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        writer(path, *args)
         self.paths.append(path)
+        return path
 
     def discard(self) -> None:
         for path in self.paths:
@@ -90,47 +102,49 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _integer(value, key: str) -> int:
-    """value itself, or a CliError unless it is an int (bools refused)."""
-    if type(value) is not int:
+def _integer(value, key: str) -> int | None:
+    """value itself, or a CliError unless it is an int or None (no bools)."""
+    if value is not None and type(value) is not int:
         raise CliError(f"{key} must be an integer, got {value!r}")
     return value
 
 
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
+def _names(value, key: str) -> list[str]:
+    """A name as a one-name list, a list of names as it is; anything
+    else is a CliError naming key."""
+    if isinstance(value, str):
+        return [value]
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(v, str) for v in value)):
+        raise CliError(f"{key} must be a name or a list of names, "
+                       f"got {value!r}")
+    return list(value)
 
 
 def _cmd_generate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(
         args.config,
         [f.name for f in dataclasses.fields(GeneratorConfig)] + ["noise_on"])
-    noise_on = cfg.get("noise_on", True)
+    noise_on = cfg.pop("noise_on", True)
     if not isinstance(noise_on, bool):
         raise CliError(f"noise_on must be true or false, got {noise_on!r}")
     noise_on = noise_on and not args.no_noise
-    values = {k: v for k, v in cfg.items() if k != "noise_on"}
-    for key, cli_value in (("n_firms", args.firms),
-                           ("horizon", args.horizon),
-                           ("edge_model", args.edge_model),
-                           ("mean_out_degree", args.mean_out_degree),
-                           ("seed", args.seed)):
-        if cli_value is not None:
-            values[key] = cli_value
+    for key in ("n_firms", "horizon", "edge_model", "mean_out_degree", "seed"):
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
     try:
-        gen = GeneratorConfig(**values)
+        gen = GeneratorConfig(**cfg)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad generator config: {exc}") from None
 
     economy, network, macro, result = simulate_economy(gen, noise_on=noise_on)
     echo = dataclasses.asdict(gen)
     echo["noise_on"] = noise_on
-    _ensure_out_dir(args.out_dir)
-    join = lambda name: os.path.join(args.out_dir, name)
-    out.write(cio.write_panel, join("panel.csv"), result.panel, echo, gen.seed)
-    out.write(cio.write_edges, join("edges.csv"), network, echo, gen.seed)
-    out.write(cio.write_gdp, join("gdp.csv"), macro, echo, gen.seed)
-    out.write(cio.write_params, join("params.csv"), economy.params, echo, gen.seed)
+    for name, writer, rows in (("panel.csv", cio.write_panel, result.panel),
+                               ("edges.csv", cio.write_edges, network),
+                               ("gdp.csv", cio.write_gdp, macro),
+                               ("params.csv", cio.write_params, economy.params)):
+        out.write(name, writer, rows, echo, gen.seed)
     print(f"generated {gen.n_firms} firms, {network.n_edges()} edges, "
           f"{gen.horizon} periods -> {args.out_dir} "
           f"({len(result.floor_events)} revenue floor events)")
@@ -147,19 +161,20 @@ def _load_panel_bundle(args) -> tuple:
 
 def _cmd_calibrate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config, ("tol", "max_iter", "seed"))
-    tol = _number(_pick(args.tol, cfg, "tol", FitOptions.tol), "tol")
-    max_iter = _pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter)
-    seed = _pick(args.seed, cfg, "seed", None)
-    if seed is not None:
-        _integer(seed, "seed")
-    options = FitOptions(tol=tol, max_iter=max_iter)
+    options = FitOptions(
+        tol=_pick(args.tol, cfg, "tol", FitOptions.tol),
+        max_iter=_pick(args.max_iter, cfg, "max_iter", FitOptions.max_iter))
+    seed = _integer(_pick(args.seed, cfg, "seed", None), "seed")
     panel, _, network = _load_panel_bundle(args)
     report = fit_all(panel, network, options)
+    if not report.results:
+        fid, reason = next(iter(report.failures.items()))
+        raise CliError(f"no firm could be fitted ({len(report.failures)} "
+                       f"failures; firm {fid!r}: {reason})")
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
-            "tol": tol, "max_iter": max_iter}
-    _ensure_out_dir(args.out_dir)
-    path = os.path.join(args.out_dir, "fit_report.json")
-    out.write(cio.export_fit_report, path, report, echo, seed)
+            "tol": float(options.tol), "max_iter": options.max_iter}
+    path = out.write("fit_report.json", cio.export_fit_report, report, echo,
+                     seed)
     n_stuck = sum(not r.converged for r in report.results.values())
     print(f"calibrated {len(report.results)} firms "
           f"({len(report.failures)} failures, {n_stuck} not converged) "
@@ -227,20 +242,21 @@ def _apply_fit_report(path: str, params: dict, network):
     return new_params, network.with_strengths(overrides)
 
 
-def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
-    cfg = _load_config_file(args.config, ("trigger", "policy", "max_generations",
-                                          "gdp_ratio", "format", "seed"))
+def _load_economy(args) -> tuple:
+    """The panel bundle, the params with any fit report laid over them,
+    and the economy read off the panel's last two periods."""
     panel, macro, network = _load_panel_bundle(args)
-    if panel.n_periods < 2:
-        raise CliError("panel needs two periods for the growth ratio")
     params = cio.load_params(args.params)
     if args.fit_report:
         params, network = _apply_fit_report(args.fit_report, params, network)
-    triggers = args.trigger or cfg.get("trigger") or []
-    if isinstance(triggers, str):
-        triggers = [triggers]
-    if not (isinstance(triggers, list) and all(isinstance(t, str) for t in triggers)):
-        raise CliError(f"trigger must be a firm id or a list of ids, got {triggers!r}")
+    return panel, macro, network, economy_from_panel(panel, params)
+
+
+def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
+    cfg = _load_config_file(args.config, ("trigger", "policy", "max_generations",
+                                          "gdp_ratio", "format", "seed"))
+    _, macro, network, economy = _load_economy(args)
+    triggers = _names(args.trigger or cfg.get("trigger") or [], "trigger")
     if not triggers:
         raise CliError("no trigger firms given (use --trigger)")
     policy = _pick(args.policy, cfg, "policy", ZERO_REVENUE)
@@ -250,51 +266,32 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     else:
         gdp_growth = _number(_pick(args.gdp_ratio, cfg, "gdp_ratio", None),
                              "gdp_ratio")
-    formats = _pick(args.format, cfg, "format", FORMATS)
-    if isinstance(formats, str):
-        formats = [formats]
-    if not (isinstance(formats, (list, tuple)) and formats
-            and all(isinstance(f, str) for f in formats)):
-        raise CliError("format must be a format name or a non-empty list "
-                       f"of them, got {formats!r}")
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise CliError(f"unknown format {fmt!r}")
-    seed = _pick(args.seed, cfg, "seed", None)
-    if seed is not None:
-        _integer(seed, "seed")
-    economy = economy_from_panel(panel, params)
-    try:
-        config = CascadeConfig(
-            trigger_firms=tuple(triggers),
-            gdp_growth=gdp_growth,
-            policy=policy,
-            max_generations=max_gen,
-        )
-        result = run_cascade(economy, network, config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    formats = _names(_pick(args.format, cfg, "format", FORMATS), "format")
+    if not formats or not set(formats) <= set(FORMATS):
+        raise CliError(f"format must name one or more of {FORMATS}, "
+                       f"got {formats!r}")
+    seed = _integer(_pick(args.seed, cfg, "seed", None), "seed")
+    config = CascadeConfig(
+        trigger_firms=tuple(triggers),
+        gdp_growth=gdp_growth,
+        policy=policy,
+        max_generations=max_gen,
+    )
+    result = run_cascade(economy, network, config)
+    money_flow = not args.product_flow
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
             "params": args.params, "fit_report": args.fit_report,
             "trigger": sorted(triggers), "policy": policy,
             "gdp_ratio": gdp_growth,
             "max_generations": max_gen,
-            "money_flow": not args.product_flow}
-    _ensure_out_dir(args.out_dir)
-    money_flow = not args.product_flow
-    written = []
-    if "json" in formats:
-        path = os.path.join(args.out_dir, "cascade.json")
-        out.write(cio.export_cascade, path, result, echo, seed)
-        written.append(path)
-    if "dot" in formats:
-        path = os.path.join(args.out_dir, "network.dot")
-        out.write(cio.export_network_dot, path, network, result, money_flow)
-        written.append(path)
-    if "graphml" in formats:
-        path = os.path.join(args.out_dir, "network.graphml")
-        out.write(cio.export_network_graphml, path, network, result, money_flow)
-        written.append(path)
+            "money_flow": money_flow}
+    written = [out.write(name, writer, *rows) for fmt, name, writer, rows in (
+        ("json", "cascade.json", cio.export_cascade, (result, echo, seed)),
+        ("dot", "network.dot", cio.export_network_dot,
+         (network, result, money_flow)),
+        ("graphml", "network.graphml", cio.export_network_graphml,
+         (network, result, money_flow)),
+    ) if fmt in formats]
     print(f"cascade: {len(result.bankrupt)} bankrupt over "
           f"{result.generations_run} generations -> {' '.join(written)}")
     return 0
@@ -303,53 +300,39 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
 def _cmd_simulate(args: argparse.Namespace, out: _Outputs) -> int:
     cfg = _load_config_file(args.config, ("horizon", "seed", "decision_jitter",
                                           "gdp_growth", "gdp_volatility"))
-    horizon = _integer(_pick(args.horizon, cfg, "horizon", 11), "horizon")
-    if horizon < 3:
-        raise CliError("horizon must be >= 3")
-    seed = _integer(_pick(args.seed, cfg, "seed", 0), "seed")
-    if seed < 0:
-        # generate's message; numpy's own does not name the seed
-        raise CliError(f"seed must be an int >= 0, got {seed!r}")
-    jitter = _number(_pick(args.decision_jitter, cfg, "decision_jitter", 0.0),
-                     "decision_jitter")
-    panel, macro, network = _load_panel_bundle(args)
-    params = cio.load_params(args.params)
-    if args.fit_report:
-        params, network = _apply_fit_report(args.fit_report, params, network)
+    panel, macro, network, economy = _load_economy(args)
     ratios = [macro.ratio(t) for t in range(1, len(macro))]
-    growth = _number(_pick(args.gdp_growth, cfg, "gdp_growth",
-                           np.mean(ratios) - 1.0 if ratios else 0.02),
-                     "gdp_growth")
-    vol = _number(_pick(args.gdp_volatility, cfg, "gdp_volatility",
-                        np.std(ratios) if ratios else 0.0),
-                  "gdp_volatility")
-    economy = economy_from_panel(panel, params)
-
-    drawn = generate_gdp(
-        GeneratorConfig(horizon=horizon, gdp_start=macro.gdp[-1],
-                        gdp_growth=growth, gdp_volatility=vol),
-        np.random.default_rng([seed, 7]))
+    gen = GeneratorConfig(
+        horizon=_pick(args.horizon, cfg, "horizon", 11),
+        seed=_pick(args.seed, cfg, "seed", 0),
+        decision_jitter=_pick(args.decision_jitter, cfg, "decision_jitter",
+                              0.0),
+        gdp_start=macro.gdp[-1],
+        gdp_growth=_pick(args.gdp_growth, cfg, "gdp_growth",
+                         float(np.mean(ratios) - 1.0)),
+        gdp_volatility=_pick(args.gdp_volatility, cfg, "gdp_volatility",
+                             float(np.std(ratios))))
+    jitter = float(gen.decision_jitter)
     start = panel.periods[-1]
+    drawn = generate_gdp(gen, np.random.default_rng([gen.seed, 7]))
     future = MacroSeries(gdp=drawn.gdp,
-                         periods=tuple(range(start, start + horizon)))
+                         periods=tuple(range(start, start + gen.horizon)))
     result = forward_simulate(
         economy, network, future,
         noise_on=not args.no_noise,
         decision_jitter=jitter,
-        seed=seed,
+        seed=gen.seed,
     )
     echo = {"panel": args.panel, "edges": args.edges, "gdp": args.gdp,
             "params": args.params, "fit_report": args.fit_report,
-            "horizon": horizon, "gdp_growth": growth,
-            "gdp_volatility": vol, "decision_jitter": jitter,
-            "noise_on": not args.no_noise}
-    _ensure_out_dir(args.out_dir)
-    panel_path = os.path.join(args.out_dir, "panel_sim.csv")
-    gdp_path = os.path.join(args.out_dir, "gdp_sim.csv")
-    out.write(cio.write_panel, panel_path, result.panel, echo, seed)
-    out.write(cio.write_gdp, gdp_path, future, echo, seed)
-    print(f"simulated {horizon} periods for {len(panel.firm_ids)} firms -> "
-          f"{panel_path} ({len(result.floor_events)} revenue floor events)")
+            "horizon": gen.horizon, "gdp_growth": float(gen.gdp_growth),
+            "gdp_volatility": float(gen.gdp_volatility),
+            "decision_jitter": jitter, "noise_on": not args.no_noise}
+    path = out.write("panel_sim.csv", cio.write_panel, result.panel, echo,
+                     gen.seed)
+    out.write("gdp_sim.csv", cio.write_gdp, future, echo, gen.seed)
+    print(f"simulated {gen.horizon} periods for {len(panel.firm_ids)} firms "
+          f"-> {path} ({len(result.floor_events)} revenue floor events)")
     return 0
 
 
@@ -368,10 +351,8 @@ def _cmd_report(args: argparse.Namespace, out: _Outputs) -> int:
         "n_failures": len(report.get("failures", {})),
         "histograms": histograms,
     }
-    _ensure_out_dir(args.out_dir)
-    path = os.path.join(args.out_dir, "histograms.json")
-    out.write(cio._atomic_write_text, path,
-              json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path = out.write("histograms.json", cio._atomic_write_text,
+                     json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"report for {len(firms)} firms -> {path}")
     return 0
 
@@ -382,34 +363,39 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate, calibrate and stress firm transaction networks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="draw a synthetic economy and panel")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--firms", type=int)
+    def command(name, func, summary, panel=False, params=False):
+        """A subcommand with a required --out-dir; panel adds the
+        required --panel, --edges and --gdp, params the required
+        --params and an optional --fit-report."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--out-dir", required=True)
+        if panel:
+            for flag in ("--panel", "--edges", "--gdp"):
+                p.add_argument(flag, required=True)
+        if params:
+            p.add_argument("--params", required=True)
+            p.add_argument("--fit-report")
+        return p
+
+    p = command("generate", _cmd_generate, "draw a synthetic economy and panel")
+    p.add_argument("--firms", type=int, dest="n_firms", metavar="FIRMS")
     p.add_argument("--horizon", type=int)
     p.add_argument("--edge-model", choices=("random", "scale-free"))
     p.add_argument("--mean-out-degree", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--no-noise", action="store_true")
     p.add_argument("--config")
-    p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("calibrate", help="fit firm parameters from a panel")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--gdp", required=True)
-    p.add_argument("--out-dir", required=True)
+    p = command("calibrate", _cmd_calibrate,
+                "fit firm parameters from a panel", panel=True)
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
-    p.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("cascade", help="propagate bankruptcies from triggers")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--gdp", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--fit-report")
+    p = command("cascade", _cmd_cascade,
+                "propagate bankruptcies from triggers", panel=True, params=True)
     p.add_argument("--trigger", action="append")
     p.add_argument("--policy", choices=POLICIES)
     p.add_argument("--max-generations", type=int)
@@ -417,39 +403,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", action="append", choices=FORMATS)
     p.add_argument("--product-flow", action="store_true",
                    help="orient exports along product flow instead of money flow")
-    p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int,
                    help="echoed into cascade.json; changes no result")
     p.add_argument("--config")
-    p.set_defaults(func=_cmd_cascade)
 
-    p = sub.add_parser("simulate", help="roll a calibrated economy forward")
-    p.add_argument("--panel", required=True)
-    p.add_argument("--edges", required=True)
-    p.add_argument("--gdp", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--fit-report")
+    p = command("simulate", _cmd_simulate,
+                "roll a calibrated economy forward", panel=True, params=True)
     p.add_argument("--horizon", type=int)
     p.add_argument("--gdp-growth", type=float)
     p.add_argument("--gdp-volatility", type=float)
     p.add_argument("--decision-jitter", type=float)
     p.add_argument("--no-noise", action="store_true")
-    p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("report", help="histogram summary of a fit report")
+    p = command("report", _cmd_report, "histogram summary of a fit report")
     p.add_argument("--fit-report", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _Outputs()
+    out = _Outputs(args.out_dir)
     try:
         return args.func(args, out)
     except (CliError, cio.FormatError, ValueError, OSError) as exc:

@@ -471,17 +471,16 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     through math.exp, term_fixed's and term_close's arithmetic in their
     order, the floor and the equity roll, each row getting the floats
     the scalar rule gives it (game's module docstring). The customer
-    terms are a left fold over degree slots: slot j adds the term of
-    each firm's j-th customer, in customers_of order, to the firms that
-    have more than j. Each period writes its four columns into the
-    (4, n_firms, T) books array, whose planes become the panel's
-    revenue, capital, labor and equity arrays; floor events come in
-    firm order within a period. Where a row fails a check, or an
-    operation raises, the step of each firm in turn is replayed on
-    floats (_check_step), so the error is the one the lowest-indexed
-    failing firm raises, as InvestmentDecision and FirmState raise it;
-    neither is built otherwise. economy_from_panel reads the final
-    states off the panel.
+    terms are one np.bincount of the customer table's terms by
+    supplier, which adds each firm's terms in customers_of order. Each
+    period writes its four columns into the (4, n_firms, T) books
+    array, whose planes become the panel's revenue, capital, labor and
+    equity arrays; floor events come in firm order within a period.
+    Where a row fails a check, or an operation raises, the step of each
+    firm in turn is replayed on floats (_check_step), so the error is
+    the one the lowest-indexed failing firm raises, as
+    InvestmentDecision and FirmState raise it; neither is built
+    otherwise. economy_from_panel reads the final states off the panel.
     """
     if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
         raise ValueError("decision_jitter must be finite and >= 0, "
@@ -501,22 +500,12 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     revenue, capital, labor, equity = books[:, :, 0].copy()
     floor_events: list[tuple[str, int]] = []
 
-    # the customer table's slots over the firms by falling degree: slot
-    # j holds the k and position of the j-th customer of each of the
-    # first count firms, those with more than j customers; rank maps a
-    # firm to its place in that order
+    # the customer table with each entry's supplier position: bincount
+    # adds its weights in input order, which is customers_of order
     offsets, customers, strengths = network.customers
-    offsets = np.array(offsets, dtype=np.intp)
     customers = np.array(customers, dtype=np.intp)
     strengths = np.array(strengths, dtype=float)
-    degree = np.diff(offsets)
-    by_degree = np.argsort(-degree, kind="stable")
-    rank = np.argsort(by_degree)
-    slots = []
-    for j in range(int(degree.max(initial=0))):
-        rows = by_degree[:np.count_nonzero(degree > j)]
-        at = offsets[rows] + j
-        slots.append((len(rows), strengths[at], customers[at]))
+    owner = np.repeat(np.arange(n), np.diff(offsets))
     # growth ratio on the books; a firm flagged before the run pays
     # nothing in the first term, so its suppliers read a ratio of 0
     growth = np.array([0.0 if st.bankrupt else st.growth_ratio for st in start],
@@ -535,10 +524,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
             # a customer's coupling term is k * (its growth - GDP growth);
             # customer terms move the revenue booked, not the decision
             excess = growth - g_lag
-            folded = np.zeros(n)
-            for count, k, cust in slots:
-                folded[:count] += k * excess[cust]
-            terms = folded[rank]
+            terms = np.bincount(owner, strengths * excess[customers],
+                                minlength=n)
             noise = columns.noise_sigma * shocks
             failure = None
             try:

@@ -38,8 +38,9 @@ def put_long_cell(panel, quoted):
     panel.write_text("\n".join(lines))
 
 
-def keep_first_period(data):
-    """Cut a written panel and its GDP file down to their period 0."""
+def keep_first_period(data, periods=1):
+    """Cut a written panel and its GDP file down to their first periods,
+    period 0 alone by default."""
     for name, column in (("panel.csv", 1), ("gdp.csv", 0)):
         path = data / name
         lines = path.read_text().splitlines(keepends=True)
@@ -47,7 +48,14 @@ def keep_first_period(data):
                       if not line.startswith("#"))
         path.write_text("".join(
             line for i, line in enumerate(lines)
-            if i <= header or line.split(",")[column] == "0"))
+            if i <= header or int(line.split(",")[column]) < periods))
+
+
+def config_echo(path):
+    """The object of a written CSV's '# config: ' line."""
+    line = next(line for line in path.read_text().splitlines()
+                if line.startswith("# config: "))
+    return json.loads(line[len("# config: "):])
 
 
 class TestGenerate:
@@ -221,6 +229,34 @@ class TestCalibrate:
             f"chainsim: {panel} line 5: not UTF-8: 'utf-8' codec can't "
             "decode byte 0xff in position 0: invalid start byte\n")
         assert not (out / "fit_report.json").exists()
+
+    @pytest.mark.parametrize("periods", [1, 2])
+    def test_panel_no_firm_can_be_fitted_on_fails_clean(self, tmp_path,
+                                                        capsys, periods):
+        # it exited 0 with a report of "calibrated 0 firms (6 failures)"
+        data = gen_dir(tmp_path)
+        keep_first_period(data, periods)
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "chainsim: no firm could be fitted (6 failures; firm 'F0000': "
+            f"need at least 3 periods, got {periods})\n")
+        assert not out.exists()
+
+    def test_integer_tol_from_config_echoes_as_a_float(self, tmp_path):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "calibrate_cfg.json"
+        cfg.write_text(json.dumps({"tol": 1}))
+        out = tmp_path / "fit"
+        assert run(["calibrate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert repr(report["config"]["tol"]) == "1.0"
 
     def test_histograms_regenerate_from_report(self, tmp_path):
         data = gen_dir(tmp_path)
@@ -552,6 +588,21 @@ class TestSimulate:
                     "--out-dir", str(out), "--config", str(cfg)]) == 2
         assert "'horizn'" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_integer_config_numbers_echo_as_floats(self, tmp_path):
+        data = gen_dir(tmp_path)
+        cfg = tmp_path / "simulate_cfg.json"
+        keys = ("gdp_growth", "decision_jitter", "gdp_volatility")
+        cfg.write_text(json.dumps(dict.fromkeys(keys, 0)))
+        out = tmp_path / "fwd"
+        assert run(["simulate", "--panel", str(data / "panel.csv"),
+                    "--edges", str(data / "edges.csv"),
+                    "--gdp", str(data / "gdp.csv"),
+                    "--params", str(data / "params.csv"),
+                    "--out-dir", str(out), "--config", str(cfg)]) == 0
+        for name in ("panel_sim.csv", "gdp_sim.csv"):
+            echo = config_echo(out / name)
+            assert [repr(echo[key]) for key in keys] == ["0.0"] * 3
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_fails_clean(self, tmp_path, capsys, source):

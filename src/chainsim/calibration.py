@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econ import TransactionNetwork
+from .econ import TransactionNetwork, finite_number
 
 # A residual at position t needs periods t-1, t and t+1, so a panel of
 # T periods yields T-2 usable residuals, at positions 1 .. T-2.
@@ -187,8 +187,7 @@ class FitOptions:
 
     def __post_init__(self) -> None:
         tol = self.tol
-        if (isinstance(tol, bool) or not isinstance(tol, (int, float))
-                or not (math.isfinite(tol) and tol > 0.0)):
+        if not (finite_number(tol) and tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {tol!r}")
         if type(self.max_iter) is not int:  # no bools
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")

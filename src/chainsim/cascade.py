@@ -33,7 +33,6 @@ gdp_growth and policy equal values of the same types.
 
 from __future__ import annotations
 
-import math
 import weakref
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from .econ import (
     ZERO_REVENUE,
     POLICIES,
     bankrupt_interaction,
+    finite_number,
     interaction_term,
     is_bankrupt,
     shared_firm_ids,
@@ -87,8 +87,7 @@ class CascadeConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         g = self.gdp_growth
-        if not (isinstance(g, (int, float)) and not isinstance(g, bool)
-                and math.isfinite(g) and g > 0.0):
+        if not (finite_number(g) and g > 0.0):
             raise ValueError(f"gdp_growth must be finite and > 0, got {g!r}")
         cap = self.max_generations
         if cap is not None and (type(cap) is not int or cap < 0):  # no bools

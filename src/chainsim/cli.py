@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -26,7 +25,8 @@ import numpy as np
 from . import io as cio
 from .calibration import ELASTICITY_BOUNDS, FitOptions, fit_all, _histograms
 from .cascade import CascadeConfig, run_cascade
-from .econ import MacroSeries, POLICIES, ZERO_REVENUE
+from .econ import (FirmParameters, MacroSeries, POLICIES, ZERO_REVENUE,
+                   finite_number)
 from .netgen import (
     GeneratorConfig,
     economy_from_panel,
@@ -92,13 +92,13 @@ def _pick(cli_value, cfg: dict, key: str, default):
 
 
 def _number(value, key: str) -> float:
-    """float(value), or a CliError unless value is an int or a float.
-
-    Flags arrive as floats already; a config bool or numeric string is
-    refused, not read as 1.0 or parsed.
+    """float(value), or a CliError unless value is a float or an int
+    within float range. Flags arrive as floats already; a config bool or
+    numeric string is refused, not read as 1.0 or parsed.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"{key} must be a number, got {value!r}")
+    if not (finite_number(value) or isinstance(value, float)):
+        raise CliError(f"{key} must be a number within float range, "
+                       f"got {value!r}")
     return float(value)
 
 
@@ -202,18 +202,11 @@ def _read_fit_report(path: str) -> dict:
                        "and, if any, of failures")
     for fid, rec in firms.items():
         strengths = rec.get("strengths", {}) if isinstance(rec, dict) else None
-        if not (isinstance(strengths, dict)
-                and all(type(v) in (int, float)  # bools are not numbers here
-                        for v in (rec.get("alpha"), rec.get("beta"),
-                                  rec.get("average_error"),
-                                  *strengths.values()))):
-            raise CliError(f"fit report {path}: firm {fid!r} needs numeric "
-                           "alpha, beta, average_error and strengths")
-        if not all(math.isfinite(v) for v in (rec["alpha"], rec["beta"],
-                                              rec["average_error"],
-                                              *strengths.values())):
-            raise CliError(f"fit report {path}: firm {fid!r} has a "
-                           "non-finite value")
+        if not (isinstance(strengths, dict) and all(map(finite_number, (
+                rec.get("alpha"), rec.get("beta"), rec.get("average_error"),
+                *strengths.values())))):
+            raise CliError(f"fit report {path}: firm {fid!r} needs finite "
+                           "numeric alpha, beta, average_error and strengths")
         lo, hi = ELASTICITY_BOUNDS
         if not (lo <= rec["alpha"] <= hi and lo <= rec["beta"] <= hi):
             raise CliError(f"fit report {path}: firm {fid!r} has alpha or "
@@ -230,8 +223,10 @@ def _apply_fit_report(path: str, params: dict, network):
         if fid not in new_params:
             raise CliError(f"fit report {path}: firm {fid!r} is not in "
                            "the params")
-        new_params[fid] = dataclasses.replace(
-            new_params[fid], alpha=float(rec["alpha"]), beta=float(rec["beta"]))
+        p = new_params[fid]
+        new_params[fid] = FirmParameters(float(rec["alpha"]), float(rec["beta"]),
+                                         p.cost_coeff, p.interest_rate,
+                                         p.noise_sigma)
         for cid, k in rec.get("strengths", {}).items():
             try:
                 network.strength(fid, cid)

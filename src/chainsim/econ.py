@@ -22,6 +22,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import repeat
+
+import numpy as np
 
 # Treatment of a bankrupt customer inside the interaction term.
 ZERO_REVENUE = "zero-revenue"  # customer growth ratio read as 0.0
@@ -107,31 +110,39 @@ class TransactionNetwork:
 
     Product flows supplier -> customer; money flows the opposite way.
     At most one edge per ordered pair, no self-loops, endpoints must be
-    declared firms. Built once as two read-only CSR tables over the
-    sorted firms: customers and its transpose suppliers, each a tuple
-    (offsets, positions, k) of tuples. Row i, firm i's neighbours, is
-    positions[offsets[i]:offsets[i + 1]] in ascending order, with their
-    k in the same slots. index maps an id to its position in firms.
+    declared firms, k finite: each checked over all edges at once, a
+    fault naming the first bad edge. Built once, each by one sort of
+    row * n + column keys, as two read-only CSR tables over the sorted
+    firms: customers and its transpose suppliers, each a tuple (offsets,
+    positions, k) of Python ints and floats. Row i, firm i's neighbours,
+    is positions[offsets[i]:offsets[i + 1]] in ascending order, with
+    their k in the same slots. index maps an id to its position in firms.
     """
 
     def __init__(self, firms, edges=()) -> None:
         self.firms = tuple(sorted(set(firms)))
         self.index = index = {f: i for i, f in enumerate(self.firms)}
         n = len(self.firms)
-        links: dict[int, float] = {}  # k by supplier * n + customer
-        for supplier, customer, k in edges:
-            if supplier not in index or customer not in index:
-                raise ValueError(f"edge ({supplier!r}, {customer!r}) references unknown firm")
-            if supplier == customer:
-                raise ValueError(f"self-loop on {supplier!r}")
-            key = index[supplier] * n + index[customer]
-            if key in links:
-                raise ValueError(f"duplicate edge ({supplier!r}, {customer!r})")
-            if not math.isfinite(k):
-                raise ValueError(f"edge ({supplier!r}, {customer!r}) has non-finite k")
-            links[key] = float(k)
-        self.customers = _csr(links, n)
-        self.suppliers = _csr({key % n * n + key // n: k for key, k in links.items()}, n)
+        suppliers, customers, ks = tuple(zip(*edges)) or ((), (), ())
+        row, column = (np.array(list(map(index.get, ids, repeat(-1))), np.int64)
+                       for ids in (suppliers, customers))
+        key = row * n + column
+        # each check's first bad edge, in the order an edge is checked; an
+        # unknown firm's -1 cannot make a bad key before its own edge
+        faults = [(i, message) for i, message in (
+            (first_true((row < 0) | (column < 0)),
+             "edge ({!r}, {!r}) references unknown firm"),
+            (first_true(row == column), "self-loop on {!r}"),
+            (first_repeat(key.tolist()), "duplicate edge ({!r}, {!r})"),
+            (first_true(~np.fromiter(map(is_finite, ks), bool, len(ks))),
+             "edge ({!r}, {!r}) has non-finite k"),
+        ) if i is not None]
+        if faults:
+            i, message = min(faults, key=lambda fault: fault[0])
+            raise ValueError(message.format(suppliers[i], customers[i]))
+        strength = np.array(ks, float)
+        self.customers = _csr(row, column, strength, n)
+        self.suppliers = _csr(column, row, strength, n)
 
     def n_edges(self) -> int:
         return len(self.customers[1])
@@ -167,11 +178,38 @@ class TransactionNetwork:
             (s, c, overrides.get((s, c), k)) for s, c, k in self.edges()))
 
 
-def _csr(links: dict[int, float], n: int) -> tuple:
-    """(offsets, positions, k) of links keyed row * n + position."""
-    keys = sorted(links)
-    return (tuple(bisect_left(keys, i * n) for i in range(n + 1)),
-            tuple(key % n for key in keys), tuple(map(links.__getitem__, keys)))
+def _csr(rows: np.ndarray, positions: np.ndarray, ks: np.ndarray, n: int) -> tuple:
+    """(offsets, positions, k) as tuples, the entries sorted by row, then position."""
+    order = np.argsort(rows * n + positions)
+    return ((0, *np.bincount(rows, minlength=n).cumsum().tolist()),
+            tuple(positions[order].tolist()), tuple(ks[order].tolist()))
+
+
+def first_true(mask: np.ndarray) -> int | None:
+    """Index of the first True in a boolean array, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def first_repeat(keys: list) -> int | None:
+    """Index of the first key equal to an earlier one, or None."""
+    if len(set(keys)) == len(keys):
+        return None
+    seen = {}
+    return next(i for i, key in enumerate(keys) if seen.setdefault(key, i) != i)
+
+
+def is_finite(value) -> bool:
+    """math.isfinite(value), False for an int beyond float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def finite_number(value) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and is_finite(value))
 
 
 def csr_row(firms: tuple[str, ...], table: tuple, i: int) -> tuple:

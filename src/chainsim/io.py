@@ -2,21 +2,22 @@
 
 All writers are atomic (temp file then rename) and deterministic:
 sorted keys, fixed field order, floats via repr so a written file loads
-back bit-identically. All four loaders read through one line reader:
-it skips blank lines and '#' comments (the writers put the config echo
-there), splits a quote-free line on ',' and hands a line holding '"' to
-csv alone. Every rejection cites the offending line number. load_panel
-parses and checks whole columns, not rows, then scatters the values
-into its (firm, period) grid.
+back bit-identically. All four loaders read through one table reader:
+it reads the file at once, skips blank lines and '#' comments (the
+writers put the config echo there) and splits every data line with
+one split when all are quote-free and of the header's width; otherwise
+line by line, handing a line holding '"' to csv alone. Each loader
+parses and checks whole columns, not rows, and every rejection cites
+the line of the lowest faulty row.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
+import itertools
 import json
-import math
+import operator
 import os
 import tempfile
 
@@ -24,7 +25,8 @@ import numpy as np
 
 from .calibration import CalibrationReport, PanelSeries
 from .cascade import CascadeResult
-from .econ import FirmParameters, MacroSeries, TransactionNetwork, csr_edges
+from .econ import (FirmParameters, MacroSeries, TransactionNetwork, csr_edges,
+                   first_repeat, first_true)
 
 PANEL_HEADER = ["firm_id", "period", "revenue", "capital", "labor", "equity"]
 EDGES_HEADER = ["supplier_id", "customer_id", "k"]
@@ -50,12 +52,18 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _csv_cells(path: str, lineno: int, line: str) -> list[str]:
-    """A line holding '"', read by csv on its own, so an unclosed quote
-    ends at the line's end.
+def _cells(path: str, lineno: int, line: str, limit: int) -> list[str]:
+    """A line's unstripped cells, none longer than limit. A line holding
+    '"' is read by csv on its own, so an unclosed quote ends at the
+    line's end; others are split on ',', which reads them as csv does.
 
     csv before Python 3.11 refuses NUL, so a NUL stands in as a
     character the line lacks while csv reads it."""
+    if '"' not in line:
+        if len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit:
+            raise FormatError(f"{path} line {lineno}: field larger than "
+                              f"field limit ({limit})")
+        return line.split(",")
     nul = "\x00" in line
     if nul:
         stand_in = next(c for c in map(chr, range(0xE000, 0x110000))
@@ -68,149 +76,126 @@ def _csv_cells(path: str, lineno: int, line: str) -> list[str]:
     return [cell.replace(stand_in, "\x00") for cell in cells] if nul else cells
 
 
-@contextlib.contextmanager
-def _numbered_lines(path: str):
-    """The 1-based line numbers and lines of a UTF-8 text file, read
-    with newline="". A byte that is not UTF-8 is a FormatError naming
-    the first line that holds one."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            yield enumerate(fh, start=1)
-        except UnicodeDecodeError:
-            pass
-        else:
-            return
+def _lines(path: str) -> list[str]:
+    """The lines of a UTF-8 file, read with newline="", so only '\\n',
+    '\\r\\n' and '\\r' end one. A byte that is not UTF-8 is a FormatError
+    naming the first line that holds one."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        pass
     with open(path, "rb") as fh:
-        lines = fh.read().splitlines()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path} line {lineno}: not UTF-8: {exc}") from None
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path} line {lineno}: not UTF-8: {exc}") from None
     raise FormatError(f"{path}: not UTF-8")
 
 
-def _read_table(path: str, header: list[str], allow_extra: bool = False
-                ) -> tuple[list[int], list[list[str]]]:
-    """The 1-based line numbers and unstripped cells of the data lines.
+def _read_table(path: str, header: list[str], wrong_count: str,
+                allow_extra: bool = False) -> tuple[list[int], list, list]:
+    """(linenos, columns, faults) of the data lines.
 
-    One pass over the file, whose iteration with newline="" sets the
-    line numbers (_numbered_lines). Blank and '#' lines are skipped, and
-    the first other line must be the header. A line without '"' is split
-    on ',', which reads it as csv does; csv's field size limit holds on
-    both paths.
+    Blank and '#' lines are skipped; the first other line must be the
+    header. linenos holds each data line's number, columns one list of
+    unstripped cells per header name. They stop before the first row
+    with a wrong cell count (not len(header), or fewer when allow_extra
+    lets rows carry more), which faults cites by wrong_count formatted
+    with the count. If every line is quote-free, within csv's field
+    size limit and, past the header, of len(header) cells, one split
+    reads them all; otherwise _cells reads each line.
     """
-    limit = csv.field_size_limit()
-    linenos, rows = [], []
-    with _numbered_lines(path) as lines:
-        for lineno, line in lines:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if '"' in line:
-                cells = _csv_cells(path, lineno, line)
-            else:
-                cells = line.split(",")
-                if len(line) > limit and max(
-                        map(len, line.rstrip("\r\n").split(","))) > limit:
-                    raise FormatError(f"{path} line {lineno}: field larger "
-                                      f"than field limit ({limit})")
-            linenos.append(lineno)
-            rows.append(cells)
-    if not rows:
+    lines = _lines(path)
+    kept = [i for i, text in enumerate(map(str.strip, lines))
+            if text and text[0] != "#"]
+    if not kept:
         raise FormatError(f"{path}: no data rows")
-    cells = [cell.strip() for cell in rows[0]]
-    names = [cell.lower() for cell in cells]
-    if not (names[: len(header)] == header if allow_extra else names == header):
+    rows = [lines[i] for i in kept]
+    linenos = [i + 1 for i in kept]
+    del lines, kept  # rows alone holds the lines now; it goes before the split
+    limit, width, faults = csv.field_size_limit(), len(header), []
+    if (max(map(len, rows)) <= limit and '"' not in "".join(rows)
+            and list(map(str.count, rows, itertools.repeat(",")))[1:].count(
+                width - 1) == len(rows) - 1):
+        names, text = rows[0].split(","), ",".join(rows[1:])
+        del rows
+        flat = text.split(",") if text else []
+        del text
+        columns = [flat[c::width] for c in range(width)]
+    else:
+        table = [_cells(path, n, row, limit) for n, row in zip(linenos, rows)]
+        names = table.pop(0)
+        for j, cells in enumerate(table):
+            if len(cells) < width or len(cells) > width and not allow_extra:
+                faults, table = [(j, wrong_count.format(len(cells)))], table[:j]
+                break
+        columns = [list(column) for column in zip(
+            *(cells[:width] for cells in table))] or [[] for _ in header]
+    names = [cell.strip() for cell in names]
+    lowered = [cell.lower() for cell in names]
+    if not (lowered[:width] == header if allow_extra else lowered == header):
         raise FormatError(
             f"{path} line {linenos[0]}: expected header {','.join(header)}, "
-            f"got {','.join(cells)}")
-    return linenos[1:], rows[1:]
+            f"got {','.join(names)}")
+    return linenos[1:], columns, faults
 
 
-def _stripped(rows):
-    return ([cell.strip() for cell in row] for row in rows)
-
-
-def _parse_float(path: str, lineno: int, name: str, raw: str) -> float:
+def _column(cells: list[str], name: str, faults: list, parse=float) -> np.ndarray:
+    """parse over cells up to the first it refuses, which goes to faults,
+    and for floats then the first non-finite value. int and float ignore
+    the whitespace str.strip drops but '\\x1c'-'\\x1f', so cells are
+    stripped only once the whole column fails."""
+    dtype = float if parse is float else object
     try:
-        value = float(raw)
-    except ValueError:
-        raise FormatError(
-            f"{path} line {lineno}: {name} is not a number: {raw!r}") from None
-    if not math.isfinite(value):
-        raise FormatError(f"{path} line {lineno}: {name} is not finite")
-    return value
-
-
-def _parse_int(path: str, lineno: int, name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise FormatError(
-            f"{path} line {lineno}: {name} is not an integer: {raw!r}") from None
-
-
-def _parse_column(parse, cells: list[str], dtype) -> np.ndarray:
-    """parse over cells, stopping short at the first cell it refuses."""
-    try:
-        return np.fromiter(map(parse, cells), dtype, len(cells))
+        values = np.fromiter(map(parse, cells), dtype, len(cells))
     except ValueError:
         values = []
-        for raw in cells:
+        for raw in map(str.strip, cells):
             try:
                 values.append(parse(raw))
             except ValueError:
+                kind = "a number" if parse is float else "an integer"
+                faults.append((len(values), f"{name} is not {kind}: {raw!r}"))
                 break
-        return np.array(values, dtype)
+        values = np.array(values, dtype)
+    i = first_true(~np.isfinite(values)) if parse is float else None
+    if i is not None:
+        faults.append((i, f"{name} is not finite"))
+    return values
 
 
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first True in a boolean array, or None."""
-    return int(mask.argmax()) if mask.any() else None
+def _refuse(path: str, linenos: list[int], faults: list) -> None:
+    """A FormatError citing the lowest row in faults, (row, message)
+    pairs in each row's check order, if there is one."""
+    if faults:
+        row, message = min(faults, key=lambda fault: fault[0])
+        raise FormatError(f"{path} line {linenos[row]}: {message}")
 
 
 def load_panel(path: str) -> PanelSeries:
     """Read a firm panel CSV (firm_id,period,revenue,capital,labor,equity).
 
     Revenue, capital and labor must be positive in every row; periods
-    must line up across firms. The cells are parsed and checked a whole
-    column at a time, then scattered into the (firm, period) grid. A
-    fault cites the lowest faulty line and, within it, the first failing
-    check of: field count, empty firm_id, period, each of revenue,
-    capital, labor and equity parsed then finite, revenue, capital and
-    labor > 0, and a duplicate (firm, period).
+    must line up across firms. Checked by column, then scattered into
+    the (firm, period) grid; a fault cites the lowest faulty line and,
+    within it, the first failing check of: field count, empty firm_id,
+    period, each of revenue, capital, labor and equity parsed then
+    finite, revenue, capital and labor > 0, and a duplicate (firm, period).
     """
-    linenos, rows = _read_table(path, PANEL_HEADER)
-    if not rows:
+    linenos, (fid_cells, period_cells, *value_cells), faults = _read_table(
+        path, PANEL_HEADER, f"expected {len(PANEL_HEADER)} fields, got {{}}")
+    if not linenos:
         raise FormatError(f"{path}: no data rows")
-    width = len(PANEL_HEADER)
-    faults = []  # (row, message), each row's checks in order
-    n = _first(np.fromiter(map(len, rows), np.intp, len(rows)) != width)
-    if n is not None:
-        faults.append((n, f"expected {width} fields, got {len(rows[n])}"))
-        rows = rows[:n]  # no check reads past the first wrong field count
-    fids, period_cells, *value_cells = (
-        [list(map(str.strip, column)) for column in zip(*rows)]
-        or [[]] * width)
+    fids = list(map(str.strip, fid_cells))
     if "" in fids:
         faults.append((fids.index(""), "empty firm_id"))
-    periods = _parse_column(int, period_cells, object)
-    if len(periods) < len(period_cells):
-        raw = period_cells[len(periods)]
-        faults.append((len(periods), f"period is not an integer: {raw!r}"))
-    columns = []
-    for name, cells in zip(PANEL_HEADER[2:], value_cells):
-        values = _parse_column(float, cells, float)
-        if len(values) < len(cells):
-            raw = cells[len(values)]
-            faults.append((len(values), f"{name} is not a number: {raw!r}"))
-        i = _first(~np.isfinite(values))
-        if i is not None:
-            faults.append((i, f"{name} is not finite"))
-        columns.append(values)
+    periods = _column(period_cells, "period", faults, int)
+    columns = [_column(cells, name, faults)
+               for name, cells in zip(PANEL_HEADER[2:], value_cells)]
     for name, values in zip(PANEL_HEADER[2:5], columns):
-        i = _first(values <= 0.0)
+        i = first_true(values <= 0.0)
         if i is not None:
             faults.append((i, f"{name} must be > 0, got {float(values[i])!r}"))
 
@@ -223,20 +208,16 @@ def load_panel(path: str) -> PanelSeries:
                         np.intp, len(keyed)) * len(labels)
             + np.fromiter(map(column_of.__getitem__, periods),
                           np.intp, len(periods)))
-    repeat = np.ones(len(cell), bool)  # the rows an earlier row covers
-    repeat[np.unique(cell, return_index=True)[1]] = False
-    i = _first(repeat)
+    i = first_repeat(cell.tolist())
     if i is not None:
         faults.append((i, f"duplicate period {periods[i]} for firm {fids[i]!r}"))
-    if faults:
-        row, message = min(faults, key=lambda fault: fault[0])
-        raise FormatError(f"{path} line {linenos[row]}: {message}")
+    _refuse(path, linenos, faults)
 
     shape = (len(ids), len(labels))
     if len(cell) != shape[0] * shape[1]:  # some firm misses a period
         have = np.zeros(shape, bool)
         have.flat[cell] = True
-        r = _first((have != have[0]).any(axis=1))
+        r = first_true((have != have[0]).any(axis=1))
 
         def covered(row):
             return tuple(p for p, h in zip(labels, have[row].tolist()) if h)
@@ -254,23 +235,26 @@ def load_panel(path: str) -> PanelSeries:
 
 
 def load_gdp(path: str) -> MacroSeries:
-    """Read a GDP series CSV (period,gdp), optional trailing label column."""
-    linenos, rows = _read_table(path, GDP_HEADER, allow_extra=True)
-    seen: dict[int, float] = {}
-    for lineno, row in zip(linenos, _stripped(rows)):
-        if len(row) < 2:
-            raise FormatError(f"{path} line {lineno}: expected period,gdp")
-        period = _parse_int(path, lineno, "period", row[0])
-        value = _parse_float(path, lineno, "gdp", row[1])
-        if value <= 0.0:
-            raise FormatError(f"{path} line {lineno}: gdp must be > 0")
-        if period in seen:
-            raise FormatError(f"{path} line {lineno}: duplicate period {period}")
-        seen[period] = value
-    if not seen:
+    """Read a GDP series CSV (period,gdp), optional trailing label column.
+    Checked by column as load_panel is, in the order: field count,
+    period, gdp parsed, finite and > 0, and a duplicate period."""
+    linenos, (period_cells, gdp_cells), faults = _read_table(
+        path, GDP_HEADER, "expected period,gdp", allow_extra=True)
+    periods = _column(period_cells, "period", faults, int).tolist()
+    values = _column(gdp_cells, "gdp", faults)
+    i = first_true(values <= 0.0)
+    if i is not None:
+        faults.append((i, "gdp must be > 0"))
+    i = first_repeat(periods)
+    if i is not None:
+        faults.append((i, f"duplicate period {periods[i]}"))
+    _refuse(path, linenos, faults)
+    if not periods:
         raise FormatError(f"{path}: no data rows")
-    periods = tuple(sorted(seen))
-    return MacroSeries(gdp=tuple(seen[p] for p in periods), periods=periods)
+    seen = dict(zip(periods, values.tolist()))
+    labels = sorted(seen)
+    return MacroSeries(gdp=tuple(map(seen.__getitem__, labels)),
+                       periods=tuple(labels))
 
 
 def attach_gdp(panel: PanelSeries, macro: MacroSeries) -> PanelSeries:
@@ -283,51 +267,53 @@ def attach_gdp(panel: PanelSeries, macro: MacroSeries) -> PanelSeries:
 
 
 def load_edges(path: str, firms) -> TransactionNetwork:
-    """Read an edge list CSV (supplier_id,customer_id,k) onto known firms."""
-    linenos, rows = _read_table(path, EDGES_HEADER)
+    """Read an edge list CSV (supplier_id,customer_id,k) onto known firms.
+    Checked by column as load_panel is, in the order: field count,
+    supplier_id and customer_id among firms, self-loop, duplicate edge,
+    and k parsed then finite."""
+    linenos, (supplier_cells, customer_cells, k_cells), faults = _read_table(
+        path, EDGES_HEADER, "expected supplier_id,customer_id,k")
+    suppliers = list(map(str.strip, supplier_cells))
+    customers = list(map(str.strip, customer_cells))
     known = set(firms)
-    triples = []
-    seen = set()
-    for lineno, row in zip(linenos, _stripped(rows)):
-        if len(row) != 3:
-            raise FormatError(
-                f"{path} line {lineno}: expected supplier_id,customer_id,k")
-        supplier, customer = row[0], row[1]
-        for name, fid in (("supplier_id", supplier), ("customer_id", customer)):
-            if fid not in known:
-                raise FormatError(
-                    f"{path} line {lineno}: {name} {fid!r} not in the panel")
-        if supplier == customer:
-            raise FormatError(
-                f"{path} line {lineno}: self-loop on {supplier!r}")
-        if (supplier, customer) in seen:
-            raise FormatError(
-                f"{path} line {lineno}: duplicate edge "
-                f"{supplier!r} -> {customer!r}")
-        seen.add((supplier, customer))
-        triples.append((supplier, customer,
-                        _parse_float(path, lineno, "k", row[2])))
-    return TransactionNetwork(firms, triples)
+    for name, ids in (("supplier_id", suppliers), ("customer_id", customers)):
+        if not known.issuperset(ids):
+            i = next(i for i, fid in enumerate(ids) if fid not in known)
+            faults.append((i, f"{name} {ids[i]!r} not in the panel"))
+    i = first_true(np.fromiter(map(operator.eq, suppliers, customers), bool,
+                               len(suppliers)))
+    if i is not None:
+        faults.append((i, f"self-loop on {suppliers[i]!r}"))
+    i = first_repeat(list(zip(suppliers, customers)))
+    if i is not None:
+        faults.append((i, f"duplicate edge {suppliers[i]!r} -> {customers[i]!r}"))
+    strengths = _column(k_cells, "k", faults)
+    _refuse(path, linenos, faults)
+    return TransactionNetwork(firms, zip(suppliers, customers, strengths.tolist()))
 
 
 def load_params(path: str) -> dict[str, FirmParameters]:
-    """Read per-firm parameters CSV."""
-    linenos, rows = _read_table(path, PARAMS_HEADER)
-    out: dict[str, FirmParameters] = {}
-    for lineno, row in zip(linenos, _stripped(rows)):
-        if len(row) != len(PARAMS_HEADER):
-            raise FormatError(
-                f"{path} line {lineno}: expected {len(PARAMS_HEADER)} fields")
-        fid = row[0]
-        if fid in out:
-            raise FormatError(f"{path} line {lineno}: duplicate firm {fid!r}")
-        values = [_parse_float(path, lineno, name, raw)
-                  for name, raw in zip(PARAMS_HEADER[1:], row[1:])]
+    """Read per-firm parameters CSV. Checked by column as load_panel is,
+    in the order: field count, duplicate firm, each value parsed then
+    finite, and the values FirmParameters refuses."""
+    linenos, (fid_cells, *value_cells), faults = _read_table(
+        path, PARAMS_HEADER, f"expected {len(PARAMS_HEADER)} fields")
+    fids = list(map(str.strip, fid_cells))
+    i = first_repeat(fids)
+    if i is not None:
+        faults.append((i, f"duplicate firm {fids[i]!r}"))
+    columns = [_column(cells, name, faults)
+               for name, cells in zip(PARAMS_HEADER[1:], value_cells)]
+    rows = min(map(len, columns))  # the rows every value parsed on
+    i = first_true((np.column_stack([values[:rows] for values in columns])
+                    < 0.0).any(axis=1))
+    if i is not None:
         try:
-            out[fid] = FirmParameters(*values)
+            FirmParameters(*(float(values[i]) for values in columns))
         except ValueError as exc:
-            raise FormatError(f"{path} line {lineno}: {exc}") from None
-    return out
+            faults.append((i, str(exc)))
+    _refuse(path, linenos, faults)
+    return dict(zip(fids, map(FirmParameters, *(v.tolist() for v in columns))))
 
 
 def _write_csv(path: str, header: list[str], lines,
@@ -395,23 +381,10 @@ def write_params(path: str, params: dict[str, FirmParameters],
 def fit_report_payload(report: CalibrationReport,
                        config_echo: dict | None = None,
                        seed: int | None = None) -> dict:
-    firms = {}
-    for fid, r in report.results.items():
-        firms[fid] = {
-            "alpha": r.alpha,
-            "beta": r.beta,
-            "strengths": r.strengths,
-            "sigma": r.sigma,
-            "sse": r.sse,
-            "average_error": r.average_error,
-            "iterations": r.iterations,
-            "converged": r.converged,
-            "degenerate": r.degenerate,
-        }
     return {
         "config": config_echo or {},
         "seed": seed,
-        "firms": firms,
+        "firms": {fid: dict(vars(r)) for fid, r in report.results.items()},
         "failures": report.failures,
         "histograms": report.histograms,
     }

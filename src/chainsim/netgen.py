@@ -31,6 +31,7 @@ from .econ import (
     REVENUE_FLOOR_FRAC,
     TransactionNetwork,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
+    finite_number,
     shared_firm_ids,
     term_rule,
 )
@@ -48,12 +49,6 @@ RANGES = ("alpha_range", "beta_range", "strength_range", "cost_coeff_range",
 # doubles of the random model's uniform stream drawn at once: whole rows,
 # at least one
 _DRAW_BLOCK = 2 ** 16
-
-
-def _finite_number(value) -> bool:
-    """True for a finite int or float; bools are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -96,7 +91,7 @@ class GeneratorConfig:
                      "start_jitter", "decision_jitter", "mean_out_degree",
                      "elasticity_sum_max", "gdp_growth", "gdp_volatility"):
             value = getattr(self, name)
-            if not _finite_number(value):
+            if not finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         if not self.gdp_start > 0.0:
             raise ValueError(f"gdp_start must be > 0, got {self.gdp_start!r}")
@@ -109,9 +104,9 @@ class GeneratorConfig:
         for name in RANGES:
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
-                    and all(map(_finite_number, bounds))
+                    and all(map(finite_number, bounds))
                     and bounds[0] <= bounds[1]
-                    and math.isfinite(bounds[1] - bounds[0])):
+                    and finite_number(bounds[1] - bounds[0])):
                 raise ValueError(f"{name} must be two finite numbers, low <= high, "
                                  f"with a finite width, got {bounds!r}")
         # a live firm needs positive revenue

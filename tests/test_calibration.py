@@ -119,6 +119,14 @@ class TestFitOptions:
             FitOptions(tol=tol)
 
 
+class TestFitOptionsBeyondFloatRange:
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_refuses_an_int_tol_beyond_float_range(self, sign):
+        # math.isfinite raised OverflowError on these
+        with pytest.raises(ValueError, match="tol must be finite"):
+            FitOptions(tol=sign * 10 ** 400)
+
+
 class TestResiduals:
     def test_noiseless_panel_is_exact(self):
         _, net, panel = simulated_panel()

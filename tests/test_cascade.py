@@ -419,6 +419,13 @@ class TestConfigValidation:
                              max_generations=cap).max_generations == cap
 
 
+class TestGrowthBeyondFloatRange:
+    def test_refuses_an_int_growth_beyond_float_range(self):
+        # math.isfinite raised OverflowError on it
+        with pytest.raises(ValueError, match="gdp_growth must be finite"):
+            CascadeConfig(trigger_firms=("A",), gdp_growth=10 ** 400)
+
+
 class TestFrontier:
     def test_survivor_of_an_early_failure_carries_the_last_generation(self):
         # line L0 -> L1 -> L2 -> L3 plus S supplying L2; L3 is the trigger.

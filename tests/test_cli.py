@@ -718,6 +718,18 @@ class TestFitReportShape:
         assert any(out.iterdir())
 
 
+    @pytest.mark.parametrize("name", ["cascade", "simulate", "report"])
+    def test_int_beyond_float_range_fails_clean(self, tmp_path, capsys, name):
+        # math.isfinite raised OverflowError on it
+        paths = steady_chain_csvs(tmp_path)
+        report = tmp_path / "fit_report.json"
+        report.write_text(json.dumps({"firms": {"A": {
+            "alpha": 10 ** 400, "beta": 0.35, "average_error": 0.0}}}))
+        out = tmp_path / "out"
+        assert run(self.command(name, paths, str(report), out)) == 2
+        assert "fit report" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
 # Reports over firms or links the chain of steady_chain_csvs lacks
 FOREIGN_FIT_REPORTS = [
     ({"Z": {"alpha": 0.3, "beta": 0.35, "average_error": 0.0}}, "'Z'"),
@@ -856,4 +868,31 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr == ("chainsim: panel needs two periods for the "
                                "growth ratio\n")
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command, key", [
+        ("generate", "mean_out_degree"), ("calibrate", "tol"),
+        ("cascade", "gdp_ratio"), ("simulate", "gdp_growth"),
+    ])
+    def test_int_setting_beyond_float_range_exits_two(self, tmp_path,
+                                                      command, key):
+        # float() or math.isfinite raised OverflowError on these
+        data = tmp_path / "data"
+        assert self._run("generate", "--firms", "6", "--seed", "19",
+                         "--out-dir", str(data)).returncode == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 10 ** 400}))
+        files = [] if command == "generate" else [
+            "--panel", str(data / "panel.csv"),
+            "--edges", str(data / "edges.csv"), "--gdp", str(data / "gdp.csv")]
+        if command in ("cascade", "simulate"):
+            files += ["--params", str(data / "params.csv")]
+        if command == "cascade":
+            files += ["--trigger", "F0001"]
+        out = tmp_path / "out"
+        proc = self._run(command, *files, "--config", str(config),
+                         "--out-dir", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("chainsim: ") and key in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not out.exists() or not any(out.iterdir())

@@ -25,6 +25,8 @@ from chainsim import (
 from chainsim.econ import term_close, term_fixed
 from chainsim.io import network_dot, network_graphml
 
+from network_oracle import PerEdgeNetwork
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 money = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 elasticity = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -252,6 +254,54 @@ class TestNetworkContract:
             with pytest.raises(KeyError) as caught:
                 net.strength(supplier, customer)
             assert caught.value.args == (key,)
+
+
+HUGE = 10 ** 400  # an int beyond float range
+
+
+def _tables_or_error(build, firms, edges):
+    """build(firms, edges)'s firms, index and tables, k in bits, or its
+    ValueError text."""
+    try:
+        net = build(firms, edges)
+    except ValueError as exc:
+        return str(exc)
+    return (net.firms, net.index,
+            *((offsets, positions, [(type(k), float(k).hex()) for k in ks])
+              for offsets, positions, ks in (net.customers, net.suppliers)))
+
+
+@st.composite
+def edge_lists(draw):
+    """(firms, edges): ids and (supplier, customer, k) triples that may
+    name unknown firms, loop, repeat, or carry an int, huge or
+    non-finite k."""
+    firms = draw(st.lists(st.sampled_from("ABCDE"), min_size=1, max_size=5))
+    ids = st.sampled_from(sorted(set(firms)) + ["Z"])
+    k = st.one_of(finite, st.integers(-10, 10),
+                  st.sampled_from([HUGE, -HUGE, math.inf, math.nan]))
+    return firms, draw(st.lists(st.tuples(ids, ids, k), max_size=12))
+
+
+class TestNetworkMatchesPerEdgeOracle:
+    """The columnar build against the per-edge one it replaced."""
+
+    @given(edge_lists(), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_same_tables_or_same_error(self, drawn, lazily):
+        firms, edges = drawn
+        # the per-edge build raises OverflowError on a huge int; the
+        # columnar one reads it as non-finite, which is inf to the oracle
+        as_inf = [(s, c, math.inf if isinstance(k, int) and abs(k) == HUGE
+                   else k) for s, c, k in edges]
+        built = _tables_or_error(
+            TransactionNetwork, firms, (e for e in edges) if lazily else edges)
+        assert built == _tables_or_error(PerEdgeNetwork, firms, as_inf)
+
+    def test_huge_int_k_is_refused_as_non_finite(self):
+        with pytest.raises(ValueError,
+                           match=r"edge \('A', 'B'\) has non-finite k"):
+            TransactionNetwork(("A", "B"), [("B", "A", 1), ("A", "B", HUGE)])
 
 
 class TestMacroSeries:

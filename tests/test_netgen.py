@@ -116,6 +116,20 @@ class TestConfigValidation:
         assert len(firm_ids(20000)) == 20000
 
 
+class TestIntsBeyondFloatRange:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"mean_out_degree": 10 ** 400}, "mean_out_degree"),
+        ({"gdp_growth": -(10 ** 400)}, "gdp_growth"),
+        ({"alpha_range": (10 ** 400, 10 ** 401)}, "alpha_range"),
+        # each end fits a float, the width does not
+        ({"strength_range": (-(10 ** 308), 10 ** 308)}, "strength_range"),
+    ])
+    def test_refused_as_not_finite(self, kwargs, name):
+        # math.isfinite raised OverflowError on these
+        with pytest.raises(ValueError, match=name):
+            GeneratorConfig(**kwargs)
+
+
 class TestParams:
     def test_ranges_respected(self):
         cfg = GeneratorConfig(n_firms=200, seed=1)

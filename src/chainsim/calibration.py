@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econ import TransactionNetwork, finite_number
+from .econ import POSITIVE, TransactionNetwork, check_numbers, finite_number
 
 # A residual at position t needs periods t-1, t and t+1, so a panel of
 # T periods yields T-2 usable residuals, at positions 1 .. T-2.
@@ -41,15 +41,19 @@ class UnderdeterminedError(ValueError):
 
 def _set_series(obj, name: str, shape: tuple[int, ...],
                 positive: bool = True) -> None:
-    """Check obj.name for shape, finite values and, if positive, values > 0;
-    store it as a read-only float array."""
-    arr = np.asarray(getattr(obj, name), dtype=float).view()
+    """Check obj.name for shape, values that are numbers in finite_number's
+    sense, finite and, if positive, > 0; store it as a read-only float array."""
+    arr = np.asarray(getattr(obj, name))
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    message = f"{name} series must be finite" + (" and > 0" if positive else "")
+    if not (arr.dtype.kind in "iuf"
+            or arr.dtype.kind == "O" and all(map(finite_number, arr.flat))):
+        raise ValueError(message)
+    arr = arr.astype(float, copy=False).view()
     ok = np.isfinite(arr) & (arr > 0.0) if positive else np.isfinite(arr)
     if not ok.all():
-        raise ValueError(f"{name} series must be finite"
-                         + (" and > 0" if positive else ""))
+        raise ValueError(message)
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
 
@@ -186,9 +190,7 @@ class FitOptions:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        tol = self.tol
-        if not (finite_number(tol) and tol > 0.0):
-            raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        check_numbers((("tol", POSITIVE),), (self.tol,))
         if type(self.max_iter) is not int:  # no bools
             raise ValueError(f"max_iter must be an int, got {self.max_iter!r}")
         if self.max_iter < 0:

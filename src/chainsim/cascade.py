@@ -43,11 +43,12 @@ from typing import NamedTuple
 from .econ import (
     Economy,
     InvestmentDecision,
+    POSITIVE,
     TransactionNetwork,
     ZERO_REVENUE,
     POLICIES,
     bankrupt_interaction,
-    finite_number,
+    check_numbers,
     interaction_term,
     is_bankrupt,
     shared_firm_ids,
@@ -86,9 +87,7 @@ class CascadeConfig:
                 f"trigger firm ids must be strings, got {triggers!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        g = self.gdp_growth
-        if not (finite_number(g) and g > 0.0):
-            raise ValueError(f"gdp_growth must be finite and > 0, got {g!r}")
+        check_numbers((("gdp_growth", POSITIVE),), (self.gdp_growth,))
         cap = self.max_generations
         if cap is not None and (type(cap) is not int or cap < 0):  # no bools
             raise ValueError(

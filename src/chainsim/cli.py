@@ -25,8 +25,8 @@ import numpy as np
 from . import io as cio
 from .calibration import ELASTICITY_BOUNDS, FitOptions, fit_all, _histograms
 from .cascade import CascadeConfig, run_cascade
-from .econ import (FirmParameters, MacroSeries, POLICIES, ZERO_REVENUE,
-                   finite_number)
+from .econ import (FirmParameters, MacroSeries, POLICIES, POSITIVE,
+                   ZERO_REVENUE, check_numbers, finite_number)
 from .netgen import (
     GeneratorConfig,
     economy_from_panel,
@@ -89,17 +89,6 @@ def _pick(cli_value, cfg: dict, key: str, default):
     if key in cfg:
         return cfg[key]
     return default
-
-
-def _number(value, key: str) -> float:
-    """float(value), or a CliError unless value is a float or an int
-    within float range. Flags arrive as floats already; a config bool or
-    numeric string is refused, not read as 1.0 or parsed.
-    """
-    if not (finite_number(value) or isinstance(value, float)):
-        raise CliError(f"{key} must be a number within float range, "
-                       f"got {value!r}")
-    return float(value)
 
 
 def _integer(value, key: str) -> int | None:
@@ -259,8 +248,9 @@ def _cmd_cascade(args: argparse.Namespace, out: _Outputs) -> int:
     if args.gdp_ratio is None and "gdp_ratio" not in cfg:
         gdp_growth = macro.ratio(len(macro) - 1)
     else:
-        gdp_growth = _number(_pick(args.gdp_ratio, cfg, "gdp_ratio", None),
-                             "gdp_ratio")
+        gdp_growth = _pick(args.gdp_ratio, cfg, "gdp_ratio", None)
+        check_numbers((("gdp_ratio", POSITIVE),), (gdp_growth,))
+        gdp_growth = float(gdp_growth)
     formats = _names(_pick(args.format, cfg, "format", FORMATS), "format")
     if not formats or not set(formats) <= set(FORMATS):
         raise CliError(f"format must name one or more of {FORMATS}, "
@@ -346,8 +336,7 @@ def _cmd_report(args: argparse.Namespace, out: _Outputs) -> int:
         "n_failures": len(report.get("failures", {})),
         "histograms": histograms,
     }
-    path = out.write("histograms.json", cio._atomic_write_text,
-                     json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path = out.write("histograms.json", cio.write_json, payload)
     print(f"report for {len(firms)} firms -> {path}")
     return 0
 

@@ -20,6 +20,7 @@ the rest from a sum of customer terms; term_rule is the two in turn.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -33,6 +34,17 @@ POLICIES = (ZERO_REVENUE, PURE_LOSS)
 
 # Relative floor applied when the revenue recursion turns non-positive.
 REVENUE_FLOOR_FRAC = 1e-6
+
+# Bounds of check_numbers, as (low, strict): a number must be > low
+# when strict, >= low otherwise; FINITE bounds it only by float range.
+FINITE = (-math.inf, True)
+POSITIVE = (0, True)
+NON_NEGATIVE = (0, False)
+_PARAMETER_FIELDS = tuple((name, NON_NEGATIVE) for name in (
+    "alpha", "beta", "cost_coeff", "interest_rate", "noise_sigma"))
+_LIVE_FIELDS = (("revenue", POSITIVE), ("prev_revenue", POSITIVE),
+                ("capital", POSITIVE), ("labor", POSITIVE), ("equity", FINITE))
+_DECISION_FIELDS = (("capital", POSITIVE), ("labor", POSITIVE))
 
 
 @dataclass(frozen=True)
@@ -51,10 +63,8 @@ class FirmParameters:
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "cost_coeff", "interest_rate", "noise_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        check_numbers(_PARAMETER_FIELDS, (self.alpha, self.beta, self.cost_coeff,
+                                          self.interest_rate, self.noise_sigma))
 
 
 @dataclass(frozen=True)
@@ -75,15 +85,11 @@ class FirmState:
     bankrupt: bool = False
 
     def __post_init__(self) -> None:
-        if not self.bankrupt:
-            for name in ("revenue", "prev_revenue", "capital", "labor"):
-                value = getattr(self, name)
-                if not math.isfinite(value) or value <= 0.0:
-                    raise ValueError(
-                        f"live firm needs positive {name}, got {value!r}"
-                    )
-        if not math.isfinite(self.equity):
-            raise ValueError(f"equity must be finite, got {self.equity!r}")
+        if self.bankrupt:
+            check_numbers(_LIVE_FIELDS[-1:], (self.equity,))
+        else:
+            check_numbers(_LIVE_FIELDS, (self.revenue, self.prev_revenue,
+                                         self.capital, self.labor, self.equity))
 
     @property
     def growth_ratio(self) -> float:
@@ -99,10 +105,7 @@ class InvestmentDecision:
     labor: float
 
     def __post_init__(self) -> None:
-        for name in ("capital", "labor"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        check_numbers(_DECISION_FIELDS, (self.capital, self.labor))
 
 
 class TransactionNetwork:
@@ -134,7 +137,7 @@ class TransactionNetwork:
              "edge ({!r}, {!r}) references unknown firm"),
             (first_true(row == column), "self-loop on {!r}"),
             (first_repeat(key.tolist()), "duplicate edge ({!r}, {!r})"),
-            (first_true(~np.fromiter(map(is_finite, ks), bool, len(ks))),
+            (first_true(~np.fromiter(map(finite_number, ks), bool, len(ks))),
              "edge ({!r}, {!r}) has non-finite k"),
         ) if i is not None]
         if faults:
@@ -198,18 +201,31 @@ def first_repeat(keys: list) -> int | None:
     return next(i for i, key in enumerate(keys) if seen.setdefault(key, i) != i)
 
 
-def is_finite(value) -> bool:
-    """math.isfinite(value), False for an int beyond float range."""
+def finite_number(value) -> bool:
+    """True for a real number (int, float, numpy real scalar, Fraction)
+    that is finite in float range; a bool is not a number here."""
+    if type(value) is float:
+        return value - value == 0.0
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:
         return False
 
 
-def finite_number(value) -> bool:
-    """True for a finite int or float; bools are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and is_finite(value))
+def check_numbers(fields, values) -> None:
+    """A ValueError naming the first (name, (low, strict)) of fields
+    whose value, in values' order, is not a finite_number > low (>= low
+    unless strict): "{name} must be finite and > 0, got {value!r}", or
+    "{name} must be finite, got {value!r}" under FINITE."""
+    for (name, (low, strict)), value in zip(fields, values):
+        if ((type(value) is float or finite_number(value))
+                and (value > low if strict else value >= low)
+                and value < math.inf):
+            continue
+        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
 def csr_row(firms: tuple[str, ...], table: tuple, i: int) -> tuple:
@@ -234,12 +250,12 @@ class MacroSeries:
     periods: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        gdp = tuple(float(g) for g in self.gdp)
-        object.__setattr__(self, "gdp", gdp)
+        gdp = tuple(self.gdp)
         if not gdp:
             raise ValueError("gdp series is empty")
-        if any(not math.isfinite(g) or g <= 0.0 for g in gdp):
-            raise ValueError("gdp values must be finite and > 0")
+        check_numbers(((f"gdp[{t}]", POSITIVE) for t in range(len(gdp))), gdp)
+        gdp = tuple(map(float, gdp))
+        object.__setattr__(self, "gdp", gdp)
         periods = tuple(map(int, self.periods or range(len(gdp))))
         if len(periods) != len(gdp):
             raise ValueError("periods and gdp lengths differ")

@@ -40,7 +40,9 @@ from .econ import (
     Economy,
     FirmParameters,
     InvestmentDecision,
+    POSITIVE,
     TransactionNetwork,
+    check_numbers,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
     shared_firm_ids,
     term_fixed,
@@ -75,8 +77,9 @@ class GameConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.decision_bounds
-        if not (0.0 < lo <= hi):
-            raise ValueError(f"bad decision_bounds {self.decision_bounds!r}")
+        check_numbers((("decision_bounds low", POSITIVE),), (lo,))
+        # float: a Fraction and a numpy scalar do not compare
+        check_numbers((("decision_bounds high", (float(lo), False)),), (hi,))
 
 
 @dataclass(frozen=True)

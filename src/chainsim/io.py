@@ -52,6 +52,11 @@ def _atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def write_json(path: str, payload) -> None:
+    """payload as indented JSON with sorted keys, written atomically."""
+    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _cells(path: str, lineno: int, line: str, limit: int) -> list[str]:
     """A line's unstripped cells, none longer than limit. A line holding
     '"' is read by csv on its own, so an unclosed quote ends at the
@@ -393,8 +398,7 @@ def fit_report_payload(report: CalibrationReport,
 def export_fit_report(path: str, report: CalibrationReport,
                       config_echo: dict | None = None,
                       seed: int | None = None) -> None:
-    payload = fit_report_payload(report, config_echo, seed)
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, fit_report_payload(report, config_echo, seed))
 
 
 def cascade_payload(result: CascadeResult, config_echo: dict | None = None,
@@ -423,8 +427,7 @@ def cascade_payload(result: CascadeResult, config_echo: dict | None = None,
 def export_cascade(path: str, result: CascadeResult,
                    config_echo: dict | None = None,
                    seed: int | None = None) -> None:
-    payload = cascade_payload(result, config_echo, seed)
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, cascade_payload(result, config_echo, seed))
 
 
 def _dot_id(fid: str) -> str:

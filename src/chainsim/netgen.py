@@ -23,6 +23,9 @@ import numpy as np
 
 from .calibration import PanelSeries
 from .econ import (
+    FINITE,
+    NON_NEGATIVE,
+    POSITIVE,
     Economy,
     FirmParameters,
     FirmState,
@@ -30,6 +33,7 @@ from .econ import (
     MacroSeries,
     REVENUE_FLOOR_FRAC,
     TransactionNetwork,
+    check_numbers,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
     finite_number,
     shared_firm_ids,
@@ -43,6 +47,13 @@ from .game import (
 )
 
 EDGE_MODELS = ("random", "scale-free")
+# GeneratorConfig's scalar settings and their bounds: generate_gdp redraws
+# forever from a NaN start, or where gdp_growth <= -1 or gdp_volatility < 0
+SCALARS = (("gdp_start", POSITIVE), ("interest_rate", NON_NEGATIVE),
+           ("noise_sigma", NON_NEGATIVE), ("start_jitter", FINITE),
+           ("decision_jitter", NON_NEGATIVE), ("mean_out_degree", NON_NEGATIVE),
+           ("elasticity_sum_max", FINITE), ("gdp_growth", (-1, True)),
+           ("gdp_volatility", NON_NEGATIVE))
 # GeneratorConfig fields that are (low, high) ranges of a uniform draw
 RANGES = ("alpha_range", "beta_range", "strength_range", "cost_coeff_range",
           "revenue_range", "equity_frac_range")
@@ -85,20 +96,7 @@ class GeneratorConfig:
                     f"{name} must be an int >= {low}, got {value!r}")
         if self.edge_model not in EDGE_MODELS:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
-        # generate_gdp redraws forever from a NaN start; a string or a
-        # bool only fails deep inside the draw, or draws with True as 1.0
-        for name in ("gdp_start", "interest_rate", "noise_sigma",
-                     "start_jitter", "decision_jitter", "mean_out_degree",
-                     "elasticity_sum_max", "gdp_growth", "gdp_volatility"):
-            value = getattr(self, name)
-            if not finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if not self.gdp_start > 0.0:
-            raise ValueError(f"gdp_start must be > 0, got {self.gdp_start!r}")
-        for name in ("interest_rate", "noise_sigma", "decision_jitter"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value!r}")
+        check_numbers(SCALARS, (getattr(self, name) for name, _ in SCALARS))
         # a non-finite range, or one whose width overflows, draws inf or
         # NaN (and _draw_elasticities then redraws forever)
         for name in RANGES:
@@ -113,21 +111,10 @@ class GeneratorConfig:
         if not self.revenue_range[0] > 0.0:
             raise ValueError("revenue_range must be above 0, "
                              f"got {self.revenue_range!r}")
-        if not self.mean_out_degree >= 0.0:
-            raise ValueError("mean_out_degree must be >= 0, "
-                             f"got {self.mean_out_degree!r}")
         # _draw_elasticities redraws until alpha + beta is below the cap
         if not self.elasticity_sum_max > self.alpha_range[0] + self.beta_range[0]:
             raise ValueError("elasticity_sum_max must exceed the smallest alpha + beta, "
                              f"got {self.elasticity_sum_max!r}")
-        # generate_gdp redraws until GDP stays positive; outside these
-        # ranges a draw may never succeed
-        if not self.gdp_growth > -1.0:
-            raise ValueError(
-                f"gdp_growth must be > -1, got {self.gdp_growth!r}")
-        if not self.gdp_volatility >= 0.0:
-            raise ValueError(
-                f"gdp_volatility must be >= 0, got {self.gdp_volatility!r}")
 
 
 def firm_ids(n: int) -> tuple[str, ...]:
@@ -477,9 +464,7 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     InvestmentDecision and FirmState raise it; neither is built
     otherwise. economy_from_panel reads the final states off the panel.
     """
-    if not (math.isfinite(decision_jitter) and decision_jitter >= 0.0):
-        raise ValueError("decision_jitter must be finite and >= 0, "
-                         f"got {decision_jitter!r}")
+    check_numbers((("decision_jitter", NON_NEGATIVE),), (decision_jitter,))
     T = len(macro)
     ids = shared_firm_ids(economy, network)
     n = len(ids)

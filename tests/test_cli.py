@@ -381,8 +381,8 @@ class TestCascade:
         assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("flags,message", [
-        (["--gdp-ratio", "nan"], "gdp_growth must be finite"),
-        (["--gdp-ratio", "inf"], "gdp_growth must be finite"),
+        (["--gdp-ratio", "nan"], "gdp_ratio must be finite"),
+        (["--gdp-ratio", "inf"], "gdp_ratio must be finite"),
         (["--max-generations", "-2"], "max_generations must be None or"),
     ])
     def test_out_of_range_setting_fails_clean(self, tmp_path, capsys, flags,

@@ -130,6 +130,25 @@ def no_ga(*args, **kwargs):
     raise AssertionError("the closed form called the GA")
 
 
+class TestGameConfig:
+    @pytest.mark.parametrize("bounds, message", [
+        # accepted, and the best response of a payoff with no maximum on
+        # the box (alpha = beta = 0.6) came out as capital 181924.149...
+        ((0.25, math.inf), "decision_bounds high must be finite and >= 0.25, "
+                           "got inf"),
+        # accepted; the first best response then raised OverflowError
+        ((1, 10 ** 400), "decision_bounds high must be finite and >= 1.0, "
+                         f"got {10 ** 400!r}"),
+        ((0.0, 4.0), "decision_bounds low must be finite and > 0, got 0.0"),
+        ((2.0, 1.0), "decision_bounds high must be finite and >= 2.0, "
+                     "got 1.0"),
+    ])
+    def test_bounds_finite_and_ordered(self, bounds, message):
+        with pytest.raises(ValueError) as exc:
+            GameConfig(bounds)
+        assert str(exc.value) == message
+
+
 class TestExpectedPayoff:
     def test_hold_current_inputs(self):
         ctx = ctx_of()

@@ -694,7 +694,7 @@ class TestForwardSimulate:
         eco.states[f] = FirmState(revenue=0.0, prev_revenue=1.0, capital=1.0,
                                   labor=1.0, equity=-1.0, bankrupt=True)
         with pytest.raises(ValueError,
-                           match="live firm needs positive revenue, got 0.0"):
+                           match="revenue must be finite and > 0, got 0.0"):
             forward_simulate(eco, net, macro)
 
     @pytest.mark.parametrize("jitter", [-0.5, math.nan, math.inf])

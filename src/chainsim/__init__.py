@@ -10,7 +10,6 @@ from .calibration import (
     average_error,
     fit_all,
     fit_firm,
-    residual_series,
 )
 from .cascade import (
     CascadeConfig,
@@ -41,7 +40,6 @@ from .game import (
     NashResult,
     PayoffContext,
     best_response_closed_form,
-    expected_payoff,
     nash_solve,
 )
 from .netgen import (
@@ -56,7 +54,6 @@ from .netgen import (
     generate_params,
     generate_states,
     simulate_economy,
-    steady_state_inputs,
 )
 
 __version__ = "0.1.0"

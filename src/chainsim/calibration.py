@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .econ import POSITIVE, TransactionNetwork, check_numbers, finite_number
+from .econ import (POSITIVE, TransactionNetwork, check_numbers, finite_number,
+                   period_labels)
 
 # A residual at position t needs periods t-1, t and t+1, so a panel of
 # T periods yields T-2 usable residuals, at positions 1 .. T-2.
@@ -42,8 +43,12 @@ class UnderdeterminedError(ValueError):
 def _set_series(obj, name: str, shape: tuple[int, ...],
                 positive: bool = True) -> None:
     """Check obj.name for shape, values that are numbers in finite_number's
-    sense, finite and, if positive, > 0; store it as a read-only float array."""
-    arr = np.asarray(getattr(obj, name))
+    sense, finite and, if positive, > 0; store it as a read-only float array.
+    A value that is not an ndarray is read as objects, so each element is
+    checked as given, before numpy would turn a bool into 1.0."""
+    arr = getattr(obj, name)
+    if not isinstance(arr, np.ndarray):
+        arr = np.array(arr, dtype=object)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     message = f"{name} series must be finite" + (" and > 0" if positive else "")
@@ -83,9 +88,10 @@ class PanelSeries:
 
     Row i of revenue, capital, labor and (when known) equity is firm
     firm_ids[i]; column j is period periods[j]. Ids are sorted and
-    unique, period labels unique, revenue, capital, labor and GDP finite
-    and > 0, equity finite; all are checked once, here, and kept as
-    read-only views. Calibration ignores equity; a cascade needs it.
+    unique, period labels as period_labels takes them, revenue, capital,
+    labor and GDP finite and > 0, equity finite; all are checked once,
+    here, and kept as read-only views. Calibration ignores equity; a
+    cascade needs it.
     """
 
     firm_ids: tuple[str, ...]
@@ -97,11 +103,10 @@ class PanelSeries:
     equity: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        ids, periods = tuple(self.firm_ids), tuple(map(int, self.periods))
+        ids = tuple(self.firm_ids)
         if any(a >= b for a, b in zip(ids, ids[1:])):
             raise ValueError("firm_ids must be sorted and unique")
-        if len(set(periods)) != len(periods):
-            raise ValueError(f"duplicate period labels in {periods}")
+        periods = period_labels(self.periods)
         object.__setattr__(self, "firm_ids", ids)
         object.__setattr__(self, "periods", periods)
         _set_series(self, "gdp", (len(periods),))
@@ -134,37 +139,6 @@ def growth_gap_matrix(revenue: np.ndarray, gdp: np.ndarray) -> np.ndarray:
     (lagged, like the revenue identity wants them).
     """
     return revenue[:, 1:-1] / revenue[:, :-2] - gdp[1:-1] / gdp[:-2]
-
-
-def _customer_gaps(customers: dict[str, FirmSeries],
-                   gdp: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Sorted customer ids and their growth_gap_matrix rows."""
-    ids = tuple(sorted(customers))
-    revenue = np.array([customers[cid].revenue for cid in ids]).reshape(
-        len(ids), gdp.size)
-    return ids, growth_gap_matrix(revenue, gdp)
-
-
-def residual_series(firm: FirmSeries, customers: dict[str, FirmSeries],
-                    gdp: np.ndarray, alpha: float, beta: float,
-                    strengths: dict[str, float]) -> np.ndarray:
-    """Revenue-identity residuals at every usable position.
-
-    The residual is the observed revenue growth ratio minus the
-    production growth factor minus the summed customer coupling terms;
-    it is the raw (unstandardized) innovation.
-    """
-    r, k, l = firm.revenue, firm.capital, firm.labor
-    if r.size < MIN_PERIODS:
-        raise ValueError(f"need at least {MIN_PERIODS} periods, got {r.size}")
-    rev_ratio = r[2:] / r[1:-1]
-    prod = (k[2:] / k[1:-1]) ** alpha * (l[2:] / l[1:-1]) ** beta
-    eps = rev_ratio - prod
-    if customers:
-        ids, gap = _customer_gaps(customers, np.asarray(gdp, dtype=float))
-        kvec = np.array([strengths[c] for c in ids])
-        eps = eps - kvec @ gap
-    return eps
 
 
 def average_error(residuals: np.ndarray) -> float:
@@ -412,10 +386,12 @@ def fit_firm(firm: FirmSeries, customers: dict[str, FirmSeries],
     if gdp.size != len(firm):
         raise ValueError("gdp length differs from firm series")
     _check_identified(len(firm), len(customers))
-    ids, growth = _customer_gaps(customers, gdp)
+    ids = sorted(customers)
+    revenue = np.array([customers[cid].revenue for cid in ids]).reshape(
+        len(ids), gdp.size)
     (fit,) = _fit_stacked(firm.revenue[None], firm.capital[None],
                           firm.labor[None], [dict(zip(ids, range(len(ids))))],
-                          growth, options)
+                          growth_gap_matrix(revenue, gdp), options)
     return fit
 
 

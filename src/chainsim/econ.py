@@ -228,6 +228,21 @@ def check_numbers(fields, values) -> None:
         raise ValueError(f"{name} must be finite{bound}, got {value!r}")
 
 
+def period_labels(labels) -> tuple[int, ...]:
+    """labels as a tuple of Python ints. Each must be an int or a numpy
+    integer, not a bool, and all must differ; otherwise a ValueError
+    naming the first bad label, or the labels when one repeats."""
+    periods = []
+    for label in labels:
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+            raise ValueError(f"period label must be an integer, got {label!r}")
+        periods.append(int(label))
+    periods = tuple(periods)
+    if len(set(periods)) != len(periods):
+        raise ValueError(f"duplicate period labels in {periods}")
+    return periods
+
+
 def csr_row(firms: tuple[str, ...], table: tuple, i: int) -> tuple:
     """Row i of a CSR table over firms, as (neighbour id, k) pairs."""
     offsets, positions, ks = table
@@ -244,7 +259,8 @@ def csr_edges(firms: tuple[str, ...], table: tuple):
 
 @dataclass(frozen=True)
 class MacroSeries:
-    """Economy-wide GDP per period, strictly positive, labels distinct."""
+    """Economy-wide GDP per period, strictly positive; period labels as
+    period_labels takes them, 0 .. T-1 when none are given."""
 
     gdp: tuple[float, ...]
     periods: tuple[int, ...] = ()
@@ -256,11 +272,9 @@ class MacroSeries:
         check_numbers(((f"gdp[{t}]", POSITIVE) for t in range(len(gdp))), gdp)
         gdp = tuple(map(float, gdp))
         object.__setattr__(self, "gdp", gdp)
-        periods = tuple(map(int, self.periods or range(len(gdp))))
+        periods = period_labels(self.periods or range(len(gdp)))
         if len(periods) != len(gdp):
             raise ValueError("periods and gdp lengths differ")
-        if len(set(periods)) != len(periods):
-            raise ValueError(f"duplicate period labels in {periods}")
         object.__setattr__(self, "periods", periods)
 
     def __len__(self) -> int:

@@ -87,8 +87,8 @@ class PayoffContext:
     """Everything a firm needs to price a candidate decision.
 
     customer_terms is the precomputed sum of interaction terms over the
-    firm's customers. It shifts expected_payoff by a constant and so
-    does not change the best response.
+    firm's customers. It shifts the payoff by a constant and so does
+    not change the best response.
     """
 
     revenue: float
@@ -109,12 +109,6 @@ def _payoff(revenue, capital, labor, customer_terms, params: FirmParameters,
     growth, cost, charge = term_fixed(capital, labor, params,
                                       next_capital, next_labor)
     return revenue * (growth + customer_terms) - cost - charge - next_labor
-
-
-def expected_payoff(ctx: PayoffContext, decision: InvestmentDecision) -> float:
-    """Next-term profit of a candidate decision, noise at zero."""
-    return _payoff(ctx.revenue, ctx.capital, ctx.labor, ctx.customer_terms,
-                   ctx.params, decision.capital, decision.labor)
 
 
 def libm(fn, *columns) -> np.ndarray:

@@ -310,15 +310,15 @@ def load_params(path: str) -> dict[str, FirmParameters]:
     columns = [_column(cells, name, faults)
                for name, cells in zip(PARAMS_HEADER[1:], value_cells)]
     rows = min(map(len, columns))  # the rows every value parsed on
-    i = first_true((np.column_stack([values[:rows] for values in columns])
-                    < 0.0).any(axis=1))
-    if i is not None:
+    params = []
+    for values in zip(*(v[:rows].tolist() for v in columns)):
         try:
-            FirmParameters(*(float(values[i]) for values in columns))
+            params.append(FirmParameters(*values))
         except ValueError as exc:
-            faults.append((i, str(exc)))
+            faults.append((len(params), str(exc)))
+            break
     _refuse(path, linenos, faults)
-    return dict(zip(fids, map(FirmParameters, *(v.tolist() for v in columns))))
+    return dict(zip(fids, params))
 
 
 def _write_csv(path: str, header: list[str], lines,

@@ -283,13 +283,6 @@ def steady_state_columns(params: ParamColumns, revenue
     return k, params.c * k
 
 
-def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, float]:
-    """steady_state_columns for one firm, as (k, l) floats."""
-    k, l = steady_state_columns(ParamColumns([params]),
-                                np.array([revenue], dtype=float))
-    return k.item(), l.item()
-
-
 def generate_params(config: GeneratorConfig, rng) -> dict[str, FirmParameters]:
     out = {}
     for fid in firm_ids(config.n_firms):

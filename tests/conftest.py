@@ -20,9 +20,10 @@ from chainsim import (
     MacroSeries,
     PanelSeries,
     TransactionNetwork,
-    steady_state_inputs,
 )
 from chainsim.io import write_edges, write_gdp, write_panel, write_params
+
+from oracles import steady_state_inputs
 
 
 def make_chain(equity_a=50.0, equity_b=40.0, k_ab=0.5, k_bc=0.5):

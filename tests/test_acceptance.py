@@ -28,18 +28,17 @@ from chainsim import (
     TransactionNetwork,
     best_response_closed_form,
     customer_terms_sum,
-    expected_payoff,
     nash_solve,
     run_cascade,
-    steady_state_inputs,
 )
-from chainsim.calibration import fit_all, residual_series
+from chainsim.calibration import fit_all
 from chainsim.cli import main as cli_main
 from chainsim.game import best_response_ga
 from chainsim.io import export_cascade
 from chainsim.netgen import GeneratorConfig, generate_economy, simulate_economy
 
 from conftest import make_chain, steady_chain_csvs
+from oracles import expected_payoff, residual_series, steady_state_inputs
 
 
 # --- criterion 1: the noiseless panel satisfies the revenue identity ---

@@ -28,13 +28,12 @@ from chainsim import (
     fit_all,
     fit_firm,
     forward_simulate,
-    residual_series,
     simulate_economy,
-    steady_state_inputs,
 )
 from chainsim.calibration import MinimizeResult, minimize_bounded
 
 from conftest import make_panel
+from oracles import residual_series, steady_state_inputs
 
 IDS = ("S", "X", "Y")
 TRUE = {

@@ -734,7 +734,7 @@ class TestFrozenDecisionsFromGame:
         params = {f: FirmParameters(alpha=0.3, beta=0.35, cost_coeff=0.2,
                                     interest_rate=0.05, noise_sigma=0.0)
                   for f in ids}
-        from chainsim import steady_state_inputs
+        from oracles import steady_state_inputs
         states = {}
         for f, rev in (("P", 100.0), ("Q", 120.0)):
             k, l = steady_state_inputs(params[f], rev)

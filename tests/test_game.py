@@ -27,11 +27,9 @@ from chainsim import (
     TransactionNetwork,
     best_response_closed_form,
     economy_from_panel,
-    expected_payoff,
     forward_simulate,
     generate_economy,
     nash_solve,
-    steady_state_inputs,
 )
 from chainsim.game import (
     ParamColumns,
@@ -41,6 +39,7 @@ from chainsim.game import (
 )
 
 from conftest import make_chain, mismatched_chain_network
+from oracles import expected_payoff, steady_state_inputs
 
 WIDE = GameConfig(decision_bounds=(1e-4, 1e4))
 

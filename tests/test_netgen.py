@@ -27,15 +27,14 @@ from chainsim import (
     generate_network,
     generate_params,
     generate_states,
-    residual_series,
     simulate_economy,
-    steady_state_inputs,
 )
 from chainsim.econ import customer_terms_sum
 from chainsim.game import ParamColumns, PayoffContext
 from chainsim.netgen import firm_ids, steady_state_columns
 
 from conftest import make_chain, mismatched_chain_network
+from oracles import residual_series, steady_state_inputs
 
 
 class TestConfigValidation:

@@ -18,6 +18,7 @@ import pytest
 from chainsim import (
     CascadeConfig,
     FirmParameters,
+    FirmSeries,
     FirmState,
     FitOptions,
     GameConfig,
@@ -98,6 +99,14 @@ ENTRIES = {
         lambda v: PanelSeries(("A", "B"), [[v] * 3] * 2, ONES, ONES,
                               gdp=np.ones(3), periods=(0, 1, 2)),
         "revenue series must be finite and > 0"),
+    # numpy read a True among floats as 1.0
+    "PanelSeries.revenue among floats": (
+        lambda v: PanelSeries(("A",), [[100.0, v, 100.0]], ONES[:1], ONES[:1],
+                              gdp=np.ones(3), periods=(0, 1, 2)),
+        "revenue series must be finite and > 0"),
+    "FirmSeries.revenue among floats": (
+        lambda v: FirmSeries([1.0, v], [1.0, 1.0], [1.0, 1.0]),
+        "revenue series must be finite and > 0"),
     "GameConfig.decision_bounds low": (
         lambda v: GameConfig((v, 4.0)),
         "decision_bounds low must be finite and > 0, got {v!r}"),
@@ -149,3 +158,37 @@ def test_cascade_gdp_ratio_from_a_config_file(tmp_path, capsys, value,
         assert capsys.readouterr().err == (
             f"chainsim: gdp_ratio must be finite and > 0, got {value!r}\n")
         assert not out.exists() or not any(out.iterdir())
+
+
+# a series type -> a call building it over two periods with the given labels
+LABELLED = {
+    "MacroSeries": lambda periods: MacroSeries(gdp=(1.0, 2.0), periods=periods),
+    "PanelSeries": lambda periods: PanelSeries(
+        ("A",), [[1.0, 1.0]], [[1.0, 1.0]], [[1.0, 1.0]], gdp=np.ones(2),
+        periods=periods),
+}
+
+
+@pytest.mark.parametrize("periods, bad", [
+    ((0.5, 1.7), 0.5),
+    ((1.2, 1.7), 1.2),
+    ((0, 2.9), 2.9),
+    ((True, 7), True),
+    ((0, "7"), "7"),
+    ((np.float64(0.0), 1), np.float64(0.0)),
+    ((0, None), None),
+], ids=repr)
+@pytest.mark.parametrize("series", LABELLED)
+def test_a_period_label_that_is_no_integer_is_refused(series, periods, bad):
+    # int() truncated these: (0.5, 1.7) became (0, 1)
+    with pytest.raises(ValueError) as exc:
+        LABELLED[series](periods)
+    assert str(exc.value) == f"period label must be an integer, got {bad!r}"
+
+
+@pytest.mark.parametrize("series", LABELLED)
+def test_integer_period_labels_are_kept_as_python_ints(series):
+    built = LABELLED[series]((np.int64(4), 7))
+    assert built.periods == (4, 7)
+    assert all(type(p) is int for p in built.periods)
+

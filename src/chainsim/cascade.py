@@ -27,8 +27,8 @@ econ.term_close; every later one with the same pattern, in that run or
 another, looks the outcome up and does no arithmetic. The memo holds
 one entry per distinct pattern seen, at most 2^deg for a supplier of
 deg customers, and dies with the plan. run_cascade keeps one plan per
-network, weakly keyed, while its maps hold the same objects and its
-gdp_growth and policy equal values of the same types.
+network, weakly keyed, and reuses it for the very same economy, which
+is read-only, and decisions that hold the very same objects.
 """
 
 from __future__ import annotations
@@ -142,19 +142,19 @@ class CascadePlan:
     gdp_growth, policy).
 
     Refuses decisions that lack a live firm of the economy, naming the
-    first one; a flagged firm needs none. Holds copies of the three
-    maps, the flagged firms' positions, a dead mask over positions with
-    them set, the survivor template and the network's firms, index and
-    CSR tables, but not the network. price(i), on first use, fills
-    books[i] for the firm at position i: an itemgetter that reads its
-    pattern off a dead mask, its outcome memo, term_close's first five
-    arguments, the beginning equity and one (customer position, live
-    term, dead term) per customer in customers_of order. A flagged
-    customer, dead in every run, has no live term. The memo maps a
-    pattern (the flag of a lone customer, else the tuple of flags) to
-    the five fields of an Evaluation after generation. It gains one
-    entry per distinct pattern met, at most 2^deg for deg customers,
-    and lives as long as the plan.
+    first one; a flagged firm needs none. Holds the economy, a copy of
+    the decisions, the flagged firms' positions, a dead mask over
+    positions with them set, the survivor template and the network's
+    firms, index and CSR tables, but not the network. price(i), on
+    first use, fills books[i] for the supplier at position i: an
+    itemgetter that reads its pattern off a dead mask, its outcome
+    memo, term_close's first five arguments, the beginning equity and
+    one (customer position, live term, dead term) per customer in
+    customers_of order. A flagged customer, dead in every run, has no
+    live term. The memo maps a pattern (the flag of a lone customer,
+    else the tuple of flags) to the five fields of an Evaluation after
+    generation. It gains one entry per distinct pattern met, at most
+    2^deg for deg customers, and lives as long as the plan.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
@@ -165,52 +165,46 @@ class CascadePlan:
                         and not economy.states[f].bankrupt), None)
         if missing is not None:
             raise ValueError(f"decisions lack firm {missing!r}")
-        self.states = dict(economy.states)
-        self.params = dict(economy.params)
+        self.economy = economy
         self.decisions = dict(decisions)
         self.gdp_growth = gdp_growth
         self.policy = policy
         self.firms, self.index = network.firms, network.index
         self.customers, self.suppliers = network.customers, network.suppliers
-        self.flagged = tuple(i for i, f in enumerate(ids)
-                             if self.states[f].bankrupt)
+        states = economy.states
+        self.flagged = tuple(i for i, f in enumerate(ids) if states[f].bankrupt)
         self.dead = bytearray(len(ids))
         for i in self.flagged:
             self.dead[i] = 1
         self.survivors = {f: REASON_NOT_REACHED for f in ids
-                          if not self.states[f].bankrupt}
+                          if not states[f].bankrupt}
         self.books: list[tuple | None] = [None] * len(ids)
-        self._keys = tuple(map(tuple, (self.states, self.params,
-                                       self.decisions)))
+        self._keys = tuple(self.decisions)
 
     def matches(self, economy: Economy,
                 decisions: Mapping[str, InvestmentDecision],
                 gdp_growth: float, policy: str) -> bool:
-        """True while the maps hold equal keys in order and the very
-        value objects the plan was built from, and the scalars are of
-        the same types and equal."""
-        if (type(gdp_growth) is not type(self.gdp_growth)
-                or gdp_growth != self.gdp_growth
-                or type(policy) is not type(self.policy)
-                or policy != self.policy):
-            return False
-        held = (self.states, self.params, self.decisions)
-        given = (economy.states, economy.params, decisions)
-        for keys, h, g in zip(self._keys, held, given):
-            if keys != tuple(g) or not all(map(is_, h.values(), g.values())):
-                return False
-        return True
+        """True for the very economy the plan was built from, decisions
+        with equal keys in order holding the very same objects, and
+        scalars of the same types and equal."""
+        return (economy is self.economy
+                and type(gdp_growth) is type(self.gdp_growth)
+                and gdp_growth == self.gdp_growth
+                and type(policy) is type(self.policy)
+                and policy == self.policy
+                and self._keys == tuple(decisions)
+                and all(map(is_, self.decisions.values(), decisions.values())))
 
     def price(self, i: int) -> tuple:
-        """Price the frozen books of the firm at position i into
+        """Price the frozen books of the supplier at position i into
         books[i], with an empty memo, and return them."""
         firm = self.firms[i]
-        st = self.states[firm]
-        dec = self.decisions[firm]
+        economy, dec = self.economy, self.decisions[firm]
+        st = economy.states[firm]
         growth, cost, capital_charge = term_fixed(
-            st.capital, st.labor, self.params[firm], dec.capital, dec.labor)
+            st.capital, st.labor, economy.params[firm], dec.capital, dec.labor)
         g, policy, states, firms, dead = (self.gdp_growth, self.policy,
-                                          self.states, self.firms, self.dead)
+                                          economy.states, self.firms, self.dead)
         offsets, positions, ks = self.customers
         row = slice(offsets[i], offsets[i + 1])
         customers = positions[row]
@@ -227,7 +221,7 @@ class CascadePlan:
 
 
 # One plan per network, dropped with it. A run keeps the plan it looked
-# up, whose inputs are copies, so a rebuild by another run cannot mix.
+# up, whose inputs cannot change, so a rebuild by another run cannot mix.
 _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -303,16 +297,15 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     Decisions are frozen at the pre-shock fixed point of the investment
     game unless supplied by the caller (observed next-period inputs
-    slot in here). The input economy is not mutated: the flags of the
-    run live in a copy of the plan's dead mask, seeded with the
-    triggers. Generation 1 evaluates the live suppliers of the
-    triggers and the firms flagged before the run, each later
-    generation the live suppliers of the firms that fell in the one
-    before. Terminates after at most one generation per firm: every
-    generation before the last turns at least one firm. When
-    max_generations stops the run, the next generation is evaluated
-    once, without committing it, and exhausted says whether it would
-    have turned anyone. A survivor's trace entry carries
+    slot in here). The flags of the run live in a copy of the plan's
+    dead mask, seeded with the triggers. Generation 1 evaluates the
+    live suppliers of the triggers and the firms flagged before the
+    run, each later generation the live suppliers of the firms that
+    fell in the one before. Terminates after at most one generation
+    per firm: every generation before the last turns at least one
+    firm. When max_generations stops the run, the next generation is
+    evaluated once, without committing it, and exhausted says whether
+    it would have turned anyone. A survivor's trace entry carries
     generations_run; a fallen firm's, the generation it fell in. The
     trace lists firms in the order of their first evaluation. seed
     changes no result; it stays for callers that pass one. A firm
@@ -321,7 +314,8 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     The books come from a CascadePlan kept per network in a weak map,
     so it dies with the network. A call reuses the plan, and its
     outcome memos, while its matches() holds and builds a new one
-    otherwise, so any input may be edited in place between calls.
+    otherwise: a changed economy is a new object, and decisions may
+    be edited in place between calls.
     """
     for f in config.trigger_firms:
         if f not in economy.params:

@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -272,7 +274,8 @@ class MacroSeries:
         check_numbers(((f"gdp[{t}]", POSITIVE) for t in range(len(gdp))), gdp)
         gdp = tuple(map(float, gdp))
         object.__setattr__(self, "gdp", gdp)
-        periods = period_labels(self.periods or range(len(gdp)))
+        periods = period_labels(self.periods if len(self.periods)
+                                else range(len(gdp)))
         if len(periods) != len(gdp):
             raise ValueError("periods and gdp lengths differ")
         object.__setattr__(self, "periods", periods)
@@ -287,23 +290,24 @@ class MacroSeries:
         return self.gdp[t] / self.gdp[t - 1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Economy:
-    """Per-firm parameters and current states, keyed by firm id."""
+    """Per-firm parameters and current states, keyed by firm id, as
+    read-only views of copies taken at construction. A changed economy
+    is a new one, built with dataclasses.replace."""
 
-    params: dict[str, FirmParameters]
-    states: dict[str, FirmState]
+    params: Mapping[str, FirmParameters]
+    states: Mapping[str, FirmState]
 
     def __post_init__(self) -> None:
         if set(self.params) != set(self.states):
             raise ValueError("params and states cover different firm ids")
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "states", MappingProxyType(dict(self.states)))
 
     @property
     def firm_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.params))
-
-    def mark_bankrupt(self, firm: str) -> None:
-        self.states[firm] = replace(self.states[firm], bankrupt=True)
 
 
 def shared_firm_ids(economy: Economy,
@@ -343,7 +347,7 @@ def bankrupt_interaction(strength: float, gdp_growth: float,
 
 
 def customer_terms_sum(firm: str, network: TransactionNetwork,
-                       states: dict[str, FirmState], gdp_growth: float,
+                       states: Mapping[str, FirmState], gdp_growth: float,
                        policy: str = ZERO_REVENUE) -> float:
     """Sum of interaction terms over a firm's customers.
 

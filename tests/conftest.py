@@ -8,6 +8,8 @@ term profit swings from +5 to -45 and solvency is decided by whether
 beginning equity covers 45.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ def make_chain(equity_a=50.0, equity_b=40.0, k_ab=0.5, k_bc=0.5):
     decisions = {f: InvestmentDecision(capital=100.0, labor=95.0)
                  for f in "ABC"}
     return Economy(params=params, states=states), network, decisions
+
+
+def flag_bankrupt(economy, *firms):
+    """A new economy with the given firms flagged bankrupt."""
+    states = dict(economy.states)
+    for f in firms:
+        states[f] = replace(states[f], bankrupt=True)
+    return replace(economy, states=states)
 
 
 def mismatched_chain_network(firm):

@@ -9,8 +9,8 @@ A second reference, full_rescan_cascade, is the generation loop the
 engine had before it became frontier-driven: every generation
 re-evaluates every live supplier of every dead firm. Written over plain
 dicts, it has to equal run_cascade field by field on drawn economies,
-also after an input is edited in place between two runs that share the
-engine's cached plan.
+also after an input changes between two runs that share the engine's
+cached plan.
 """
 
 import gc
@@ -44,7 +44,7 @@ from chainsim import (
 from chainsim import cascade
 from chainsim.econ import term_close, term_fixed
 
-from conftest import make_chain, mismatched_chain_network
+from conftest import flag_bankrupt, make_chain, mismatched_chain_network
 
 
 def brute_force_dead(eco, net, triggers, decisions, gdp_ratio=1.0,
@@ -363,7 +363,7 @@ class TestHandTracedChain:
 
     def test_dead_trigger_rejected(self, chain):
         eco, net, decisions = chain
-        eco.mark_bankrupt("C")
+        eco = flag_bankrupt(eco, "C")
         with pytest.raises(ValueError):
             run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
                         decisions=decisions)
@@ -459,7 +459,7 @@ class TestFrontier:
         # B was bankrupt before the run and is no trigger; its supplier A
         # is evaluated (and falls) in generation 1 of a cascade from C
         eco, net, decisions = make_chain(equity_a=30.0)
-        eco.mark_bankrupt("B")
+        eco = flag_bankrupt(eco, "B")
         res = run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
                           decisions=decisions)
         assert res.bankrupt == {"C": 0, "A": 1}
@@ -479,7 +479,8 @@ EDITS = ("flag", "decision", "params", "gdp_growth", "policy", "strengths",
 
 
 class TestPlanReuse:
-    """The cached plan follows every input, including edits in place."""
+    """The cached plan follows every input: a new economy, an edit in
+    place of the decisions, new scalars or a new network."""
 
     @given(drawn_scenarios(), st.sampled_from(EDITS), st.data())
     @settings(max_examples=300, deadline=None)
@@ -491,17 +492,17 @@ class TestPlanReuse:
             live = [f for f in eco.firm_ids if f not in config.trigger_firms
                     and not eco.states[f].bankrupt]
             if live:
-                eco.mark_bankrupt(data.draw(st.sampled_from(live)))
+                eco = flag_bankrupt(eco, data.draw(st.sampled_from(live)))
         elif edit == "decision":
             old = decisions[firm]
             decisions[firm] = InvestmentDecision(
                 capital=old.capital * data.draw(st.floats(0.5, 2.0)),
                 labor=old.labor * data.draw(st.floats(0.5, 2.0)))
         elif edit == "params":
-            eco.params[firm] = replace(
+            eco = replace(eco, params={**eco.params, firm: replace(
                 eco.params[firm],
                 cost_coeff=data.draw(st.floats(0.0, 0.5)),
-                alpha=data.draw(st.floats(0.0, 0.5)))
+                alpha=data.draw(st.floats(0.0, 0.5)))})
         elif edit == "gdp_growth":
             config = replace(config, gdp_growth=data.draw(st.floats(0.9, 1.2)))
         elif edit == "policy":
@@ -519,6 +520,20 @@ class TestPlanReuse:
                         for f, s in eco.states.items()})
             assert_equals_full_rescan(other, net, decisions, config)
         assert_equals_full_rescan(eco, net, decisions, config)
+
+    def test_an_economy_is_detached_from_the_maps_it_was_built_from(self):
+        chain, net, decisions = make_chain(equity_a=30.0)
+        params, states = dict(chain.params), dict(chain.states)
+        eco = Economy(params=params, states=states)
+        config = CascadeConfig(trigger_firms=("C",))
+        before = run_cascade(eco, net, config, decisions=decisions)
+        assert before.bankrupt == {"C": 0, "B": 1, "A": 2}
+        states["B"] = replace(states["B"], equity=1e6)
+        assert run_cascade(eco, net, config, decisions=decisions) == before
+        # the edit would have saved B and A
+        rebuilt = Economy(params=params, states=states)
+        assert run_cascade(rebuilt, net, config,
+                           decisions=decisions).bankrupt == {"C": 0}
 
     def test_prices_a_supplier_once_per_plan(self, monkeypatch):
         priced = []
@@ -751,7 +766,7 @@ class TestFrozenDecisionsFromGame:
         # nash_solve refused the flagged F0003, and the plan asked for a
         # decision for it, so every run from this economy raised
         eco, net, _ = generate_economy(GeneratorConfig(n_firms=20, seed=1))
-        eco.mark_bankrupt("F0003")
+        eco = flag_bankrupt(eco, "F0003")
         config = CascadeConfig(trigger_firms=("F0005",))
         res = run_cascade(eco, net, config)
         assert res.bankrupt == {"F0005": 0}

@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -335,12 +336,23 @@ class TestEconomy:
         with pytest.raises(ValueError):
             Economy(params={"A": p}, states={"B": live_state()})
 
-    def test_mark_bankrupt(self):
+    def test_is_read_only_and_detached_from_its_inputs(self):
         p = FirmParameters(alpha=0.3, beta=0.3, cost_coeff=0.2,
                            interest_rate=0.05, noise_sigma=0.0)
-        eco = Economy(params={"A": p}, states={"A": live_state()})
-        eco.mark_bankrupt("A")
-        assert eco.states["A"].bankrupt
+        states = {"A": live_state()}
+        eco = Economy(params={"A": p}, states=states)
+        dead = replace(states["A"], bankrupt=True)
+        with pytest.raises(TypeError):
+            eco.states["A"] = dead
+        with pytest.raises(TypeError):
+            eco.params["A"] = p
+        with pytest.raises(FrozenInstanceError):
+            eco.states = {"A": dead}
+        states["A"] = dead
+        assert not eco.states["A"].bankrupt
+        # a changed economy is a new one
+        marked = replace(eco, states=states)
+        assert marked.states["A"].bankrupt and not eco.states["A"].bankrupt
 
 
 class TestProductionRatio:

@@ -38,7 +38,7 @@ from chainsim.game import (
     best_response_ga,
 )
 
-from conftest import make_chain, mismatched_chain_network
+from conftest import flag_bankrupt, make_chain, mismatched_chain_network
 from oracles import expected_payoff, steady_state_inputs
 
 WIDE = GameConfig(decision_bounds=(1e-4, 1e4))
@@ -677,8 +677,9 @@ class TestNash:
 
     def test_nonconcave_firm_gets_one_closed_form_response(self):
         eco, net = interior_chain()
-        eco.params["B"] = FirmParameters(alpha=0.6, beta=0.5, cost_coeff=0.2,
-                                         interest_rate=0.05, noise_sigma=0.0)
+        eco = replace(eco, params={**eco.params, "B": FirmParameters(
+            alpha=0.6, beta=0.5, cost_coeff=0.2, interest_rate=0.05,
+            noise_sigma=0.0)})
         from chainsim import customer_terms_sum
         contexts = {}
         for f in eco.firm_ids:
@@ -708,7 +709,7 @@ class TestNash:
     def test_flagged_firm_gets_no_decision(self):
         eco, net = interior_chain()
         before = nash_solve(eco, net, 1.02).decisions
-        eco.mark_bankrupt("B")
+        eco = flag_bankrupt(eco, "B")
         after = nash_solve(eco, net, 1.02).decisions
         assert "B" in before
         assert after == {f: d for f, d in before.items() if f != "B"}
@@ -728,13 +729,13 @@ class TestNash:
         sim = forward_simulate(eco, net, macro, decision_jitter=0.8, seed=8)
         eco = economy_from_panel(sim.panel, eco.params)
         ids = eco.firm_ids
+        params = dict(eco.params)
         for f, changes in zip(ids[3:7], (dict(alpha=0.7, beta=0.6),
                                          dict(interest_rate=0.0),
                                          dict(alpha=0.0),
                                          dict(cost_coeff=1e6))):
-            eco.params[f] = replace(eco.params[f], **changes)
-        for f in (ids[1], ids[20]):
-            eco.mark_bankrupt(f)
+            params[f] = replace(params[f], **changes)
+        eco = flag_bankrupt(replace(eco, params=params), ids[1], ids[20])
         got = nash_solve(eco, net, 1.02).decisions
         want = {f: InvestmentDecision(*best_inputs(
                     st.revenue, st.capital, st.labor, eco.params[f]))

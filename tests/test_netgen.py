@@ -33,7 +33,7 @@ from chainsim.econ import customer_terms_sum
 from chainsim.game import ParamColumns, PayoffContext
 from chainsim.netgen import firm_ids, steady_state_columns
 
-from conftest import make_chain, mismatched_chain_network
+from conftest import flag_bankrupt, make_chain, mismatched_chain_network
 from oracles import residual_series, steady_state_inputs
 
 
@@ -617,7 +617,7 @@ class TestForwardSimulate:
         net = TransactionNetwork(ids, [
             (s, c, k) for s, c, k in net.edges() if (s, c) != (supplier, flagged)
         ] + [(supplier, flagged, 50.0)])
-        eco.mark_bankrupt(flagged)
+        eco = flag_bankrupt(eco, flagged)
         res = forward_simulate(eco, net, macro, noise_on=noise_on,
                                decision_jitter=jitter, seed=sim_seed)
 
@@ -690,8 +690,9 @@ class TestForwardSimulate:
     def test_flagged_firm_without_revenue_raises_the_state_error(self):
         eco, net, macro = generate_economy(GeneratorConfig(n_firms=6, seed=4))
         f = eco.firm_ids[2]
-        eco.states[f] = FirmState(revenue=0.0, prev_revenue=1.0, capital=1.0,
-                                  labor=1.0, equity=-1.0, bankrupt=True)
+        eco = dataclasses.replace(eco, states={**eco.states, f: FirmState(
+            revenue=0.0, prev_revenue=1.0, capital=1.0, labor=1.0,
+            equity=-1.0, bankrupt=True)})
         with pytest.raises(ValueError,
                            match="revenue must be finite and > 0, got 0.0"):
             forward_simulate(eco, net, macro)
@@ -712,10 +713,11 @@ def _economy_with(books):
     """The 6-firm seed-4 economy with the states of some firms changed,
     keyed by position."""
     eco, net, macro = generate_economy(GeneratorConfig(n_firms=6, seed=4))
+    states = dict(eco.states)
     for pos, changes in books.items():
         f = eco.firm_ids[pos]
-        eco.states[f] = dataclasses.replace(eco.states[f], **changes)
-    return eco, net, macro
+        states[f] = dataclasses.replace(states[f], **changes)
+    return dataclasses.replace(eco, states=states), net, macro
 
 
 # revenue 1e-300 puts B below 0, and the lower corner's labor (or

@@ -188,7 +188,10 @@ def test_a_period_label_that_is_no_integer_is_refused(series, periods, bad):
 
 @pytest.mark.parametrize("series", LABELLED)
 def test_integer_period_labels_are_kept_as_python_ints(series):
-    built = LABELLED[series]((np.int64(4), 7))
-    assert built.periods == (4, 7)
-    assert all(type(p) is int for p in built.periods)
+    # MacroSeries asked an array of labels for its truth value, which
+    # numpy refuses
+    for labels in ((np.int64(4), 7), np.array([4, 7])):
+        built = LABELLED[series](labels)
+        assert built.periods == (4, 7)
+        assert all(type(p) is int for p in built.periods)
 

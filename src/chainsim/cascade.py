@@ -19,16 +19,17 @@ generation in which it fell; a survivor carries generations_run, since
 its last evaluation holds for every generation after it.
 
 Frozen books also fix every number of an evaluation but the flags. A
-CascadePlan prices them once per supplier, indexed by the network's
-firm positions, and memoizes each supplier's outcome by its pattern:
-the dead flags of its customers, in customers_of order. The first
-evaluation of a pattern sums the live or dead terms and calls
-econ.term_close; every later one with the same pattern, in that run or
-another, looks the outcome up and does no arithmetic. The memo holds
-one entry per distinct pattern seen, at most 2^deg for a supplier of
-deg customers, and dies with the plan. run_cascade keeps one plan per
-network, weakly keyed, and reuses it for the very same economy, which
-is read-only, and decisions that hold the very same objects.
+CascadePlan prices them for every supplier when it is built, indexed
+by the network's firm positions, and memoizes each supplier's outcome
+by its pattern: the dead flags of its customers, in customers_of
+order. The first evaluation of a pattern sums the live or dead terms
+and calls econ.term_close; every later one with the same pattern, in
+that run or another, looks the outcome up and does no arithmetic. The
+memo holds one entry per distinct pattern seen, at most 2^deg for a
+supplier of deg customers, and dies with the plan. run_cascade keeps
+one plan per network, weakly keyed, and reuses it for the very same
+economy, which is read-only, and decisions that hold the very same
+objects.
 """
 
 from __future__ import annotations
@@ -139,30 +140,32 @@ def _survivor_reason(ev: Evaluation) -> str:
 
 class CascadePlan:
     """What frozen decisions fix, for one (economy, network, decisions,
-    gdp_growth, policy).
+    gdp_growth, policy), priced in one pass when it is built.
 
     Refuses decisions that lack a live firm of the economy, naming the
     first one; a flagged firm needs none. Holds the economy, a copy of
     the decisions, the flagged firms' positions, a dead mask over
     positions with them set, the survivor template and the network's
-    firms, index and CSR tables, but not the network. price(i), on
-    first use, fills books[i] for the supplier at position i: an
-    itemgetter that reads its pattern off a dead mask, its outcome
-    memo, term_close's first five arguments, the beginning equity and
-    one (customer position, live term, dead term) per customer in
-    customers_of order. A flagged customer, dead in every run, has no
-    live term. The memo maps a pattern (the flag of a lone customer,
-    else the tuple of flags) to the five fields of an Evaluation after
-    generation. It gains one entry per distinct pattern met, at most
-    2^deg for deg customers, and lives as long as the plan.
+    firms, index and CSR tables, but not the network. books[i], for the
+    live supplier at position i with customers, is an itemgetter that
+    reads its pattern off a dead mask, its outcome memo, term_close's
+    first five arguments, the beginning equity and one (customer
+    position, live term, dead term) per customer in customers_of order;
+    it is None for a flagged firm or a firm with no customers. A
+    flagged customer, dead in every run, has no live term. The memo
+    maps a pattern (the flag of a lone customer, else the tuple of
+    flags) to the five fields of an Evaluation after generation. It
+    gains one entry per distinct pattern met, at most 2^deg for deg
+    customers, and lives as long as the plan.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
                  decisions: Mapping[str, InvestmentDecision],
                  gdp_growth: float, policy: str) -> None:
         ids = shared_firm_ids(economy, network)
+        states, params = economy.states, economy.params
         missing = next((f for f in ids if f not in decisions
-                        and not economy.states[f].bankrupt), None)
+                        and not states[f].bankrupt), None)
         if missing is not None:
             raise ValueError(f"decisions lack firm {missing!r}")
         self.economy = economy
@@ -171,15 +174,33 @@ class CascadePlan:
         self.policy = policy
         self.firms, self.index = network.firms, network.index
         self.customers, self.suppliers = network.customers, network.suppliers
-        states = economy.states
         self.flagged = tuple(i for i, f in enumerate(ids) if states[f].bankrupt)
-        self.dead = bytearray(len(ids))
+        self.dead = dead = bytearray(len(ids))
         for i in self.flagged:
-            self.dead[i] = 1
+            dead[i] = 1
         self.survivors = {f: REASON_NOT_REACHED for f in ids
                           if not states[f].bankrupt}
-        self.books: list[tuple | None] = [None] * len(ids)
         self._keys = tuple(self.decisions)
+        offsets, positions, ks = self.customers
+        self.books: list[tuple | None] = [None] * len(ids)
+        for i, firm in enumerate(ids):
+            lo, hi = offsets[i], offsets[i + 1]
+            if dead[i] or lo == hi:
+                continue
+            st, dec = states[firm], self.decisions[firm]
+            growth, cost, capital_charge = term_fixed(
+                st.capital, st.labor, params[firm], dec.capital, dec.labor)
+            customers = positions[lo:hi]
+            terms = tuple(
+                (c,
+                 None if dead[c]
+                 else interaction_term(k, states[ids[c]].growth_ratio,
+                                       gdp_growth),
+                 bankrupt_interaction(k, gdp_growth, policy))
+                for c, k in zip(customers, ks[lo:hi]))
+            self.books[i] = (itemgetter(*customers), {}, st.revenue, growth,
+                             cost, capital_charge, dec.labor, st.equity,
+                             terms)
 
     def matches(self, economy: Economy,
                 decisions: Mapping[str, InvestmentDecision],
@@ -195,30 +216,6 @@ class CascadePlan:
                 and self._keys == tuple(decisions)
                 and all(map(is_, self.decisions.values(), decisions.values())))
 
-    def price(self, i: int) -> tuple:
-        """Price the frozen books of the supplier at position i into
-        books[i], with an empty memo, and return them."""
-        firm = self.firms[i]
-        economy, dec = self.economy, self.decisions[firm]
-        st = economy.states[firm]
-        growth, cost, capital_charge = term_fixed(
-            st.capital, st.labor, economy.params[firm], dec.capital, dec.labor)
-        g, policy, states, firms, dead = (self.gdp_growth, self.policy,
-                                          economy.states, self.firms, self.dead)
-        offsets, positions, ks = self.customers
-        row = slice(offsets[i], offsets[i + 1])
-        customers = positions[row]
-        terms = tuple(
-            (c,
-             None if dead[c]
-             else interaction_term(k, states[firms[c]].growth_ratio, g),
-             bankrupt_interaction(k, g, policy))
-            for c, k in zip(customers, ks[row]))
-        books = self.books[i] = (itemgetter(*customers), {}, st.revenue,
-                                 growth, cost, capital_charge, dec.labor,
-                                 st.equity, terms)
-        return books
-
 
 # One plan per network, dropped with it. A run keeps the plan it looked
 # up, whose inputs cannot change, so a rebuild by another run cannot mix.
@@ -227,7 +224,7 @@ _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
                       dead: bytearray) -> Evaluation:
-    """The end-of-term equity of the priced supplier at position i.
+    """The end-of-term equity of the live supplier at position i.
 
     Customers set in dead, a mask over positions, enter through their
     dead terms, the others through their live terms. The terms are
@@ -266,7 +263,7 @@ def propagate_step(plan: CascadePlan, generation: int,
     and every flagged firm set. Returns (position, outcome) pairs in
     position order, which is firm order. An outcome is the five fields
     of an Evaluation after generation: looked up in the supplier's memo
-    by its pattern, or priced by evaluate_supplier on a miss. dead is
+    by its pattern, or closed by evaluate_supplier on a miss. dead is
     not changed here, so the caller commits a whole generation at once.
     """
     offsets, positions, _ = plan.suppliers
@@ -278,8 +275,6 @@ def propagate_step(plan: CascadePlan, generation: int,
         if dead[i]:
             continue
         entry = books[i]
-        if entry is None:
-            entry = plan.price(i)
         pattern, memo = entry[0](dead), entry[1]
         outcome = memo.get(pattern)
         if outcome is None:
@@ -315,7 +310,9 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     so it dies with the network. A call reuses the plan, and its
     outcome memos, while its matches() holds and builds a new one
     otherwise: a changed economy is a new object, and decisions may
-    be edited in place between calls.
+    be edited in place between calls. A plan prices every supplier
+    before the first generation, so inputs it cannot price raise
+    whatever the triggers, and leave no plan behind.
     """
     for f in config.trigger_firms:
         if f not in economy.params:

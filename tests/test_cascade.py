@@ -544,20 +544,48 @@ class TestPlanReuse:
 
         monkeypatch.setattr(cascade, "term_fixed", counted)
         eco, net, decisions = make_chain(equity_a=30.0)
+        firm_of = {id(p): f for f, p in eco.params.items()}
+
+        def priced_firms():
+            return [firm_of[id(args[2])] for args in priced]
+
         config = CascadeConfig(trigger_firms=("C",))
         first = run_cascade(eco, net, config, decisions=decisions)
-        assert len(priced) == len(first.equity_trace) == 2  # B, then A
-        # unchanged inputs, any trigger: the books priced so far hold
+        # the plan prices every supplier, in position order, when it is
+        # built; C supplies nobody
+        assert priced_firms() == ["A", "B"]
+        # unchanged inputs, any trigger: the books priced at build hold
         assert run_cascade(eco, net, config, decisions=decisions) == first
         run_cascade(eco, net, CascadeConfig(trigger_firms=("B",)),
                     decisions=decisions)
-        assert len(priced) == 2
+        assert priced_firms() == ["A", "B"]
         # an edit in place prices again, from the edited decision
         decisions["A"] = InvestmentDecision(capital=100.0, labor=75.0)
         edited = run_cascade(eco, net, config, decisions=decisions)
-        assert len(priced) == 4
-        assert priced[-1][3:] == (100.0, 75.0)
+        assert priced_firms() == ["A", "B", "A", "B"]
+        assert priced[2][3:] == (100.0, 75.0)
         assert edited.bankrupt == {"C": 0, "B": 1}
+
+    @pytest.mark.parametrize("trigger", ["B", "D"])
+    def test_a_plan_that_cannot_be_priced_fails_for_any_trigger(self,
+                                                               trigger):
+        # A supplies B and C supplies D; only C's books overflow, so a
+        # lazy plan failed for trigger D alone
+        params = {f: FirmParameters(alpha=1.9, beta=0.0, cost_coeff=0.0,
+                                    interest_rate=0.0) for f in "ABCD"}
+        states = {f: FirmState(revenue=100.0, prev_revenue=100.0,
+                               capital=100.0, labor=95.0, equity=50.0)
+                  for f in "ABCD"}
+        net = TransactionNetwork(firms=tuple("ABCD"),
+                                 edges=(("A", "B", 0.5), ("C", "D", 0.5)))
+        decisions = {f: InvestmentDecision(capital=100.0, labor=95.0)
+                     for f in "ABCD"}
+        decisions["C"] = InvestmentDecision(capital=1e300, labor=95.0)
+        with pytest.raises(OverflowError):
+            run_cascade(Economy(params=params, states=states), net,
+                        CascadeConfig(trigger_firms=(trigger,)),
+                        decisions=decisions)
+        assert net not in cascade._plans
 
     def test_prices_a_pattern_once_per_plan(self, monkeypatch):
         # A supplies B and C; each pattern of dead customers A meets is

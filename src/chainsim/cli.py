@@ -1,8 +1,9 @@
 """Command-line interface: generate | calibrate | cascade | simulate | report.
 
-Every command validates its inputs before writing anything, writes
-each output atomically, and removes whatever it did write if a later
-step fails, so a nonzero exit never leaves partial results behind.
+Every command validates its inputs before writing anything and stages
+its outputs under temporary names in its out dir, renamed into place
+only once it has succeeded: a nonzero exit neither leaves partial
+results behind nor replaces earlier ones.
 Flags beat config-file values beat defaults.
 
 Each setting is checked once, by the library type that takes it
@@ -43,26 +44,32 @@ class CliError(Exception):
 
 
 class _Outputs:
-    """Writes a command's files into its out dir and tracks them, so a
-    failing command can take them back."""
+    """Stages a command's files in its out dir under temporary names;
+    commit renames them into place, discard removes those still staged."""
 
     def __init__(self, out_dir: str) -> None:
         self.out_dir = out_dir
-        self.paths: list[str] = []
+        self.staged: list[tuple[str, str]] = []  # (staged, final) paths
 
     def write(self, name: str, writer, *args) -> str:
-        """writer(path, *args) for name in the out dir (made if missing)."""
+        """writer(path, *args), staged for name in the out dir (made if
+        missing); returns the path the file will have."""
         os.makedirs(self.out_dir, exist_ok=True)
         path = os.path.join(self.out_dir, name)
-        writer(path, *args)
-        self.paths.append(path)
+        staged = cio.temp_path(path)
+        self.staged.append((staged, path))
+        writer(staged, *args)
         return path
 
+    def commit(self) -> None:
+        for staged, path in self.staged:
+            os.replace(staged, path)
+
     def discard(self) -> None:
-        for path in self.paths:
+        for staged, _ in self.staged:
             try:
-                os.unlink(path)
-            except OSError:
+                os.unlink(staged)
+            except OSError:  # not written, or already renamed
                 pass
 
 
@@ -411,11 +418,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = _Outputs(args.out_dir)
     try:
-        return args.func(args, out)
+        status = args.func(args, out)
+        out.commit()
+        return status
     except (CliError, cio.FormatError, ValueError, OSError) as exc:
-        out.discard()
         print(f"chainsim: {exc}", file=sys.stderr)
         return 2
+    finally:
+        out.discard()
 
 
 def entry_point() -> None:

@@ -157,26 +157,9 @@ def _less(x, y) -> np.ndarray:
     return np.where(c == c0, np.where(k == k0, l < l0, k < k0), c < c0)
 
 
-def _edge_candidates(gamma, B, other, w, lo, hi):
-    """Where B*other*x^gamma - w*x peaks over lo <= x <= hi, B, other > 0.
-
-    gamma = 0: the low end; w = 0: the high end; 0 < gamma < 1
-    (concave): the clipped first-order point, the high end if it
-    overflows, so one candidate whenever w > 0; gamma >= 1 (convex):
-    both endpoints. Returns (first, convex): each row's first
-    candidate, and the rows whose second candidate is hi.
-    """
-    flat = gamma == 0.0
-    free = ~flat & (w == 0.0)
-    convex = ~flat & ~free & (gamma >= 1.0)
-    first = np.where(flat | convex, lo, hi)
-    i = (~(flat | free | convex)).nonzero()[0]
-    first[i] = _peak(gamma[i], B[i], other[i], w[i], lo[i], hi[i])
-    return first, convex
-
-
 def _peak(gamma, B, other, w, lo, hi) -> np.ndarray:
-    """_edge_candidates on concave edges, 0 < gamma < 1 and w > 0."""
+    """_edge's concave case (0 < gamma < 1, w > 0) over the face rule's
+    columns: the clipped first-order point, hi where math.pow overflows."""
     return _clip(_pow_or_inf(gamma * B * other / w, 1.0 / (1.0 - gamma)),
                  lo, hi)
 
@@ -223,7 +206,7 @@ def best_input_columns(revenue, capital, labor, params: ParamColumns,
     multiplicative box. The payoff is the constant minus the cost
     r*K + L - B*K^alpha*L^beta, where B = revenue / (K^alpha * L^beta)
     - cost_coeff is the net output coefficient, and each edge's payoff
-    is B*other*x^gamma - w*x + const (_edge_candidates).
+    is B*other*x^gamma - w*x + const (_edge).
 
     - B <= 0: the payoff is non-increasing in capital and strictly
       decreasing in labor, so the lower corner, for any alpha + beta.
@@ -249,7 +232,8 @@ def best_input_columns(revenue, capital, labor, params: ParamColumns,
       or outside the face rule's bounds): the best of the candidates of
       all four edges, at most eight (for alpha + beta >= 1 the payoff is
       convex along every ray from the origin, so the peak is on the
-      boundary).
+      boundary). It runs row by row on Python floats (_all_edges): it
+      gets 1 to 5 rows a call, too few to pay for a pass over columns.
 
     Candidates are priced by the cost without the constant; ties break
     toward smaller capital, then smaller labor, as min over (cost, K,
@@ -343,44 +327,39 @@ def _face_rule(a, b, r, B, k_lo, k_hi, l_lo, l_hi, k_star, l_star, k_in, l_in):
             np.where(take_l, l_face, l_on_k))
 
 
+def _edge(gamma, B, other, w, lo, hi) -> tuple[float, ...]:
+    """Where B*other*x^gamma - w*x peaks over lo <= x <= hi, B, other > 0:
+    lo if gamma = 0, hi if w = 0, both ends if gamma >= 1, else _peak's."""
+    if gamma == 0.0:
+        return (lo,)
+    if w == 0.0:
+        return (hi,)
+    if gamma >= 1.0:
+        return (lo, hi)
+    try:
+        x = math.pow(gamma * B * other / w, 1.0 / (1.0 - gamma))
+    except OverflowError:
+        return (hi,)
+    return (min(max(x, lo), hi),)
+
+
 def _all_edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi):
     """The best of the candidates of all four box edges, as (K', L').
 
-    The four edges' candidates come from one stacked _edge_candidates
-    pass and fill eight slots, in the order of: for K in (k_lo, k_hi),
-    the K-edge's first candidate, then its high end if the edge is
-    convex; then the same along L in (l_lo, l_hi). Every power taken is
-    one that pricing the candidates takes. Python's min over the (cost,
-    K, L) tuples in slot order keeps slot 0 when its cost is nan and
-    otherwise never takes a nan cost, and the order is total on the
-    rest, so a lexicographic sort over the slots it may take finds the
-    same tuple.
+    Row by row on Python floats: the L-edges at K = k_lo, then k_hi,
+    then the K-edges at L = l_lo, then l_hi give the candidates, and
+    Python's min over their (cost, K, L) tuples picks.
     """
-    m = len(B)
-    one = np.ones_like(r)
-    first, convex = _edge_candidates(
-        np.concatenate((b, b, a, a)), np.concatenate((B, B, B, B)),
-        libm(pow, np.concatenate((k_lo, k_hi, l_lo, l_hi)),
-             np.concatenate((a, a, b, b))),
-        np.concatenate((one, one, r, r)),
-        np.concatenate((l_lo, l_lo, k_lo, k_lo)),
-        np.concatenate((l_hi, l_hi, k_hi, k_hi)))
-    l_on_lo, l_on_hi, k_on_lo, k_on_hi = first.reshape(4, m)
-    cx_k_lo, cx_k_hi, cx_l_lo, cx_l_hi = convex.reshape(4, m)
-    K = np.array((k_lo, k_lo, k_hi, k_hi, k_on_lo, k_hi, k_on_hi, k_hi))
-    L = np.array((l_on_lo, l_hi, l_on_hi, l_hi, l_lo, l_lo, l_hi, l_hi))
-    slot = np.array((one > 0.0, cx_k_lo, one > 0.0, cx_k_hi,
-                     one > 0.0, cx_l_lo, one > 0.0, cx_l_hi))
-    # (-payoff + const) per slot
-    cost = (r * K + L
-            - B * libm(pow, K.ravel(), np.concatenate([a] * 8)).reshape(8, m)
-            * libm(pow, L.ravel(), np.concatenate([b] * 8)).reshape(8, m))
-    nan = np.isnan(cost)
-    slot &= ~nan & ~nan[0]
-    slot[0] = True
-    best = np.lexsort((L, K, cost, ~slot), axis=0)[0]
-    rows = np.arange(m)
-    return K[best, rows], L[best, rows]
+    best = []
+    for a, b, r, B, k_lo, k_hi, l_lo, l_hi in zip(*(
+            x.tolist() for x in (a, b, r, B, k_lo, k_hi, l_lo, l_hi))):
+        candidates = [(k, l) for k in (k_lo, k_hi)
+                      for l in _edge(b, B, k ** a, 1.0, l_lo, l_hi)]
+        candidates += [(k, l) for l in (l_lo, l_hi)
+                       for k in _edge(a, B, l ** b, r, k_lo, k_hi)]
+        best.append(min((r * k + l - B * k ** a * l ** b, k, l)
+                        for k, l in candidates)[1:])
+    return tuple(zip(*best))
 
 
 def best_inputs(revenue: float, capital: float, labor: float,

@@ -1,14 +1,14 @@
 """File formats: CSV panels/edges/gdp/params, JSON reports, DOT/GraphML.
 
-All writers are atomic (temp file then rename) and deterministic:
-sorted keys, fixed field order, floats via repr so a written file loads
-back bit-identically. All four loaders read through one table reader:
-it reads the file at once, skips blank lines and '#' comments (the
-writers put the config echo there) and splits every data line with
-one split when all are quote-free and of the header's width; otherwise
-line by line, handing a line holding '"' to csv alone. Each loader
-parses and checks whole columns, not rows, and every rejection cites
-the line of the lowest faulty row.
+All writers are atomic (temp file then rename, mode set by the umask)
+and deterministic: sorted keys, fixed field order, floats via repr so a
+written file loads back bit-identically. All four loaders read through
+one table reader: it reads the file at once, skips blank lines and '#'
+comments (the writers put the config echo there) and splits every data
+line with one split when all are quote-free and of the header's width;
+otherwise line by line, handing a line holding '"' to csv alone. Each
+loader parses and checks whole columns, not rows, and every rejection
+cites the line of the lowest faulty row.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import itertools
 import json
 import operator
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -39,9 +39,16 @@ class FormatError(ValueError):
     """A file failed validation; the message says where."""
 
 
+def temp_path(path: str) -> str:
+    """A fresh name for a temporary file in path's directory."""
+    return os.path.join(os.path.dirname(os.path.abspath(path)),
+                        f"tmp{secrets.token_hex(8)}.tmp")
+
+
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # 0o666 leaves the mode to the umask, as open(path, "w") does
+    tmp = temp_path(path)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

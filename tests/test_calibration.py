@@ -105,6 +105,13 @@ class TestPanelSeries:
             two_firm_panel(**changes)
 
 
+class TestFirmSeries:
+    def test_refuses_two_dimensional_revenue(self):
+        with pytest.raises(ValueError, match=r"^revenue must be 1-D, got "
+                                             r"shape \(2, 3\)$"):
+            FirmSeries(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 3)))
+
+
 class TestFitOptions:
     def test_refuses_a_bool_tol(self):
         # True read as a tolerance of 1.0; max_iter refuses bools too

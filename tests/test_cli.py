@@ -125,6 +125,25 @@ class TestGenerate:
         assert '"noise_on": false' in text
         assert text == (by_flag / "panel.csv").read_text()
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config {path}: [Errno 2] No such file or "
+               "directory: '{path}'"),
+        ("not json", "cannot read config {path}: Expecting value: line 1 "
+                     "column 1 (char 0)"),
+        ("[3]", "config {path} must hold a JSON object"),
+    ])
+    def test_unreadable_config_fails_clean(self, tmp_path, capsys, text,
+                                           message):
+        path = tmp_path / "gen.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert run(["generate", "--out-dir", str(out),
+                    "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            f"chainsim: {message.format(path=path)}\n"
+        assert not out.exists()
+
     def test_missing_required_flag_exits_via_parser(self):
         with pytest.raises(SystemExit):
             run(["generate"])  # no --out-dir
@@ -355,6 +374,24 @@ class TestCascade:
         assert run(self.base_args(paths, out) + ["--trigger", "Z"]) == 2
         assert "Z" in capsys.readouterr().err
         assert not (out / "cascade.json").exists()
+
+    def test_failing_export_keeps_earlier_results(self, tmp_path, capsys):
+        # the loaders read an id ending in a backslash, the cascade and
+        # its JSON succeed, and then DOT refuses the id
+        data = gen_dir(tmp_path)
+        for name in ("panel.csv", "edges.csv", "params.csv"):
+            path = data / name
+            path.write_text(re.sub(r"\bF0001\b", r"F0001\\",
+                                   path.read_text()))
+        out = tmp_path / "shock"
+        out.mkdir()
+        (out / "cascade.json").write_bytes(b'{"earlier": true}\n')
+        paths = {name: str(data / name)
+                 for name in ("panel.csv", "edges.csv", "gdp.csv", "params.csv")}
+        assert run(self.base_args(paths, out) + ["--trigger", "F0000"]) == 2
+        assert "backslash" in capsys.readouterr().err
+        assert os.listdir(out) == ["cascade.json"]
+        assert (out / "cascade.json").read_bytes() == b'{"earlier": true}\n'
 
     def test_trigger_required(self, tmp_path, capsys):
         paths = steady_chain_csvs(tmp_path)

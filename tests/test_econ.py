@@ -321,6 +321,11 @@ class TestMacroSeries:
         with pytest.raises(ValueError):
             MacroSeries(gdp=())
 
+    def test_rejects_periods_of_another_length(self):
+        with pytest.raises(ValueError,
+                           match="^periods and gdp lengths differ$"):
+            MacroSeries(gdp=(1.0, 2.0), periods=(0, 1, 2))
+
     def test_rejects_duplicate_period_labels(self):
         # as PanelSeries and load_gdp do
         with pytest.raises(ValueError, match="duplicate period labels"):

@@ -390,6 +390,12 @@ def concave_problems(draw):
 CONCAVE = FirmParameters(alpha=0.3, beta=0.3, cost_coeff=0.5,
                          interest_rate=0.05)
 
+# alpha + beta > 1, so every edge is priced, and k_hi ** alpha overflows
+OVERFLOWING = (1e300, 1e154, 1.0,
+               replace(CONCAVE, alpha=2.0, beta=0.0, cost_coeff=0.0))
+OVERFLOW_ARGS = (34, "Numerical result out of range")
+
+
 
 class TestBestInputs:
     @given(st.one_of(concave_problems(), any_regime_problems()))
@@ -435,6 +441,12 @@ class TestBestInputs:
         got = best_inputs(*problem)
         want = eight_candidate_inputs(*problem)
         assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("solve", [best_inputs, eight_candidate_inputs])
+    def test_overflowing_corner_power_raises(self, solve):
+        with pytest.raises(OverflowError) as info:
+            solve(*OVERFLOWING, GameConfig.decision_bounds)
+        assert info.value.args == OVERFLOW_ARGS
 
     @pytest.mark.parametrize("capital, labor", [
         (10.0, 100.0),    # k* above the box, l* inside
@@ -539,6 +551,15 @@ class TestBestInputColumns:
             want = eight_candidate_inputs(revenue, capital, labor, p, bounds)
             assert ([x.hex() for x in got] == [x.hex() for x in row]
                     == [x.hex() for x in want])
+
+    def test_overflowing_row_among_ordinary_ones_raises(self):
+        # ordinary rows of the face rule and of every edge around it
+        rows = [(100.0, 10.0, 100.0, CONCAVE), OVERFLOWING,
+                (100.0, 1.0, 1.0, replace(CONCAVE, alpha=0.7, beta=0.5))]
+        books = [np.array(column) for column in list(zip(*rows))[:3]]
+        with pytest.raises(OverflowError) as info:
+            best_input_columns(*books, ParamColumns(p for *_, p in rows))
+        assert info.value.args == OVERFLOW_ARGS
 
 
 class TestGeneticSearch:

@@ -44,6 +44,7 @@ from chainsim.io import (
     network_graphml,
     write_edges,
     write_gdp,
+    write_json,
     write_panel,
     write_params,
 )
@@ -272,6 +273,41 @@ class TestWriteReadCycles:
         assert head[0].startswith("# config: ")
         assert json.loads(head[0].removeprefix("# config: ")) == {"n_firms": 2}
         assert head[1] == "# seed: 3"
+
+
+class TestWriters:
+    def test_files_take_the_umask_mode(self, tmp_path):
+        macro = MacroSeries(gdp=(100.0, 102.0))
+        umask = os.umask(0o027)
+        try:
+            write_gdp(str(tmp_path / "gdp.csv"), macro)
+            write_json(str(tmp_path / "doc.json"), {"a": 1})
+        finally:
+            os.umask(umask)
+        for name in ("gdp.csv", "doc.json"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == 0o640
+
+    def test_failed_replace_leaves_target_and_no_temp_file(self, tmp_path,
+                                                           monkeypatch):
+        path = tmp_path / "doc.json"
+        path.write_text("earlier\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_json(str(path), {"a": 1})
+        assert os.listdir(tmp_path) == ["doc.json"]
+        assert path.read_text() == "earlier\n"
+
+    def test_panel_without_equity_is_refused(self, tmp_path):
+        row = FirmSeries(np.ones(3), np.ones(3), np.ones(3))
+        panel = make_panel({"A": row}, np.ones(3), (0, 1, 2))
+        with pytest.raises(ValueError, match="^panel has no equity series; "
+                                             "cannot write the schema$"):
+            write_panel(str(tmp_path / "panel.csv"), panel)
+        assert os.listdir(tmp_path) == []
 
 
 PARAMS = FirmParameters(alpha=0.3, beta=0.4, cost_coeff=0.25,

@@ -28,8 +28,11 @@ that run or another, looks the outcome up and does no arithmetic. The
 memo holds one entry per distinct pattern seen, at most 2^deg for a
 supplier of deg customers, and dies with the plan. run_cascade keeps
 one plan per network, weakly keyed, and reuses it for the very same
-economy, which is read-only, and decisions that hold the very same
-objects.
+economy, which is read-only, and the very same decisions. Decisions
+from nash_solve are read-only too, so the plan keeps them by reference
+and one identity check matches them; a caller's own mapping, which may
+be edited in place, is copied and matched by equal keys in order
+holding the very same objects.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .econ import (
     term_close,
     term_fixed,
 )
-from .game import nash_solve
+from .game import FrozenDecisions, nash_solve
 
 # Why a live supplier of a dead customer did not go under.
 REASON_EQUITY = "equity-sufficient"
@@ -143,8 +146,9 @@ class CascadePlan:
     gdp_growth, policy), priced in one pass when it is built.
 
     Refuses decisions that lack a live firm of the economy, naming the
-    first one; a flagged firm needs none. Holds the economy, a copy of
-    the decisions, the flagged firms' positions, a dead mask over
+    first one; a flagged firm needs none. Holds the economy, the
+    decisions (nash_solve's read-only ones by reference, any other
+    mapping as a copy), the flagged firms' positions, a dead mask over
     positions with them set, the survivor template and the network's
     firms, index and CSR tables, but not the network. books[i], for the
     live supplier at position i with customers, is an itemgetter that
@@ -169,7 +173,8 @@ class CascadePlan:
         if missing is not None:
             raise ValueError(f"decisions lack firm {missing!r}")
         self.economy = economy
-        self.decisions = dict(decisions)
+        self.decisions = (decisions if type(decisions) is FrozenDecisions
+                          else dict(decisions))
         self.gdp_growth = gdp_growth
         self.policy = policy
         self.firms, self.index = network.firms, network.index
@@ -206,15 +211,22 @@ class CascadePlan:
                 decisions: Mapping[str, InvestmentDecision],
                 gdp_growth: float, policy: str) -> bool:
         """True for the very economy the plan was built from, decisions
-        with equal keys in order holding the very same objects, and
-        scalars of the same types and equal."""
+        that are the plan's own or have equal keys in order holding the
+        very same objects, and scalars of the same types and equal.
+
+        The plan keeps only FrozenDecisions by reference, and those
+        cannot be edited, so they match by one identity check whatever
+        their size; any other mapping is checked firm by firm against
+        the plan's copy."""
         return (economy is self.economy
                 and type(gdp_growth) is type(self.gdp_growth)
                 and gdp_growth == self.gdp_growth
                 and type(policy) is type(self.policy)
                 and policy == self.policy
-                and self._keys == tuple(decisions)
-                and all(map(is_, self.decisions.values(), decisions.values())))
+                and (decisions is self.decisions
+                     or (self._keys == tuple(decisions)
+                         and all(map(is_, self.decisions.values(),
+                                     decisions.values())))))
 
 
 # One plan per network, dropped with it. A run keeps the plan it looked
@@ -286,7 +298,7 @@ def propagate_step(plan: CascadePlan, generation: int,
 
 def run_cascade(economy: Economy, network: TransactionNetwork,
                 config: CascadeConfig,
-                decisions: dict[str, InvestmentDecision] | None = None,
+                decisions: Mapping[str, InvestmentDecision] | None = None,
                 seed: int = 0) -> CascadeResult:
     """Run a full cascade scenario from the configured triggers.
 
@@ -309,10 +321,13 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     The books come from a CascadePlan kept per network in a weak map,
     so it dies with the network. A call reuses the plan, and its
     outcome memos, while its matches() holds and builds a new one
-    otherwise: a changed economy is a new object, and decisions may
-    be edited in place between calls. A plan prices every supplier
-    before the first generation, so inputs it cannot price raise
-    whatever the triggers, and leave no plan behind.
+    otherwise: a changed economy is a new object, and a caller's
+    decisions may be edited in place between calls. The read-only
+    decisions of one nash_solve result, passed to call after call,
+    match with one identity check; each new result builds a new plan,
+    and so does every call with decisions None. A plan prices every
+    supplier before the first generation, so inputs it cannot price
+    raise whatever the triggers, and leave no plan behind.
     """
     for f in config.trigger_firms:
         if f not in economy.params:

@@ -666,6 +666,43 @@ class TestPlanReuse:
                            config, decisions=decisions)
         assert repr(warm) == repr(cold)
 
+    @given(drawn_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_library_decisions_build_one_plan(self, scenario):
+        # every live firm as the only trigger, with nash_solve's read-only
+        # decisions: one plan, priced once and matched by identity alone,
+        # whose runs equal cold runs with an editable copy
+        eco, net, _, config = scenario
+        decisions = nash_solve(eco, net, config.gdp_growth).decisions
+        configs = [replace(config, trigger_firms=(f,)) for f in eco.firm_ids
+                   if not eco.states[f].bankrupt]
+        priced = []
+
+        def counted(*args):
+            priced.append(args)
+            return term_fixed(*args)
+
+        def refuse(*args):
+            raise AssertionError("matched the decisions firm by firm")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cascade, "term_fixed", counted)
+            mp.setattr(cascade, "is_", refuse)
+            runs = [run_cascade(eco, net, c, decisions=decisions)
+                    for c in configs]
+        firm_of = {id(p): f for f, p in eco.params.items()}
+        offsets = net.customers[0]
+        assert [firm_of[id(args[2])] for args in priced] == [
+            f for i, f in enumerate(net.firms)
+            if not eco.states[f].bankrupt and offsets[i] < offsets[i + 1]]
+        assert cascade._plans[net].decisions is decisions
+        plain = dict(decisions)
+        for c, res in zip(configs, runs):
+            cold = run_cascade(eco, TransactionNetwork(net.firms, net.edges()),
+                               c, decisions=plain)
+            assert repr(res) == repr(cold)
+            assert_equals_full_rescan(eco, net, decisions, c)
+
     def test_plan_dies_with_its_network(self):
         # only this network's plan: others may outlive this test
         eco, net, decisions = make_chain()

@@ -7,7 +7,10 @@ grid points against expected_payoff so the two derivations cannot
 drift apart.
 """
 
+import copy
 import math
+import operator
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +35,7 @@ from chainsim import (
     nash_solve,
 )
 from chainsim.game import (
+    FrozenDecisions,
     ParamColumns,
     best_input_columns,
     best_inputs,
@@ -765,3 +769,71 @@ class TestNash:
         assert all((got[f].capital.hex(), got[f].labor.hex())
                    == (want[f].capital.hex(), want[f].labor.hex())
                    for f in want)
+
+
+MUTATORS = {
+    "setitem": lambda d: operator.setitem(d, "A", d["B"]),
+    "delitem": lambda d: operator.delitem(d, "A"),
+    "ior": lambda d: operator.ior(d, {"A": d["B"]}),
+    "clear": lambda d: d.clear(),
+    "pop": lambda d: d.pop("A"),
+    "popitem": lambda d: d.popitem(),
+    "setdefault": lambda d: d.setdefault("Z", d["A"]),
+    "update": lambda d: d.update(A=d["B"]),
+}
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle {protocol}": (
+        lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol)))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+class TestFrozenDecisions:
+    """nash_solve's decisions cannot be edited in place, so a cascade
+    plan keeps them by reference; they read like a plain dict."""
+
+    @pytest.fixture
+    def solved(self):
+        eco, net = interior_chain()
+        return eco, nash_solve(eco, net, 1.02)
+
+    @pytest.mark.parametrize("edit", MUTATORS.values(), ids=MUTATORS)
+    def test_every_mutator_raises(self, solved, edit):
+        _, res = solved
+        before = dict(res.decisions)
+        with pytest.raises(TypeError, match="FrozenDecisions is read-only"):
+            edit(res.decisions)
+        assert list(res.decisions.items()) == list(before.items())
+
+    def test_equals_the_plain_dict_of_the_same_decisions(self, solved):
+        eco, res = solved
+        plain = {f: InvestmentDecision(*best_inputs(
+                     st.revenue, st.capital, st.labor, eco.params[f]))
+                 for f, st in sorted(eco.states.items())}
+        assert type(res.decisions) is FrozenDecisions
+        assert res.decisions == plain and plain == res.decisions
+        assert list(res.decisions) == list(plain)
+        assert repr(res.decisions) == repr(plain)
+
+    def test_a_dict_copy_is_editable(self, solved):
+        _, res = solved
+        plain = dict(res.decisions)
+        assert type(plain) is dict
+        plain["A"] = plain.pop("B")
+        assert plain == {"A": res.decisions["B"], "C": res.decisions["C"]}
+        assert list(res.decisions) == ["A", "B", "C"]
+
+    @pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+    def test_copies_and_pickles_stay_read_only(self, solved, clone):
+        _, res = solved
+        again = clone(res.decisions)
+        assert type(again) is FrozenDecisions
+        assert list(again.items()) == list(res.decisions.items())
+        with pytest.raises(TypeError, match="read-only"):
+            again["A"] = again["B"]
+        whole = clone(res)
+        assert whole == res
+        assert type(whole.decisions) is FrozenDecisions

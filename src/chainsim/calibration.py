@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,12 @@ def _set_series(obj, name: str, shape: tuple[int, ...],
     object.__setattr__(obj, name, arr)
 
 
+def _reduce_through_init(self):
+    """Copies, deep copies and pickles are rebuilt by the constructor,
+    so their arrays are checked again and kept read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True)
 class FirmSeries:
     """One firm's panel: aligned revenue, capital and labor arrays."""
@@ -77,6 +83,8 @@ class FirmSeries:
             raise ValueError(f"revenue must be 1-D, got shape {shape}")
         for name in ("revenue", "capital", "labor"):
             _set_series(self, name, shape)
+
+    __reduce__ = _reduce_through_init
 
     def __len__(self) -> int:
         return self.revenue.size
@@ -114,6 +122,8 @@ class PanelSeries:
             _set_series(self, name, (len(ids), len(periods)))
         if self.equity is not None:
             _set_series(self, "equity", (len(ids), len(periods)), positive=False)
+
+    __reduce__ = _reduce_through_init
 
     @functools.cached_property
     def rows(self) -> dict[str, int]:

@@ -28,11 +28,7 @@ that run or another, looks the outcome up and does no arithmetic. The
 memo holds one entry per distinct pattern seen, at most 2^deg for a
 supplier of deg customers, and dies with the plan. run_cascade keeps
 one plan per network, weakly keyed, and reuses it for the very same
-economy, which is read-only, and the very same decisions. Decisions
-from nash_solve are read-only too, so the plan keeps them by reference
-and one identity check matches them; a caller's own mapping, which may
-be edited in place, is copied and matched by equal keys in order
-holding the very same objects.
+economy and the very same decisions, both read-only FrozenMaps.
 """
 
 from __future__ import annotations
@@ -41,11 +37,12 @@ import weakref
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
-from operator import is_, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .econ import (
     Economy,
+    FrozenMap,
     InvestmentDecision,
     POSITIVE,
     TransactionNetwork,
@@ -59,7 +56,7 @@ from .econ import (
     term_close,
     term_fixed,
 )
-from .game import FrozenDecisions, nash_solve
+from .game import nash_solve
 
 # Why a live supplier of a dead customer did not go under.
 REASON_EQUITY = "equity-sufficient"
@@ -92,6 +89,7 @@ class CascadeConfig:
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
         check_numbers((("gdp_growth", POSITIVE),), (self.gdp_growth,))
+        object.__setattr__(self, "gdp_growth", float(self.gdp_growth))
         cap = self.max_generations
         if cap is not None and (type(cap) is not int or cap < 0):  # no bools
             raise ValueError(
@@ -147,8 +145,8 @@ class CascadePlan:
 
     Refuses decisions that lack a live firm of the economy, naming the
     first one; a flagged firm needs none. Holds the economy, the
-    decisions (nash_solve's read-only ones by reference, any other
-    mapping as a copy), the flagged firms' positions, a dead mask over
+    decisions (a FrozenMap by reference, any other mapping frozen into
+    a new one), the flagged firms' positions, a dead mask over
     positions with them set, the survivor template and the network's
     firms, index and CSR tables, but not the network. books[i], for the
     live supplier at position i with customers, is an itemgetter that
@@ -173,8 +171,8 @@ class CascadePlan:
         if missing is not None:
             raise ValueError(f"decisions lack firm {missing!r}")
         self.economy = economy
-        self.decisions = (decisions if type(decisions) is FrozenDecisions
-                          else dict(decisions))
+        self.decisions = (decisions if type(decisions) is FrozenMap
+                          else FrozenMap(decisions))
         self.gdp_growth = gdp_growth
         self.policy = policy
         self.firms, self.index = network.firms, network.index
@@ -185,7 +183,6 @@ class CascadePlan:
             dead[i] = 1
         self.survivors = {f: REASON_NOT_REACHED for f in ids
                           if not states[f].bankrupt}
-        self._keys = tuple(self.decisions)
         offsets, positions, ks = self.customers
         self.books: list[tuple | None] = [None] * len(ids)
         for i, firm in enumerate(ids):
@@ -210,23 +207,10 @@ class CascadePlan:
     def matches(self, economy: Economy,
                 decisions: Mapping[str, InvestmentDecision],
                 gdp_growth: float, policy: str) -> bool:
-        """True for the very economy the plan was built from, decisions
-        that are the plan's own or have equal keys in order holding the
-        very same objects, and scalars of the same types and equal.
-
-        The plan keeps only FrozenDecisions by reference, and those
-        cannot be edited, so they match by one identity check whatever
-        their size; any other mapping is checked firm by firm against
-        the plan's copy."""
-        return (economy is self.economy
-                and type(gdp_growth) is type(self.gdp_growth)
-                and gdp_growth == self.gdp_growth
-                and type(policy) is type(self.policy)
-                and policy == self.policy
-                and (decisions is self.decisions
-                     or (self._keys == tuple(decisions)
-                         and all(map(is_, self.decisions.values(),
-                                     decisions.values())))))
+        """True for the very economy and decisions the plan keeps, and
+        equal scalars."""
+        return (economy is self.economy and decisions is self.decisions
+                and gdp_growth == self.gdp_growth and policy == self.policy)
 
 
 # One plan per network, dropped with it. A run keeps the plan it looked
@@ -321,11 +305,10 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     The books come from a CascadePlan kept per network in a weak map,
     so it dies with the network. A call reuses the plan, and its
     outcome memos, while its matches() holds and builds a new one
-    otherwise: a changed economy is a new object, and a caller's
-    decisions may be edited in place between calls. The read-only
-    decisions of one nash_solve result, passed to call after call,
-    match with one identity check; each new result builds a new plan,
-    and so does every call with decisions None. A plan prices every
+    otherwise: a changed economy is a new object. One FrozenMap of
+    decisions, such as a nash_solve result's, passed to call after
+    call, matches with one identity check; any other mapping, and
+    decisions None, builds a new plan on every call. A plan prices every
     supplier before the first generation, so inputs it cannot price
     raise whatever the triggers, and leave no plan behind.
     """

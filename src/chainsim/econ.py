@@ -25,7 +25,6 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
-from types import MappingProxyType
 
 import numpy as np
 
@@ -290,11 +289,36 @@ class MacroSeries:
         return self.gdp[t] / self.gdp[t - 1]
 
 
+class FrozenMap(dict):
+    """A dict that cannot be edited in place.
+
+    A dict, so reads run at dict speed, it equals a plain dict of the
+    same items, and dict(d) is an editable copy; every mutator raises
+    TypeError (only dict's own methods, called on it by name, get round
+    that). Copies, deep copies and pickles are rebuilt from dict(self),
+    so they are FrozenMaps too. An Economy's maps, nash_solve's
+    decisions and a cascade plan's decisions are FrozenMaps.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only; "
+                        "edit a dict(...) copy of it")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+    del _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class Economy:
     """Per-firm parameters and current states, keyed by firm id, as
-    read-only views of copies taken at construction. A changed economy
-    is a new one, built with dataclasses.replace."""
+    FrozenMaps copied at construction. A changed economy is a new one,
+    built with dataclasses.replace."""
 
     params: Mapping[str, FirmParameters]
     states: Mapping[str, FirmState]
@@ -302,8 +326,8 @@ class Economy:
     def __post_init__(self) -> None:
         if set(self.params) != set(self.states):
             raise ValueError("params and states cover different firm ids")
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
-        object.__setattr__(self, "states", MappingProxyType(dict(self.states)))
+        object.__setattr__(self, "params", FrozenMap(self.params))
+        object.__setattr__(self, "states", FrozenMap(self.states))
 
     @property
     def firm_ids(self) -> tuple[str, ...]:

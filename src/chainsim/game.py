@@ -39,6 +39,7 @@ import numpy as np
 from .econ import (
     Economy,
     FirmParameters,
+    FrozenMap,
     InvestmentDecision,
     POSITIVE,
     TransactionNetwork,
@@ -446,44 +447,18 @@ def best_response_ga(ctx: PayoffContext, config: GameConfig = GameConfig(),
     return InvestmentDecision(capital, labor)
 
 
-class FrozenDecisions(dict):
-    """Decisions keyed by firm id that cannot be edited in place.
-
-    A dict, so reads run at dict speed, it equals a plain dict of the
-    same items, and dict(d) is an editable copy; every mutator raises
-    TypeError (only dict's own methods, called on it by name, get round
-    that). Copies, deep copies and pickles are rebuilt from dict(self),
-    so they are FrozenDecisions too. nash_solve returns one, and the
-    cascade plan built from it keeps it by reference and knows it again
-    by identity.
-    """
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only; "
-                        "edit a dict(...) copy of it")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-    del _read_only
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 @dataclass(frozen=True)
 class NashResult:
     """Joint decisions of the investment game.
 
-    decisions is read-only: a FrozenDecisions, which run_cascade's plan
+    decisions is read-only: a FrozenMap, which run_cascade's plan
     keeps by reference and matches with one identity check; dict() of
     it gives an editable copy. converged is true by construction:
     decisions read only each firm's own books, so one best-response
     pass is already the fixed point.
     """
 
-    decisions: FrozenDecisions
+    decisions: FrozenMap
     converged: bool
 
 
@@ -508,6 +483,6 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
         np.array([st.capital for st in states], dtype=float),
         np.array([st.labor for st in states], dtype=float),
         ParamColumns(economy.params[f] for f in ids))
-    decisions = FrozenDecisions(
+    decisions = FrozenMap(
         zip(ids, map(InvestmentDecision, k.tolist(), l.tolist())))
     return NashResult(decisions=decisions, converged=True)

@@ -17,6 +17,7 @@ import gc
 import math
 import weakref
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from chainsim import (
     run_cascade,
 )
 from chainsim import cascade
-from chainsim.econ import term_close, term_fixed
+from chainsim.econ import FrozenMap, term_close, term_fixed
 
 from conftest import flag_bankrupt, make_chain, mismatched_chain_network
 
@@ -408,6 +409,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gdp_growth"):
             CascadeConfig(trigger_firms=("A",), gdp_growth=g)
 
+    @pytest.mark.parametrize("g", [np.float32(1.02), np.float64(1.02),
+                                   Fraction(51, 50), 1],
+                             ids=["float32", "float64", "Fraction", "int"])
+    def test_gdp_growth_is_kept_as_a_float(self, chain, g):
+        # its type reached every number of the run: a float32 run was
+        # done in float32, a float64 one gave np.float64 fields
+        eco, net, decisions = chain
+        config = CascadeConfig(trigger_firms=("C",), gdp_growth=g)
+        assert type(config.gdp_growth) is float
+        res = run_cascade(eco, net, config, decisions=decisions)
+        assert repr(res) == repr(run_cascade(eco, net, replace(
+            config, gdp_growth=float(g)), decisions=decisions))
+        assert {type(v) for ev in res.equity_trace.values()
+                for v in ev[2:6]} == {float}
+
     @pytest.mark.parametrize("cap", [-1, -2, 1.7, 2.0, True, "3"])
     def test_max_generations_is_none_or_a_count(self, cap):
         with pytest.raises(ValueError, match="max_generations"):
@@ -543,7 +559,8 @@ class TestPlanReuse:
             return term_fixed(*args)
 
         monkeypatch.setattr(cascade, "term_fixed", counted)
-        eco, net, decisions = make_chain(equity_a=30.0)
+        eco, net, plain = make_chain(equity_a=30.0)
+        decisions = FrozenMap(plain)
         firm_of = {id(p): f for f, p in eco.params.items()}
 
         def priced_firms():
@@ -554,13 +571,14 @@ class TestPlanReuse:
         # the plan prices every supplier, in position order, when it is
         # built; C supplies nobody
         assert priced_firms() == ["A", "B"]
-        # unchanged inputs, any trigger: the books priced at build hold
+        # the same inputs, any trigger: the books priced at build hold
         assert run_cascade(eco, net, config, decisions=decisions) == first
         run_cascade(eco, net, CascadeConfig(trigger_firms=("B",)),
                     decisions=decisions)
         assert priced_firms() == ["A", "B"]
-        # an edit in place prices again, from the edited decision
-        decisions["A"] = InvestmentDecision(capital=100.0, labor=75.0)
+        # a new FrozenMap with an edit prices again, from the edited decision
+        decisions = FrozenMap(
+            {**plain, "A": InvestmentDecision(capital=100.0, labor=75.0)})
         edited = run_cascade(eco, net, config, decisions=decisions)
         assert priced_firms() == ["A", "B", "A", "B"]
         assert priced[2][3:] == (100.0, 75.0)
@@ -597,7 +615,8 @@ class TestPlanReuse:
             return term_close(*args)
 
         monkeypatch.setattr(cascade, "term_close", counted)
-        eco, _, decisions = make_chain()
+        eco, _, plain = make_chain()
+        decisions = FrozenMap(plain)
         net = TransactionNetwork(firms=("A", "B", "C"),
                                  edges=(("A", "B", 0.5), ("A", "C", 0.5)))
 
@@ -619,14 +638,15 @@ class TestPlanReuse:
             eco, TransactionNetwork(net.firms, net.edges()),
             CascadeConfig(trigger_firms=("B",)), decisions=decisions)
         assert len(closed) == 8      # a new network starts a new plan
-        # an edit in place starts an empty memo
-        decisions["A"] = InvestmentDecision(capital=100.0, labor=75.0)
+        # a new FrozenMap with an edit starts an empty memo
+        decisions = FrozenMap(
+            {**plain, "A": InvestmentDecision(capital=100.0, labor=75.0)})
         run("B")
         assert len(closed) == 10
 
     def test_equal_growth_values_share_a_plan(self, monkeypatch):
-        # a caller recomputing the growth ratio passes a new float per
-        # call; equal values keep the plan, an int does not
+        # a caller recomputing the growth ratio passes a new number per
+        # call; equal values keep the plan, an int among them
         priced = []
 
         def counted(*args):
@@ -634,7 +654,8 @@ class TestPlanReuse:
             return term_fixed(*args)
 
         monkeypatch.setattr(cascade, "term_fixed", counted)
-        eco, net, decisions = make_chain(equity_a=30.0)
+        eco, net, plain = make_chain(equity_a=30.0)
+        decisions = FrozenMap(plain)
         g = 1.02
         again = float(repr(g))
         assert again == g and again is not g
@@ -648,7 +669,7 @@ class TestPlanReuse:
                     decisions=decisions)
         run_cascade(eco, net, CascadeConfig(("C",), gdp_growth=1.0),
                     decisions=decisions)
-        assert len(priced) == 6
+        assert len(priced) == 4
 
     @given(drawn_scenarios())
     @settings(max_examples=200, deadline=None)
@@ -682,12 +703,8 @@ class TestPlanReuse:
             priced.append(args)
             return term_fixed(*args)
 
-        def refuse(*args):
-            raise AssertionError("matched the decisions firm by firm")
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cascade, "term_fixed", counted)
-            mp.setattr(cascade, "is_", refuse)
             runs = [run_cascade(eco, net, c, decisions=decisions)
                     for c in configs]
         firm_of = {id(p): f for f, p in eco.params.items()}
@@ -702,6 +719,34 @@ class TestPlanReuse:
                                c, decisions=plain)
             assert repr(res) == repr(cold)
             assert_equals_full_rescan(eco, net, decisions, c)
+
+    @given(drawn_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_a_plain_mapping_builds_a_plan_per_call(self, scenario):
+        # a plain dict may be edited between calls, so each call freezes
+        # it into a new plan and prices again; one FrozenMap of the same
+        # decisions is priced once, and every run is the same
+        eco, net, plain, config = scenario
+        frozen = FrozenMap(plain)
+        priced = []
+
+        def counted(*args):
+            priced.append(args)
+            return term_fixed(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cascade, "term_fixed", counted)
+            shared = [run_cascade(eco, net, config, decisions=frozen)
+                      for _ in range(2)]
+            once = len(priced)
+            plans, own = [], []
+            for _ in range(2):
+                own.append(run_cascade(eco, net, config, decisions=plain))
+                plans.append(cascade._plans[net])
+        assert len(priced) == 3 * once
+        assert plans[0] is not plans[1]
+        assert plans[1].decisions == plain and plans[1].decisions is not plain
+        assert len({repr(res) for res in shared + own}) == 1
 
     def test_plan_dies_with_its_network(self):
         # only this network's plan: others may outlive this test

@@ -1,9 +1,13 @@
 """Domain types and the firm-level bookkeeping: term_rule and solvency."""
 
+import copy
 import math
+import pickle
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
+from operator import setitem
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,21 +15,26 @@ from hypothesis import strategies as st
 from chainsim import (
     PURE_LOSS,
     ZERO_REVENUE,
+    CascadeConfig,
     Economy,
     FirmParameters,
+    FirmSeries,
     FirmState,
     InvestmentDecision,
     MacroSeries,
+    PanelSeries,
     TransactionNetwork,
     bankrupt_interaction,
     customer_terms_sum,
     interaction_term,
     is_bankrupt,
+    nash_solve,
     term_rule,
 )
-from chainsim.econ import term_close, term_fixed
+from chainsim.econ import FrozenMap, term_close, term_fixed
 from chainsim.io import network_dot, network_graphml
 
+from conftest import make_chain
 from network_oracle import PerEdgeNetwork
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -560,3 +569,73 @@ class TestBankruptPredicate:
         lo, hi = min(x1, x2), max(x1, x2)
         if is_bankrupt(hi):
             assert is_bankrupt(lo)
+
+
+def _panel():
+    grid = np.arange(1.0, 7.0).reshape(2, 3)
+    return PanelSeries(("A", "B"), grid, grid + 1.0, grid + 2.0,
+                       gdp=np.array([1.0, 1.1, 1.2]), periods=(4, 5, 6),
+                       equity=-grid)
+
+
+# type -> (a value of it, edits of a copy that must each raise)
+ROUND_TRIPPED = {
+    "Economy": (lambda: make_chain()[0], [
+        lambda x: setitem(x.states, "A", x.states["B"]),
+        lambda x: setitem(x.params, "A", x.params["B"]),
+        lambda x: setattr(x, "states", {})]),
+    "NashResult": (lambda: nash_solve(*make_chain()[:2], 1.02), [
+        lambda x: setitem(x.decisions, "A", x.decisions["B"]),
+        lambda x: setattr(x, "converged", False)]),
+    "PanelSeries": (_panel, [
+        lambda x, name=name: setitem(getattr(x, name), (0, 0), -5.0)
+        for name in ("revenue", "capital", "labor", "equity")]
+        + [lambda x: setitem(x.gdp, 0, -5.0)]),
+    "FirmSeries": (lambda: _panel().firm("B"), [
+        lambda x, name=name: setitem(getattr(x, name), 0, -5.0)
+        for name in ("revenue", "capital", "labor")]),
+    "CascadeConfig": (
+        lambda: CascadeConfig(("A", "B"), gdp_growth=1.02, max_generations=3),
+        [lambda x: setattr(x, "gdp_growth", 1.0)]),
+}
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle {protocol}": (
+        lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol)))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+def _same(a, b) -> bool:
+    """Equal types and fields; arrays equal in dtype and values."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if hasattr(a, "__dataclass_fields__"):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in fields(a))
+    return a == b
+
+
+class TestRoundTrips:
+    """Copies, deep copies and pickles equal the original and stay
+    read-only, maps as FrozenMaps and arrays as read-only arrays."""
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+    @pytest.mark.parametrize("build, edits", ROUND_TRIPPED.values(),
+                             ids=ROUND_TRIPPED)
+    def test_equal_and_read_only(self, build, edits, trip):
+        original = build()
+        again = trip(original)
+        assert _same(again, original)
+        for edit in edits:
+            with pytest.raises((TypeError, ValueError, FrozenInstanceError)):
+                edit(again)
+        assert _same(again, original)
+        for f in fields(again):
+            value = getattr(again, f.name)
+            if isinstance(value, dict):
+                assert type(value) is FrozenMap

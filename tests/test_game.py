@@ -34,8 +34,8 @@ from chainsim import (
     generate_economy,
     nash_solve,
 )
+from chainsim.econ import FrozenMap
 from chainsim.game import (
-    FrozenDecisions,
     ParamColumns,
     best_input_columns,
     best_inputs,
@@ -804,7 +804,7 @@ class TestFrozenDecisions:
     def test_every_mutator_raises(self, solved, edit):
         _, res = solved
         before = dict(res.decisions)
-        with pytest.raises(TypeError, match="FrozenDecisions is read-only"):
+        with pytest.raises(TypeError, match="FrozenMap is read-only"):
             edit(res.decisions)
         assert list(res.decisions.items()) == list(before.items())
 
@@ -813,7 +813,7 @@ class TestFrozenDecisions:
         plain = {f: InvestmentDecision(*best_inputs(
                      st.revenue, st.capital, st.labor, eco.params[f]))
                  for f, st in sorted(eco.states.items())}
-        assert type(res.decisions) is FrozenDecisions
+        assert type(res.decisions) is FrozenMap
         assert res.decisions == plain and plain == res.decisions
         assert list(res.decisions) == list(plain)
         assert repr(res.decisions) == repr(plain)
@@ -830,10 +830,10 @@ class TestFrozenDecisions:
     def test_copies_and_pickles_stay_read_only(self, solved, clone):
         _, res = solved
         again = clone(res.decisions)
-        assert type(again) is FrozenDecisions
+        assert type(again) is FrozenMap
         assert list(again.items()) == list(res.decisions.items())
         with pytest.raises(TypeError, match="read-only"):
             again["A"] = again["B"]
         whole = clone(res)
         assert whole == res
-        assert type(whole.decisions) is FrozenDecisions
+        assert type(whole.decisions) is FrozenMap

@@ -18,26 +18,27 @@ same numbers again. In the equity trace a firm that fell keeps the
 generation in which it fell; a survivor carries generations_run, since
 its last evaluation holds for every generation after it.
 
-Frozen books also fix every number of an evaluation but the flags. A
-CascadePlan prices them for every supplier when it is built, indexed
-by the network's firm positions, and memoizes each supplier's outcome
-by its pattern: the dead flags of its customers, in customers_of
-order. The first evaluation of a pattern sums the live or dead terms
-and calls econ.term_close; every later one with the same pattern, in
-that run or another, looks the outcome up and does no arithmetic. The
-memo holds one entry per distinct pattern seen, at most 2^deg for a
-supplier of deg customers, and dies with the plan. run_cascade keeps
-one plan per network, weakly keyed, and reuses it for the very same
-economy and the very same decisions, both read-only FrozenMaps.
+Frozen books also fix every number of an evaluation but which
+customers are dead. A CascadePlan prices them for every supplier when
+it is built, indexed by the network's firm positions. A run keeps one
+int mask per supplier: bit j is set, by one |= when the customer
+falls, once its j-th customer in customers_of order is dead. The plan
+memoizes each supplier's outcome by its mask. The first evaluation of
+a mask sums the live or dead terms and calls econ.term_close; every
+later one with the same mask, in that run or another, looks the
+outcome up and does no arithmetic. The memo holds one entry per
+distinct mask seen, at most 2^deg for a supplier of deg customers, and
+dies with the plan. run_cascade keeps one plan per network, weakly
+keyed, and reuses it for the very same economy and the very same
+decisions, both read-only FrozenMaps.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 from .econ import (
@@ -146,19 +147,18 @@ class CascadePlan:
     Refuses decisions that lack a live firm of the economy, naming the
     first one; a flagged firm needs none. Holds the economy, the
     decisions (a FrozenMap by reference, any other mapping frozen into
-    a new one), the flagged firms' positions, a dead mask over
-    positions with them set, the survivor template and the network's
-    firms, index and CSR tables, but not the network. books[i], for the
-    live supplier at position i with customers, is an itemgetter that
-    reads its pattern off a dead mask, its outcome memo, term_close's
-    first five arguments, the beginning equity and one (customer
-    position, live term, dead term) per customer in customers_of order;
-    it is None for a flagged firm or a firm with no customers. A
-    flagged customer, dead in every run, has no live term. The memo
-    maps a pattern (the flag of a lone customer, else the tuple of
-    flags) to the five fields of an Evaluation after generation. It
-    gains one entry per distinct pattern met, at most 2^deg for deg
-    customers, and lives as long as the plan.
+    a new one), the flagged firms' positions, the survivor template and
+    the network's firms and index, but not the network. books[i], for
+    the live supplier at position i with customers, is its outcome
+    memo, term_close's first five arguments, the beginning equity and
+    one (live term, dead term) per customer in customers_of order; it is
+    None for a flagged firm or a firm with no customers. A flagged
+    customer, dead in every run, has no live term. links[c] holds one
+    (i, 1 << j) per such supplier i of the firm at position c, where j
+    is c's slot in i's customers_of row: the bit c sets in i's mask when
+    it falls. The memo maps a mask to the five fields of an Evaluation
+    after generation; it gains one entry per distinct mask met, at most
+    2^deg for deg customers, and lives as long as the plan.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
@@ -176,33 +176,30 @@ class CascadePlan:
         self.gdp_growth = gdp_growth
         self.policy = policy
         self.firms, self.index = network.firms, network.index
-        self.customers, self.suppliers = network.customers, network.suppliers
-        self.flagged = tuple(i for i, f in enumerate(ids) if states[f].bankrupt)
-        self.dead = dead = bytearray(len(ids))
-        for i in self.flagged:
-            dead[i] = 1
-        self.survivors = {f: REASON_NOT_REACHED for f in ids
-                          if not states[f].bankrupt}
-        offsets, positions, ks = self.customers
+        flags = [states[f].bankrupt for f in ids]
+        self.flagged = tuple(i for i, flag in enumerate(flags) if flag)
+        self.survivors = {f: REASON_NOT_REACHED for f, flag in zip(ids, flags)
+                          if not flag}
+        offsets, positions, ks = network.customers
         self.books: list[tuple | None] = [None] * len(ids)
+        self.links: list[list[tuple[int, int]]] = [[] for _ in ids]
         for i, firm in enumerate(ids):
             lo, hi = offsets[i], offsets[i + 1]
-            if dead[i] or lo == hi:
+            if flags[i] or lo == hi:
                 continue
             st, dec = states[firm], self.decisions[firm]
             growth, cost, capital_charge = term_fixed(
                 st.capital, st.labor, params[firm], dec.capital, dec.labor)
-            customers = positions[lo:hi]
-            terms = tuple(
-                (c,
-                 None if dead[c]
-                 else interaction_term(k, states[ids[c]].growth_ratio,
-                                       gdp_growth),
-                 bankrupt_interaction(k, gdp_growth, policy))
-                for c, k in zip(customers, ks[lo:hi]))
-            self.books[i] = (itemgetter(*customers), {}, st.revenue, growth,
-                             cost, capital_charge, dec.labor, st.equity,
-                             terms)
+            terms = []
+            for j, (c, k) in enumerate(zip(positions[lo:hi], ks[lo:hi])):
+                self.links[c].append((i, 1 << j))
+                terms.append((
+                    None if flags[c]
+                    else interaction_term(k, states[ids[c]].growth_ratio,
+                                          gdp_growth),
+                    bankrupt_interaction(k, gdp_growth, policy)))
+            self.books[i] = ({}, st.revenue, growth, cost, capital_charge,
+                             dec.labor, st.equity, tuple(terms))
 
     def matches(self, economy: Economy,
                 decisions: Mapping[str, InvestmentDecision],
@@ -219,27 +216,27 @@ _plans: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
-                      dead: bytearray) -> Evaluation:
+                      mask: int) -> Evaluation:
     """The end-of-term equity of the live supplier at position i.
 
-    Customers set in dead, a mask over positions, enter through their
-    dead terms, the others through their live terms. The terms are
-    summed in customers_of order for the shocked and the baseline sum,
-    and term_close runs on each. Depends only on the plan and the
-    supplier's pattern, the flags of its customers in dead, so
-    propagate_step calls it once per pattern, on a memo miss, and keeps
-    its five fields after generation.
+    mask is the supplier's: bit j set when its j-th customer, in
+    customers_of order, is dead. Dead customers enter through their dead
+    terms, the others through their live terms. The terms are summed in
+    customers_of order for the shocked and the baseline sum, and
+    term_close runs on each. Depends only on the plan and the mask, so
+    propagate_step calls it once per mask, on a memo miss, and keeps its
+    five fields after generation.
     """
-    revenue, growth, cost, capital_charge, labor, equity, terms = (
-        plan.books[i][2:])
-    shocked = 0.0
-    baseline = 0.0
-    for customer, live, lost in terms:
-        if dead[customer]:
+    _, revenue, growth, cost, capital_charge, labor, equity, terms = (
+        plan.books[i])
+    shocked = baseline = 0.0
+    for live, lost in terms:
+        if mask & 1:
             shocked += lost
         else:
             shocked += live
             baseline += live
+        mask >>= 1
     _, shocked_profit, _ = term_close(revenue, growth, cost, capital_charge,
                                       labor, shocked)
     _, baseline_profit, _ = term_close(revenue, growth, cost, capital_charge,
@@ -250,32 +247,34 @@ def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
 
 
 def propagate_step(plan: CascadePlan, generation: int,
-                   frontier: Iterable[int],
-                   dead: bytearray) -> list[tuple[int, tuple]]:
+                   frontier: Iterable[int], masks: list[int],
+                   fallen: Container[int]) -> list[tuple[int, tuple]]:
     """Evaluate every live supplier of a firm in the frontier.
 
-    frontier holds the positions whose flags changed since the last
-    generation; dead is the run's mask over positions, with frontier
-    and every flagged firm set. Returns (position, outcome) pairs in
-    position order, which is firm order. An outcome is the five fields
-    of an Evaluation after generation: looked up in the supplier's memo
-    by its pattern, or closed by evaluate_supplier on a miss. dead is
-    not changed here, so the caller commits a whole generation at once.
+    frontier holds the positions that died since the last generation;
+    masks are the run's, one per position. Each frontier firm sets its
+    bit in the masks of its suppliers. Suppliers in fallen, the run's
+    fallen positions with the frontier among them, are skipped.
+    Returns (position, outcome) pairs in position order, which is firm
+    order. An outcome is the five fields of an Evaluation after
+    generation: looked up in the supplier's memo by its mask, or closed
+    by evaluate_supplier on a miss.
     """
-    offsets, positions, _ = plan.suppliers
-    books = plan.books
-    exposed = {p for i in frontier
-               for p in positions[offsets[i]:offsets[i + 1]]}
+    links, books = plan.links, plan.books
+    exposed = set()
+    for c in frontier:
+        for i, bit in links[c]:
+            masks[i] |= bit
+            exposed.add(i)
     step = []
     for i in sorted(exposed):
-        if dead[i]:
+        if i in fallen:
             continue
-        entry = books[i]
-        pattern, memo = entry[0](dead), entry[1]
-        outcome = memo.get(pattern)
+        mask, memo = masks[i], books[i][0]
+        outcome = memo.get(mask)
         if outcome is None:
-            outcome = memo[pattern] = evaluate_supplier(
-                plan, i, generation, dead)[2:]
+            outcome = memo[mask] = evaluate_supplier(
+                plan, i, generation, mask)[2:]
         step.append((i, outcome))
     return step
 
@@ -288,18 +287,18 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     Decisions are frozen at the pre-shock fixed point of the investment
     game unless supplied by the caller (observed next-period inputs
-    slot in here). The flags of the run live in a copy of the plan's
-    dead mask, seeded with the triggers. Generation 1 evaluates the
-    live suppliers of the triggers and the firms flagged before the
-    run, each later generation the live suppliers of the firms that
-    fell in the one before. Terminates after at most one generation
-    per firm: every generation before the last turns at least one
-    firm. When max_generations stops the run, the next generation is
-    evaluated once, without committing it, and exhausted says whether
-    it would have turned anyone. A survivor's trace entry carries
-    generations_run; a fallen firm's, the generation it fell in. The
-    trace lists firms in the order of their first evaluation. seed
-    changes no result; it stays for callers that pass one. A firm
+    slot in here). A run keeps one mask per supplier, all 0 at first,
+    and the generation of each fallen firm, the triggers at 0.
+    Generation 1 sets the bits of the triggers and the firms flagged
+    before the run and evaluates their live suppliers, each later
+    generation those of the firms that fell in the one before. At most
+    one generation per firm: every generation before the last turns
+    someone. When max_generations stops the run, the next generation
+    is evaluated once, without committing it, and exhausted says
+    whether it would have turned anyone. A survivor's trace entry
+    carries generations_run; a fallen firm's, the generation it fell
+    in. The trace lists firms in the order of their first evaluation.
+    seed changes no result; it stays for callers that pass one. A firm
     flagged before the run needs no decision.
 
     The books come from a CascadePlan kept per network in a weak map,
@@ -327,11 +326,10 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
             economy, network, decisions, config.gdp_growth, config.policy)
 
     firms = plan.firms
-    bankrupt = {f: 0 for f in config.trigger_firms}
-    dead = plan.dead.copy()
-    frontier = [*plan.flagged, *map(plan.index.__getitem__, bankrupt)]
-    for i in frontier:
-        dead[i] = 1
+    # fallen position -> its generation, the triggers at 0
+    fell = {plan.index[f]: 0 for f in config.trigger_firms}
+    frontier = [*plan.flagged, *fell]
+    masks = [0] * len(firms)
 
     cap = config.max_generations
     if cap is None:
@@ -342,31 +340,28 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     generations_run = 0
     exhausted = False
     for generation in range(1, cap + 1):
-        step = propagate_step(plan, generation, frontier, dead)
+        step = propagate_step(plan, generation, frontier, masks, fell)
         generations_run = generation
         evaluated.update(step)
         frontier = [i for i, outcome in step if outcome[-1]]
         if not frontier:
             break
         for i in frontier:
-            dead[i] = 1
-            bankrupt[firms[i]] = generation
+            fell[i] = generation
     else:
-        ahead = propagate_step(plan, cap + 1, frontier, dead)
+        ahead = propagate_step(plan, cap + 1, frontier, masks, fell)
         exhausted = any(outcome[-1] for _, outcome in ahead)
 
+    bankrupt = {firms[i]: g for i, g in fell.items()}
     survivors = plan.survivors.copy()
     for f in bankrupt:
         del survivors[f]
     trace: dict[str, Evaluation] = {}
     for i, outcome in evaluated.items():
         f = firms[i]
-        fell = bankrupt.get(f)
-        if fell is None:
-            ev = trace[f] = _record((f, generations_run, *outcome))
+        ev = trace[f] = _record((f, fell.get(i, generations_run), *outcome))
+        if i not in fell:
             survivors[f] = _survivor_reason(ev)
-        else:
-            trace[f] = _record((f, fell, *outcome))
     return CascadeResult(bankrupt=bankrupt, survivors=survivors,
                          equity_trace=trace, generations_run=generations_run,
                          exhausted=exhausted)

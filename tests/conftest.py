@@ -18,10 +18,12 @@ from chainsim import (
     FirmParameters,
     FirmSeries,
     FirmState,
+    GeneratorConfig,
     InvestmentDecision,
     MacroSeries,
     PanelSeries,
     TransactionNetwork,
+    generate_economy,
 )
 from chainsim.io import write_edges, write_gdp, write_panel, write_params
 
@@ -65,6 +67,28 @@ def mismatched_chain_network(firm):
     return TransactionNetwork(firms=("A", "B", "C", "D"),
                               edges=(("A", "B", 0.5), ("B", "C", 0.5),
                                      ("D", "A", 0.1)))
+
+
+def supplier_hub_economy(n_firms, seed, factor=6.0):
+    """A generated economy on scale-free wiring with every edge reversed
+    and every k times factor: an economy with supplier hubs.
+
+    generate_network's scale-free model grows customer hubs only: each
+    firm picks few customers, preferring firms with many suppliers. Its
+    edges reversed make suppliers of a hundred customers and more, the
+    heavy-tailed out-degrees of real production networks.
+    """
+    economy, network, _ = generate_economy(
+        GeneratorConfig(n_firms=n_firms, seed=seed, edge_model="scale-free"))
+    return economy, TransactionNetwork(
+        network.firms, [(c, s, k * factor) for s, c, k in network.edges()])
+
+
+def largest_supplier(network):
+    """Position of the firm with the most customers, the first of ties."""
+    offsets = network.customers[0]
+    return max(range(len(network.firms)),
+               key=lambda i: offsets[i + 1] - offsets[i])
 
 
 def make_panel(firms, gdp, periods, equity=None):

@@ -11,6 +11,10 @@ re-evaluates every live supplier of every dead firm. Written over plain
 dicts, it has to equal run_cascade field by field on drawn economies,
 also after an input changes between two runs that share the engine's
 cached plan.
+
+Both references also run on supplier-hub economies, whose largest
+supplier has more customers than a machine word has bits, so the int
+mask the engine keys each supplier's outcomes by spans several words.
 """
 
 import gc
@@ -21,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chainsim import (
@@ -45,7 +49,17 @@ from chainsim import (
 from chainsim import cascade
 from chainsim.econ import FrozenMap, term_close, term_fixed
 
-from conftest import flag_bankrupt, make_chain, mismatched_chain_network
+from conftest import (
+    flag_bankrupt,
+    largest_supplier,
+    make_chain,
+    mismatched_chain_network,
+    supplier_hub_economy,
+)
+
+# More customers than a machine word has bits: a supplier's mask is then
+# a Python int of several words.
+WORD = 64
 
 
 def brute_force_dead(eco, net, triggers, decisions, gdp_ratio=1.0,
@@ -172,6 +186,7 @@ def assert_equals_full_rescan(eco, net, decisions, config):
                 ev.equity_end, ev.baseline_profit, ev.went_bankrupt)
             for f, ev in res.equity_trace.items()} == trace
     assert all(ev.firm == f for f, ev in res.equity_trace.items())
+    return res
 
 
 @st.composite
@@ -214,6 +229,33 @@ def drawn_scenarios(draw):
         policy=draw(st.sampled_from((ZERO_REVENUE, PURE_LOSS))),
         max_generations=draw(st.none() | st.integers(0, 4)))
     return Economy(params=params, states=states), net, decisions, config
+
+
+@st.composite
+def hub_scenarios(draw):
+    """300 firms with supplier hubs, the largest with more than WORD
+    customers, Nash decisions, and drawn triggers, flags and a cap. One
+    trigger is a customer of the largest hub from its WORD-th slot on."""
+    economy, net = supplier_hub_economy(300, draw(st.integers(0, 2 ** 16)))
+    offsets, positions, _ = net.customers
+    hub = largest_supplier(net)
+    assume(offsets[hub + 1] - offsets[hub] > WORD)
+    ids = net.firms
+    wide = positions[offsets[hub] + WORD:offsets[hub + 1]]
+    triggers = [ids[draw(st.sampled_from(wide))]]
+    triggers += draw(st.lists(st.sampled_from(ids), max_size=2, unique=True))
+    triggers = list(dict.fromkeys(triggers))
+    others = [f for f in ids if f not in triggers]
+    flagged = draw(st.lists(st.sampled_from(others), unique=True,
+                            max_size=2))
+    economy = flag_bankrupt(economy, *flagged)
+    config = CascadeConfig(
+        trigger_firms=tuple(triggers),
+        gdp_growth=draw(st.floats(1.0, 1.05)),
+        policy=draw(st.sampled_from((ZERO_REVENUE, PURE_LOSS))),
+        max_generations=draw(st.none() | st.integers(0, 4)))
+    decisions = nash_solve(economy, net, config.gdp_growth).decisions
+    return economy, net, decisions, config
 
 
 def random_fixture(seed, n=None):
@@ -488,6 +530,18 @@ class TestFrontier:
     @settings(max_examples=300, deadline=None)
     def test_equals_the_full_rescan_reference(self, scenario):
         assert_equals_full_rescan(*scenario)
+
+    @given(hub_scenarios())
+    @settings(max_examples=40, deadline=None)
+    def test_supplier_hubs_equal_the_full_rescan_reference(self, scenario):
+        # the hub is evaluated in generation 1, with a bit past a
+        # machine word set in its mask
+        eco, net, decisions, config = scenario
+        res = assert_equals_full_rescan(eco, net, decisions, config)
+        hub = net.firms[largest_supplier(net)]
+        if (config.max_generations != 0 and hub not in config.trigger_firms
+                and not eco.states[hub].bankrupt):
+            assert hub in res.equity_trace
 
 
 EDITS = ("flag", "decision", "params", "gdp_growth", "policy", "strengths",
@@ -785,6 +839,27 @@ class TestOracleEquivalence:
         oracle = brute_force_dead(eco, net, {trigger}, decisions,
                                   policy=PURE_LOSS)
         assert frozenset(res.bankrupt) == frozenset(oracle)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("policy", [ZERO_REVENUE, PURE_LOSS])
+    def test_supplier_hubs_match_brute_force(self, seed, policy):
+        # every customer of the largest hub from its WORD-th slot on as
+        # the only trigger: the hub's mask has a bit past a machine word
+        eco, net = supplier_hub_economy(300, seed)
+        offsets, positions, _ = net.customers
+        i = largest_supplier(net)
+        assert offsets[i + 1] - offsets[i] > WORD
+        hub = net.firms[i]
+        decisions = nash_solve(eco, net, 1.02).decisions
+        assert not brute_force_dead(eco, net, set(), decisions, 1.02, policy)
+        for c in positions[offsets[i] + WORD:offsets[i + 1]]:
+            trigger = net.firms[c]
+            res = run_cascade(eco, net, CascadeConfig(
+                trigger_firms=(trigger,), gdp_growth=1.02, policy=policy),
+                decisions=decisions)
+            assert hub in res.equity_trace
+            assert frozenset(res.bankrupt) == frozenset(brute_force_dead(
+                eco, net, {trigger}, decisions, 1.02, policy))
 
     def test_chain_matches_brute_force(self):
         eco, net, decisions = make_chain(equity_a=30.0)

@@ -30,7 +30,16 @@ outcome up and does no arithmetic. The memo holds one entry per
 distinct mask seen, at most 2^deg for a supplier of deg customers, and
 dies with the plan. run_cascade keeps one plan per network, weakly
 keyed, and reuses it for the very same economy and the very same
-decisions, both read-only FrozenMaps.
+decisions, both read-only FrozenMaps; decisions it solved itself for
+an economy serve every later call on that economy that supplies none.
+
+A run returns who fell, the generations run and whether the cap cut
+it off at once, and keeps the rest of its outcome raw: the positions
+that fell and the outcome each evaluated position had last. A
+CascadeResult builds its survivors and equity trace from those on
+first read, so a sweep that reads only who fell builds neither. The
+result keeps the network's firm tuple and the plan's survivor
+template alive, not the plan.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .econ import (
@@ -114,16 +123,68 @@ class Evaluation(NamedTuple):
     went_bankrupt: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CascadeResult:
-    """Outcome of a cascade scenario."""
+    """Outcome of a cascade scenario.
+
+    Five read-only attributes: bankrupt, survivors, equity_trace,
+    generations_run and exhausted; survivors and equity_trace are plain
+    dicts. A run hands over bankrupt, generations_run and exhausted,
+    and keeps the rest of its outcome raw: the network's firm tuple, the
+    plan's survivor template (shared, never mutated), the fallen
+    positions and the evaluated outcomes. survivors and equity_trace
+    are built from those in one pass on first read of either, so a
+    caller that reads only bankrupt never pays for them. A result keeps
+    the firm tuple and the template alive, not the plan. repr, ==,
+    copies and pickles read all five attributes, as a plain frozen
+    dataclass of the five would.
+    """
 
     # firms flagged before the run appear in neither bankrupt nor survivors
     bankrupt: dict[str, int]          # felled firm -> generation (triggers at 0)
-    survivors: dict[str, str]         # live firm -> stop reason
-    equity_trace: dict[str, Evaluation]
     generations_run: int
     exhausted: bool                   # True when the cap cut off a live cascade
+    # (firms, survivor template, fallen position -> generation,
+    #  evaluated position -> outcome in order of first evaluation)
+    _outcome: tuple
+
+    @cached_property
+    def _read(self) -> tuple[dict[str, str], dict[str, Evaluation]]:
+        firms, template, fell, evaluated = self._outcome
+        survivors = template.copy()
+        for f in self.bankrupt:
+            del survivors[f]
+        trace: dict[str, Evaluation] = {}
+        for i, outcome in evaluated.items():
+            f = firms[i]
+            ev = trace[f] = _record(
+                (f, fell.get(i, self.generations_run), *outcome))
+            if i not in fell:
+                survivors[f] = _survivor_reason(ev)
+        return survivors, trace
+
+    @property
+    def survivors(self) -> dict[str, str]:
+        """Live firm -> stop reason."""
+        return self._read[0]
+
+    @property
+    def equity_trace(self) -> dict[str, Evaluation]:
+        return self._read[1]
+
+    def _fields(self) -> tuple:
+        return (self.bankrupt, self.survivors, self.equity_trace,
+                self.generations_run, self.exhausted)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return ("{}(bankrupt={!r}, survivors={!r}, equity_trace={!r}, "
+                "generations_run={!r}, exhausted={!r})".format(
+                    self.__class__.__qualname__, *self._fields()))
 
 
 # Evaluation from a tuple of its seven fields, without the Python frame
@@ -148,10 +209,12 @@ class CascadePlan:
     first one; a flagged firm needs none. Holds the economy, the
     decisions (a FrozenMap by reference, any other mapping frozen into
     a new one), the flagged firms' positions, the survivor template and
-    the network's firms and index, but not the network. books[i], for
-    the live supplier at position i with customers, is its outcome
-    memo, term_close's first five arguments, the beginning equity and
-    one (live term, dead term) per customer in customers_of order; it is
+    the network's firms and index, but not the network. solved is True
+    when run_cascade solved the decisions with nash_solve for this
+    economy, False when a caller supplied them. books[i], for the live
+    supplier at position i with customers, is its outcome memo,
+    term_close's first five arguments, the beginning equity and one
+    (live term, dead term) per customer in customers_of order; it is
     None for a flagged firm or a firm with no customers. A flagged
     customer, dead in every run, has no live term. links[c] holds one
     (i, 1 << j) per such supplier i of the firm at position c, where j
@@ -163,7 +226,7 @@ class CascadePlan:
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
                  decisions: Mapping[str, InvestmentDecision],
-                 gdp_growth: float, policy: str) -> None:
+                 gdp_growth: float, policy: str, solved: bool) -> None:
         ids = shared_firm_ids(economy, network)
         states, params = economy.states, economy.params
         missing = next((f for f in ids if f not in decisions
@@ -175,6 +238,7 @@ class CascadePlan:
                           else FrozenMap(decisions))
         self.gdp_growth = gdp_growth
         self.policy = policy
+        self.solved = solved
         self.firms, self.index = network.firms, network.index
         flags = [states[f].bankrupt for f in ids]
         self.flagged = tuple(i for i, flag in enumerate(flags) if flag)
@@ -306,10 +370,14 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     outcome memos, while its matches() holds and builds a new one
     otherwise: a changed economy is a new object. One FrozenMap of
     decisions, such as a nash_solve result's, passed to call after
-    call, matches with one identity check; any other mapping, and
-    decisions None, builds a new plan on every call. A plan prices every
-    supplier before the first generation, so inputs it cannot price
-    raise whatever the triggers, and leave no plan behind.
+    call, matches with one identity check; any other mapping builds a
+    new plan on every call. decisions None takes the plan's decisions
+    when run_cascade solved them for this very economy, since
+    nash_solve's result depends on nothing else, and solves the game
+    otherwise; decisions a caller supplied are never taken for it. A
+    plan prices every supplier before the first generation, so inputs
+    it cannot price raise whatever the triggers, and leave no plan
+    behind.
     """
     for f in config.trigger_firms:
         if f not in economy.params:
@@ -317,13 +385,19 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         if economy.states[f].bankrupt:
             raise ValueError(f"trigger firm {f!r} is already bankrupt")
 
-    if decisions is None:
-        decisions = nash_solve(economy, network, config.gdp_growth).decisions
     plan = _plans.get(network)
+    solved = decisions is None
+    if solved:
+        # nash_solve reads only the economy and the network's firm set
+        decisions = (plan.decisions if plan is not None and plan.solved
+                     and plan.economy is economy
+                     else nash_solve(economy, network,
+                                     config.gdp_growth).decisions)
     if plan is None or not plan.matches(economy, decisions, config.gdp_growth,
                                         config.policy):
         plan = _plans[network] = CascadePlan(
-            economy, network, decisions, config.gdp_growth, config.policy)
+            economy, network, decisions, config.gdp_growth, config.policy,
+            solved)
 
     firms = plan.firms
     # fallen position -> its generation, the triggers at 0
@@ -352,16 +426,6 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         ahead = propagate_step(plan, cap + 1, frontier, masks, fell)
         exhausted = any(outcome[-1] for _, outcome in ahead)
 
-    bankrupt = {firms[i]: g for i, g in fell.items()}
-    survivors = plan.survivors.copy()
-    for f in bankrupt:
-        del survivors[f]
-    trace: dict[str, Evaluation] = {}
-    for i, outcome in evaluated.items():
-        f = firms[i]
-        ev = trace[f] = _record((f, fell.get(i, generations_run), *outcome))
-        if i not in fell:
-            survivors[f] = _survivor_reason(ev)
-    return CascadeResult(bankrupt=bankrupt, survivors=survivors,
-                         equity_trace=trace, generations_run=generations_run,
-                         exhausted=exhausted)
+    return CascadeResult({firms[i]: g for i, g in fell.items()},
+                         generations_run, exhausted,
+                         (firms, plan.survivors, fell, evaluated))

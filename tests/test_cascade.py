@@ -17,10 +17,12 @@ supplier has more customers than a machine word has bits, so the int
 mask the engine keys each supplier's outcomes by spans several words.
 """
 
+import copy
 import gc
 import math
+import pickle
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import numpy as np
@@ -823,6 +825,74 @@ class TestPlanReuse:
         assert net not in cascade._plans
 
 
+class TestLazyResult:
+    """survivors and equity_trace are built on first read of either,
+    from the run's raw outcome, and read the same whenever and however
+    the result is first read, copied or pickled."""
+
+    @staticmethod
+    def copies(res):
+        return [copy.copy(res), copy.deepcopy(res)] + [
+            pickle.loads(pickle.dumps(res, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+    @given(drawn_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_read_order_and_copies_give_one_repr(self, scenario):
+        eco, net, decisions, config = scenario
+        by_survivors, by_trace, by_repr, unread, read = [
+            run_cascade(eco, net, config, decisions=decisions)
+            for _ in range(5)]
+        # a first read builds both, and later reads return the same dicts
+        assert by_survivors.survivors is by_survivors.survivors
+        assert by_trace.equity_trace is by_trace.equity_trace
+        want = repr(by_repr)
+        assert repr(by_survivors) == repr(by_trace) == want
+        copies_unread = self.copies(unread)
+        repr(read)
+        copies_read = self.copies(read)
+        for res in (unread, read):
+            assert type(res.survivors) is dict
+            assert type(res.equity_trace) is dict
+        for c in copies_unread + copies_read:
+            assert c == by_repr
+            assert repr(c) == want
+        assert unread == read == by_repr
+
+    @pytest.mark.parametrize("name", ["bankrupt", "survivors", "equity_trace",
+                                      "generations_run", "exhausted"])
+    def test_every_attribute_is_read_only(self, chain, name):
+        eco, net, decisions = chain
+        res = run_cascade(eco, net, CascadeConfig(trigger_firms=("C",)),
+                          decisions=decisions)
+        before = repr(res)
+        with pytest.raises(FrozenInstanceError):
+            setattr(res, name, {})
+        assert repr(res) == before
+
+    @given(drawn_scenarios())
+    @settings(max_examples=100, deadline=None)
+    def test_a_result_read_after_its_plan_was_replaced(self, scenario):
+        # the late result is read only after other runs added memo
+        # entries and a run at another growth ratio replaced its plan
+        eco, net, decisions, config = scenario
+        frozen = FrozenMap(decisions)
+        late = run_cascade(eco, net, config, decisions=frozen)
+        at_once = run_cascade(eco, net, config, decisions=frozen)
+        want = repr(at_once)
+        plan = cascade._plans[net]
+        for f in eco.firm_ids:
+            if not eco.states[f].bankrupt:
+                run_cascade(eco, net, replace(config, trigger_firms=(f,)),
+                            decisions=frozen)
+        assert cascade._plans[net] is plan
+        run_cascade(eco, net, replace(config, gdp_growth=config.gdp_growth
+                                      + 0.1), decisions=frozen)
+        assert cascade._plans[net] is not plan
+        assert repr(late) == want
+        assert late == at_once
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force(self, seed):
@@ -960,3 +1030,37 @@ class TestFrozenDecisionsFromGame:
         decisions = nash_solve(eco, net, config.gdp_growth).decisions
         assert "F0003" not in decisions
         assert run_cascade(eco, net, config, decisions=decisions) == res
+
+    def test_decisions_it_solved_serve_later_calls(self, monkeypatch):
+        # nash_solve reads only the economy and the firm set, so a call
+        # without decisions on the economy the plan solved for takes the
+        # plan's; decisions a caller supplied are never taken
+        solves = []
+
+        def counted(*args):
+            solves.append(args)
+            return nash_solve(*args)
+
+        monkeypatch.setattr(cascade, "nash_solve", counted)
+        eco, net, _ = generate_economy(GeneratorConfig(n_firms=20, seed=1))
+        config = CascadeConfig(trigger_firms=("F0005",))
+        first = run_cascade(eco, net, config)
+        plan = cascade._plans[net]
+        assert plan.solved
+        assert run_cascade(eco, net, config) == first
+        assert cascade._plans[net] is plan
+        assert len(solves) == 1
+        # another growth ratio builds a plan on the same decisions
+        run_cascade(eco, net, replace(config, gdp_growth=1.05))
+        assert len(solves) == 1
+        assert cascade._plans[net].decisions is plan.decisions
+        assert cascade._plans[net].solved
+        for supplied in (dict(plan.decisions), FrozenMap(plan.decisions)):
+            assert run_cascade(eco, net, config, decisions=supplied) == first
+            assert not cascade._plans[net].solved
+            count = len(solves)
+            assert run_cascade(eco, net, config) == first
+            assert len(solves) == count + 1
+        # a new economy, even an equal one, solves again
+        run_cascade(replace(eco, states=dict(eco.states)), net, config)
+        assert len(solves) == 4

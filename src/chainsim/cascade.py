@@ -47,7 +47,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from .econ import (
@@ -157,8 +157,8 @@ class CascadeResult:
         trace: dict[str, Evaluation] = {}
         for i, outcome in evaluated.items():
             f = firms[i]
-            ev = trace[f] = _record(
-                (f, fell.get(i, self.generations_run), *outcome))
+            ev = trace[f] = Evaluation(
+                f, fell.get(i, self.generations_run), *outcome)
             if i not in fell:
                 survivors[f] = _survivor_reason(ev)
         return survivors, trace
@@ -185,11 +185,6 @@ class CascadeResult:
         return ("{}(bankrupt={!r}, survivors={!r}, equity_trace={!r}, "
                 "generations_run={!r}, exhausted={!r})".format(
                     self.__class__.__qualname__, *self._fields()))
-
-
-# Evaluation from a tuple of its seven fields, without the Python frame
-# of the generated __new__: the cascade builds one per evaluation.
-_record = partial(tuple.__new__, Evaluation)
 
 
 def _survivor_reason(ev: Evaluation) -> str:
@@ -306,8 +301,8 @@ def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
     _, baseline_profit, _ = term_close(revenue, growth, cost, capital_charge,
                                        labor, baseline)
     equity_end = equity + shocked_profit
-    return _record((plan.firms[i], generation, equity, shocked_profit,
-                    equity_end, baseline_profit, is_bankrupt(equity_end)))
+    return Evaluation(plan.firms[i], generation, equity, shocked_profit,
+                      equity_end, baseline_profit, is_bankrupt(equity_end))
 
 
 def propagate_step(plan: CascadePlan, generation: int,

@@ -15,8 +15,11 @@ economies:
 
 - B <= 0 (cost-dominated): the payoff does not rise in either input,
   so the lower corner of the box is the answer, whatever a + b.
-- B > 0: the interior stationary point when a + b < 1 and it lies in
-  the box; otherwise the best candidate on the box boundary.
+- B > 0 and a concave payoff (a, b, r > 0, a + b < 1): the interior
+  stationary point when it lies in the box; otherwise the best of the
+  four box edges' candidates, priced in columns.
+- B > 0 otherwise: the best of every box edge's candidates, priced row
+  by row.
 
 A column gives each row the floats that the scalar rule gives it on
 Python floats. numpy does only the correctly rounded operations (+, -,
@@ -31,7 +34,6 @@ The seeded genetic algorithm best_response_ga is only a test oracle.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,13 +59,6 @@ GA_MUTATION_SCALE = 0.05   # fraction of the log box width
 GA_MUTATION_PROB = 0.25    # per-gene mutation probability
 GA_CROSSOVER_PROB = 0.9
 GA_ELITE = 1
-
-_NORMAL = sys.float_info.min  # the least positive normal float
-# best_input_columns' face rule: elasticities and 1 - alpha - beta at least
-# _FLAT, and every free coordinate at least _NEAR (relative) from a face
-# that gets no candidate; see its docstring
-_FLAT = 1e-3
-_NEAR = 1e-2
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,8 @@ def _less(x, y) -> np.ndarray:
 
 
 def _peak(gamma, B, other, w, lo, hi) -> np.ndarray:
-    """_edge's concave case (0 < gamma < 1, w > 0) over the face rule's
-    columns: the clipped first-order point, hi where math.pow overflows."""
+    """_edge's concave case (0 < gamma < 1, w > 0) over columns: the
+    clipped first-order point, hi where math.pow overflows."""
     return _clip(_pow_or_inf(gamma * B * other / w, 1.0 / (1.0 - gamma)),
                  lo, hi)
 
@@ -172,9 +167,7 @@ class ParamColumns:
     concave marks the rows with alpha, beta, r > 0 and alpha + beta < 1.
     On those rows c = beta * r / alpha (L/K at the first-order point),
     c_beta = c ** beta and exponent = 1 / (1 - alpha - beta); other rows
-    hold stand-ins of 1.0 and c_beta 1.0. steep marks the concave rows
-    whose alpha, beta and 1 - alpha - beta are at least _FLAT and whose
-    c is a normal float, below inf.
+    hold stand-ins of 1.0 and c_beta 1.0.
     """
 
     def __init__(self, params) -> None:
@@ -186,15 +179,11 @@ class ParamColumns:
                                           dtype=float)
         self.noise_sigma = np.array([p.noise_sigma for p in params], dtype=float)
         with np.errstate(all="ignore"):
-            s = a + b
-            self.concave = (a > 0.0) & (b > 0.0) & (r > 0.0) & (s < 1.0)
+            self.concave = (a > 0.0) & (b > 0.0) & (r > 0.0) & (a + b < 1.0)
             self.c = np.where(self.concave, b * r / a, 1.0)
             # c may overflow to inf but its power cannot raise: beta < 1
             self.c_beta = libm(pow, self.c, b)
             self.exponent = np.where(self.concave, 1.0 / (1.0 - a - b), 1.0)
-            self.steep = (self.concave & (a >= _FLAT) & (b >= _FLAT)
-                          & (s <= 1.0 - _FLAT) & (_NORMAL <= self.c)
-                          & (self.c < math.inf))
 
 
 def best_input_columns(revenue, capital, labor, params: ParamColumns,
@@ -211,39 +200,26 @@ def best_input_columns(revenue, capital, labor, params: ParamColumns,
 
     - B <= 0: the payoff is non-increasing in capital and strictly
       decreasing in labor, so the lower corner, for any alpha + beta.
-    - alpha, beta, r > 0 and alpha + beta < 1: the cost is strictly
-      convex, and the unconstrained optimum (k*, l*) is the answer when
-      it lies in the box. Otherwise the box optimum lies on a face that
-      (k*, l*) violates: were it only on faces that (k*, l*) satisfies,
-      a step toward (k*, l*) would stay in the box and lower the cost.
-      So only the violated K-face and L-face get a candidate each: one
-      is the answer unpriced, two are priced against each other.
-    - The face rule returns the point that pricing every edge returns,
-      save where another candidate prices the same to rounding and the
-      tie-break picks that one. So it runs only where the cost is far
-      from flat near its answer: alpha, beta and 1 - alpha - beta are at
-      least _FLAT = 1e-3, nothing under- or overflowed on the way to
-      (k*, l*), and each candidate's free coordinate lies more than
-      _NEAR = 1e-2 (relative) from every face that gets no candidate.
-      Any other candidate then prices above the answer by a clear
-      margin. Elsewhere, which includes boxes narrower than _NEAR
-      and a candidate clipped to a face that gets none, the next rule
-      applies.
-    - Any other regime (alpha + beta >= 1, alpha = 0, beta = 0, r = 0,
-      or outside the face rule's bounds): the best of the candidates of
-      all four edges, at most eight (for alpha + beta >= 1 the payoff is
-      convex along every ray from the origin, so the peak is on the
-      boundary). It runs row by row on Python floats (_all_edges): it
-      gets 1 to 5 rows a call, too few to pay for a pass over columns.
+    - alpha, beta, r > 0 and alpha + beta < 1 (params.concave): the
+      cost is strictly convex, and the unconstrained optimum (k*, l*)
+      is the answer when it lies in the box. Otherwise the best of the
+      candidates of the four box edges, in columns (_concave_edges):
+      each edge is concave, so it has one candidate.
+    - Any other regime (alpha + beta >= 1, alpha = 0, beta = 0 or
+      r = 0): the best of the candidates of all four edges, at most
+      eight (for alpha + beta >= 1 the payoff is convex along every ray
+      from the origin, so the peak is on the boundary), row by row on
+      Python floats (_all_edges).
 
-    Candidates are priced by the cost without the constant; ties break
-    toward smaller capital, then smaller labor, as min over (cost, K,
-    L) tuples breaks them. Each rule runs on the rows it answers, and
-    every row gets the floats the rule gives it alone (see the module
-    docstring); math.pow's overflow on (k*, l*) or an edge's
-    first-order point reads inf, and every other error propagates as
-    from scalar code, ** overflow as OverflowError and a zero K^alpha *
-    L^beta as ZeroDivisionError. The result is not validated;
+    Both edge rules take the same candidates in the same order, priced
+    by the cost without the constant, and pick as min over (cost, K, L)
+    tuples picks: ties break toward smaller capital, then smaller
+    labor. Each rule runs on the rows it answers, and every row gets
+    the floats the rule gives it alone (see the module docstring);
+    math.pow's overflow on (k*, l*) or an edge's first-order point
+    reads inf, and every other error propagates as from scalar code,
+    ** overflow as OverflowError and a zero K^alpha * L^beta as
+    ZeroDivisionError. The result is not validated;
     best_response_closed_form and nash_solve do that. A caller that
     holds capital ** alpha and labor ** beta already passes them as
     powers.
@@ -271,61 +247,48 @@ def best_input_columns(revenue, capital, labor, params: ParamColumns,
         k_in = (k_lo <= k_star) & (k_star <= k_hi)
         l_in = (l_lo <= l_star) & (l_star <= l_hi)
         interior = concave & k_in & l_in
-        # the lower corner, the answer where B <= 0; the face rule and
-        # the fallback overwrite the other rows
+        # the lower corner, the answer where B <= 0; the edge rules
+        # overwrite the other rows
         k = np.where(interior, k_star, k_lo)
         l = np.where(interior, l_star, l_lo)
-        # nothing under- or overflowed on the way to (k*, l*)
-        least = np.minimum(np.minimum(base, k_star), l_star)
-        most = np.maximum(np.maximum(base, k_star), l_star)
-        trusted = (live & params.steep & ~interior & (_NORMAL <= least)
-                   & (most < math.inf))
-        rest = live & ~interior
-        t = trusted.nonzero()[0]
-        if t.size:
-            ok, k_face, l_face = _face_rule(
-                a[t], b[t], r[t], B[t], k_lo[t], k_hi[t], l_lo[t], l_hi[t],
-                k_star[t], l_star[t], k_in[t], l_in[t])
-            k[t[ok]], l[t[ok]] = k_face[ok], l_face[ok]
-            rest[t[ok]] = False
-        f = rest.nonzero()[0]
-        if f.size:
-            k[f], l[f] = _all_edges(a[f], b[f], r[f], B[f], k_lo[f], k_hi[f],
-                                    l_lo[f], l_hi[f])
+        for edges, rows in ((_concave_edges, concave & ~interior),
+                            (_all_edges, live & ~params.concave)):
+            e = rows.nonzero()[0]
+            if e.size:
+                k[e], l[e] = edges(a[e], b[e], r[e], B[e], k_lo[e], k_hi[e],
+                                   l_lo[e], l_hi[e])
     return k, l
 
 
-def _face_rule(a, b, r, B, k_lo, k_hi, l_lo, l_hi, k_star, l_star, k_in, l_in):
-    """best_input_columns' face rule on rows that satisfy its bounds.
+def _concave_edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi):
+    """_all_edges on concave rows (0 < alpha, beta < 1, r > 0), in
+    columns, as (K', L').
 
-    Returns (ok, K', L'): ok marks the rows the rule answers, where no
-    candidate lies within _NEAR of a face that gets none. Both faces'
-    candidates are computed on every row, stacked K-face over L-face;
-    with alpha, beta < 1 and a finite box none of their powers can raise.
+    Each edge has one candidate, _peak's. The edges of all rows are
+    stacked in _all_edges' order: the L-edges at K = k_lo, then k_hi,
+    then the K-edges at L = l_lo, then l_hi. None of their powers can
+    raise, and _less folds their prices as min folds the tuples.
     """
-    # one candidate per face: the edges are concave and r > 0
-    k_face = np.where(k_star < k_lo, k_lo, k_hi)
-    l_face = np.where(l_star < l_lo, l_lo, l_hi)
-    others = libm(pow, np.concatenate((k_face, l_face)), np.concatenate((a, b)))
-    free = _peak(np.concatenate((b, a)), np.concatenate((B, B)), others,
-                 np.concatenate((np.ones_like(r), r)),
-                 np.concatenate((l_lo, k_lo)), np.concatenate((l_hi, k_hi)))
-    l_on_k, k_on_l = _halves(free)
-    k_face_a, l_face_b = _halves(others)
-    # near a face that gets no candidate, a candidate may price the
-    # same as that face's candidate to rounding
-    ok = ((k_in | (((l_star < l_lo) | (l_on_k > (1.0 + _NEAR) * l_lo))
-                   & ((l_star > l_hi) | (l_on_k < (1.0 - _NEAR) * l_hi))))
-          & (l_in | (((k_star < k_lo) | (k_on_l > (1.0 + _NEAR) * k_lo))
-                     & ((k_star > k_hi) | (k_on_l < (1.0 - _NEAR) * k_hi)))))
-    # two violated faces: the K-face candidate, unless the L-face one
-    # prices lower
-    l_on_k_b, k_on_l_a = _halves(libm(pow, free, np.concatenate((b, a))))
-    on_k = (r * k_face + l_on_k - B * k_face_a * l_on_k_b, k_face, l_on_k)
-    on_l = (r * k_on_l + l_face - B * k_on_l_a * l_face_b, k_on_l, l_face)
-    take_l = k_in | (~l_in & _less(on_l, on_k))
-    return (ok, np.where(take_l, k_on_l, k_face),
-            np.where(take_l, l_face, l_on_k))
+    fixed = np.concatenate((k_lo, k_hi, l_lo, l_hi))
+    gamma = np.concatenate((b, b, a, a))  # the free input's elasticity
+    fixed_pow = libm(pow, fixed, np.concatenate((a, a, b, b)))
+    ones = np.ones_like(r)
+    free = _peak(gamma, np.concatenate((B, B, B, B)), fixed_pow,
+                 np.concatenate((ones, ones, r, r)),
+                 np.concatenate((l_lo, l_lo, k_lo, k_lo)),
+                 np.concatenate((l_hi, l_hi, k_hi, k_hi)))
+    free_pow = libm(pow, free, gamma)
+    # one row per edge
+    fixed, fixed_pow, free, free_pow = (
+        x.reshape(4, len(a)) for x in (fixed, fixed_pow, free, free_pow))
+    k = np.concatenate((fixed[:2], free[2:]))
+    l = np.concatenate((free[:2], fixed[2:]))
+    cost = (r * k + l - B * np.concatenate((fixed_pow[:2], free_pow[2:]))
+            * np.concatenate((free_pow[:2], fixed_pow[2:])))
+    best, *rest = np.stack((cost, k, l), axis=1)
+    for candidate in rest:
+        best = np.where(_less(candidate, best), candidate, best)
+    return best[1], best[2]
 
 
 def _edge(gamma, B, other, w, lo, hi) -> tuple[float, ...]:

@@ -305,9 +305,11 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
     uniform stream in row order, but draws it in blocks of whole rows,
     about _DRAW_BLOCK doubles each, so it holds O(block * n) of it at a
     time rather than O(n^2); the edges' strengths follow in the stream.
-    scale-free: firms join one at a time and pick customers among
-    earlier firms preferentially by how many suppliers those firms
-    already have.
+    scale-free: firms join one at a time, and each picks
+    round(mean_out_degree) customers, or every earlier firm while there
+    are fewer, preferentially by how many suppliers those firms already
+    have. The count rounds half to even (2.5 gives 2), so a degree below
+    0.5 draws no edges.
     """
     ids = firm_ids(config.n_firms)
     n = config.n_firms
@@ -327,7 +329,7 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
             triples = [(ids[i], ids[j], k)
                        for i, j, k in zip(rows, cols, ks.tolist())]
     else:  # scale-free
-        m = max(1, round(config.mean_out_degree))
+        m = round(config.mean_out_degree)
         in_deg = np.zeros(n)
         for i in range(1, n):
             n_pick = min(i, m)

@@ -528,11 +528,13 @@ class TestFrontier:
         assert "B" not in res.equity_trace
         assert "B" not in res.survivors
 
+    @pytest.mark.fresh_seed
     @given(drawn_scenarios())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_full_rescan_reference(self, scenario):
         assert_equals_full_rescan(*scenario)
 
+    @pytest.mark.fresh_seed
     @given(hub_scenarios())
     @settings(max_examples=40, deadline=None)
     def test_supplier_hubs_equal_the_full_rescan_reference(self, scenario):
@@ -554,6 +556,7 @@ class TestPlanReuse:
     """The cached plan follows every input: a new economy, an edit in
     place of the decisions, new scalars or a new network."""
 
+    @pytest.mark.fresh_seed
     @given(drawn_scenarios(), st.sampled_from(EDITS), st.data())
     @settings(max_examples=300, deadline=None)
     def test_an_edit_in_place_is_never_stale(self, scenario, edit, data):
@@ -776,6 +779,7 @@ class TestPlanReuse:
             assert repr(res) == repr(cold)
             assert_equals_full_rescan(eco, net, decisions, c)
 
+    @pytest.mark.fresh_seed
     @given(drawn_scenarios())
     @settings(max_examples=150, deadline=None)
     def test_a_plain_mapping_builds_a_plan_per_call(self, scenario):
@@ -836,6 +840,7 @@ class TestLazyResult:
             pickle.loads(pickle.dumps(res, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
 
+    @pytest.mark.fresh_seed
     @given(drawn_scenarios())
     @settings(max_examples=150, deadline=None)
     def test_read_order_and_copies_give_one_repr(self, scenario):
@@ -870,6 +875,7 @@ class TestLazyResult:
             setattr(res, name, {})
         assert repr(res) == before
 
+    @pytest.mark.fresh_seed
     @given(drawn_scenarios())
     @settings(max_examples=100, deadline=None)
     def test_a_result_read_after_its_plan_was_replaced(self, scenario):

@@ -293,7 +293,7 @@ class TestClosedForm:
 
 
 def eight_candidate_inputs(revenue, capital, labor, p, bounds):
-    """best_inputs as it was before the face rule: every box edge priced.
+    """best_inputs on Python floats, with every box edge priced.
 
     Written out here so that the oracle shares no code with the package.
     """
@@ -402,6 +402,7 @@ OVERFLOW_ARGS = (34, "Numerical result out of range")
 
 
 class TestBestInputs:
+    @pytest.mark.fresh_seed
     @given(st.one_of(concave_problems(), any_regime_problems()))
     # past the high K-face only; past the low L-face only; past both
     @example((100.0, 10.0, 100.0, CONCAVE, (0.25, 4.0)))
@@ -452,28 +453,41 @@ class TestBestInputs:
             solve(*OVERFLOWING, GameConfig.decision_bounds)
         assert info.value.args == OVERFLOW_ARGS
 
-    @pytest.mark.parametrize("capital, labor", [
-        (10.0, 100.0),    # k* above the box, l* inside
-        (300.0, 100.0),   # l* below the box, k* inside
-    ])
-    def test_one_violated_face_ignores_pricing(self, monkeypatch, capital,
-                                               labor):
-        # pricing only decides between the candidates of two violated
-        # faces: with every price comparison turned round, a point past
-        # one face keeps its answer and one past both (books (1, 100)
-        # put k* and l* above the box) takes the other candidate
-        both = best_inputs(100.0, 1.0, 100.0, CONCAVE)
-        less = chainsim.game._less
-        monkeypatch.setattr(chainsim.game, "_less", lambda x, y: ~less(x, y))
+    def test_only_nonconcave_rows_are_priced_row_by_row(self, monkeypatch):
+        # concave rows: (k*, l*) inside the box, above it in K only,
+        # below it in L only, above it in both
+        concave = [(100.0, 500.0, 25.0, CONCAVE),
+                   (100.0, 10.0, 100.0, CONCAVE),
+                   (100.0, 300.0, 100.0, CONCAVE),
+                   (100.0, 1.0, 100.0, CONCAVE)]
+        # alpha + beta >= 1, alpha = 0, r = 0, each with B > 0
+        nonconcave = [(100.0, 10.0, 100.0, replace(CONCAVE, **change))
+                      for change in ({"alpha": 0.7, "beta": 0.5},
+                                     {"alpha": 0.0}, {"interest_rate": 0.0})]
+        mixed = [nonconcave[0], *concave[:2], nonconcave[1], *concave[2:],
+                 nonconcave[2]]
+        all_edges = chainsim.game._all_edges
+        received = []
 
-        def no_fallback(*args):
-            raise AssertionError("a face-rule row fell back to every edge")
+        def no_rows(*args):
+            raise AssertionError("a concave row was priced row by row")
 
-        monkeypatch.setattr(chainsim.game, "_all_edges", no_fallback)
-        assert best_inputs(100.0, capital, labor, CONCAVE) == \
-            eight_candidate_inputs(100.0, capital, labor, CONCAVE,
-                                   GameConfig.decision_bounds)
-        assert best_inputs(100.0, 1.0, 100.0, CONCAVE) != both
+        def record(a, b, r, B, k_lo, *rest):
+            received.extend(zip(a.tolist(), b.tolist(), r.tolist(),
+                                k_lo.tolist()))
+            return all_edges(a, b, r, B, k_lo, *rest)
+
+        for rows, spy in ((concave, no_rows), (mixed, record)):
+            monkeypatch.setattr(chainsim.game, "_all_edges", spy)
+            books = [np.array(column) for column in list(zip(*rows))[:3]]
+            k, l = best_input_columns(*books,
+                                      ParamColumns(p for *_, p in rows))
+            assert list(zip(k.tolist(), l.tolist())) == [
+                eight_candidate_inputs(*row, GameConfig.decision_bounds)
+                for row in rows]
+        lo = GameConfig.decision_bounds[0]
+        assert received == [(p.alpha, p.beta, p.interest_rate, lo * capital)
+                            for _, capital, _, p in nonconcave]
 
 
 @st.composite
@@ -540,6 +554,7 @@ def mixed_batches(draw):
 
 
 class TestBestInputColumns:
+    @pytest.mark.fresh_seed
     @given(mixed_batches())
     @settings(max_examples=300, deadline=None)
     def test_matches_rows_and_every_edge_priced(self, batch):
@@ -557,7 +572,7 @@ class TestBestInputColumns:
                     == [x.hex() for x in want])
 
     def test_overflowing_row_among_ordinary_ones_raises(self):
-        # ordinary rows of the face rule and of every edge around it
+        # ordinary rows of both edge rules around it
         rows = [(100.0, 10.0, 100.0, CONCAVE), OVERFLOWING,
                 (100.0, 1.0, 1.0, replace(CONCAVE, alpha=0.7, beta=0.5))]
         books = [np.array(column) for column in list(zip(*rows))[:3]]

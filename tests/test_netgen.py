@@ -1,6 +1,7 @@
 """Synthetic economy generator and the forward simulator."""
 
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -295,6 +296,23 @@ class TestNetworkGeneration:
         assert list(a.edges()) == list(b.edges())
         assert 0 < a.n_edges() <= 300
         assert all(s != c for s, c, _ in a.edges())
+
+    @pytest.mark.parametrize("degree, edges, digest", [
+        (0.0, 0, None), (0.4, 0, None),
+        # the default degree keeps its draw: 1 + 2 * 198 edges
+        (2.0, 397, "df94509ef0b26aab7a0f8e02300198b9"
+                   "89fb7d6196b89458bf764024e2d14423"),
+        # rounds half to even: the same draw as 2.0
+        (2.5, 397, "df94509ef0b26aab7a0f8e02300198b9"
+                   "89fb7d6196b89458bf764024e2d14423"),
+    ])
+    def test_scale_free_picks_the_rounded_degree(self, degree, edges, digest):
+        cfg = GeneratorConfig(n_firms=200, edge_model="scale-free",
+                              mean_out_degree=degree)
+        got = list(generate_network(cfg, np.random.default_rng(3)).edges())
+        assert len(got) == edges
+        if digest is not None:
+            assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
     def test_edge_models_registry(self):
         assert set(EDGE_MODELS) == {"random", "scale-free"}

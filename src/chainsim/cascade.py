@@ -223,9 +223,9 @@ class CascadePlan:
                  decisions: Mapping[str, InvestmentDecision],
                  gdp_growth: float, policy: str, solved: bool) -> None:
         ids = shared_firm_ids(economy, network)
-        states, params = economy.states, economy.params
-        missing = next((f for f in ids if f not in decisions
-                        and not states[f].bankrupt), None)
+        flags = economy.bankrupt.tolist()
+        missing = next((f for f, flag in zip(ids, flags)
+                        if not flag and f not in decisions), None)
         if missing is not None:
             raise ValueError(f"decisions lack firm {missing!r}")
         self.economy = economy
@@ -235,30 +235,33 @@ class CascadePlan:
         self.policy = policy
         self.solved = solved
         self.firms, self.index = network.firms, network.index
-        flags = [states[f].bankrupt for f in ids]
         self.flagged = tuple(i for i, flag in enumerate(flags) if flag)
         self.survivors = {f: REASON_NOT_REACHED for f, flag in zip(ids, flags)
                           if not flag}
         offsets, positions, ks = network.customers
+        revenue, prev_revenue, capital, labor, equity = (
+            economy.state_columns.tolist())
+        alpha, beta, cost_coeff, rate, _ = economy.param_columns.tolist()
         self.books: list[tuple | None] = [None] * len(ids)
         self.links: list[list[tuple[int, int]]] = [[] for _ in ids]
         for i, firm in enumerate(ids):
             lo, hi = offsets[i], offsets[i + 1]
             if flags[i] or lo == hi:
                 continue
-            st, dec = states[firm], self.decisions[firm]
+            dec = self.decisions[firm]
             growth, cost, capital_charge = term_fixed(
-                st.capital, st.labor, params[firm], dec.capital, dec.labor)
+                capital[i], labor[i], alpha[i], beta[i], cost_coeff[i],
+                rate[i], dec.capital, dec.labor)
             terms = []
             for j, (c, k) in enumerate(zip(positions[lo:hi], ks[lo:hi])):
                 self.links[c].append((i, 1 << j))
                 terms.append((
                     None if flags[c]
-                    else interaction_term(k, states[ids[c]].growth_ratio,
+                    else interaction_term(k, revenue[c] / prev_revenue[c],
                                           gdp_growth),
                     bankrupt_interaction(k, gdp_growth, policy)))
-            self.books[i] = ({}, st.revenue, growth, cost, capital_charge,
-                             dec.labor, st.equity, tuple(terms))
+            self.books[i] = ({}, revenue[i], growth, cost, capital_charge,
+                             dec.labor, equity[i], tuple(terms))
 
     def matches(self, economy: Economy,
                 decisions: Mapping[str, InvestmentDecision],
@@ -375,9 +378,9 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     behind.
     """
     for f in config.trigger_firms:
-        if f not in economy.params:
+        if f not in economy.index:
             raise ValueError(f"unknown trigger firm {f!r}")
-        if economy.states[f].bankrupt:
+        if economy.bankrupt[economy.index[f]]:
             raise ValueError(f"trigger firm {f!r} is already bankrupt")
 
     plan = _plans.get(network)
@@ -402,7 +405,7 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     cap = config.max_generations
     if cap is None:
-        cap = len(economy.params)
+        cap = len(economy.firm_ids)
     # position -> its last outcome, in order of first evaluation; the
     # generation of its record is where it fell or generations_run
     evaluated: dict[int, tuple] = {}

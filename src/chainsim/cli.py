@@ -430,3 +430,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry_point()

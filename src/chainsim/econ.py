@@ -24,7 +24,9 @@ import numbers
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -46,6 +48,9 @@ _PARAMETER_FIELDS = tuple((name, NON_NEGATIVE) for name in (
 _LIVE_FIELDS = (("revenue", POSITIVE), ("prev_revenue", POSITIVE),
                 ("capital", POSITIVE), ("labor", POSITIVE), ("equity", FINITE))
 _DECISION_FIELDS = (("capital", POSITIVE), ("labor", POSITIVE))
+# the rows of an Economy's param_columns and state_columns
+PARAMETER_COLUMNS = tuple(name for name, _ in _PARAMETER_FIELDS)
+STATE_COLUMNS = tuple(name for name, _ in _LIVE_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -314,24 +319,114 @@ class FrozenMap(dict):
         return type(self), (dict(self),)
 
 
-@dataclass(frozen=True)
-class Economy:
-    """Per-firm parameters and current states, keyed by firm id, as
-    FrozenMaps copied at construction. A changed economy is a new one,
-    built with dataclasses.replace."""
+def record_columns(records, names) -> np.ndarray:
+    """The named fields of records as a float64 table, a row per name."""
+    rows = list(map(attrgetter(*names), records))
+    return np.array(rows, dtype=float).reshape(len(rows), len(names)).T.copy()
 
+
+def _bad_cells(fields, table) -> np.ndarray:
+    """Where a table, a row per (name, (low, strict)) of fields, holds a
+    number check_numbers refuses."""
+    with np.errstate(invalid="ignore"):
+        return ~np.array([(row > low if strict else row >= low)
+                          & (row < math.inf) for (_, (low, strict)), row
+                          in zip(fields, table)]).reshape(table.shape)
+
+
+def check_param_columns(table: np.ndarray) -> None:
+    """The number rule over a table of parameter columns: the first bad
+    firm's FirmParameters raises."""
+    i = first_true(_bad_cells(_PARAMETER_FIELDS, table).any(axis=0))
+    if i is not None:
+        FirmParameters(*table[:, i].tolist())
+
+
+@dataclass(frozen=True, init=False)
+class Economy:
+    """Per-firm parameters and books as read-only float64 columns over
+    firm_ids, the sorted firm ids; index maps an id to its position.
+
+    param_columns has a row per PARAMETER_COLUMNS field (alpha, beta,
+    cost_coeff, interest_rate, noise_sigma) and a column per firm,
+    state_columns a row per STATE_COLUMNS field (revenue, prev_revenue,
+    capital, labor, equity); bankrupt is a bool column.
+    Economy(params=..., states=...) reads FirmParameters and FirmState
+    records keyed by id and keeps copies of both maps;
+    Economy.from_columns takes the columns and holds them to the number
+    rule once. params and states are FrozenMaps of one-row records,
+    built from the columns on first read. A changed economy is a new
+    one, built with dataclasses.replace, which reads both maps; == too
+    compares the maps. Copies and pickles are rebuilt from the columns.
+    """
+
+    # the fields dataclasses.replace, fields and asdict read, each a
+    # cached_property below
     params: Mapping[str, FirmParameters]
     states: Mapping[str, FirmState]
 
-    def __post_init__(self) -> None:
-        if set(self.params) != set(self.states):
+    def __init__(self, params: Mapping[str, FirmParameters],
+                 states: Mapping[str, FirmState]) -> None:
+        params, states = FrozenMap(params), FrozenMap(states)
+        if set(params) != set(states):
             raise ValueError("params and states cover different firm ids")
-        object.__setattr__(self, "params", FrozenMap(self.params))
-        object.__setattr__(self, "states", FrozenMap(self.states))
+        ids = tuple(sorted(params))
+        rows = [states[f] for f in ids]
+        self._hold(ids, record_columns(map(params.get, ids), PARAMETER_COLUMNS),
+                   record_columns(rows, STATE_COLUMNS),
+                   [st.bankrupt for st in rows])
+        self.__dict__.update(params=params, states=states)
 
-    @property
-    def firm_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.params))
+    @classmethod
+    def from_columns(cls, firm_ids, param_columns, state_columns,
+                     bankrupt=None) -> "Economy":
+        """An economy over firm_ids, sorted and distinct, from its tables
+        and bankrupt column (none flagged when None). The first firm
+        with a number the rule refuses raises the ValueError its record
+        raises, parameters first; a flagged firm's equity alone is
+        checked."""
+        ids = tuple(firm_ids)
+        if list(ids) != sorted(set(ids)):
+            raise ValueError("firm_ids must be sorted and distinct")
+        economy = cls.__new__(cls)
+        economy._hold(ids, param_columns, state_columns,
+                      [False] * len(ids) if bankrupt is None else bankrupt)
+        check_param_columns(economy.param_columns)
+        table, flagged = economy.state_columns, economy.bankrupt
+        bad = _bad_cells(_LIVE_FIELDS, table)
+        bad[:-1, flagged] = False
+        i = first_true(bad.any(axis=0))
+        if i is not None:
+            FirmState(*table[:, i].tolist(), bankrupt=bool(flagged[i]))
+        return economy
+
+    def _hold(self, ids, *columns) -> None:
+        columns = [np.array(c, dtype) for c, dtype in zip(columns, (
+            float, float, bool))]
+        shapes = [(len(PARAMETER_COLUMNS), len(ids)),
+                  (len(STATE_COLUMNS), len(ids)), (len(ids),)]
+        if [c.shape for c in columns] != shapes:
+            raise ValueError(f"columns must be shaped {shapes}")
+        for c in columns:
+            c.flags.writeable = False
+        self.__dict__.update(
+            firm_ids=ids, index={f: i for i, f in enumerate(ids)},
+            param_columns=columns[0], state_columns=columns[1],
+            bankrupt=columns[2])
+
+    @cached_property
+    def params(self) -> FrozenMap:
+        return FrozenMap(zip(self.firm_ids, map(
+            FirmParameters, *self.param_columns.tolist())))
+
+    @cached_property
+    def states(self) -> FrozenMap:
+        return FrozenMap(zip(self.firm_ids, map(
+            FirmState, *self.state_columns.tolist(), self.bankrupt.tolist())))
+
+    def __reduce__(self):
+        return Economy.from_columns, (self.firm_ids, self.param_columns,
+                                      self.state_columns, self.bankrupt)
 
 
 def shared_firm_ids(economy: Economy,
@@ -341,7 +436,7 @@ def shared_firm_ids(economy: Economy,
     ids = economy.firm_ids
     if ids != network.firms:
         firm = min(set(ids).symmetric_difference(network.firms))
-        side = "economy" if firm in economy.params else "network"
+        side = "economy" if firm in economy.index else "network"
         raise ValueError(f"firm {firm!r} is only in the {side}")
     return ids
 
@@ -388,16 +483,15 @@ def customer_terms_sum(firm: str, network: TransactionNetwork,
     return total
 
 
-def term_fixed(capital: float, labor: float, params: FirmParameters,
-               next_capital: float, next_labor: float
-               ) -> tuple[float, float, float]:
+def term_fixed(capital: float, labor: float, alpha: float, beta: float,
+               cost_coeff: float, interest_rate: float, next_capital: float,
+               next_labor: float) -> tuple[float, float, float]:
     """(growth, cost, capital_charge): the term rule's parts fixed by
     K' and L', namely (K'/K)^alpha (L'/L)^beta, the material cost and
-    interest_rate * K'."""
-    a, b = params.alpha, params.beta
-    growth = (next_capital / capital) ** a * (next_labor / labor) ** b
-    cost = params.cost_coeff * next_capital ** a * next_labor ** b
-    return growth, cost, params.interest_rate * next_capital
+    interest_rate * K', for a firm with the four parameters given."""
+    growth = (next_capital / capital) ** alpha * (next_labor / labor) ** beta
+    cost = cost_coeff * next_capital ** alpha * next_labor ** beta
+    return growth, cost, interest_rate * next_capital
 
 
 def term_close(revenue: float, growth: float, cost: float,
@@ -427,8 +521,9 @@ def term_rule(revenue: float, capital: float, labor: float,
     into equity. A caller pricing one decision against many sums calls
     term_fixed once and term_close per sum.
     """
-    growth, cost, capital_charge = term_fixed(capital, labor, params,
-                                              next_capital, next_labor)
+    growth, cost, capital_charge = term_fixed(
+        capital, labor, params.alpha, params.beta, params.cost_coeff,
+        params.interest_rate, next_capital, next_labor)
     return term_close(revenue, growth, cost, capital_charge, next_labor,
                       customer_terms, noise)
 

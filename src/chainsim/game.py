@@ -43,10 +43,12 @@ from .econ import (
     FirmParameters,
     FrozenMap,
     InvestmentDecision,
+    PARAMETER_COLUMNS,
     POSITIVE,
     TransactionNetwork,
     check_numbers,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
+    record_columns,
     shared_firm_ids,
     term_fixed,
 )
@@ -102,8 +104,9 @@ def _payoff(revenue, capital, labor, customer_terms, params: FirmParameters,
     arithmetic without the revenue floor, so the same body prices one
     decision (floats) and a whole GA population (numpy arrays).
     """
-    growth, cost, charge = term_fixed(capital, labor, params,
-                                      next_capital, next_labor)
+    growth, cost, charge = term_fixed(
+        capital, labor, params.alpha, params.beta, params.cost_coeff,
+        params.interest_rate, next_capital, next_labor)
     return revenue * (growth + customer_terms) - cost - charge - next_labor
 
 
@@ -161,29 +164,36 @@ def _peak(gamma, B, other, w, lo, hi) -> np.ndarray:
 
 
 class ParamColumns:
-    """FirmParameters of a set of firms as float64 columns, one row per
+    """The parameters of a set of firms as float64 columns, one row per
     firm, with the best response's constants that depend on them alone.
 
-    concave marks the rows with alpha, beta, r > 0 and alpha + beta < 1.
-    On those rows c = beta * r / alpha (L/K at the first-order point),
-    c_beta = c ** beta and exponent = 1 / (1 - alpha - beta); other rows
-    hold stand-ins of 1.0 and c_beta 1.0.
+    Built from the five columns in PARAMETER_COLUMNS order, such as the
+    rows of an Economy's param_columns; ParamColumns.of reads
+    FirmParameters records. concave marks the rows with alpha, beta,
+    r > 0 and alpha + beta < 1. On those rows c = beta * r / alpha (L/K
+    at the first-order point), c_beta = c ** beta and exponent =
+    1 / (1 - alpha - beta); other rows hold stand-ins of 1.0 and c_beta
+    1.0.
     """
 
-    def __init__(self, params) -> None:
-        params = list(params)
-        self.alpha = a = np.array([p.alpha for p in params], dtype=float)
-        self.beta = b = np.array([p.beta for p in params], dtype=float)
-        self.cost_coeff = np.array([p.cost_coeff for p in params], dtype=float)
-        self.interest_rate = r = np.array([p.interest_rate for p in params],
-                                          dtype=float)
-        self.noise_sigma = np.array([p.noise_sigma for p in params], dtype=float)
+    def __init__(self, alpha, beta, cost_coeff, interest_rate,
+                 noise_sigma) -> None:
+        self.alpha = a = alpha
+        self.beta = b = beta
+        self.cost_coeff = cost_coeff
+        self.interest_rate = r = interest_rate
+        self.noise_sigma = noise_sigma
         with np.errstate(all="ignore"):
             self.concave = (a > 0.0) & (b > 0.0) & (r > 0.0) & (a + b < 1.0)
             self.c = np.where(self.concave, b * r / a, 1.0)
             # c may overflow to inf but its power cannot raise: beta < 1
             self.c_beta = libm(pow, self.c, b)
             self.exponent = np.where(self.concave, 1.0 / (1.0 - a - b), 1.0)
+
+    @classmethod
+    def of(cls, params) -> "ParamColumns":
+        """The columns of FirmParameters records, a row per record."""
+        return cls(*record_columns(params, PARAMETER_COLUMNS))
 
 
 def best_input_columns(revenue, capital, labor, params: ParamColumns,
@@ -333,7 +343,7 @@ def best_inputs(revenue: float, capital: float, labor: float,
     """best_input_columns for one firm, as (K', L') floats."""
     k, l = best_input_columns(
         *(np.array([x], dtype=float) for x in (revenue, capital, labor)),
-        ParamColumns([params]), bounds)
+        ParamColumns.of([params]), bounds)
     return k.item(), l.item()
 
 
@@ -438,14 +448,11 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
     gets no decision: it trades no more, and the cascade reads it as a
     dead customer. The decisions come read-only, in sorted firm order.
     """
-    ids = [f for f in shared_firm_ids(economy, network)
-           if not economy.states[f].bankrupt]
-    states = [economy.states[f] for f in ids]
-    k, l = best_input_columns(
-        np.array([st.revenue for st in states], dtype=float),
-        np.array([st.capital for st in states], dtype=float),
-        np.array([st.labor for st in states], dtype=float),
-        ParamColumns(economy.params[f] for f in ids))
-    decisions = FrozenMap(
-        zip(ids, map(InvestmentDecision, k.tolist(), l.tolist())))
+    ids = shared_firm_ids(economy, network)
+    live = (~economy.bankrupt).nonzero()[0]
+    revenue, _, capital, labor, _ = economy.state_columns[:, live]
+    k, l = best_input_columns(revenue, capital, labor, ParamColumns(
+        *economy.param_columns[:, live]))
+    decisions = FrozenMap(zip([ids[i] for i in live.tolist()],
+                              map(InvestmentDecision, k.tolist(), l.tolist())))
     return NashResult(decisions=decisions, converged=True)

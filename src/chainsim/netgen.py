@@ -31,11 +31,14 @@ from .econ import (
     FirmState,
     InvestmentDecision,
     MacroSeries,
+    PARAMETER_COLUMNS,
     REVENUE_FLOOR_FRAC,
     TransactionNetwork,
     check_numbers,
+    check_param_columns,
     customer_terms_sum,  # not called here; bench/tracing.py looks it up
     finite_number,
+    record_columns,
     shared_firm_ids,
     term_rule,
 )
@@ -98,7 +101,7 @@ class GeneratorConfig:
             raise ValueError(f"edge_model must be one of {EDGE_MODELS}")
         check_numbers(SCALARS, (getattr(self, name) for name, _ in SCALARS))
         # a non-finite range, or one whose width overflows, draws inf or
-        # NaN (and _draw_elasticities then redraws forever)
+        # NaN (and generate_params then redraws forever)
         for name in RANGES:
             bounds = getattr(self, name)
             if not (isinstance(bounds, (tuple, list)) and len(bounds) == 2
@@ -111,7 +114,7 @@ class GeneratorConfig:
         if not self.revenue_range[0] > 0.0:
             raise ValueError("revenue_range must be above 0, "
                              f"got {self.revenue_range!r}")
-        # _draw_elasticities redraws until alpha + beta is below the cap
+        # generate_params redraws until alpha + beta is below the cap
         if not self.elasticity_sum_max > self.alpha_range[0] + self.beta_range[0]:
             raise ValueError("elasticity_sum_max must exceed the smallest alpha + beta, "
                              f"got {self.elasticity_sum_max!r}")
@@ -131,14 +134,6 @@ def _uniform(rng, bounds: tuple[float, float]) -> float:
     """
     low, high = float(bounds[0]), float(bounds[1])
     return low + (high - low) * rng.random()
-
-
-def _draw_elasticities(config: GeneratorConfig, rng) -> tuple[float, float]:
-    while True:
-        a = _uniform(rng, config.alpha_range)
-        b = _uniform(rng, config.beta_range)
-        if a + b < config.elasticity_sum_max:
-            return a, b
 
 
 # the guard band of steady_state_columns is ln k_root +- _BAND / s
@@ -283,18 +278,47 @@ def steady_state_columns(params: ParamColumns, revenue
     return k, params.c * k
 
 
-def generate_params(config: GeneratorConfig, rng) -> dict[str, FirmParameters]:
-    out = {}
-    for fid in firm_ids(config.n_firms):
-        a, b = _draw_elasticities(config, rng)
-        out[fid] = FirmParameters(
-            alpha=a,
-            beta=b,
-            cost_coeff=_uniform(rng, config.cost_coeff_range),
-            interest_rate=config.interest_rate,
-            noise_sigma=config.noise_sigma,
-        )
-    return out
+def generate_params(config: GeneratorConfig, rng) -> np.ndarray:
+    """Each firm's parameters, as a table of float64 columns over
+    firm_ids(n_firms) with a row per PARAMETER_COLUMNS field, held to
+    the number rule.
+
+    Firm by firm, the stream gives alpha and beta, redrawn as a pair
+    while alpha + beta >= elasticity_sum_max, then cost_coeff, each
+    low + (high - low) * a uniform double. The doubles come in blocks,
+    each as many as the firms still to draw need at the least, three
+    apiece, so the stream stops where a draw per double stops; a walk
+    over the block's pairs finds each firm's accepted pair.
+    """
+    n = config.n_firms
+    (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = (
+        map(float, bounds) for bounds in (
+            config.alpha_range, config.beta_range, config.cost_coeff_range))
+    u = np.empty(0)
+    accepted: list[bool] = []  # per stream position, the pair it starts
+    starts: list[int] = []     # each firm's accepted pair
+    p = 0
+    while len(starts) < n:
+        u = np.concatenate((u, rng.random(p + 3 * (n - len(starts)) - len(u))))
+        sums = (a_lo + (a_hi - a_lo) * u[len(accepted):-1]
+                + (b_lo + (b_hi - b_lo) * u[len(accepted) + 1:]))
+        accepted += (sums < config.elasticity_sum_max).tolist()
+        while len(starts) < n and p + 2 <= len(u):
+            if not accepted[p]:
+                p += 2
+            elif p + 3 <= len(u):
+                starts.append(p)
+                p += 3
+            else:
+                break
+    starts = np.array(starts, dtype=np.intp)
+    table = np.array((a_lo + (a_hi - a_lo) * u[starts],
+                      b_lo + (b_hi - b_lo) * u[starts + 1],
+                      c_lo + (c_hi - c_lo) * u[starts + 2],
+                      np.full(n, float(config.interest_rate)),
+                      np.full(n, float(config.noise_sigma))))
+    check_param_columns(table)
+    return table
 
 
 def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
@@ -359,29 +383,26 @@ def generate_gdp(config: GeneratorConfig, rng) -> MacroSeries:
     return MacroSeries(gdp=tuple(values))
 
 
-def generate_states(config: GeneratorConfig, params: dict[str, FirmParameters],
-                    rng) -> dict[str, FirmState]:
-    """Initial books: each firm, in sorted order, draws its revenue, the
-    jitter of its capital and of its labor, and its equity share; then
-    all steady states are solved at once and jittered."""
-    ids = sorted(params)
+def generate_states(config: GeneratorConfig, params: np.ndarray,
+                    rng) -> np.ndarray:
+    """Initial books for the firms of a generate_params table, as a table
+    of float64 columns with a row per STATE_COLUMNS field: each firm, in
+    order, draws its revenue, the jitter of its capital and of its
+    labor, and its equity share; then all steady states are solved at
+    once and jittered."""
     uniform, normal = rng.random, rng.normal
-    draws = np.array([(uniform(), normal(), normal(), uniform()) for _ in ids],
-                     dtype=float).reshape(len(ids), 4).T
+    n = params.shape[1]
+    draws = np.array([(uniform(), normal(), normal(), uniform())
+                      for _ in range(n)], dtype=float).reshape(n, 4).T
     low, high = map(float, config.revenue_range)
     revenue = low + (high - low) * draws[0]
-    k_star, l_star = steady_state_columns(
-        ParamColumns(params[f] for f in ids), revenue)
+    k_star, l_star = steady_state_columns(ParamColumns(*params), revenue)
     capital = k_star * libm(math.exp, config.start_jitter * draws[1])
     labor = l_star * libm(math.exp, config.start_jitter * draws[2])
     low, high = map(float, config.equity_frac_range)
     equity = (low + (high - low) * draws[3]) * revenue
     prev_revenue = revenue / (1.0 + config.gdp_growth)
-    return {fid: FirmState(revenue=rev, prev_revenue=prev, capital=k,
-                           labor=l, equity=eq)
-            for fid, rev, prev, k, l, eq in zip(
-                ids, *(col.tolist() for col in (revenue, prev_revenue,
-                                                capital, labor, equity)))}
+    return np.array((revenue, prev_revenue, capital, labor, equity))
 
 
 def generate_economy(config: GeneratorConfig
@@ -396,7 +417,8 @@ def generate_economy(config: GeneratorConfig
     macro = generate_gdp(config, np.random.default_rng([config.seed, 3]))
     states = generate_states(config, params,
                              np.random.default_rng([config.seed, 4]))
-    return Economy(params=params, states=states), network, macro
+    return (Economy.from_columns(firm_ids(config.n_firms), params, states),
+            network, macro)
 
 
 @dataclass(frozen=True)
@@ -465,14 +487,11 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     n = len(ids)
     noise_rng = np.random.default_rng([seed, 101])
     jitter_rng = np.random.default_rng([seed, 102])
-    start = [economy.states[f] for f in ids]
-    params = [economy.params[f] for f in ids]
-    columns = ParamColumns(params)
+    columns = ParamColumns(*economy.param_columns)
+    revenue, prev_revenue, capital, labor, equity = economy.state_columns
     # revenue, capital, labor and equity of every firm in every period
     books = np.empty((4, n, T))
-    books[:, :, 0] = ([st.revenue for st in start], [st.capital for st in start],
-                      [st.labor for st in start], [st.equity for st in start])
-    revenue, capital, labor, equity = books[:, :, 0].copy()
+    books[:, :, 0] = revenue, capital, labor, equity
     floor_events: list[tuple[str, int]] = []
 
     # the customer table with each entry's supplier position: bincount
@@ -483,8 +502,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
     owner = np.repeat(np.arange(n), np.diff(offsets))
     # growth ratio on the books; a firm flagged before the run pays
     # nothing in the first term, so its suppliers read a ratio of 0
-    growth = np.array([0.0 if st.bankrupt else st.growth_ratio for st in start],
-                      dtype=float)
+    with np.errstate(all="ignore"):
+        growth = np.where(economy.bankrupt, 0.0, revenue / prev_revenue)
     # the exponents of the term's four powers, and capital ** alpha and
     # labor ** beta on the books once the first term has taken them
     exponents = np.concatenate((columns.alpha, columns.beta) * 2)
@@ -530,7 +549,8 @@ def forward_simulate(economy: Economy, network: TransactionNetwork,
         for i in suspects:
             _check_step(*(float(col[i]) for col in (revenue, capital, labor,
                                                     equity)),
-                        params[i], decision_jitter, float(jit[i, 0]),
+                        FirmParameters(*economy.param_columns[:, i].tolist()),
+                        decision_jitter, float(jit[i, 0]),
                         float(jit[i, 1]), float(terms[i]), float(noise[i]))
         if failure is not None:
             raise failure
@@ -575,10 +595,8 @@ def economy_from_panel(panel: PanelSeries,
     missing = [f for f in panel.firm_ids if f not in params]
     if missing:
         raise ValueError(f"no parameters for firms {missing[:5]}")
-    columns = zip(panel.firm_ids, panel.revenue[:, pos].tolist(),
-                  panel.revenue[:, pos - 1].tolist(),
-                  panel.capital[:, pos].tolist(), panel.labor[:, pos].tolist(),
-                  panel.equity[:, pos].tolist())
-    states = {fid: FirmState(*books) for fid, *books in columns}
-    return Economy(params={f: params[f] for f in panel.firm_ids},
-                   states=states)
+    return Economy.from_columns(
+        panel.firm_ids,
+        record_columns([params[f] for f in panel.firm_ids], PARAMETER_COLUMNS),
+        (panel.revenue[:, pos], panel.revenue[:, pos - 1],
+         panel.capital[:, pos], panel.labor[:, pos], panel.equity[:, pos]))

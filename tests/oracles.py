@@ -55,6 +55,6 @@ def expected_payoff(ctx: PayoffContext, decision: InvestmentDecision) -> float:
 
 def steady_state_inputs(params: FirmParameters, revenue: float) -> tuple[float, float]:
     """steady_state_columns for one firm, as (k, l) floats."""
-    k, l = steady_state_columns(ParamColumns([params]),
+    k, l = steady_state_columns(ParamColumns.of([params]),
                                 np.array([revenue], dtype=float))
     return k.item(), l.item()

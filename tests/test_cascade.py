@@ -173,6 +173,13 @@ def full_rescan_cascade(eco, net, triggers, decisions, gdp_ratio,
     return bankrupt, survivors, trace, generations_run, exhausted
 
 
+def pricing_args(eco, decisions, f):
+    """The arguments the cascade plan passes term_fixed for firm f."""
+    st, p, dec = eco.states[f], eco.params[f], decisions[f]
+    return (st.capital, st.labor, p.alpha, p.beta, p.cost_coeff,
+            p.interest_rate, dec.capital, dec.labor)
+
+
 def assert_equals_full_rescan(eco, net, decisions, config):
     """run_cascade on the inputs equals full_rescan_cascade field by field."""
     res = run_cascade(eco, net, config, decisions=decisions)
@@ -620,27 +627,24 @@ class TestPlanReuse:
         monkeypatch.setattr(cascade, "term_fixed", counted)
         eco, net, plain = make_chain(equity_a=30.0)
         decisions = FrozenMap(plain)
-        firm_of = {id(p): f for f, p in eco.params.items()}
-
-        def priced_firms():
-            return [firm_of[id(args[2])] for args in priced]
+        suppliers = [pricing_args(eco, decisions, f) for f in "AB"]
 
         config = CascadeConfig(trigger_firms=("C",))
         first = run_cascade(eco, net, config, decisions=decisions)
         # the plan prices every supplier, in position order, when it is
         # built; C supplies nobody
-        assert priced_firms() == ["A", "B"]
+        assert priced == suppliers
         # the same inputs, any trigger: the books priced at build hold
         assert run_cascade(eco, net, config, decisions=decisions) == first
         run_cascade(eco, net, CascadeConfig(trigger_firms=("B",)),
                     decisions=decisions)
-        assert priced_firms() == ["A", "B"]
+        assert priced == suppliers
         # a new FrozenMap with an edit prices again, from the edited decision
         decisions = FrozenMap(
             {**plain, "A": InvestmentDecision(capital=100.0, labor=75.0)})
         edited = run_cascade(eco, net, config, decisions=decisions)
-        assert priced_firms() == ["A", "B", "A", "B"]
-        assert priced[2][3:] == (100.0, 75.0)
+        assert priced[2:] == [pricing_args(eco, decisions, f) for f in "AB"]
+        assert priced[2][6:] == (100.0, 75.0)
         assert edited.bankrupt == {"C": 0, "B": 1}
 
     @pytest.mark.parametrize("trigger", ["B", "D"])
@@ -766,10 +770,9 @@ class TestPlanReuse:
             mp.setattr(cascade, "term_fixed", counted)
             runs = [run_cascade(eco, net, c, decisions=decisions)
                     for c in configs]
-        firm_of = {id(p): f for f, p in eco.params.items()}
         offsets = net.customers[0]
-        assert [firm_of[id(args[2])] for args in priced] == [
-            f for i, f in enumerate(net.firms)
+        assert priced == [
+            pricing_args(eco, decisions, f) for i, f in enumerate(net.firms)
             if not eco.states[f].bankrupt and offsets[i] < offsets[i + 1]]
         assert cascade._plans[net].decisions is decisions
         plain = dict(decisions)

@@ -849,14 +849,15 @@ class TestEndToEnd:
 
 
 class TestEntryPoint:
-    """python -m chainsim goes through cli.entry_point to a process exit."""
+    """python -m chainsim and python -m chainsim.cli go through
+    cli.entry_point to a process exit."""
 
-    def _run(self, *argv):
+    def _run(self, *argv, module="chainsim"):
         src = os.path.dirname(os.path.dirname(chainsim.__file__))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ,
                    PYTHONPATH=src + (os.pathsep + path if path else ""))
-        return subprocess.run([sys.executable, "-m", "chainsim", *argv],
+        return subprocess.run([sys.executable, "-m", module, *argv],
                               capture_output=True, text=True, env=env,
                               timeout=120)
 
@@ -867,6 +868,19 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert sorted(os.listdir(out)) == [
             "edges.csv", "gdp.csv", "panel.csv", "params.csv"]
+
+    def test_cli_module_runs_a_command(self, tmp_path):
+        out = tmp_path / "data"
+        proc = self._run("generate", "--out-dir", str(out), "--firms", "10",
+                         "--seed", "3", module="chainsim.cli")
+        assert proc.returncode == 0, proc.stderr
+        assert (out / "panel.csv").is_file()
+
+    def test_cli_module_refuses_an_unknown_flag(self, tmp_path):
+        proc = self._run("generate", "--out-dir", str(tmp_path / "data"),
+                         "--no-such-flag", module="chainsim.cli")
+        assert proc.returncode == 2
+        assert "--no-such-flag" in proc.stderr
 
     def test_bad_firm_count_exits_two_and_leaves_nothing(self, tmp_path):
         out = tmp_path / "data"

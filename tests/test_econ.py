@@ -547,7 +547,7 @@ class TestTermParts:
     @settings(max_examples=100, deadline=None)
     def test_parts_compose_to_the_rule(self, k, l, k2, l2, a, b, c, r, sums):
         p = params(alpha=a, beta=b, cost_coeff=c, interest_rate=r)
-        growth, cost, charge = term_fixed(k, l, p, k2, l2)
+        growth, cost, charge = term_fixed(k, l, a, b, c, r, k2, l2)
         assert growth == (k2 / k) ** a * (l2 / l) ** b
         assert cost == c * k2 ** a * l2 ** b
         assert charge == r * k2

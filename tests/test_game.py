@@ -481,7 +481,7 @@ class TestBestInputs:
             monkeypatch.setattr(chainsim.game, "_all_edges", spy)
             books = [np.array(column) for column in list(zip(*rows))[:3]]
             k, l = best_input_columns(*books,
-                                      ParamColumns(p for *_, p in rows))
+                                      ParamColumns.of(p for *_, p in rows))
             assert list(zip(k.tolist(), l.tolist())) == [
                 eight_candidate_inputs(*row, GameConfig.decision_bounds)
                 for row in rows]
@@ -562,7 +562,7 @@ class TestBestInputColumns:
         # in a mixed column
         bounds, rows = batch
         books = [np.array(column) for column in list(zip(*rows))[:3]]
-        k, l = best_input_columns(*books, ParamColumns(p for *_, p in rows),
+        k, l = best_input_columns(*books, ParamColumns.of(p for *_, p in rows),
                                   bounds)
         for (revenue, capital, labor, p), got in zip(
                 rows, zip(k.tolist(), l.tolist())):
@@ -577,7 +577,7 @@ class TestBestInputColumns:
                 (100.0, 1.0, 1.0, replace(CONCAVE, alpha=0.7, beta=0.5))]
         books = [np.array(column) for column in list(zip(*rows))[:3]]
         with pytest.raises(OverflowError) as info:
-            best_input_columns(*books, ParamColumns(p for *_, p in rows))
+            best_input_columns(*books, ParamColumns.of(p for *_, p in rows))
         assert info.value.args == OVERFLOW_ARGS
 
 

@@ -30,7 +30,12 @@ from chainsim import (
     generate_states,
     simulate_economy,
 )
-from chainsim.econ import customer_terms_sum
+from chainsim.econ import (
+    PARAMETER_COLUMNS,
+    STATE_COLUMNS,
+    customer_terms_sum,
+    record_columns,
+)
 from chainsim.game import ParamColumns, PayoffContext
 from chainsim.netgen import firm_ids, steady_state_columns
 
@@ -57,7 +62,7 @@ class TestConfigValidation:
         # a NaN degree wired the complete graph
         {"mean_out_degree": math.nan}, {"mean_out_degree": math.inf},
         {"mean_out_degree": -1.0},
-        # _draw_elasticities would redraw forever on these
+        # generate_params would redraw forever on these
         {"elasticity_sum_max": 0.2}, {"elasticity_sum_max": 0.1},
         {"elasticity_sum_max": math.nan},
         # rng.uniform overflows on a non-finite range; an inverted or
@@ -92,7 +97,7 @@ class TestConfigValidation:
         {"revenue_range": (-1.0, 1.0)}, {"revenue_range": (0.0, 0.0)},
         {"revenue_range": (0.0, 150.0)},
         # high - low overflowed to inf: every draw was inf or NaN, and
-        # _draw_elasticities redrew forever
+        # generate_params redrew forever
         {"beta_range": (-1e308, 1e308)}, {"alpha_range": (-1e308, 1e308)},
         {"strength_range": (-1e308, 1e308)},
     ])
@@ -134,14 +139,14 @@ class TestParams:
     def test_ranges_respected(self):
         cfg = GeneratorConfig(n_firms=200, seed=1)
         params = generate_params(cfg, np.random.default_rng(1))
-        assert len(params) == 200
-        for p in params.values():
-            assert 0.1 <= p.alpha <= 0.6
-            assert 0.1 <= p.beta <= 0.6
-            assert p.alpha + p.beta < 0.95
-            assert 0.1 <= p.cost_coeff <= 0.5
-            assert p.interest_rate == 0.05
-            assert p.noise_sigma == 0.02
+        assert params.shape == (5, 200)
+        alpha, beta, cost_coeff, interest_rate, noise_sigma = params
+        assert np.all((0.1 <= alpha) & (alpha <= 0.6))
+        assert np.all((0.1 <= beta) & (beta <= 0.6))
+        assert np.all(alpha + beta < 0.95)
+        assert np.all((0.1 <= cost_coeff) & (cost_coeff <= 0.5))
+        assert np.all(interest_rate == 0.05)
+        assert np.all(noise_sigma == 0.02)
 
 
 def _redraw_with_uniform(config):
@@ -213,18 +218,16 @@ class TestUniformDraws:
     ])
     def test_same_bits_as_scalar_uniform(self, config):
         params, states, strengths = _redraw_with_uniform(config)
+        assert list(params) == list(states) == list(firm_ids(config.n_firms))
         got = generate_params(config, np.random.default_rng([config.seed, 1]))
-        assert list(got) == list(params)
-        for fid, p in got.items():
-            want = params[fid]
-            assert _bits((p.alpha, p.beta, p.cost_coeff)) == _bits(
-                (want.alpha, want.beta, want.cost_coeff))
-        got = generate_states(config, params,
+        want = record_columns(params.values(), PARAMETER_COLUMNS)
+        assert got.shape == want.shape
+        assert _bits(got.ravel()) == _bits(want.ravel())
+        got = generate_states(config, want,
                               np.random.default_rng([config.seed, 4]))
-        assert list(got) == list(states)
-        for fid, st in got.items():
-            assert _bits(dataclasses.astuple(st)[:5]) == _bits(
-                dataclasses.astuple(states[fid])[:5])
+        want = record_columns(states.values(), STATE_COLUMNS)
+        assert got.shape == want.shape
+        assert _bits(got.ravel()) == _bits(want.ravel())
         net = generate_network(config, np.random.default_rng([config.seed, 2]))
         got = sorted(net.edges())
         assert [e[:2] for e in got] == [e[:2] for e in strengths]
@@ -429,7 +432,7 @@ class TestSteadyStateColumns:
         params = [FirmParameters(alpha=a, beta=b, cost_coeff=c,
                                  interest_rate=r) for a, b, c, r, _ in rows]
         revenue = np.array([row[4] for row in rows])
-        k, l = steady_state_columns(ParamColumns(params), revenue)
+        k, l = steady_state_columns(ParamColumns.of(params), revenue)
         got = list(zip(k.tolist(), l.tolist()))
         for p, rev, kl in zip(params, revenue.tolist(), got):
             assert kl == steady_state_inputs(p, rev) == _fixed_bisection(p, rev)
@@ -440,7 +443,7 @@ class TestSteadyStateColumns:
         bad = FirmParameters(alpha=0.6, beta=0.5, cost_coeff=0.2,
                              interest_rate=0.05)
         with pytest.raises(ValueError, match="alpha \\+ beta < 1"):
-            steady_state_columns(ParamColumns([good, bad]),
+            steady_state_columns(ParamColumns.of([good, bad]),
                                  np.array([100.0, 100.0]))
 
 

@@ -21,31 +21,38 @@ its last evaluation holds for every generation after it.
 Frozen books also fix every number of an evaluation but which
 customers are dead. A CascadePlan prices them for every supplier when
 it is built, indexed by the network's firm positions. A run keeps one
-int mask per supplier: bit j is set, by one |= when the customer
-falls, once its j-th customer in customers_of order is dead. The plan
-memoizes each supplier's outcome by its mask. The first evaluation of
-a mask sums the live or dead terms and calls econ.term_close; every
-later one with the same mask, in that run or another, looks the
-outcome up and does no arithmetic. The memo holds one entry per
-distinct mask seen, at most 2^deg for a supplier of deg customers, and
-dies with the plan. run_cascade keeps one plan per network, weakly
+int mask per position. A live supplier's bit j is set, by one |= when
+the customer falls, once its j-th customer in customers_of order is
+dead. A dead position's mask is -1: the triggers' and the flagged
+firms' from the start, each generation's fallers' once it is
+committed. An exposure skips a dead supplier with one sign test, and
+-1 is never a key. The plan keeps one outcome memo per supplier, in
+its memos list, keyed by the mask. The first evaluation of a mask sums
+the live or dead terms and calls econ.term_close; every later one with
+the same mask, in that run or another, looks the outcome up and does
+no arithmetic. The memo holds one entry per distinct mask seen, at
+most 2^deg for a supplier of deg customers, and dies with the plan.
+run_cascade keeps one plan per network, weakly
 keyed, and reuses it for the very same economy and the very same
 decisions, both read-only FrozenMaps; decisions it solved itself for
 an economy serve every later call on that economy that supplies none.
 
 A run returns who fell, the generations run and whether the cap cut
 it off at once, and keeps the rest of its outcome raw: the positions
-that fell and the outcome each evaluated position had last. A
-CascadeResult builds its survivors and equity trace from those on
-first read, so a sweep that reads only who fell builds neither. The
-result keeps the network's firm tuple and the plan's survivor
+that fell, the outcome each evaluated position had last, and the
+length of that trace after each generation. Each generation writes its
+outcomes in place, in no set order, so the trace is one block of first
+evaluations per generation. A CascadeResult builds its survivors and
+equity trace from those on first read, each block sorted by position,
+so a sweep that reads only who fell builds neither and sorts nothing.
+The result keeps the network's firm tuple and the plan's survivor
 template alive, not the plan.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -132,12 +139,15 @@ class CascadeResult:
     dicts. A run hands over bankrupt, generations_run and exhausted,
     and keeps the rest of its outcome raw: the network's firm tuple, the
     plan's survivor template (shared, never mutated), the fallen
-    positions and the evaluated outcomes. survivors and equity_trace
-    are built from those in one pass on first read of either, so a
-    caller that reads only bankrupt never pays for them. A result keeps
-    the firm tuple and the template alive, not the plan. repr, ==,
-    copies and pickles read all five attributes, as a plain frozen
-    dataclass of the five would.
+    positions, the evaluated outcomes and the trace's block ends.
+    survivors and equity_trace are built from those in one pass on
+    first read of either, so a caller that reads only bankrupt never
+    pays for them. The pass sorts each generation's block of first
+    evaluations by position, so equity_trace lists firms in the order
+    of their first evaluation, in position order within a generation.
+    A result keeps the firm tuple and the template alive, not the plan.
+    repr, ==, copies and pickles read all five attributes, as a plain
+    frozen dataclass of the five would.
     """
 
     # firms flagged before the run appear in neither bankrupt nor survivors
@@ -145,22 +155,28 @@ class CascadeResult:
     generations_run: int
     exhausted: bool                   # True when the cap cut off a live cascade
     # (firms, survivor template, fallen position -> generation,
-    #  evaluated position -> outcome in order of first evaluation)
+    #  evaluated position -> outcome in order of first evaluation, in no
+    #  set order within a generation, that dict's length after each
+    #  generation)
     _outcome: tuple
 
     @cached_property
     def _read(self) -> tuple[dict[str, str], dict[str, Evaluation]]:
-        firms, template, fell, evaluated = self._outcome
+        firms, template, fell, evaluated, ends = self._outcome
         survivors = template.copy()
         for f in self.bankrupt:
             del survivors[f]
+        order = list(evaluated)
         trace: dict[str, Evaluation] = {}
-        for i, outcome in evaluated.items():
-            f = firms[i]
-            ev = trace[f] = Evaluation(
-                f, fell.get(i, self.generations_run), *outcome)
-            if i not in fell:
-                survivors[f] = _survivor_reason(ev)
+        lo = 0
+        for hi in ends:
+            for i in sorted(order[lo:hi]):
+                f = firms[i]
+                ev = trace[f] = Evaluation(
+                    f, fell.get(i, self.generations_run), *evaluated[i])
+                if i not in fell:
+                    survivors[f] = _survivor_reason(ev)
+            lo = hi
         return survivors, trace
 
     @property
@@ -207,16 +223,17 @@ class CascadePlan:
     the network's firms and index, but not the network. solved is True
     when run_cascade solved the decisions with nash_solve for this
     economy, False when a caller supplied them. books[i], for the live
-    supplier at position i with customers, is its outcome memo,
-    term_close's first five arguments, the beginning equity and one
-    (live term, dead term) per customer in customers_of order; it is
-    None for a flagged firm or a firm with no customers. A flagged
-    customer, dead in every run, has no live term. links[c] holds one
-    (i, 1 << j) per such supplier i of the firm at position c, where j
-    is c's slot in i's customers_of row: the bit c sets in i's mask when
-    it falls. The memo maps a mask to the five fields of an Evaluation
-    after generation; it gains one entry per distinct mask met, at most
-    2^deg for deg customers, and lives as long as the plan.
+    supplier at position i with customers, is term_close's first five
+    arguments, the beginning equity and one (live term, dead term) per
+    customer in customers_of order, and memos[i] is its outcome memo;
+    both are None for a flagged firm or a firm with no customers. A
+    flagged customer, dead in every run, has no live term. links[c]
+    holds one (i, 1 << j) per such supplier i of the firm at position c,
+    where j is c's slot in i's customers_of row: the bit c sets in i's
+    mask when it falls. A memo maps a mask, never -1, to the five fields
+    of an Evaluation after generation; it gains one entry per distinct
+    mask met, at most 2^deg for deg customers, and lives as long as the
+    plan.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
@@ -243,6 +260,7 @@ class CascadePlan:
             economy.state_columns.tolist())
         alpha, beta, cost_coeff, rate, _ = economy.param_columns.tolist()
         self.books: list[tuple | None] = [None] * len(ids)
+        self.memos: list[dict[int, tuple] | None] = [None] * len(ids)
         self.links: list[list[tuple[int, int]]] = [[] for _ in ids]
         for i, firm in enumerate(ids):
             lo, hi = offsets[i], offsets[i + 1]
@@ -260,8 +278,9 @@ class CascadePlan:
                     else interaction_term(k, revenue[c] / prev_revenue[c],
                                           gdp_growth),
                     bankrupt_interaction(k, gdp_growth, policy)))
-            self.books[i] = ({}, revenue[i], growth, cost, capital_charge,
+            self.books[i] = (revenue[i], growth, cost, capital_charge,
                              dec.labor, equity[i], tuple(terms))
+            self.memos[i] = {}
 
     def matches(self, economy: Economy,
                 decisions: Mapping[str, InvestmentDecision],
@@ -289,7 +308,7 @@ def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
     propagate_step calls it once per mask, on a memo miss, and keeps its
     five fields after generation.
     """
-    _, revenue, growth, cost, capital_charge, labor, equity, terms = (
+    revenue, growth, cost, capital_charge, labor, equity, terms = (
         plan.books[i])
     shocked = baseline = 0.0
     for live, lost in terms:
@@ -310,35 +329,42 @@ def evaluate_supplier(plan: CascadePlan, i: int, generation: int,
 
 def propagate_step(plan: CascadePlan, generation: int,
                    frontier: Iterable[int], masks: list[int],
-                   fallen: Container[int]) -> list[tuple[int, tuple]]:
+                   trace: dict[int, tuple]) -> list[int]:
     """Evaluate every live supplier of a firm in the frontier.
 
     frontier holds the positions that died since the last generation;
-    masks are the run's, one per position. Each frontier firm sets its
-    bit in the masks of its suppliers. Suppliers in fallen, the run's
-    fallen positions with the frontier among them, are skipped.
-    Returns (position, outcome) pairs in position order, which is firm
-    order. An outcome is the five fields of an Evaluation after
-    generation: looked up in the supplier's memo by its mask, or closed
-    by evaluate_supplier on a miss.
+    masks are the run's, one per position, -1 for a dead one. Each
+    frontier firm sets its bit in the masks of its live suppliers, and
+    a dead supplier is skipped with one sign test. Each exposed
+    supplier's outcome, the five fields of an Evaluation after
+    generation, is looked up in plan.memos by its mask, or closed by
+    evaluate_supplier on a miss, and written to trace[position]. The
+    exposed suppliers are walked in no set order; a position new to
+    trace lands after every earlier one. Returns the positions that
+    fell, in position order. Their masks stay as they are: the caller
+    marks them dead once it commits the generation.
     """
-    links, books = plan.links, plan.books
+    links, memos = plan.links, plan.memos
     exposed = set()
     for c in frontier:
         for i, bit in links[c]:
-            masks[i] |= bit
-            exposed.add(i)
-    step = []
-    for i in sorted(exposed):
-        if i in fallen:
-            continue
-        mask, memo = masks[i], books[i][0]
-        outcome = memo.get(mask)
-        if outcome is None:
-            outcome = memo[mask] = evaluate_supplier(
+            mask = masks[i]
+            if mask >= 0:
+                masks[i] = mask | bit
+                exposed.add(i)
+    fallers = []
+    for i in exposed:
+        mask = masks[i]
+        try:
+            outcome = memos[i][mask]
+        except KeyError:
+            outcome = memos[i][mask] = evaluate_supplier(
                 plan, i, generation, mask)[2:]
-        step.append((i, outcome))
-    return step
+        trace[i] = outcome
+        if outcome[-1]:
+            fallers.append(i)
+    fallers.sort()
+    return fallers
 
 
 def run_cascade(economy: Economy, network: TransactionNetwork,
@@ -349,17 +375,22 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
 
     Decisions are frozen at the pre-shock fixed point of the investment
     game unless supplied by the caller (observed next-period inputs
-    slot in here). A run keeps one mask per supplier, all 0 at first,
+    slot in here). A run keeps one mask per position, -1 for the
+    triggers and the firms flagged before the run and 0 for the rest,
     and the generation of each fallen firm, the triggers at 0.
-    Generation 1 sets the bits of the triggers and the firms flagged
-    before the run and evaluates their live suppliers, each later
-    generation those of the firms that fell in the one before. At most
-    one generation per firm: every generation before the last turns
-    someone. When max_generations stops the run, the next generation
-    is evaluated once, without committing it, and exhausted says
-    whether it would have turned anyone. A survivor's trace entry
-    carries generations_run; a fallen firm's, the generation it fell
-    in. The trace lists firms in the order of their first evaluation.
+    Generation 1 sets the bits of the triggers and the flagged firms
+    and evaluates their live suppliers, each later generation those of
+    the firms that fell in the one before. Committing a generation
+    marks its fallers' masks -1. At most one generation per firm: every
+    generation before the last turns someone. When max_generations
+    stops the run, the next generation is evaluated once into a
+    throwaway trace, without committing it, and exhausted says whether
+    it would have turned anyone. A survivor's trace entry carries
+    generations_run; a fallen firm's, the generation it fell in. The
+    run records the trace's length after each generation; the result
+    sorts each generation's block by position on first read, so the
+    trace lists firms in the order of their first evaluation, in
+    position order within a generation.
     seed changes no result; it stays for callers that pass one. A firm
     flagged before the run needs no decision.
 
@@ -402,28 +433,29 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     fell = {plan.index[f]: 0 for f in config.trigger_firms}
     frontier = [*plan.flagged, *fell]
     masks = [0] * len(firms)
+    for i in frontier:
+        masks[i] = -1
 
     cap = config.max_generations
     if cap is None:
         cap = len(economy.firm_ids)
     # position -> its last outcome, in order of first evaluation; the
-    # generation of its record is where it fell or generations_run
-    evaluated: dict[int, tuple] = {}
-    generations_run = 0
+    # generation of its record is where it fell or generations_run.
+    # ends[g - 1] is len(trace) after generation g.
+    trace: dict[int, tuple] = {}
+    ends: list[int] = []
     exhausted = False
     for generation in range(1, cap + 1):
-        step = propagate_step(plan, generation, frontier, masks, fell)
-        generations_run = generation
-        evaluated.update(step)
-        frontier = [i for i, outcome in step if outcome[-1]]
+        frontier = propagate_step(plan, generation, frontier, masks, trace)
+        ends.append(len(trace))
         if not frontier:
             break
         for i in frontier:
             fell[i] = generation
+            masks[i] = -1
     else:
-        ahead = propagate_step(plan, cap + 1, frontier, masks, fell)
-        exhausted = any(outcome[-1] for _, outcome in ahead)
+        exhausted = bool(propagate_step(plan, cap + 1, frontier, masks, {}))
 
-    return CascadeResult({firms[i]: g for i, g in fell.items()},
-                         generations_run, exhausted,
-                         (firms, plan.survivors, fell, evaluated))
+    bankrupt = dict(zip(map(firms.__getitem__, fell), fell.values()))
+    return CascadeResult(bankrupt, len(ends), exhausted,
+                         (firms, plan.survivors, fell, trace, ends))

@@ -181,7 +181,8 @@ def pricing_args(eco, decisions, f):
 
 
 def assert_equals_full_rescan(eco, net, decisions, config):
-    """run_cascade on the inputs equals full_rescan_cascade field by field."""
+    """run_cascade on the inputs equals full_rescan_cascade field by field,
+    and its three dicts list their keys in the reference's order."""
     res = run_cascade(eco, net, config, decisions=decisions)
     bankrupt, survivors, trace, generations_run, exhausted = (
         full_rescan_cascade(eco, net, config.trigger_firms, decisions,
@@ -195,7 +196,40 @@ def assert_equals_full_rescan(eco, net, decisions, config):
                 ev.equity_end, ev.baseline_profit, ev.went_bankrupt)
             for f, ev in res.equity_trace.items()} == trace
     assert all(ev.firm == f for f, ev in res.equity_trace.items())
+    # == on dicts ignores order: triggers, then each generation's fallers
+    # in firm order; survivors in firm order; the trace in order of first
+    # evaluation, in firm order within a generation
+    assert list(res.bankrupt) == list(bankrupt)
+    assert list(res.survivors) == list(survivors)
+    assert list(res.equity_trace) == list(trace)
     return res
+
+
+def assert_evaluates_live_suppliers(eco, net, decisions, config):
+    """Each evaluate_supplier call of a run on a new plan gets a supplier
+    alive before the generation and a non-negative mask, set exactly for
+    its customers dead before the generation."""
+    bankrupt = full_rescan_cascade(
+        eco, net, config.trigger_firms, decisions, config.gdp_growth,
+        config.policy, config.max_generations)[0]
+    flagged = {f for f in eco.firm_ids if eco.states[f].bankrupt}
+    calls = []
+
+    def recorded(plan, i, generation, mask):
+        calls.append((net.firms[i], generation, mask))
+        return evaluate(plan, i, generation, mask)
+
+    evaluate = cascade.evaluate_supplier
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cascade, "evaluate_supplier", recorded)
+        # a plain dict builds a new plan, so every outcome is a memo miss
+        run_cascade(eco, net, config, decisions=dict(decisions))
+    for f, generation, mask in calls:
+        assert mask >= 0
+        assert f not in flagged and bankrupt.get(f, generation) >= generation
+        assert mask == sum(
+            1 << j for j, (c, _) in enumerate(net.customers_of(f))
+            if c in flagged or bankrupt.get(c, generation) < generation)
 
 
 @st.composite
@@ -265,6 +299,22 @@ def hub_scenarios(draw):
         max_generations=draw(st.none() | st.integers(0, 4)))
     decisions = nash_solve(economy, net, config.gdp_growth).decisions
     return economy, net, decisions, config
+
+
+def flat_economy(ids, links, **equities):
+    """Zero elasticities, revenue 100, labor 95 and equity 40 unless
+    given by id; each (supplier, customer) link has k 0.5, so a supplier
+    that loses one customer has profit -45 and falls on equity 40."""
+    params = {f: FirmParameters(alpha=0.0, beta=0.0, cost_coeff=0.0,
+                                interest_rate=0.0) for f in ids}
+    states = {f: FirmState(revenue=100.0, prev_revenue=100.0, capital=50.0,
+                           labor=95.0, equity=equities.get(f, 40.0))
+              for f in ids}
+    net = TransactionNetwork(firms=ids,
+                             edges=[(s, c, 0.5) for s, c in links])
+    decisions = {f: InvestmentDecision(capital=50.0, labor=95.0)
+                 for f in ids}
+    return Economy(params=params, states=states), net, decisions
 
 
 def random_fixture(seed, n=None):
@@ -498,20 +548,11 @@ class TestFrontier:
         # line L0 -> L1 -> L2 -> L3 plus S supplying L2; L3 is the trigger.
         # L2 falls in generation 1 and S is evaluated once, in generation
         # 2, yet its trace entry reads generations_run.
-        ids = ("L0", "L1", "L2", "L3", "S")
-        params = {f: FirmParameters(alpha=0.0, beta=0.0, cost_coeff=0.0,
-                                    interest_rate=0.0) for f in ids}
-        states = {f: FirmState(revenue=100.0, prev_revenue=100.0,
-                               capital=50.0, labor=95.0,
-                               equity=1000.0 if f == "S" else 40.0)
-                  for f in ids}
-        edges = [("L0", "L1", 0.5), ("L1", "L2", 0.5), ("L2", "L3", 0.5),
-                 ("S", "L2", 0.5)]
-        net = TransactionNetwork(firms=ids, edges=edges)
-        decisions = {f: InvestmentDecision(capital=50.0, labor=95.0)
-                     for f in ids}
-        res = run_cascade(Economy(params=params, states=states), net,
-                          CascadeConfig(trigger_firms=("L3",)),
+        eco, net, decisions = flat_economy(
+            ("L0", "L1", "L2", "L3", "S"),
+            [("L0", "L1"), ("L1", "L2"), ("L2", "L3"), ("S", "L2")],
+            S=1000.0)
+        res = run_cascade(eco, net, CascadeConfig(trigger_firms=("L3",)),
                           decisions=decisions)
         assert res.bankrupt == {"L3": 0, "L2": 1, "L1": 2, "L0": 3}
         assert res.generations_run == 4
@@ -534,6 +575,63 @@ class TestFrontier:
         assert res.equity_trace["A"].equity_end == pytest.approx(-15.0)
         assert "B" not in res.equity_trace
         assert "B" not in res.survivors
+
+    def test_exposures_out_of_firm_order_are_read_in_firm_order(self,
+                                                                monkeypatch):
+        # triggers F05 then F03: F05's suppliers F07 and F09 are exposed
+        # before F03's supplier F01, and the set of exposed positions
+        # walks F09 before F01
+        ids = tuple(f"F{i:02d}" for i in range(10))
+        eco, net, decisions = flat_economy(
+            ids, [("F07", "F05"), ("F09", "F05"), ("F01", "F03")], F07=1000.0)
+        walked = []
+
+        def recorded(plan, i, generation, mask):
+            walked.append(i)
+            return evaluate(plan, i, generation, mask)
+
+        evaluate = cascade.evaluate_supplier
+        monkeypatch.setattr(cascade, "evaluate_supplier", recorded)
+        res = run_cascade(eco, net,
+                          CascadeConfig(trigger_firms=("F05", "F03")),
+                          decisions=decisions)
+        assert sorted(walked) == [1, 7, 9] and walked != sorted(walked)
+        assert list(res.bankrupt.items()) == [
+            ("F05", 0), ("F03", 0), ("F01", 1), ("F09", 1)]
+        assert list(res.equity_trace) == ["F01", "F07", "F09"]
+        assert list(res.survivors.items()) == [
+            (f, REASON_EQUITY if f == "F07" else REASON_NOT_REACHED)
+            for f in ids if f not in res.bankrupt]
+
+    def test_a_fallen_supplier_keeps_its_fall_time_entry(self):
+        # A is the trigger. S supplies A and B; X supplies A, and B
+        # supplies X. S and X fall in generation 1, B in generation 2;
+        # B's fall reaches S, already dead, whose entry keeps the one
+        # dead customer it fell with.
+        eco, net, decisions = flat_economy(
+            ("A", "B", "S", "X"),
+            [("S", "A"), ("S", "B"), ("X", "A"), ("B", "X")])
+        res = run_cascade(eco, net, CascadeConfig(trigger_firms=("A",)),
+                          decisions=decisions)
+        assert list(res.bankrupt.items()) == [
+            ("A", 0), ("S", 1), ("X", 1), ("B", 2)]
+        assert res.generations_run == 3
+        # revenue 100 * (1 - 0.5) = 50 against labor 95; the baseline
+        # keeps revenue 100
+        assert res.equity_trace["S"] == Evaluation(
+            "S", 1, 40.0, -45.0, -5.0, 5.0, True)
+
+    @pytest.mark.fresh_seed
+    @given(drawn_scenarios())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluates_live_suppliers_only(self, scenario):
+        assert_evaluates_live_suppliers(*scenario)
+
+    @pytest.mark.fresh_seed
+    @given(hub_scenarios())
+    @settings(max_examples=20, deadline=None)
+    def test_evaluates_live_hub_suppliers_only(self, scenario):
+        assert_evaluates_live_suppliers(*scenario)
 
     @pytest.mark.fresh_seed
     @given(drawn_scenarios())
@@ -966,17 +1064,8 @@ class TestStructuralInvariants:
 
     def test_six_firm_line_walks_one_generation_per_firm(self):
         ids = tuple(f"L{i}" for i in range(6))
-        params = {f: FirmParameters(alpha=0.0, beta=0.0, cost_coeff=0.0,
-                                    interest_rate=0.0, noise_sigma=0.0)
-                  for f in ids}
-        states = {f: FirmState(revenue=100.0, prev_revenue=100.0,
-                               capital=50.0, labor=95.0, equity=40.0)
-                  for f in ids}
-        edges = [(ids[i], ids[i + 1], 0.5) for i in range(5)]
-        net = TransactionNetwork(firms=ids, edges=edges)
-        decisions = {f: InvestmentDecision(capital=50.0, labor=95.0)
-                     for f in ids}
-        eco = Economy(params=params, states=states)
+        eco, net, decisions = flat_economy(
+            ids, [(ids[i], ids[i + 1]) for i in range(5)])
         res = run_cascade(eco, net,
                           CascadeConfig(trigger_firms=(ids[-1],)),
                           decisions=decisions)

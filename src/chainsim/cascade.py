@@ -34,8 +34,7 @@ no arithmetic. The memo holds one entry per distinct mask seen, at
 most 2^deg for a supplier of deg customers, and dies with the plan.
 run_cascade keeps one plan per network, weakly
 keyed, and reuses it for the very same economy and the very same
-decisions, both read-only FrozenMaps; decisions it solved itself for
-an economy serve every later call on that economy that supplies none.
+decisions, both read-only FrozenMaps.
 
 A run returns who fell, the generations run and whether the cap cut
 it off at once, and keeps the rest of its outcome raw: the positions
@@ -220,25 +219,23 @@ class CascadePlan:
     first one; a flagged firm needs none. Holds the economy, the
     decisions (a FrozenMap by reference, any other mapping frozen into
     a new one), the flagged firms' positions, the survivor template and
-    the network's firms and index, but not the network. solved is True
-    when run_cascade solved the decisions with nash_solve for this
-    economy, False when a caller supplied them. books[i], for the live
-    supplier at position i with customers, is term_close's first five
-    arguments, the beginning equity and one (live term, dead term) per
-    customer in customers_of order, and memos[i] is its outcome memo;
-    both are None for a flagged firm or a firm with no customers. A
-    flagged customer, dead in every run, has no live term. links[c]
-    holds one (i, 1 << j) per such supplier i of the firm at position c,
-    where j is c's slot in i's customers_of row: the bit c sets in i's
-    mask when it falls. A memo maps a mask, never -1, to the five fields
-    of an Evaluation after generation; it gains one entry per distinct
-    mask met, at most 2^deg for deg customers, and lives as long as the
-    plan.
+    the network's firms and index, but not the network. books[i], for
+    the live supplier at position i with customers, is term_close's
+    first five arguments, the beginning equity and one (live term, dead
+    term) per customer in customers_of order, and memos[i] is its
+    outcome memo; both are None for a flagged firm or a firm with no
+    customers. A flagged customer, dead in every run, has no live term.
+    links[c] holds one (i, 1 << j) per such supplier i of the firm at
+    position c, where j is c's slot in i's customers_of row: the bit c
+    sets in i's mask when it falls. A memo maps a mask, never -1, to
+    the five fields of an Evaluation after generation; it gains one
+    entry per distinct mask met, at most 2^deg for deg customers, and
+    lives as long as the plan.
     """
 
     def __init__(self, economy: Economy, network: TransactionNetwork,
                  decisions: Mapping[str, InvestmentDecision],
-                 gdp_growth: float, policy: str, solved: bool) -> None:
+                 gdp_growth: float, policy: str) -> None:
         ids = shared_firm_ids(economy, network)
         flags = economy.bankrupt.tolist()
         missing = next((f for f, flag in zip(ids, flags)
@@ -250,7 +247,6 @@ class CascadePlan:
                           else FrozenMap(decisions))
         self.gdp_growth = gdp_growth
         self.policy = policy
-        self.solved = solved
         self.firms, self.index = network.firms, network.index
         self.flagged = tuple(i for i, flag in enumerate(flags) if flag)
         self.survivors = {f: REASON_NOT_REACHED for f, flag in zip(ids, flags)
@@ -400,13 +396,10 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
     otherwise: a changed economy is a new object. One FrozenMap of
     decisions, such as a nash_solve result's, passed to call after
     call, matches with one identity check; any other mapping builds a
-    new plan on every call. decisions None takes the plan's decisions
-    when run_cascade solved them for this very economy, since
-    nash_solve's result depends on nothing else, and solves the game
-    otherwise; decisions a caller supplied are never taken for it. A
-    plan prices every supplier before the first generation, so inputs
-    it cannot price raise whatever the triggers, and leave no plan
-    behind.
+    new plan on every call. decisions None solves the game with
+    nash_solve, whose new result builds a new plan. A plan prices every
+    supplier before the first generation, so inputs it cannot price
+    raise whatever the triggers, and leave no plan behind.
     """
     for f in config.trigger_firms:
         if f not in economy.index:
@@ -414,19 +407,13 @@ def run_cascade(economy: Economy, network: TransactionNetwork,
         if economy.bankrupt[economy.index[f]]:
             raise ValueError(f"trigger firm {f!r} is already bankrupt")
 
+    if decisions is None:
+        decisions = nash_solve(economy, network, config.gdp_growth).decisions
     plan = _plans.get(network)
-    solved = decisions is None
-    if solved:
-        # nash_solve reads only the economy and the network's firm set
-        decisions = (plan.decisions if plan is not None and plan.solved
-                     and plan.economy is economy
-                     else nash_solve(economy, network,
-                                     config.gdp_growth).decisions)
     if plan is None or not plan.matches(economy, decisions, config.gdp_growth,
                                         config.policy):
         plan = _plans[network] = CascadePlan(
-            economy, network, decisions, config.gdp_growth, config.policy,
-            solved)
+            economy, network, decisions, config.gdp_growth, config.policy)
 
     firms = plan.firms
     # fallen position -> its generation, the triggers at 0

@@ -16,10 +16,9 @@ economies:
 - B <= 0 (cost-dominated): the payoff does not rise in either input,
   so the lower corner of the box is the answer, whatever a + b.
 - B > 0 and a concave payoff (a, b, r > 0, a + b < 1): the interior
-  stationary point when it lies in the box; otherwise the best of the
-  four box edges' candidates, priced in columns.
-- B > 0 otherwise: the best of every box edge's candidates, priced row
-  by row.
+  stationary point when it lies in the box.
+- B > 0 otherwise: the best of the four box edges' candidates, priced
+  in columns.
 
 A column gives each row the floats that the scalar rule gives it on
 Python floats. numpy does only the correctly rounded operations (+, -,
@@ -156,13 +155,6 @@ def _less(x, y) -> np.ndarray:
     return np.where(c == c0, np.where(k == k0, l < l0, k < k0), c < c0)
 
 
-def _peak(gamma, B, other, w, lo, hi) -> np.ndarray:
-    """_edge's concave case (0 < gamma < 1, w > 0) over columns: the
-    clipped first-order point, hi where math.pow overflows."""
-    return _clip(_pow_or_inf(gamma * B * other / w, 1.0 / (1.0 - gamma)),
-                 lo, hi)
-
-
 class ParamColumns:
     """The parameters of a set of firms as float64 columns, one row per
     firm, with the best response's constants that depend on them alone.
@@ -206,26 +198,23 @@ def best_input_columns(revenue, capital, labor, params: ParamColumns,
     multiplicative box. The payoff is the constant minus the cost
     r*K + L - B*K^alpha*L^beta, where B = revenue / (K^alpha * L^beta)
     - cost_coeff is the net output coefficient, and each edge's payoff
-    is B*other*x^gamma - w*x + const (_edge).
+    is B*other*x^gamma - w*x + const (_edges).
 
     - B <= 0: the payoff is non-increasing in capital and strictly
       decreasing in labor, so the lower corner, for any alpha + beta.
     - alpha, beta, r > 0 and alpha + beta < 1 (params.concave): the
       cost is strictly convex, and the unconstrained optimum (k*, l*)
-      is the answer when it lies in the box. Otherwise the best of the
-      candidates of the four box edges, in columns (_concave_edges):
-      each edge is concave, so it has one candidate.
-    - Any other regime (alpha + beta >= 1, alpha = 0, beta = 0 or
-      r = 0): the best of the candidates of all four edges, at most
-      eight (for alpha + beta >= 1 the payoff is convex along every ray
-      from the origin, so the peak is on the boundary), row by row on
-      Python floats (_all_edges).
+      is the answer when it lies in the box.
+    - Any other row: the best of the candidates of the four box edges,
+      at most eight (_edges). For alpha + beta >= 1 the payoff is
+      convex along every ray from the origin, so the peak is on the
+      boundary; a concave row whose optimum lies outside the box peaks
+      on one of its edges, each with one candidate.
 
-    Both edge rules take the same candidates in the same order, priced
-    by the cost without the constant, and pick as min over (cost, K, L)
-    tuples picks: ties break toward smaller capital, then smaller
-    labor. Each rule runs on the rows it answers, and every row gets
-    the floats the rule gives it alone (see the module docstring);
+    The candidates are priced by the cost without the constant and
+    picked as min over (cost, K, L) tuples picks: ties break toward
+    smaller capital, then smaller labor. Every row gets the floats
+    the scalar rule gives it alone (see the module docstring);
     math.pow's overflow on (k*, l*) or an edge's first-order point
     reads inf, and every other error propagates as from scalar code,
     ** overflow as OverflowError and a zero K^alpha * L^beta as
@@ -257,83 +246,72 @@ def best_input_columns(revenue, capital, labor, params: ParamColumns,
         k_in = (k_lo <= k_star) & (k_star <= k_hi)
         l_in = (l_lo <= l_star) & (l_star <= l_hi)
         interior = concave & k_in & l_in
-        # the lower corner, the answer where B <= 0; the edge rules
-        # overwrite the other rows
+        # the lower corner, the answer where B <= 0; _edges overwrites
+        # the other live rows
         k = np.where(interior, k_star, k_lo)
         l = np.where(interior, l_star, l_lo)
-        for edges, rows in ((_concave_edges, concave & ~interior),
-                            (_all_edges, live & ~params.concave)):
-            e = rows.nonzero()[0]
-            if e.size:
-                k[e], l[e] = edges(a[e], b[e], r[e], B[e], k_lo[e], k_hi[e],
-                                   l_lo[e], l_hi[e])
+        e = (live & ~interior).nonzero()[0]
+        if e.size:
+            k[e], l[e] = _edges(a[e], b[e], r[e], B[e], k_lo[e], k_hi[e],
+                                l_lo[e], l_hi[e], params.concave[e].all())
     return k, l
 
 
-def _concave_edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi):
-    """_all_edges on concave rows (0 < alpha, beta < 1, r > 0), in
-    columns, as (K', L').
+def _edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi, concave):
+    """The best of the four box edges' candidates per row, in columns,
+    as (K', L').
 
-    Each edge has one candidate, _peak's. The edges of all rows are
-    stacked in _all_edges' order: the L-edges at K = k_lo, then k_hi,
-    then the K-edges at L = l_lo, then l_hi. None of their powers can
-    raise, and _less folds their prices as min folds the tuples.
+    Along an edge the payoff is B*other*x^gamma - w*x + const in the
+    free input x, lo <= x <= hi: the L-edges at K = k_lo, then k_hi
+    (gamma = beta, w = 1), then the K-edges at L = l_lo, then l_hi
+    (gamma = alpha, w = r). An edge's candidates are lo if gamma = 0;
+    otherwise hi if w = 0; otherwise lo then hi if gamma >= 1;
+    otherwise the first-order point clipped to the edge, hi where
+    math.pow overflows. concave says every row is, so that each edge
+    takes its first-order point. The candidates are taken edge by edge
+    in that order, with a second slot per edge only when some edge has
+    two candidates; an edge with one repeats it there, which cannot
+    move a min fold. _less folds their prices as min folds (cost, K, L)
+    tuples.
     """
+    n, ones = len(a), np.ones_like(r)
     fixed = np.concatenate((k_lo, k_hi, l_lo, l_hi))
     gamma = np.concatenate((b, b, a, a))  # the free input's elasticity
+    w = np.concatenate((ones, ones, r, r))
+    lo = np.concatenate((l_lo, l_lo, k_lo, k_lo))
+    hi = np.concatenate((l_hi, l_hi, k_hi, k_hi))
     fixed_pow = libm(pow, fixed, np.concatenate((a, a, b, b)))
-    ones = np.ones_like(r)
-    free = _peak(gamma, np.concatenate((B, B, B, B)), fixed_pow,
-                 np.concatenate((ones, ones, r, r)),
-                 np.concatenate((l_lo, l_lo, k_lo, k_lo)),
-                 np.concatenate((l_hi, l_hi, k_hi, k_hi)))
-    free_pow = libm(pow, free, gamma)
-    # one row per edge
-    fixed, fixed_pow, free, free_pow = (
-        x.reshape(4, len(a)) for x in (fixed, fixed_pow, free, free_pow))
-    k = np.concatenate((fixed[:2], free[2:]))
-    l = np.concatenate((free[:2], fixed[2:]))
-    cost = (r * k + l - B * np.concatenate((fixed_pow[:2], free_pow[2:]))
-            * np.concatenate((free_pow[:2], fixed_pow[2:])))
-    best, *rest = np.stack((cost, k, l), axis=1)
+    base = gamma * np.concatenate((B, B, B, B)) * fixed_pow / w
+    exponent = 1.0 / (1.0 - gamma)
+    if concave:
+        slots = (_clip(_pow_or_inf(base, exponent), lo, hi),)
+    else:
+        flat = gamma == 0.0
+        ends = ~flat & (w != 0.0) & (gamma >= 1.0)
+        peak = ~(flat | ends) & (w != 0.0)
+        # slots off the first-order rule compute on stand-ins of 1.0,
+        # which cannot raise
+        point = _pow_or_inf(np.where(peak, base, 1.0),
+                            np.where(peak, exponent, 1.0))
+        first = np.where(peak, _clip(point, lo, hi),
+                         np.where(flat | ends, lo, hi))
+        slots = (first, np.where(ends, hi, first)) if ends.any() else (first,)
+    fixed, fixed_pow = fixed.reshape(4, n), fixed_pow.reshape(4, n)
+
+    def priced(free):
+        """The (cost, K', L') columns of free inputs, edge by edge."""
+        free_pow = libm(pow, free, gamma).reshape(4, n)
+        free = free.reshape(4, n)
+        k = np.concatenate((fixed[:2], free[2:]))
+        l = np.concatenate((free[:2], fixed[2:]))
+        cost = (r * k + l - B * np.concatenate((fixed_pow[:2], free_pow[2:]))
+                * np.concatenate((free_pow[:2], fixed_pow[2:])))
+        return np.stack((cost, k, l), axis=1)
+
+    best, *rest = [c for edge in zip(*map(priced, slots)) for c in edge]
     for candidate in rest:
         best = np.where(_less(candidate, best), candidate, best)
     return best[1], best[2]
-
-
-def _edge(gamma, B, other, w, lo, hi) -> tuple[float, ...]:
-    """Where B*other*x^gamma - w*x peaks over lo <= x <= hi, B, other > 0:
-    lo if gamma = 0, hi if w = 0, both ends if gamma >= 1, else _peak's."""
-    if gamma == 0.0:
-        return (lo,)
-    if w == 0.0:
-        return (hi,)
-    if gamma >= 1.0:
-        return (lo, hi)
-    try:
-        x = math.pow(gamma * B * other / w, 1.0 / (1.0 - gamma))
-    except OverflowError:
-        return (hi,)
-    return (min(max(x, lo), hi),)
-
-
-def _all_edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi):
-    """The best of the candidates of all four box edges, as (K', L').
-
-    Row by row on Python floats: the L-edges at K = k_lo, then k_hi,
-    then the K-edges at L = l_lo, then l_hi give the candidates, and
-    Python's min over their (cost, K, L) tuples picks.
-    """
-    best = []
-    for a, b, r, B, k_lo, k_hi, l_lo, l_hi in zip(*(
-            x.tolist() for x in (a, b, r, B, k_lo, k_hi, l_lo, l_hi))):
-        candidates = [(k, l) for k in (k_lo, k_hi)
-                      for l in _edge(b, B, k ** a, 1.0, l_lo, l_hi)]
-        candidates += [(k, l) for l in (l_lo, l_hi)
-                       for k in _edge(a, B, l ** b, r, k_lo, k_hi)]
-        best.append(min((r * k + l - B * k ** a * l ** b, k, l)
-                        for k, l in candidates)[1:])
-    return tuple(zip(*best))
 
 
 def best_inputs(revenue: float, capital: float, labor: float,
@@ -426,13 +404,10 @@ class NashResult:
 
     decisions is read-only: a FrozenMap, which run_cascade's plan
     keeps by reference and matches with one identity check; dict() of
-    it gives an editable copy. converged is true by construction:
-    decisions read only each firm's own books, so one best-response
-    pass is already the fixed point.
+    it gives an editable copy.
     """
 
     decisions: FrozenMap
-    converged: bool
 
 
 def nash_solve(economy: Economy, network: TransactionNetwork,
@@ -455,4 +430,4 @@ def nash_solve(economy: Economy, network: TransactionNetwork,
         *economy.param_columns[:, live]))
     decisions = FrozenMap(zip([ids[i] for i in live.tolist()],
                               map(InvestmentDecision, k.tolist(), l.tolist())))
-    return NashResult(decisions=decisions, converged=True)
+    return NashResult(decisions=decisions)

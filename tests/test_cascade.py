@@ -1128,37 +1128,3 @@ class TestFrozenDecisionsFromGame:
         decisions = nash_solve(eco, net, config.gdp_growth).decisions
         assert "F0003" not in decisions
         assert run_cascade(eco, net, config, decisions=decisions) == res
-
-    def test_decisions_it_solved_serve_later_calls(self, monkeypatch):
-        # nash_solve reads only the economy and the firm set, so a call
-        # without decisions on the economy the plan solved for takes the
-        # plan's; decisions a caller supplied are never taken
-        solves = []
-
-        def counted(*args):
-            solves.append(args)
-            return nash_solve(*args)
-
-        monkeypatch.setattr(cascade, "nash_solve", counted)
-        eco, net, _ = generate_economy(GeneratorConfig(n_firms=20, seed=1))
-        config = CascadeConfig(trigger_firms=("F0005",))
-        first = run_cascade(eco, net, config)
-        plan = cascade._plans[net]
-        assert plan.solved
-        assert run_cascade(eco, net, config) == first
-        assert cascade._plans[net] is plan
-        assert len(solves) == 1
-        # another growth ratio builds a plan on the same decisions
-        run_cascade(eco, net, replace(config, gdp_growth=1.05))
-        assert len(solves) == 1
-        assert cascade._plans[net].decisions is plan.decisions
-        assert cascade._plans[net].solved
-        for supplied in (dict(plan.decisions), FrozenMap(plan.decisions)):
-            assert run_cascade(eco, net, config, decisions=supplied) == first
-            assert not cascade._plans[net].solved
-            count = len(solves)
-            assert run_cascade(eco, net, config) == first
-            assert len(solves) == count + 1
-        # a new economy, even an equal one, solves again
-        run_cascade(replace(eco, states=dict(eco.states)), net, config)
-        assert len(solves) == 4

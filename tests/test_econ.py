@@ -586,7 +586,7 @@ ROUND_TRIPPED = {
         lambda x: setattr(x, "states", {})]),
     "NashResult": (lambda: nash_solve(*make_chain()[:2], 1.02), [
         lambda x: setitem(x.decisions, "A", x.decisions["B"]),
-        lambda x: setattr(x, "converged", False)]),
+        lambda x: setattr(x, "decisions", {})]),
     "PanelSeries": (_panel, [
         lambda x, name=name: setitem(getattr(x, name), (0, 0), -5.0)
         for name in ("revenue", "capital", "labor", "equity")]

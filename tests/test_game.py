@@ -453,42 +453,6 @@ class TestBestInputs:
             solve(*OVERFLOWING, GameConfig.decision_bounds)
         assert info.value.args == OVERFLOW_ARGS
 
-    def test_only_nonconcave_rows_are_priced_row_by_row(self, monkeypatch):
-        # concave rows: (k*, l*) inside the box, above it in K only,
-        # below it in L only, above it in both
-        concave = [(100.0, 500.0, 25.0, CONCAVE),
-                   (100.0, 10.0, 100.0, CONCAVE),
-                   (100.0, 300.0, 100.0, CONCAVE),
-                   (100.0, 1.0, 100.0, CONCAVE)]
-        # alpha + beta >= 1, alpha = 0, r = 0, each with B > 0
-        nonconcave = [(100.0, 10.0, 100.0, replace(CONCAVE, **change))
-                      for change in ({"alpha": 0.7, "beta": 0.5},
-                                     {"alpha": 0.0}, {"interest_rate": 0.0})]
-        mixed = [nonconcave[0], *concave[:2], nonconcave[1], *concave[2:],
-                 nonconcave[2]]
-        all_edges = chainsim.game._all_edges
-        received = []
-
-        def no_rows(*args):
-            raise AssertionError("a concave row was priced row by row")
-
-        def record(a, b, r, B, k_lo, *rest):
-            received.extend(zip(a.tolist(), b.tolist(), r.tolist(),
-                                k_lo.tolist()))
-            return all_edges(a, b, r, B, k_lo, *rest)
-
-        for rows, spy in ((concave, no_rows), (mixed, record)):
-            monkeypatch.setattr(chainsim.game, "_all_edges", spy)
-            books = [np.array(column) for column in list(zip(*rows))[:3]]
-            k, l = best_input_columns(*books,
-                                      ParamColumns.of(p for *_, p in rows))
-            assert list(zip(k.tolist(), l.tolist())) == [
-                eight_candidate_inputs(*row, GameConfig.decision_bounds)
-                for row in rows]
-        lo = GameConfig.decision_bounds[0]
-        assert received == [(p.alpha, p.beta, p.interest_rate, lo * capital)
-                            for _, capital, _, p in nonconcave]
-
 
 @st.composite
 def concave_rows(draw, bounds):
@@ -553,9 +517,28 @@ def mixed_batches(draw):
     return bounds, rows
 
 
+def beside_concave_edge_row(**change):
+    """A column of the default box: a concave row whose optimum lies
+    past the high K-face, then a row of the same books with change to
+    its parameters and no material cost, so that B > 0."""
+    return (GameConfig.decision_bounds,
+            [(100.0, 10.0, 100.0, CONCAVE),
+             (100.0, 10.0, 100.0, replace(CONCAVE, cost_coeff=0.0, **change))])
+
+
 class TestBestInputColumns:
     @pytest.mark.fresh_seed
     @given(mixed_batches())
+    # each case of the edge rule beside a concave row: gamma = 0 on one
+    # edge pair, w = 0, gamma = 0 before w = 0, two candidates on the
+    # K-edges, on the L-edges, and gamma exactly 1 on both
+    @example(beside_concave_edge_row(alpha=0.0))
+    @example(beside_concave_edge_row(beta=0.0))
+    @example(beside_concave_edge_row(interest_rate=0.0))
+    @example(beside_concave_edge_row(alpha=0.0, interest_rate=0.0))
+    @example(beside_concave_edge_row(alpha=1.2))
+    @example(beside_concave_edge_row(beta=1.2))
+    @example(beside_concave_edge_row(alpha=1.0, beta=1.0))
     @settings(max_examples=300, deadline=None)
     def test_matches_rows_and_every_edge_priced(self, batch):
         # a mask that mixes up rows of different regimes shows only
@@ -572,7 +555,7 @@ class TestBestInputColumns:
                     == [x.hex() for x in want])
 
     def test_overflowing_row_among_ordinary_ones_raises(self):
-        # ordinary rows of both edge rules around it
+        # ordinary edge rows, concave and not, around it
         rows = [(100.0, 10.0, 100.0, CONCAVE), OVERFLOWING,
                 (100.0, 1.0, 1.0, replace(CONCAVE, alpha=0.7, beta=0.5))]
         books = [np.array(column) for column in list(zip(*rows))[:3]]
@@ -667,7 +650,6 @@ class TestNash:
                             labor=st.labor, customer_terms=0.0,
                             params=one.params["A"])
         expect = best_response_closed_form(ctx)
-        assert res.converged
         assert res.decisions["A"] == expect
 
     def test_zero_coupling_decouples(self):
@@ -684,7 +666,6 @@ class TestNash:
     def test_fixed_point_self_consistent(self):
         eco, net = interior_chain()
         res = nash_solve(eco, net, 1.02)
-        assert res.converged
         # replay each firm's response against the frozen books
         from chainsim import customer_terms_sum
         for f in eco.firm_ids:
@@ -707,7 +688,6 @@ class TestNash:
         a = nash_solve(eco, net, 1.02)
         b = nash_solve(flipped, net, 1.02)
         assert a.decisions == b.decisions
-        assert a.converged == b.converged
 
     def test_repeat_runs_identical(self):
         eco, net = interior_chain()
@@ -731,7 +711,6 @@ class TestNash:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(chainsim.game, "best_response_ga", no_ga)
             res = nash_solve(eco, net, 1.02)
-        assert res.converged
         assert res.decisions == {
             f: best_response_closed_form(ctx) for f, ctx in contexts.items()}
 

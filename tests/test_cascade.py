@@ -1128,3 +1128,31 @@ class TestFrozenDecisionsFromGame:
         decisions = nash_solve(eco, net, config.gdp_growth).decisions
         assert "F0003" not in decisions
         assert run_cascade(eco, net, config, decisions=decisions) == res
+
+    def test_a_call_without_decisions_solves_the_game_each_time(
+            self, monkeypatch):
+        # the plan keeps no record of who solved its decisions, so every
+        # call without decisions solves the game and builds a new plan
+        # on the fresh result; the result it would hand a caller, passed
+        # back, reuses that plan without solving
+        solved = []
+
+        def counted(*args):
+            solved.append(nash_solve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(cascade, "nash_solve", counted)
+        eco, net, _ = generate_economy(GeneratorConfig(n_firms=20, seed=1))
+        config = CascadeConfig(trigger_firms=("F0005",))
+        first = run_cascade(eco, net, config)
+        plan = cascade._plans[net]
+        assert run_cascade(eco, net, config) == first
+        assert len(solved) == 2
+        assert cascade._plans[net] is not plan
+        assert cascade._plans[net].decisions is solved[1].decisions
+        assert solved[0].decisions == solved[1].decisions
+        plan = cascade._plans[net]
+        assert run_cascade(eco, net, config,
+                           decisions=solved[1].decisions) == first
+        assert cascade._plans[net] is plan
+        assert len(solved) == 2

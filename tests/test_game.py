@@ -453,6 +453,45 @@ class TestBestInputs:
             solve(*OVERFLOWING, GameConfig.decision_bounds)
         assert info.value.args == OVERFLOW_ARGS
 
+    def test_every_edge_row_goes_through_one_column_rule(self, monkeypatch):
+        # concave rows: (k*, l*) inside the box, above it in K only,
+        # below it in L only, above it in both
+        concave = [(100.0, 500.0, 25.0, CONCAVE),
+                   (100.0, 10.0, 100.0, CONCAVE),
+                   (100.0, 300.0, 100.0, CONCAVE),
+                   (100.0, 1.0, 100.0, CONCAVE)]
+        # alpha + beta >= 1, alpha = 0, r = 0, each with B > 0
+        nonconcave = [(100.0, 10.0, 100.0, replace(CONCAVE, **change))
+                      for change in ({"alpha": 0.7, "beta": 0.5},
+                                     {"alpha": 0.0}, {"interest_rate": 0.0})]
+        mixed = [nonconcave[0], *concave[:2], nonconcave[1], *concave[2:],
+                 nonconcave[2]]
+        edges = chainsim.game._edges
+        calls = []
+
+        def record(a, b, r, B, k_lo, k_hi, l_lo, l_hi, all_concave):
+            calls.append((list(zip(a.tolist(), b.tolist(), r.tolist(),
+                                   k_lo.tolist())), all_concave))
+            return edges(a, b, r, B, k_lo, k_hi, l_lo, l_hi, all_concave)
+
+        monkeypatch.setattr(chainsim.game, "_edges", record)
+        for rows in (concave, mixed):
+            books = [np.array(column) for column in list(zip(*rows))[:3]]
+            k, l = best_input_columns(*books,
+                                      ParamColumns.of(p for *_, p in rows))
+            assert list(zip(k.tolist(), l.tolist())) == [
+                eight_candidate_inputs(*row, GameConfig.decision_bounds)
+                for row in rows]
+        # one call per column, with every live row off the interior in
+        # column order; only an all-concave column skips the masks
+        lo = GameConfig.decision_bounds[0]
+        assert calls == [
+            ([(p.alpha, p.beta, p.interest_rate, lo * capital)
+              for _, capital, _, p in rows], all_concave)
+            for rows, all_concave in ((concave[1:], True),
+                                      ([r for r in mixed if r != concave[0]],
+                                       False))]
+
 
 @st.composite
 def concave_rows(draw, bounds):

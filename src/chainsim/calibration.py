@@ -362,7 +362,8 @@ def _fit_stacked(revenue: np.ndarray, capital: np.ndarray, labor: np.ndarray,
     eps, _ = residual(res.x, np.arange(n))
     fits = []
     for i, custs in enumerate(customers):
-        avg = average_error(eps[i])
+        sse = float(eps[i] @ eps[i])
+        avg = math.sqrt(sse / n_use)
         converged = bool(res.converged[i])
         iterations = int(res.iterations[i])
         fits.append(FitResult(
@@ -370,7 +371,7 @@ def _fit_stacked(revenue: np.ndarray, capital: np.ndarray, labor: np.ndarray,
             beta=float(res.x[i, 1]),
             strengths={cid: float(res.x[i, 2 + j]) for j, cid in enumerate(custs)},
             sigma=avg,
-            sse=float(eps[i] @ eps[i]),
+            sse=sse,
             average_error=avg,
             iterations=iterations,
             converged=converged,

@@ -26,8 +26,8 @@ import numpy as np
 from . import io as cio
 from .calibration import ELASTICITY_BOUNDS, FitOptions, fit_all, _histograms
 from .cascade import CascadeConfig, run_cascade
-from .econ import (FirmParameters, MacroSeries, POLICIES, POSITIVE,
-                   ZERO_REVENUE, check_numbers, finite_number)
+from .econ import (MacroSeries, POLICIES, POSITIVE, ZERO_REVENUE,
+                   check_numbers, finite_number)
 from .netgen import (
     GeneratorConfig,
     economy_from_panel,
@@ -219,10 +219,8 @@ def _apply_fit_report(path: str, params: dict, network):
         if fid not in new_params:
             raise CliError(f"fit report {path}: firm {fid!r} is not in "
                            "the params")
-        p = new_params[fid]
-        new_params[fid] = FirmParameters(float(rec["alpha"]), float(rec["beta"]),
-                                         p.cost_coeff, p.interest_rate,
-                                         p.noise_sigma)
+        new_params[fid] = dataclasses.replace(
+            new_params[fid], alpha=float(rec["alpha"]), beta=float(rec["beta"]))
         for cid, k in rec.get("strengths", {}).items():
             try:
                 network.strength(fid, cid)

@@ -125,17 +125,6 @@ def firm_ids(n: int) -> tuple[str, ...]:
     return tuple(f"F{i:0{width}d}" for i in range(n))
 
 
-def _uniform(rng, bounds: tuple[float, float]) -> float:
-    """One rng.uniform(*bounds) draw, from the same stream position.
-
-    numpy computes uniform as low + (high - low) * next_double, which is
-    this arithmetic on random()'s draw, at less than half the cost of a
-    scalar uniform() call.
-    """
-    low, high = float(bounds[0]), float(bounds[1])
-    return low + (high - low) * rng.random()
-
-
 # the guard band of steady_state_columns is ln k_root +- _BAND / s
 _BAND = 1e-12
 
@@ -285,10 +274,11 @@ def generate_params(config: GeneratorConfig, rng) -> np.ndarray:
 
     Firm by firm, the stream gives alpha and beta, redrawn as a pair
     while alpha + beta >= elasticity_sum_max, then cost_coeff, each
-    low + (high - low) * a uniform double. The doubles come in blocks,
-    each as many as the firms still to draw need at the least, three
-    apiece, so the stream stops where a draw per double stops; a walk
-    over the block's pairs finds each firm's accepted pair.
+    low + (high - low) * a uniform double. One walk over the pairs
+    finds each firm's accepted pair; whenever the next firm's pair and
+    cost are not all drawn, it tops the block up by as many doubles as
+    the firms still to draw need at the least, three apiece, so the
+    stream stops where a draw per double stops.
     """
     n = config.n_firms
     (a_lo, a_hi), (b_lo, b_hi), (c_lo, c_hi) = (
@@ -299,18 +289,16 @@ def generate_params(config: GeneratorConfig, rng) -> np.ndarray:
     starts: list[int] = []     # each firm's accepted pair
     p = 0
     while len(starts) < n:
-        u = np.concatenate((u, rng.random(p + 3 * (n - len(starts)) - len(u))))
-        sums = (a_lo + (a_hi - a_lo) * u[len(accepted):-1]
-                + (b_lo + (b_hi - b_lo) * u[len(accepted) + 1:]))
-        accepted += (sums < config.elasticity_sum_max).tolist()
-        while len(starts) < n and p + 2 <= len(u):
-            if not accepted[p]:
-                p += 2
-            elif p + 3 <= len(u):
-                starts.append(p)
-                p += 3
-            else:
-                break
+        if p + 3 > len(u):
+            u = np.concatenate((u, rng.random(p + 3 * (n - len(starts)) - len(u))))
+            sums = (a_lo + (a_hi - a_lo) * u[len(accepted):-1]
+                    + (b_lo + (b_hi - b_lo) * u[len(accepted) + 1:]))
+            accepted += (sums < config.elasticity_sum_max).tolist()
+        if accepted[p]:
+            starts.append(p)
+            p += 3
+        else:
+            p += 2
     starts = np.array(starts, dtype=np.intp)
     table = np.array((a_lo + (a_hi - a_lo) * u[starts],
                       b_lo + (b_hi - b_lo) * u[starts + 1],
@@ -333,7 +321,8 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
     round(mean_out_degree) customers, or every earlier firm while there
     are fewer, preferentially by how many suppliers those firms already
     have. The count rounds half to even (2.5 gives 2), so a degree below
-    0.5 draws no edges.
+    0.5 draws no edges. Each firm then draws the strengths of its
+    customers, in firm order, with one rng.uniform call.
     """
     ids = firm_ids(config.n_firms)
     n = config.n_firms
@@ -358,12 +347,12 @@ def generate_network(config: GeneratorConfig, rng) -> TransactionNetwork:
         for i in range(1, n):
             n_pick = min(i, m)
             weights = in_deg[:i] + 1.0
-            targets = rng.choice(i, size=n_pick, replace=False,
-                                 p=weights / weights.sum())
-            for j in sorted(int(t) for t in targets):
-                triples.append((ids[i], ids[j],
-                                _uniform(rng, config.strength_range)))
-                in_deg[j] += 1.0
+            targets = np.sort(rng.choice(i, size=n_pick, replace=False,
+                                         p=weights / weights.sum()))
+            ks = rng.uniform(*config.strength_range, size=n_pick)
+            triples += [(ids[i], ids[j], k)
+                        for j, k in zip(targets.tolist(), ks.tolist())]
+            in_deg[targets] += 1.0
     return TransactionNetwork(ids, triples)
 
 

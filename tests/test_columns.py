@@ -173,9 +173,39 @@ def _scalar_params(config, rng):
     return rows
 
 
+@st.composite
+def param_configs(draw):
+    """A GeneratorConfig of 1 to 40 firms with drawn alpha and beta
+    ranges, some of zero width, and a cap on alpha + beta that accepts
+    anything from every pair down to about one pair in 200."""
+    def bounds():
+        low = draw(st.floats(0.0, 0.5))
+        return low, low + draw(st.one_of(st.just(0.0), st.floats(1e-3, 0.5)))
+
+    alpha, beta = bounds(), bounds()
+    low = alpha[0] + beta[0]
+    width = (alpha[1] - alpha[0]) + (beta[1] - beta[0])
+    # a cap at low + t * width accepts 2 t^2 of the pairs when the two
+    # widths are equal and t <= 1/2, and more when they differ; with
+    # both widths 0, any cap above low accepts every pair
+    t = draw(st.floats(0.05, 1.1))
+    return GeneratorConfig(n_firms=draw(st.integers(1, 40)),
+                           alpha_range=alpha, beta_range=beta,
+                           elasticity_sum_max=low + (t * width or 0.1))
+
+
 class TestBlockDraws:
     """The block draws give the floats and the stream position of a draw
     per double."""
+
+    @staticmethod
+    def assert_same_draws(config, seed):
+        rng, reference = (np.random.default_rng([seed, 1]) for _ in range(2))
+        got = generate_params(config, rng)
+        want = _scalar_params(config, reference)
+        assert [float(x).hex() for x in got[:3].T.ravel()] == [
+            x.hex() for row in want for x in row]
+        assert rng.random().hex() == reference.random().hex()
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 2024, 65535])
     @pytest.mark.parametrize("config", [
@@ -185,9 +215,10 @@ class TestBlockDraws:
         GeneratorConfig(n_firms=25, elasticity_sum_max=0.25),
     ], ids=["default", "one firm", "heavy rejection"])
     def test_same_floats_and_stream_position(self, config, seed):
-        rng, reference = (np.random.default_rng([seed, 1]) for _ in range(2))
-        got = generate_params(config, rng)
-        want = _scalar_params(config, reference)
-        assert [float(x).hex() for x in got[:3].T.ravel()] == [
-            x.hex() for row in want for x in row]
-        assert rng.random().hex() == reference.random().hex()
+        self.assert_same_draws(config, seed)
+
+    @pytest.mark.fresh_seed
+    @given(param_configs(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_configs_match_a_draw_per_double(self, config, seed):
+        self.assert_same_draws(config, seed)

@@ -13,13 +13,15 @@ by nash_solve:
   cascade sizes, and one sha256 over the repr of every CascadeResult
   in that order, so every float of every Evaluation is pinned.
 
-Two more pins cover the rest of the package, calibration's LAPACK
+Three more pins cover the rest of the package, calibration's LAPACK
 solves included:
 
 - chain: the sha256 of each of the 11 files the README's command-line
   chain writes at 1000 firms, seed 3, run in-process through cli.main
   with the README's relative paths (the files echo the paths they
   were given).
+- scale-free: the sha256 of each of the 4 files that generate writes
+  on scale-free wiring at 300 firms, seed 3, run the same way.
 - criterion 2: the firms recovered of 10000 over the 100 noisy
   economies of test_acceptance's criterion 2.
 
@@ -74,6 +76,14 @@ GOLDEN = {
                                 "09f56722bb238b9761c85d6b96095243"),
     "chain shock/network.graphml": ("025f10ae94ee2d471080f24d1fa7e8ae"
                                     "0ed5820231c74616e0709449f9b63df5"),
+    "scale-free data/edges.csv": ("16221412763842399a443be6cacb79e0"
+                                  "d4f3b07724c1ccf6189c4e127ecfc5bc"),
+    "scale-free data/gdp.csv": ("489bf11b6613d93546fcf477703abe46"
+                                "83b20961c27788031f0e19e9f287b6f3"),
+    "scale-free data/panel.csv": ("a6685ffcc044bdfbcc464dcd7d791cd9"
+                                  "2bbee597050b4a4ad87532501e0c9f91"),
+    "scale-free data/params.csv": ("dca67ad4fc19c0303bfe05fb3a0b2de5"
+                                   "94eb3b70b1a28bb36fd7d3f5911374af"),
     "criterion 2 recovered": 9395,
 }
 
@@ -90,6 +100,8 @@ README_CHAIN = (
     " --gdp data/gdp.csv --params data/params.csv"
     " --horizon 11 --seed 9 --out-dir forward",
 )
+
+SCALE_FREE = "generate --out-dir data --edge-model scale-free --firms 300 --seed 3"
 
 GDP_GROWTH = 1.02
 
@@ -139,18 +151,28 @@ def test_every_result_of_both_policies_with_and_without_a_cap():
                  "results sha256": digest.hexdigest()})
 
 
-def test_readme_chain_files(tmp_path, monkeypatch):
+def assert_file_pins(prefix, commands, tmp_path, monkeypatch):
+    """Run commands through cli.main in tmp_path and check the sha256 of
+    every file written against the pins named prefix + its path."""
     monkeypatch.chdir(tmp_path)
-    for command in README_CHAIN:
+    for command in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli_main(command.split()) == 0, command
     # a file not written reads None, one not pinned is named too
-    got = {name: None for name in GOLDEN if name.startswith("chain ")}
+    got = {name: None for name in GOLDEN if name.startswith(prefix)}
     for p in tmp_path.rglob("*"):
         if p.is_file():
-            got[f"chain {p.relative_to(tmp_path).as_posix()}"] = (
+            got[prefix + p.relative_to(tmp_path).as_posix()] = (
                 hashlib.sha256(p.read_bytes()).hexdigest())
     assert_pins(got)
+
+
+def test_readme_chain_files(tmp_path, monkeypatch):
+    assert_file_pins("chain ", README_CHAIN, tmp_path, monkeypatch)
+
+
+def test_scale_free_generate_files(tmp_path, monkeypatch):
+    assert_file_pins("scale-free ", (SCALE_FREE,), tmp_path, monkeypatch)
 
 
 def test_criterion_2_recovered_count():

@@ -174,7 +174,13 @@ def _redraw_with_uniform(config):
         equity = rng.uniform(*config.equity_frac_range) * revenue
         states[fid] = FirmState(revenue, revenue / (1.0 + config.gdp_growth),
                                 capital, labor, equity)
-    rng = np.random.default_rng([config.seed, 2])
+    return params, states, _scale_free_with_uniform(
+        config, np.random.default_rng([config.seed, 2]))
+
+
+def _scale_free_with_uniform(config, rng):
+    """The scale-free model's sorted triples, each strength drawn with a
+    scalar rng.uniform call."""
     ids = firm_ids(config.n_firms)
     in_deg = np.zeros(config.n_firms)
     strengths = []
@@ -186,7 +192,25 @@ def _redraw_with_uniform(config):
             strengths.append(
                 (ids[i], ids[j], rng.uniform(*config.strength_range)))
             in_deg[j] += 1.0
-    return params, states, sorted(strengths)
+    return sorted(strengths)
+
+
+@st.composite
+def scale_free_configs(draw):
+    """A scale-free GeneratorConfig of 1 to 40 firms whose degree is 0,
+    below 0.5, fractional or above the firm count, with a drawn strength
+    range, (0, 0) among them."""
+    n = draw(st.integers(1, 40))
+    degree = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.49),
+                            st.floats(0.5, 7.0),
+                            st.integers(n + 1, 2 * n + 5).map(float)))
+    strength_range = draw(st.one_of(
+        st.just((0, 0)),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+            lambda pair: tuple(sorted(pair)))))
+    return GeneratorConfig(n_firms=n, edge_model="scale-free",
+                           mean_out_degree=degree,
+                           strength_range=strength_range)
 
 
 def _one_shot_random_draw(config, rng):
@@ -232,6 +256,18 @@ class TestUniformDraws:
         got = sorted(net.edges())
         assert [e[:2] for e in got] == [e[:2] for e in strengths]
         assert _bits(e[2] for e in got) == _bits(e[2] for e in strengths)
+
+
+    @pytest.mark.fresh_seed
+    @given(scale_free_configs(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_free_strengths_match_scalar_uniform(self, config, seed):
+        rng, oracle = (np.random.default_rng(seed) for _ in range(2))
+        got = sorted(generate_network(config, rng).edges())
+        want = _scale_free_with_uniform(config, oracle)
+        assert [e[:2] for e in got] == [e[:2] for e in want]
+        assert _bits(e[2] for e in got) == _bits(e[2] for e in want)
+        assert _bits([rng.random()]) == _bits([oracle.random()])
 
 
 class TestRandomModelStream:
